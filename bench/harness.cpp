@@ -18,7 +18,7 @@ namespace lbchat::bench {
 namespace {
 
 /// Version of the CachedRun on-disk layout. The cache *key* is salted
-/// separately by kScenarioFingerprintVersion (common/fingerprint.h) — bump
+/// separately by kScenarioFingerprintVersion (engine/checkpoint.h) — bump
 /// that one to invalidate keys after behavioural changes, this one when the
 /// CachedRun byte layout changes.
 /// v3: CachedRun carries the adversary/heterogeneity counters and the
@@ -180,14 +180,12 @@ eval::EvalConfig default_eval_config() {
 
 std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg, std::string_view strategy,
                               const baselines::StrategyOptions& options) {
-  // The shared implementation (common/fingerprint.h) is byte-for-byte the
-  // hash this harness historically computed, so pre-existing .bench_cache
-  // entries keep their keys; the svc ResultCache derives its keys from the
-  // same function. Non-default strategy options enter only via the
-  // conditional tail, so default-configured runs keep their keys too. The
-  // kernel-path salt is identity on the scalar path (the backend every
-  // historical entry was produced by), so only SIMD runs get fresh keys.
-  return nn::salt_with_kernel_path(scenario_fingerprint(
+  // The svc ResultCache derives its keys from the same function
+  // (engine/checkpoint.h). Non-default strategy options enter only via the
+  // conditional tail, so default-configured runs share one key. The
+  // kernel-path salt is identity on the scalar path, so only SIMD runs get
+  // keys of their own.
+  return nn::salt_with_kernel_path(engine::scenario_fingerprint(
       cfg, strategy, baselines::registry().fingerprint_options(strategy, options)));
 }
 

@@ -15,9 +15,11 @@
 // Strategies come from the registry (see --list-strategies for names and
 // per-strategy options); --approach is a legacy alias of --strategy.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,8 +32,22 @@
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "svc/job.h"
 
 namespace {
+
+// Scenario flags read their value through the JobSpec key table entry of the
+// same name (flag --a-b is key a_b), so a flag and its fleet-service key share
+// one type check, range check and fan-out.
+constexpr const char* kScenarioFlags[] = {
+    "--vehicles", "--num-vehicles", "--duration",       "--collect-duration", "--coreset",
+    "--seed",     "--threads",      "--byzantine-frac", "--straggler-frac",
+};
+
+bool is_scenario_flag(const char* arg) {
+  return std::any_of(std::begin(kScenarioFlags), std::end(kScenarioFlags),
+                     [arg](const char* flag) { return std::strcmp(arg, flag) == 0; });
+}
 
 void usage() {
   std::fprintf(stderr,
@@ -128,9 +144,12 @@ int main(int argc, char** argv) {
 
   std::string approach_name = "LbChat";
   baselines::StrategyOptions strategy_opts;
-  engine::ScenarioConfig cfg;
+  svc::JobSpec spec;
+  engine::ScenarioConfig& cfg = spec.cfg;
   cfg.num_vehicles = 8;
   cfg.duration_s = 900.0;
+  svc::JobSpecBuilder scenario{spec};
+  std::string error;
   bool run_eval = false;
   std::string trace_out;
   std::string events_out;
@@ -139,7 +158,6 @@ int main(int argc, char** argv) {
   std::string checkpoint_out;
   std::string resume_from;
   double checkpoint_every = 0.0;
-  int metro_vehicles = 0;
 
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
@@ -169,29 +187,13 @@ int main(int argc, char** argv) {
         }
       }
       return 0;
-    } else if (std::strcmp(argv[i], "--vehicles") == 0) {
-      cfg.num_vehicles = std::atoi(need_value("--vehicles"));
-    } else if (std::strcmp(argv[i], "--num-vehicles") == 0) {
-      metro_vehicles = std::atoi(need_value("--num-vehicles"));
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      cfg.duration_s = std::atof(need_value("--duration"));
-    } else if (std::strcmp(argv[i], "--collect-duration") == 0) {
-      cfg.collect_duration_s = std::atof(need_value("--collect-duration"));
-    } else if (std::strcmp(argv[i], "--coreset") == 0) {
-      cfg.coreset_size = static_cast<std::size_t>(std::atoi(need_value("--coreset")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.num_threads = std::atoi(need_value("--threads"));
-    } else if (std::strcmp(argv[i], "--byzantine-frac") == 0) {
-      cfg.adversary.byzantine_frac = std::atof(need_value("--byzantine-frac"));
-    } else if (std::strcmp(argv[i], "--straggler-frac") == 0) {
-      // One flag drives the whole heterogeneity profile: the same fraction
-      // of compute stragglers and slow radios, plus moderate dataset skew.
-      const double frac = std::atof(need_value("--straggler-frac"));
-      cfg.hetero.straggler_frac = frac;
-      cfg.hetero.slow_radio_frac = frac;
-      cfg.hetero.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
+    } else if (is_scenario_flag(argv[i])) {
+      std::string key{argv[i] + 2};
+      std::replace(key.begin(), key.end(), '-', '_');
+      if (!scenario.set_text(key, need_value(argv[i]), error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       const std::string name = need_value("--kernel");
       if (name != "auto") {
@@ -241,15 +243,8 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  // Metro scaling last, so it composes with --vehicles (which then sets the
-  // base the town tiles up from) regardless of flag order.
-  if (metro_vehicles > 0) engine::apply_metro_scale(cfg, metro_vehicles);
-  if (cfg.num_vehicles < 2 || cfg.duration_s <= 0.0) {
-    std::fprintf(stderr, "need at least 2 vehicles and a positive duration\n");
-    return 2;
-  }
-  if (cfg.num_threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
+  if (!scenario.finish(error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 

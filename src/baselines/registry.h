@@ -85,7 +85,7 @@ class StrategyRegistry {
   /// Schema-validated canonical view of `options` for cache keys: sorted by
   /// key, with entries equal to the schema default dropped — so a strategy
   /// explicitly configured to its defaults fingerprints identically to one
-  /// whose options were never mentioned (common/fingerprint.h tail
+  /// whose options were never mentioned (engine::scenario_fingerprint tail
   /// contract). Throws std::invalid_argument like make().
   [[nodiscard]] std::vector<StrategyOptionKv> fingerprint_options(
       std::string_view name, const StrategyOptions& options) const;

@@ -1,18 +1,21 @@
 // FNV-1a fingerprinting shared by every result cache in the repo.
 //
-// The bench harness caches training runs on disk keyed by a fingerprint of
-// the full scenario configuration + approach name; the fleet-evaluation
-// service (src/svc) keys its ResultCache the same way so a job submitted
-// twice runs once. Both caches MUST derive their keys from the one
-// implementation here — tests/fingerprint_test.cpp pins known digests so the
-// key derivation cannot silently drift and stale cache entries cannot be
-// served for changed configurations.
+// The bench harness caches training runs on disk keyed by a scenario
+// fingerprint; the fleet-evaluation service (src/svc) keys its ResultCache the
+// same way so a job submitted twice runs once. The scenario fingerprint itself
+// lives with the one serializer of ScenarioConfig fields
+// (engine::scenario_fingerprint, engine/checkpoint.h); this header holds the
+// hash primitives it and the other caches are built from.
+// tests/fingerprint_test.cpp pins known digests so the key derivation cannot
+// silently drift and stale cache entries cannot be served for changed
+// configurations.
 //
 // Scheme: typed fields are serialized through a ByteWriter (the same
 // little-endian layout as the wire formats) and the byte stream is hashed
-// with 64-bit FNV-1a. Deliberately NOT hashed: num_threads and the
-// spatial-index knob (bit-identical results for any value — pure wall-clock
-// knobs). duration_s IS hashed: a cache entry answers one exact horizon.
+// with 64-bit FNV-1a. Opt-in layers follow one marker-tail rule: a group of
+// knobs is written only while one of them is live, behind its marker byte
+// (0x5C scaling, 0xAD adversary/heterogeneity, 0x18 int8 eval), so an inert
+// layer hashes exactly like a scenario that never mentions it.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +24,6 @@
 #include <string_view>
 
 #include "common/bytes.h"
-
-namespace lbchat::engine {
-struct ScenarioConfig;
-}  // namespace lbchat::engine
 
 namespace lbchat {
 
@@ -59,19 +58,6 @@ class FnvHasher {
   ByteWriter w_;
 };
 
-/// Version salt mixed into every scenario fingerprint. Bump to invalidate
-/// all cached results (bench .bench_cache entries and svc ResultCache
-/// entries alike) after behavioural code changes.
-inline constexpr std::uint32_t kScenarioFingerprintVersion = 3;
-
-/// Deterministic fingerprint of a scenario (every behaviour-shaping field,
-/// including duration_s) + the approach name, exactly as the bench cache has
-/// always computed it. An all-off adversary/heterogeneity config hashes like
-/// a scenario that never mentions the robustness layer, so the bit-inert
-/// layer's existence cannot split cache keys for non-adversarial runs.
-[[nodiscard]] std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                                 std::string_view approach);
-
 /// One canonical (non-default, schema-validated) strategy option as it enters
 /// the fingerprint. Produced by baselines::StrategyRegistry::
 /// fingerprint_options — sorted by key, defaults dropped — so two spellings
@@ -80,14 +66,5 @@ struct StrategyOptionKv {
   std::string key;
   double value = 0.0;
 };
-
-/// Options-aware fingerprint: identical to the two-argument overload when
-/// `options` is empty (default-configured strategies keep their historical
-/// cache keys, bench goldens and svc ResultCache entries alike); non-default
-/// options enter via a marked conditional tail, the same trick as the
-/// adversary tail above and the checkpoint 0x5C/0xAD section markers.
-[[nodiscard]] std::uint64_t scenario_fingerprint(const engine::ScenarioConfig& cfg,
-                                                 std::string_view approach,
-                                                 std::span<const StrategyOptionKv> options);
 
 }  // namespace lbchat

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/fingerprint.h"
 #include "common/frame.h"
 #include "coreset/coreset_io.h"
 #include "data/sample_io.h"
@@ -26,15 +27,10 @@ constexpr std::uint8_t kNumSections = 9;
 constexpr std::uint8_t kMaxEventKind =
     static_cast<std::uint8_t>(obs::EventKind::kStragglerSkip);
 
-void fnv_mix(std::uint64_t& h, std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-}
-
 /// Serialize every config field that shapes simulation state, in declaration
 /// order. duration_s and num_threads are deliberately absent (checkpoint.h).
+/// The one field-by-field serializer of ScenarioConfig: the checkpoint key
+/// and the result-cache key (scenario_fingerprint) both hash these bytes.
 void write_config(ByteWriter& w, const ScenarioConfig& c) {
   w.write_u64(c.seed);
   w.write_i32(c.num_vehicles);
@@ -214,9 +210,30 @@ std::string_view to_string(CkptStatus s) {
 std::uint64_t config_fingerprint(const ScenarioConfig& cfg) {
   ByteWriter w;
   write_config(w, cfg);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  fnv_mix(h, w.bytes());
-  return h;
+  return fnv1a(w.bytes());
+}
+
+std::uint64_t scenario_fingerprint(const ScenarioConfig& cfg, std::string_view approach,
+                                   std::span<const StrategyOptionKv> options) {
+  FnvHasher h;
+  h.add(approach);
+  // Protocol revision salt for the LbChat-family strategies (phi sampling +
+  // aggregation guard changes invalidate only their cached runs).
+  if (approach == "LbChat" || approach == "LbChat(equal-comp)" ||
+      approach == "LbChat(avg-agg)") {
+    h.add(std::string_view{"lbchat-proto-v3"});
+  }
+  h.add(static_cast<std::uint64_t>(kScenarioFingerprintVersion));
+  h.add(cfg.duration_s);
+  h.add(config_fingerprint(cfg));
+  if (!options.empty()) {
+    h.add(std::string_view{"strategy-options-v1"});
+    for (const StrategyOptionKv& kv : options) {
+      h.add(std::string_view{kv.key});
+      h.add(kv.value);
+    }
+  }
+  return h.digest();
 }
 
 std::string ckpt_info_json(const CkptInfo& info) {

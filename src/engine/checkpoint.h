@@ -25,6 +25,7 @@
 namespace lbchat {
 class ByteWriter;
 class ByteReader;
+struct StrategyOptionKv;
 }  // namespace lbchat
 
 namespace lbchat::engine {
@@ -67,6 +68,22 @@ enum class CkptStatus : std::uint8_t {
 /// may extend the horizon or change the lane count without breaking
 /// bit-exactness (the engine is deterministic across thread counts).
 [[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg);
+
+/// Version salt mixed into every scenario fingerprint. Bump to invalidate
+/// all cached results (bench .bench_cache entries and svc ResultCache
+/// entries alike) after behavioural code changes.
+/// v4: the scenario fields enter through config_fingerprint.
+inline constexpr std::uint32_t kScenarioFingerprintVersion = 4;
+
+/// Result-cache key of a run: the approach name, the version salt, duration_s
+/// (a cache entry answers one exact horizon) and config_fingerprint — so the
+/// cache key and the checkpoint key read the same serializer and cannot
+/// disagree on which fields shape a run. Non-default strategy options
+/// (baselines::StrategyRegistry::fingerprint_options) enter via a marked
+/// tail; with none, a strategy hashes as if it had no options at all.
+[[nodiscard]] std::uint64_t scenario_fingerprint(const ScenarioConfig& cfg,
+                                                 std::string_view approach,
+                                                 std::span<const StrategyOptionKv> options = {});
 
 /// Structural summary of a checkpoint, produced without a ScenarioConfig.
 struct CkptInfo {

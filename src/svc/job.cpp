@@ -1,94 +1,235 @@
 #include "svc/job.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/fingerprint.h"
+#include "engine/checkpoint.h"
 #include "nn/kernel_dispatch.h"
 #include "svc/json.h"
 
 namespace lbchat::svc {
 namespace {
 
-// Spec parsing accumulates into this context so every helper can fail with a
-// key-specific message without exceptions.
-struct ParseCtx {
+// One key being applied: its value, where it lands, and the typed reads the
+// setters share. `key` names the key in error messages — a nested "faults"
+// member by its bare name.
+struct Apply {
+  std::string key;
+  const JsonValue& v;
   std::string& error;
-  bool ok = true;
+  JobSpec& spec;
+  int& metro_vehicles;
 
-  void fail(const std::string& what) {
-    if (ok) error = what;
-    ok = false;
+  bool fail(const std::string& what) const {
+    error = what;
+    return false;
+  }
+  bool number(double& out) const {
+    if (!v.is_number()) return fail("\"" + key + "\" must be a number");
+    out = v.as_number();
+    return true;
+  }
+  bool integer(int& out) const {
+    double d = 0.0;
+    if (!number(d)) return false;
+    if (d != std::floor(d) || d < -2147483648.0 || d > 2147483647.0) {
+      return fail("\"" + key + "\" must be an integer");
+    }
+    out = static_cast<int>(d);
+    return true;
+  }
+  bool boolean(bool& out) const {
+    if (!v.is_bool()) return fail("\"" + key + "\" must be a boolean");
+    out = v.as_bool();
+    return true;
+  }
+  bool text(std::string& out) const {
+    if (!v.is_string()) return fail("\"" + key + "\" must be a string");
+    out = v.as_string();
+    return true;
+  }
+  bool object() const {
+    return v.is_object() || fail("\"" + key + "\" must be an object");
+  }
+  /// A count read as `x` (already type-checked): >= 1, truncated to size_t.
+  bool count(double x, std::size_t& out) const {
+    if (x < 1.0) return fail("\"" + key + "\" must be >= 1");
+    out = static_cast<std::size_t>(x);
+    return true;
   }
 };
 
-bool want_number(ParseCtx& ctx, const std::string& key, const JsonValue& v, double& out) {
-  if (!v.is_number()) {
-    ctx.fail("\"" + key + "\" must be a number");
-    return false;
-  }
-  out = v.as_number();
-  return true;
-}
+struct KeyEntry {
+  std::string_view key;
+  bool (*set)(const Apply&);
+};
 
-bool want_int(ParseCtx& ctx, const std::string& key, const JsonValue& v, int& out) {
-  double d = 0.0;
-  if (!want_number(ctx, key, v, d)) return false;
-  if (d != std::floor(d) || d < -2147483648.0 || d > 2147483647.0) {
-    ctx.fail("\"" + key + "\" must be an integer");
-    return false;
-  }
-  out = static_cast<int>(d);
-  return true;
-}
+const KeyEntry* find_key(std::string_view key);
 
-bool want_bool(ParseCtx& ctx, const std::string& key, const JsonValue& v, bool& out) {
-  if (!v.is_bool()) {
-    ctx.fail("\"" + key + "\" must be a boolean");
-    return false;
-  }
-  out = v.as_bool();
-  return true;
-}
+// Every JobSpec key, once: each setter does its key's type and range checks.
+// "faults" members are looked up here under a "faults." prefix, which no
+// top-level key can reach.
+constexpr KeyEntry kKeys[] = {
+    // "approach" is the pre-registry spelling; both name the registry key.
+    {"strategy", [](const Apply& a) { return a.text(a.spec.approach_name); }},
+    {"approach", [](const Apply& a) { return a.text(a.spec.approach_name); }},
+    {"strategy_options",
+     [](const Apply& a) {
+       if (!a.object()) return false;
+       for (const auto& [key, value] : a.v.members()) {
+         const Apply opt{"strategy_options." + key, *value, a.error, a.spec, a.metro_vehicles};
+         double x = 0.0;
+         if (!opt.number(x)) return false;
+         a.spec.options.set(key, x);
+       }
+       return true;
+     }},
+    {"name", [](const Apply& a) { return a.text(a.spec.name); }},
+    {"priority", [](const Apply& a) { return a.integer(a.spec.priority); }},
+    {"events", [](const Apply& a) { return a.boolean(a.spec.events); }},
+    {"preempt_at", [](const Apply& a) { return a.number(a.spec.preempt_at); }},
+    {"vehicles", [](const Apply& a) { return a.integer(a.spec.cfg.num_vehicles); }},
+    // Metro scaling applies in JobSpecBuilder::finish, after every key.
+    {"num_vehicles", [](const Apply& a) { return a.integer(a.metro_vehicles); }},
+    {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); }},
+    {"collect_duration", [](const Apply& a) { return a.number(a.spec.cfg.collect_duration_s); }},
+    {"collect_fps", [](const Apply& a) { return a.number(a.spec.cfg.collect_fps); }},
+    {"coreset",
+     [](const Apply& a) {
+       int n = 0;
+       return a.integer(n) && a.count(n, a.spec.cfg.coreset_size);
+     }},
+    {"seed",
+     [](const Apply& a) {
+       double x = 0.0;
+       if (!a.number(x)) return false;
+       if (x < 0.0) return a.fail("\"seed\" must be >= 0");
+       a.spec.cfg.seed = static_cast<std::uint64_t>(x);
+       return true;
+     }},
+    {"threads", [](const Apply& a) { return a.integer(a.spec.cfg.num_threads); }},
+    {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
+    {"eval_interval", [](const Apply& a) { return a.number(a.spec.cfg.eval_interval_s); }},
+    {"train_interval", [](const Apply& a) { return a.number(a.spec.cfg.train_interval_s); }},
+    {"batch_size", [](const Apply& a) { return a.integer(a.spec.cfg.batch_size); }},
+    {"learning_rate", [](const Apply& a) { return a.number(a.spec.cfg.learning_rate); }},
+    {"time_budget", [](const Apply& a) { return a.number(a.spec.cfg.time_budget_s); }},
+    {"pair_cooldown", [](const Apply& a) { return a.number(a.spec.cfg.pair_cooldown_s); }},
+    {"session_timeout", [](const Apply& a) { return a.number(a.spec.cfg.session_timeout_s); }},
+    {"byzantine_frac",
+     [](const Apply& a) { return a.number(a.spec.cfg.adversary.byzantine_frac); }},
+    {"straggler_frac",
+     [](const Apply& a) {
+       // One knob drives the whole heterogeneity profile: the same fraction
+       // of compute stragglers and slow radios, plus moderate dataset skew.
+       double frac = 0.0;
+       if (!a.number(frac)) return false;
+       engine::HeteroConfig& h = a.spec.cfg.hetero;
+       h.straggler_frac = frac;
+       h.slow_radio_frac = frac;
+       h.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
+       return true;
+     }},
+    {"background_cars",
+     [](const Apply& a) { return a.integer(a.spec.cfg.world.num_background_cars); }},
+    {"pedestrians", [](const Apply& a) { return a.integer(a.spec.cfg.world.num_pedestrians); }},
+    {"eval_frames", [](const Apply& a) { return a.integer(a.spec.cfg.eval_frames_per_vehicle); }},
+    {"radio_range", [](const Apply& a) { return a.number(a.spec.cfg.radio.max_range_m); }},
+    {"model_bytes",
+     [](const Apply& a) {
+       double x = 0.0;
+       return a.number(x) && a.count(x, a.spec.cfg.wire.model_bytes);
+     }},
+    {"coreset_bytes_per_sample",
+     [](const Apply& a) {
+       double x = 0.0;
+       return a.number(x) && a.count(x, a.spec.cfg.wire.coreset_bytes_per_sample);
+     }},
+    {"faults",
+     [](const Apply& a) {
+       if (!a.object()) return false;
+       for (const auto& [key, value] : a.v.members()) {
+         const KeyEntry* e = find_key("faults." + key);
+         if (e == nullptr) return a.fail("unknown faults key \"" + key + "\"");
+         if (!e->set(Apply{key, *value, a.error, a.spec, a.metro_vehicles})) return false;
+       }
+       return true;
+     }},
+    {"faults.burst_rate_per_min",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_rate_per_min); }},
+    {"faults.burst_duration_s",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_duration_s); }},
+    {"faults.burst_radius_m",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_radius_m); }},
+    {"faults.burst_extra_loss",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_extra_loss); }},
+    {"faults.churn_rate_per_min",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.churn_rate_per_min); }},
+    {"faults.churn_offline_mean_s",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.churn_offline_mean_s); }},
+    {"faults.corrupt_prob_near",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.corrupt_prob_near); }},
+    {"faults.corrupt_prob_far",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.corrupt_prob_far); }},
+    {"faults.chat_backoff",
+     [](const Apply& a) { return a.boolean(a.spec.cfg.faults.chat_backoff); }},
+    {"faults.backoff_base",
+     [](const Apply& a) { return a.number(a.spec.cfg.faults.backoff_base); }},
+    {"faults.backoff_max_exp",
+     [](const Apply& a) { return a.integer(a.spec.cfg.faults.backoff_max_exp); }},
+};
 
-void apply_faults(ParseCtx& ctx, const JsonValue& obj, engine::FaultConfig& f) {
-  if (!obj.is_object()) {
-    ctx.fail("\"faults\" must be an object");
-    return;
+const KeyEntry* find_key(std::string_view key) {
+  for (const KeyEntry& e : kKeys) {
+    if (e.key == key) return &e;
   }
-  for (const auto& [key, value] : obj.members()) {
-    const JsonValue& v = *value;
-    if (key == "burst_rate_per_min") {
-      want_number(ctx, key, v, f.burst_rate_per_min);
-    } else if (key == "burst_duration_s") {
-      want_number(ctx, key, v, f.burst_duration_s);
-    } else if (key == "burst_radius_m") {
-      want_number(ctx, key, v, f.burst_radius_m);
-    } else if (key == "burst_extra_loss") {
-      want_number(ctx, key, v, f.burst_extra_loss);
-    } else if (key == "churn_rate_per_min") {
-      want_number(ctx, key, v, f.churn_rate_per_min);
-    } else if (key == "churn_offline_mean_s") {
-      want_number(ctx, key, v, f.churn_offline_mean_s);
-    } else if (key == "corrupt_prob_near") {
-      want_number(ctx, key, v, f.corrupt_prob_near);
-    } else if (key == "corrupt_prob_far") {
-      want_number(ctx, key, v, f.corrupt_prob_far);
-    } else if (key == "chat_backoff") {
-      want_bool(ctx, key, v, f.chat_backoff);
-    } else if (key == "backoff_base") {
-      want_number(ctx, key, v, f.backoff_base);
-    } else if (key == "backoff_max_exp") {
-      want_int(ctx, key, v, f.backoff_max_exp);
-    } else {
-      ctx.fail("unknown faults key \"" + key + "\"");
-    }
-    if (!ctx.ok) return;
-  }
+  return nullptr;
 }
 
 }  // namespace
+
+bool JobSpecBuilder::set(std::string_view key, const JsonValue& value, std::string& error) {
+  const KeyEntry* e = key.find('.') == std::string_view::npos ? find_key(key) : nullptr;
+  if (e == nullptr) {
+    error = "unknown key \"" + std::string{key} + "\"";
+    return false;
+  }
+  return e->set(Apply{std::string{key}, value, error, spec_, metro_vehicles_});
+}
+
+bool JobSpecBuilder::set_text(std::string_view key, std::string_view text, std::string& error) {
+  // Text that is no JSON literal is the JSON string it spells, so "60x" fails
+  // the number check instead of parsing as 60.
+  std::string json_error;
+  auto value = json_parse(text, json_error);
+  if (value == nullptr) value = json_parse("\"" + json_escape(text) + "\"", json_error);
+  if (value == nullptr) {
+    error = "\"" + std::string{key} + "\": " + json_error;
+    return false;
+  }
+  return set(key, *value, error);
+}
+
+bool JobSpecBuilder::finish(std::string& error) {
+  engine::ScenarioConfig& cfg = spec_.cfg;
+  // Metro scaling last, so it composes with "vehicles" (which then sets the
+  // base the town tiles up from) regardless of key order.
+  if (metro_vehicles_ > 0) engine::apply_metro_scale(cfg, metro_vehicles_);
+  if (cfg.num_vehicles < 2) {
+    error = "need at least 2 vehicles";
+    return false;
+  }
+  if (cfg.duration_s <= 0.0) {
+    error = "\"duration\" must be > 0";
+    return false;
+  }
+  if (cfg.num_threads < 0) {
+    error = "\"threads\" must be >= 0";
+    return false;
+  }
+  return true;
+}
 
 bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
   out = JobSpec{};
@@ -105,126 +246,9 @@ bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
     return false;
   }
 
-  ParseCtx ctx{error};
-  engine::ScenarioConfig& cfg = out.cfg;
-  int metro_vehicles = 0;
-  int v_int = 0;
-  double v_num = 0.0;
-
+  JobSpecBuilder builder{out};
   for (const auto& [key, value] : root->members()) {
-    const JsonValue& v = *value;
-    if (key == "strategy" || key == "approach") {
-      // "approach" is the pre-registry spelling; both name the registry key.
-      if (!v.is_string()) {
-        ctx.fail("\"" + key + "\" must be a string");
-      } else {
-        out.approach_name = v.as_string();
-      }
-    } else if (key == "strategy_options") {
-      if (!v.is_object()) {
-        ctx.fail("\"strategy_options\" must be an object");
-      } else {
-        for (const auto& [opt_key, opt_value] : v.members()) {
-          double opt_num = 0.0;
-          if (!want_number(ctx, "strategy_options." + opt_key, *opt_value, opt_num)) break;
-          out.options.set(opt_key, opt_num);
-        }
-      }
-    } else if (key == "name") {
-      if (!v.is_string()) {
-        ctx.fail("\"name\" must be a string");
-      } else {
-        out.name = v.as_string();
-      }
-    } else if (key == "priority") {
-      want_int(ctx, key, v, out.priority);
-    } else if (key == "events") {
-      want_bool(ctx, key, v, out.events);
-    } else if (key == "preempt_at") {
-      want_number(ctx, key, v, out.preempt_at);
-    } else if (key == "vehicles") {
-      if (want_int(ctx, key, v, v_int)) cfg.num_vehicles = v_int;
-    } else if (key == "num_vehicles") {
-      want_int(ctx, key, v, metro_vehicles);
-    } else if (key == "duration") {
-      want_number(ctx, key, v, cfg.duration_s);
-    } else if (key == "collect_duration") {
-      want_number(ctx, key, v, cfg.collect_duration_s);
-    } else if (key == "collect_fps") {
-      want_number(ctx, key, v, cfg.collect_fps);
-    } else if (key == "coreset") {
-      if (want_int(ctx, key, v, v_int)) {
-        if (v_int < 1) {
-          ctx.fail("\"coreset\" must be >= 1");
-        } else {
-          cfg.coreset_size = static_cast<std::size_t>(v_int);
-        }
-      }
-    } else if (key == "seed") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 0.0) {
-          ctx.fail("\"seed\" must be >= 0");
-        } else {
-          cfg.seed = static_cast<std::uint64_t>(v_num);
-        }
-      }
-    } else if (key == "threads") {
-      want_int(ctx, key, v, cfg.num_threads);
-    } else if (key == "wireless_loss") {
-      want_bool(ctx, key, v, cfg.wireless_loss);
-    } else if (key == "eval_interval") {
-      want_number(ctx, key, v, cfg.eval_interval_s);
-    } else if (key == "train_interval") {
-      want_number(ctx, key, v, cfg.train_interval_s);
-    } else if (key == "batch_size") {
-      want_int(ctx, key, v, cfg.batch_size);
-    } else if (key == "learning_rate") {
-      want_number(ctx, key, v, cfg.learning_rate);
-    } else if (key == "time_budget") {
-      want_number(ctx, key, v, cfg.time_budget_s);
-    } else if (key == "pair_cooldown") {
-      want_number(ctx, key, v, cfg.pair_cooldown_s);
-    } else if (key == "session_timeout") {
-      want_number(ctx, key, v, cfg.session_timeout_s);
-    } else if (key == "byzantine_frac") {
-      want_number(ctx, key, v, cfg.adversary.byzantine_frac);
-    } else if (key == "straggler_frac") {
-      // One knob drives the whole heterogeneity profile, like the CLI flag.
-      if (want_number(ctx, key, v, v_num)) {
-        cfg.hetero.straggler_frac = v_num;
-        cfg.hetero.slow_radio_frac = v_num;
-        cfg.hetero.dataset_skew = v_num > 0.0 ? 0.5 : 0.0;
-      }
-    } else if (key == "background_cars") {
-      want_int(ctx, key, v, cfg.world.num_background_cars);
-    } else if (key == "pedestrians") {
-      want_int(ctx, key, v, cfg.world.num_pedestrians);
-    } else if (key == "eval_frames") {
-      want_int(ctx, key, v, cfg.eval_frames_per_vehicle);
-    } else if (key == "radio_range") {
-      want_number(ctx, key, v, cfg.radio.max_range_m);
-    } else if (key == "model_bytes") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 1.0) {
-          ctx.fail("\"model_bytes\" must be >= 1");
-        } else {
-          cfg.wire.model_bytes = static_cast<std::size_t>(v_num);
-        }
-      }
-    } else if (key == "coreset_bytes_per_sample") {
-      if (want_number(ctx, key, v, v_num)) {
-        if (v_num < 1.0) {
-          ctx.fail("\"coreset_bytes_per_sample\" must be >= 1");
-        } else {
-          cfg.wire.coreset_bytes_per_sample = static_cast<std::size_t>(v_num);
-        }
-      }
-    } else if (key == "faults") {
-      apply_faults(ctx, v, cfg.faults);
-    } else {
-      ctx.fail("unknown key \"" + key + "\"");
-    }
-    if (!ctx.ok) return false;
+    if (!builder.set(key, *value, error)) return false;
   }
 
   if (!baselines::registry().contains(out.approach_name)) {
@@ -239,22 +263,7 @@ bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error) {
     error = e.what();
     return false;
   }
-  // Metro scaling last, so it composes with "vehicles" regardless of member
-  // order — same rule as the CLI.
-  if (metro_vehicles > 0) engine::apply_metro_scale(cfg, metro_vehicles);
-  if (cfg.num_vehicles < 2) {
-    error = "need at least 2 vehicles";
-    return false;
-  }
-  if (cfg.duration_s <= 0.0) {
-    error = "\"duration\" must be > 0";
-    return false;
-  }
-  if (cfg.num_threads < 0) {
-    error = "\"threads\" must be >= 0";
-    return false;
-  }
-  return true;
+  return builder.finish(error);
 }
 
 std::uint64_t job_fingerprint(const JobSpec& spec) {
@@ -263,7 +272,7 @@ std::uint64_t job_fingerprint(const JobSpec& spec) {
   // their keys; a SIMD-backed daemon gets a disjoint key space because its
   // run results differ bit-wise from the scalar ones.
   const std::uint64_t base =
-      nn::salt_with_kernel_path(scenario_fingerprint(spec.cfg, spec.approach_name, opts));
+      nn::salt_with_kernel_path(engine::scenario_fingerprint(spec.cfg, spec.approach_name, opts));
   if (!spec.events) return base;
   // An events job additionally exports events.jsonl, so its payload differs
   // from the plain job's — it must not share a cache entry.

@@ -1,5 +1,6 @@
 // Job specs for the fleet service: a JSON object naming a strategy and a
-// scenario configuration, mirroring the lbchat_sim_cli flag surface.
+// scenario configuration. Every key goes through one table (job.cpp), which
+// lbchat_sim_cli's scenario flags share: flag --a-b is key a_b.
 //
 //   {"strategy":"DynThresh","vehicles":8,"duration":900,"seed":3,
 //    "strategy_options":{"divergence_bound":2e-4},
@@ -43,13 +44,37 @@ struct JobSpec {
   std::string source;
 };
 
+class JsonValue;
+
+/// Applies JobSpec keys one at a time through the key table, so the JSON
+/// parser and the CLI flags share each key's type check, range check and
+/// fan-out. Call finish() once, after the last key.
+class JobSpecBuilder {
+ public:
+  explicit JobSpecBuilder(JobSpec& spec) : spec_{spec} {}
+
+  /// Apply top-level `key`. Returns false and fills `error` on an unknown key,
+  /// a wrong type, or an out-of-range value.
+  [[nodiscard]] bool set(std::string_view key, const JsonValue& value, std::string& error);
+  /// set() with the value given as command-line text: a JSON literal, or else
+  /// the JSON string it spells.
+  [[nodiscard]] bool set_text(std::string_view key, std::string_view text, std::string& error);
+  /// The order-independent rules: metro scaling ("num_vehicles") last, then
+  /// the cross-key checks (vehicles >= 2, duration > 0, threads >= 0).
+  [[nodiscard]] bool finish(std::string& error);
+
+ private:
+  JobSpec& spec_;
+  int metro_vehicles_ = 0;
+};
+
 /// Parse a job-spec JSON object. Returns false and fills `error` on malformed
 /// JSON, unknown keys, wrong types, or out-of-range values; `out` is
 /// unspecified then. Never throws.
 [[nodiscard]] bool parse_job_spec(std::string_view text, JobSpec& out, std::string& error);
 
 /// Cache identity of a job: the shared scenario fingerprint
-/// (common/fingerprint.h — what the bench cache keys on) extended with the
+/// (engine/checkpoint.h — what the bench cache keys on) extended with the
 /// payload-shaping knobs (events). Jobs with equal fingerprints produce
 /// byte-identical payloads, so the result cache may serve one for the other.
 [[nodiscard]] std::uint64_t job_fingerprint(const JobSpec& spec);

@@ -1,5 +1,5 @@
 // On-disk result cache for the fleet service, keyed by the job fingerprint
-// (svc/job.h — the shared scenario fingerprint of common/fingerprint.h plus
+// (svc/job.h — the shared scenario fingerprint of engine/checkpoint.h plus
 // payload-shaping salts). A hit means a previous job with a byte-identical
 // payload already ran: the service serves the stored artifacts and skips the
 // run entirely.

@@ -1,5 +1,6 @@
-// Pins the shared fingerprint implementation (common/fingerprint.h) that
-// both the bench result cache and the fleet service's ResultCache key on.
+// Pins the shared fingerprint implementation (common/fingerprint.h and
+// engine::scenario_fingerprint) that both the bench result cache and the
+// fleet service's ResultCache key on.
 // The digests below are frozen: a change means every cached result on disk
 // is silently mis-keyed, so treat a failure here as a cache-format break and
 // bump kScenarioFingerprintVersion rather than updating the constants.
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/fingerprint.h"
+#include "engine/checkpoint.h"
 #include "engine/scenario.h"
 #include "nn/kernel_dispatch.h"
 
@@ -49,13 +51,13 @@ TEST(FnvHasherTest, EmptyDigestIsOffsetBasis) {
 
 TEST(ScenarioFingerprintTest, PinnedDefaults) {
   // Frozen digests of the default scenario under two approaches, exactly as
-  // the bench cache has keyed them since kScenarioFingerprintVersion = 3.
+  // the bench cache has keyed them since kScenarioFingerprintVersion = 4.
   const engine::ScenarioConfig cfg;
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xB64685EC8CDC8984ull);
-  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x60AB808818EF3AFAull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xF0CC61537C9B0DB3ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x50E7005F628646D1ull);
   engine::ScenarioConfig seeded = cfg;
   seeded.seed = 2;
-  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0x38C370FBD211AC4Full);
+  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0xB8E3515F6417F252ull);
 }
 
 TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
@@ -78,7 +80,93 @@ TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
   c.adversary.byzantine_frac = 0.25;
   EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
 
+  // The metro-scaling knobs change trajectories and RNG streams.
+  c = base;
+  c.parallel_sessions = true;
+  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
+
+  c = base;
+  c.world.snapshot_mobility = true;
+  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
+
+  c = base;
+  c.world.town.extent_m += 100.0;
+  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
+
   EXPECT_NE(scenario_fingerprint(base, "DP"), fp);
+}
+
+// One single-field change of a ScenarioConfig, for the drift check below.
+using Cfg = engine::ScenarioConfig;
+struct Perturbation {
+  const char* field;
+  void (*apply)(Cfg&);
+};
+
+TEST(ScenarioFingerprintTest, MovesExactlyWithConfigFingerprint) {
+  // The result-cache key and the checkpoint key must agree on which fields
+  // shape a run: over one or more fields of every group, the scenario
+  // fingerprint changes if and only if the config fingerprint does.
+  const Perturbation live[] = {
+      {"seed", [](Cfg& c) { c.seed = 7; }},
+      {"num_vehicles", [](Cfg& c) { c.num_vehicles = 9; }},
+      {"coreset_size", [](Cfg& c) { c.coreset_size = 40; }},
+      {"learning_rate", [](Cfg& c) { c.learning_rate = 3e-3; }},
+      {"wireless_loss", [](Cfg& c) { c.wireless_loss = false; }},
+      {"world.num_background_cars", [](Cfg& c) { c.world.num_background_cars += 1; }},
+      {"world.car_max_speed", [](Cfg& c) { c.world.car_max_speed *= 1.5; }},
+      {"world.perturb_prob", [](Cfg& c) { c.world.perturb_prob = 0.5; }},
+      {"world.town.extent_m", [](Cfg& c) { c.world.town.extent_m += 100.0; }},
+      {"world.town.urban_grid", [](Cfg& c) { c.world.town.urban_grid += 1; }},
+      {"world.town.edge_drop_prob", [](Cfg& c) { c.world.town.edge_drop_prob = 0.3; }},
+      {"world.bev.cell_m", [](Cfg& c) { c.world.bev.cell_m *= 2.0; }},
+      {"policy.bev.height", [](Cfg& c) { c.policy.bev.height += 8; }},
+      {"radio.bandwidth_bps", [](Cfg& c) { c.radio.bandwidth_bps *= 2.0; }},
+      {"radio.max_range_m", [](Cfg& c) { c.radio.max_range_m += 10.0; }},
+      {"wire.model_bytes", [](Cfg& c) { c.wire.model_bytes += 1; }},
+      {"policy.fc_dim", [](Cfg& c) { c.policy.fc_dim += 1; }},
+      {"penalty.lambda1", [](Cfg& c) { c.penalty.lambda1 += 0.5; }},
+      {"faults.burst_rate_per_min", [](Cfg& c) { c.faults.burst_rate_per_min = 1.0; }},
+      {"faults.chat_backoff", [](Cfg& c) { c.faults.chat_backoff = !c.faults.chat_backoff; }},
+      {"parallel_sessions", [](Cfg& c) { c.parallel_sessions = true; }},
+      {"world.snapshot_mobility", [](Cfg& c) { c.world.snapshot_mobility = true; }},
+      {"adversary.byzantine_frac", [](Cfg& c) { c.adversary.byzantine_frac = 0.25; }},
+      {"hetero.straggler_frac", [](Cfg& c) { c.hetero.straggler_frac = 0.5; }},
+      {"int8_eval.enabled", [](Cfg& c) { c.int8_eval.enabled = true; }},
+  };
+  // Knobs of a disabled group are inert, so neither key may see them; the
+  // wall-clock knobs are inert by the determinism contract.
+  const Perturbation inert[] = {
+      {"num_threads", [](Cfg& c) { c.num_threads = 8; }},
+      {"spatial_index", [](Cfg& c) { c.spatial_index = !c.spatial_index; }},
+      {"adversary.poison_scale", [](Cfg& c) { c.adversary.poison_scale = 99.0; }},
+      {"hetero.straggler_rate", [](Cfg& c) { c.hetero.straggler_rate = 0.9; }},
+      {"hetero.dataset_keep_min", [](Cfg& c) { c.hetero.dataset_keep_min = 0.9; }},
+      {"int8_eval.value_scoring", [](Cfg& c) { c.int8_eval.value_scoring = false; }},
+  };
+
+  const engine::ScenarioConfig base;
+  const std::uint64_t config_fp = engine::config_fingerprint(base);
+  const std::uint64_t scenario_fp = scenario_fingerprint(base, "LbChat");
+  for (const Perturbation& p : live) {
+    engine::ScenarioConfig c = base;
+    p.apply(c);
+    EXPECT_NE(engine::config_fingerprint(c), config_fp) << p.field;
+    EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp) << p.field;
+  }
+  for (const Perturbation& p : inert) {
+    engine::ScenarioConfig c = base;
+    p.apply(c);
+    EXPECT_EQ(engine::config_fingerprint(c), config_fp) << p.field;
+    EXPECT_EQ(scenario_fingerprint(c, "LbChat"), scenario_fp) << p.field;
+  }
+
+  // The one field in the cache key only: a resumed run may extend the
+  // horizon, but a cached result answers one exact horizon.
+  engine::ScenarioConfig c = base;
+  c.duration_s += 1.0;
+  EXPECT_EQ(engine::config_fingerprint(c), config_fp);
+  EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp);
 }
 
 TEST(ScenarioFingerprintTest, InsensitiveToWallClockKnobs) {
@@ -107,7 +195,7 @@ TEST(ScenarioFingerprintTest, EmptyOptionsKeepLegacyKeys) {
   // disk keeps its key across the registry migration.
   const engine::ScenarioConfig cfg;
   EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), scenario_fingerprint(cfg, "LbChat"));
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xB64685EC8CDC8984ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xF0CC61537C9B0DB3ull);
 }
 
 TEST(ScenarioFingerprintTest, NonDefaultOptionsSplitKeys) {
@@ -126,7 +214,7 @@ TEST(ScenarioFingerprintTest, DisabledInt8EvalKeepsLegacyKeys) {
   // member's existence must not move any historical key, and its sub-knobs
   // are dead while enabled == false.
   const engine::ScenarioConfig base;
-  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xB64685EC8CDC8984ull);
+  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xF0CC61537C9B0DB3ull);
   engine::ScenarioConfig c = base;
   c.int8_eval.value_scoring = false;  // ignored while !enabled
   c.int8_eval.eval_loss = false;

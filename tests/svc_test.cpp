@@ -236,6 +236,20 @@ TEST(JobSpecTest, FingerprintSplitsOnEventsButNotPreemptAt) {
   EXPECT_EQ(job_fingerprint(plain), job_fingerprint(preempt));
 }
 
+TEST(JobSpecTest, FingerprintSplitsOnMetroScaling) {
+  // "num_vehicles" tiles the town and switches on snapshot mobility and
+  // parallel sessions: the result changes, so the cache key must too, even
+  // when the vehicle count stays the same.
+  JobSpec fixed;
+  JobSpec metro;
+  std::string err;
+  const std::string base =
+      R"("strategy":"DP","vehicles":6,"duration":120,"collect_duration":60,"seed":3)";
+  ASSERT_TRUE(parse_job_spec("{" + base + "}", fixed, err)) << err;
+  ASSERT_TRUE(parse_job_spec("{" + base + R"(,"num_vehicles":6})", metro, err)) << err;
+  EXPECT_NE(job_fingerprint(fixed), job_fingerprint(metro));
+}
+
 // --- Queue -----------------------------------------------------------------
 
 TEST(JobQueueTest, PriorityThenFifoOrdering) {
