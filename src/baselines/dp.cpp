@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace lbchat::baselines {
 
 using engine::FleetSim;
@@ -32,11 +34,14 @@ void DpStrategy::aggregate(FleetSim& sim, int receiver, int sender,
   (void)sender_comp;
   auto& node = sim.node(receiver);
 
-  // Validation losses of both models on the local hold-out.
-  nn::DrivingPolicy peer_model{node.model.config(), /*init_seed=*/0};
+  // Validation losses of both models on the local hold-out, as two tasks.
+  nn::DrivingPolicy peer_model = node.model;  // same layout; set_params overwrites all
   peer_model.set_params(peer_params);
-  const double loss_self = node.model.weighted_loss(node.validation);
-  const double loss_peer = peer_model.weighted_loss(node.validation);
+  double loss_self = 0.0;
+  double loss_peer = 0.0;
+  parallel_invoke(
+      sim.pool(), [&] { loss_self = node.model.weighted_loss(node.validation); },
+      [&] { loss_peer = peer_model.weighted_loss(node.validation); });
 
   // Normalized logarithmic weighting: w grows as the model's loss shrinks
   // relative to the other's.

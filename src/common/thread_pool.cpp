@@ -63,12 +63,17 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   const int parts = static_cast<int>(std::min<std::int64_t>(size(), n));
-  if (workers_.empty() || parts <= 1) {
+  const auto run_inline = [&] {
     for (std::int64_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
+  };
+  if (workers_.empty() || parts <= 1) return run_inline();
   {
-    std::lock_guard<std::mutex> lk{mutex_};
+    std::unique_lock<std::mutex> lk{mutex_};
+    if (busy_) {
+      lk.unlock();
+      return run_inline();
+    }
+    busy_ = true;
     fn_ = &fn;
     begin_ = begin;
     end_ = end;
@@ -85,12 +90,24 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   done_cv_.wait(lk, [&] { return pending_parts_ == 0; });
   fn_ = nullptr;
   parts_ = 0;  // stragglers waking late see no work
+  busy_ = false;
   if (first_error_) {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;
     lk.unlock();
     std::rethrow_exception(err);
   }
+}
+
+void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
+                  const std::function<void(std::int64_t)>& fn) {
+  if (pool != nullptr) return pool->parallel_for(begin, end, fn);
+  for (std::int64_t i = begin; i < end; ++i) fn(i);
+}
+
+void parallel_invoke(ThreadPool* pool, const std::function<void()>& first,
+                     const std::function<void()>& second) {
+  parallel_for(pool, 0, 2, [&](std::int64_t i) { i == 0 ? first() : second(); });
 }
 
 }  // namespace lbchat

@@ -8,8 +8,12 @@
 // a pool with zero workers degrades gracefully to inline execution.
 //
 // parallel_for blocks until every index has run and rethrows the first
-// exception a lane raised. It is NOT reentrant: calling parallel_for from
-// inside a loop body deadlocks by design (the engine never nests it).
+// exception a lane raised. It is safe to nest: a parallel_for issued while
+// the pool is already running one (from inside a loop body on any lane, or
+// from an unrelated thread) runs its whole range inline on the calling
+// thread. So a pooled sweep called from a per-vehicle task, or from a
+// strategy's local_train lane, degrades to the sequential loop instead of
+// deadlocking.
 #pragma once
 
 #include <condition_variable>
@@ -38,7 +42,8 @@ class ThreadPool {
   /// Invoke fn(i) exactly once for every i in [begin, end), split into at
   /// most size() contiguous chunks. Blocks until all indices ran; rethrows
   /// the first exception thrown by any lane (remaining indices of other
-  /// chunks still run).
+  /// chunks still run). Runs inline, in index order, while another
+  /// parallel_for holds the pool.
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t)>& fn);
 
@@ -64,7 +69,18 @@ class ThreadPool {
   int pending_parts_ = 0;
   std::uint64_t generation_ = 0;
   std::exception_ptr first_error_;
+  bool busy_ = false;  ///< a parallel_for holds the workers
   bool stop_ = false;
 };
+
+/// pool->parallel_for(begin, end, fn), or the plain sequential loop when
+/// `pool` is null — the form pooled sweeps take a nullable lane pool in.
+void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
+                  const std::function<void(std::int64_t)>& fn);
+
+/// Run two independent tasks, on two lanes when `pool` has them; sweeps
+/// nested inside either task run inline. Rethrows the first exception.
+void parallel_invoke(ThreadPool* pool, const std::function<void()>& first,
+                     const std::function<void()>& second);
 
 }  // namespace lbchat

@@ -30,17 +30,17 @@ coreset::Coreset subsample_coreset(const coreset::Coreset& c, std::size_t max_n)
 }
 
 double normalized_coreset_loss(const nn::DrivingPolicy& model, const coreset::Coreset& c,
-                               const coreset::PenaltyConfig& penalty) {
+                               const coreset::PenaltyConfig& penalty, ThreadPool* pool) {
   const double mass = c.total_weight();
   if (mass <= 0.0) return 0.0;
-  return coreset::evaluate_on_coreset(model, c, penalty) / mass;
+  return coreset::evaluate_on_coreset(model, c, penalty, pool) / mass;
 }
 
 double normalized_coreset_loss(const nn::Int8Policy& model, const coreset::Coreset& c,
-                               const coreset::PenaltyConfig& penalty) {
+                               const coreset::PenaltyConfig& penalty, ThreadPool* pool) {
   const double mass = c.total_weight();
   if (mass <= 0.0) return 0.0;
-  return coreset::evaluate_on_coreset(model, c, penalty) / mass;
+  return coreset::evaluate_on_coreset(model, c, penalty, pool) / mass;
 }
 
 PhiMapping::PhiMapping(std::vector<double> psis, std::vector<double> losses)
@@ -53,7 +53,7 @@ PhiMapping::PhiMapping(std::vector<double> psis, std::vector<double> losses)
 
 PhiMapping PhiMapping::build(const nn::DrivingPolicy& model, const coreset::Coreset& c,
                              const coreset::PenaltyConfig& penalty, std::span<const double> psis,
-                             std::size_t eval_cap, bool int8_eval) {
+                             std::size_t eval_cap, bool int8_eval, ThreadPool* pool) {
   LBCHAT_OBS_SPAN("core.phi_build");
   const coreset::Coreset sub = subsample_coreset(c, eval_cap);
   const std::span<const float> params = model.params();
@@ -67,8 +67,9 @@ PhiMapping PhiMapping::build(const nn::DrivingPolicy& model, const coreset::Core
   for (const double psi : xs) {
     nn::write_top_k_dense(params, nn::top_k_for_psi(psi, params.size()), ranking,
                           compressed.params());
-    ys.push_back(int8_eval ? normalized_coreset_loss(nn::Int8Policy{compressed}, sub, penalty)
-                           : normalized_coreset_loss(compressed, sub, penalty));
+    ys.push_back(int8_eval
+                     ? normalized_coreset_loss(nn::Int8Policy{compressed}, sub, penalty, pool)
+                     : normalized_coreset_loss(compressed, sub, penalty, pool));
   }
   return PhiMapping{std::move(xs), std::move(ys)};
 }

@@ -33,15 +33,18 @@ namespace lbchat::core {
 
 /// Normalized (per unit weight) penalized loss of a model on a coreset —
 /// the loss scale used for value assessment, so magnitudes are comparable
-/// across coresets of different mass.
+/// across coresets of different mass. Samples are scored on `pool`'s lanes
+/// when one is given (bit-identical to the sequential sweep).
 [[nodiscard]] double normalized_coreset_loss(const nn::DrivingPolicy& model,
                                              const coreset::Coreset& c,
-                                             const coreset::PenaltyConfig& penalty);
+                                             const coreset::PenaltyConfig& penalty,
+                                             ThreadPool* pool = nullptr);
 /// Int8 twin (DESIGN.md §15): value scoring through a quantized snapshot of
 /// the model, used when ScenarioConfig::int8_eval.scores_values() is on.
 [[nodiscard]] double normalized_coreset_loss(const nn::Int8Policy& model,
                                              const coreset::Coreset& c,
-                                             const coreset::PenaltyConfig& penalty);
+                                             const coreset::PenaltyConfig& penalty,
+                                             ThreadPool* pool = nullptr);
 
 /// The psi -> predicted-loss mapping of one vehicle's model on one coreset.
 class PhiMapping {
@@ -55,11 +58,13 @@ class PhiMapping {
   /// Compress `model` at each sample psi, evaluate on (a subsample of) `c`,
   /// and fit the Akima interpolant. With `int8_eval`, each compressed model
   /// is evaluated through an int8 snapshot (the same estimator the chat's
-  /// value scoring uses when the int8 eval knob is on).
+  /// value scoring uses when the int8 eval knob is on). Each evaluation
+  /// scores its samples on `pool`'s lanes when one is given.
   static PhiMapping build(const nn::DrivingPolicy& model, const coreset::Coreset& c,
                           const coreset::PenaltyConfig& penalty,
                           std::span<const double> psis = kDefaultPsis,
-                          std::size_t eval_cap = 64, bool int8_eval = false);
+                          std::size_t eval_cap = 64, bool int8_eval = false,
+                          ThreadPool* pool = nullptr);
 
   /// Construct directly from (psi, loss) pairs — this is what travels to the
   /// peer as "the results" in Algorithm 2 line 12.

@@ -9,6 +9,7 @@
 #include "common/bytes.h"
 #include "common/frame.h"
 #include "common/log.h"
+#include "common/thread_pool.h"
 #include "coreset/coreset_io.h"
 #include "net/assist_io.h"
 #include "nn/int8_policy.h"
@@ -82,7 +83,7 @@ void LbChatStrategy::maybe_rebuild_coreset(FleetSim& sim, int v, bool force) {
   ccfg.target_size = sim.config().coreset_size;
   ccfg.penalty = sim.config().penalty;
   st.cs = coreset::build_coreset(opts_.coreset_method, node.dataset, node.model, ccfg,
-                                 node.rng);
+                                 node.rng, sim.pool());
   st.last_rebuild_s = sim.time();
 }
 
@@ -194,7 +195,7 @@ void LbChatStrategy::on_transfer_complete(FleetSim& sim, PairSession& s, const S
         {
           LBCHAT_OBS_SPAN("coreset.merge_reduce");
           st.cs = coreset::reduce_coreset(coreset::merge_coresets(st.cs, received), node.model,
-                                          sim.config().coreset_size, node.rng);
+                                          sim.config().coreset_size, node.rng, sim.pool());
         }
         obs::emit(sim.time(), obs::EventKind::kCoresetExchange, receiver, tag.from,
                   static_cast<double>(received.size()));
@@ -276,22 +277,27 @@ void LbChatStrategy::begin_model_phase(FleetSim& sim, PairSession& s) {
     // chat handshakes only need inference-grade estimates of Eq. (7)'s loss
     // terms, and these evaluations dominate handshake compute at scale.
     const bool int8 = cfg.int8_eval.scores_values();
-    {
-      LBCHAT_OBS_SPAN("core.value_score");
-      if (int8) {
-        const nn::Int8Policy qa{node_a.model};
-        const nn::Int8Policy qb{node_b.model};
-        prob.loss_i_on_cj = normalized_coreset_loss(qa, cb, cfg.penalty);
-        prob.loss_j_on_ci = normalized_coreset_loss(qb, ca, cfg.penalty);
-      } else {
-        prob.loss_i_on_cj = normalized_coreset_loss(node_a.model, cb, cfg.penalty);
-        prob.loss_j_on_ci = normalized_coreset_loss(node_b.model, ca, cfg.penalty);
+    // The two directions are independent: sending x_s to the receiver needs
+    // the receiver's loss on the sender's coreset and the sender's phi
+    // mapping, both over that coreset. Each direction is one task writing
+    // only its own fields of `prob` (sweeps inside a task run inline).
+    const auto direction = [&](const nn::DrivingPolicy& sender,
+                               const nn::DrivingPolicy& receiver,
+                               const coreset::Coreset& sender_cs, double& receiver_loss,
+                               PhiMapping& sender_phi) {
+      {
+        LBCHAT_OBS_SPAN("core.value_score");
+        receiver_loss =
+            int8 ? normalized_coreset_loss(nn::Int8Policy{receiver}, sender_cs, cfg.penalty)
+                 : normalized_coreset_loss(receiver, sender_cs, cfg.penalty);
       }
-    }
-    prob.phi_i = PhiMapping::build(node_a.model, ca, cfg.penalty, PhiMapping::kDefaultPsis,
-                                   opts_.eval_cap, int8);
-    prob.phi_j = PhiMapping::build(node_b.model, cb, cfg.penalty, PhiMapping::kDefaultPsis,
-                                   opts_.eval_cap, int8);
+      sender_phi = PhiMapping::build(sender, sender_cs, cfg.penalty, PhiMapping::kDefaultPsis,
+                                     opts_.eval_cap, int8);
+    };
+    parallel_invoke(
+        sim.pool(),
+        [&] { direction(node_a.model, node_b.model, ca, prob.loss_j_on_ci, prob.phi_i); },
+        [&] { direction(node_b.model, node_a.model, cb, prob.loss_i_on_cj, prob.phi_j); });
     prob.model_bytes = static_cast<double>(cfg.wire.model_bytes);
     // Loss-aware sizing: budget transfer time against the *expected goodput*
     // along the predicted trajectory (with a small safety margin), not the
@@ -364,17 +370,17 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
         2 * opts_.eval_cap);
     nn::DrivingPolicy peer_model = node.model;  // same layout; set_params overwrites all
     peer_model.set_params(peer_params);
+    const auto score = [&](const nn::DrivingPolicy& model) {
+      return sim.config().int8_eval.scores_values()
+                 ? normalized_coreset_loss(nn::Int8Policy{model}, joint, sim.config().penalty)
+                 : normalized_coreset_loss(model, joint, sim.config().penalty);
+    };
+    // Self and peer are scored as two tasks, one slot each.
     double loss_self = 0.0;
     double loss_peer = 0.0;
-    if (sim.config().int8_eval.scores_values()) {
-      loss_self = normalized_coreset_loss(nn::Int8Policy{node.model}, joint,
-                                          sim.config().penalty);
-      loss_peer = normalized_coreset_loss(nn::Int8Policy{peer_model}, joint,
-                                          sim.config().penalty);
-    } else {
-      loss_self = normalized_coreset_loss(node.model, joint, sim.config().penalty);
-      loss_peer = normalized_coreset_loss(peer_model, joint, sim.config().penalty);
-    }
+    parallel_invoke(
+        sim.pool(), [&] { loss_self = score(node.model); },
+        [&] { loss_peer = score(peer_model); });
     // The logical end of "larger weights to better-performing models": a
     // received model that is clearly worse than the local one (e.g. damaged
     // by compression beyond what the phi mapping predicted) is not merged at

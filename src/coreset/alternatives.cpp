@@ -151,11 +151,12 @@ Coreset build_clustering_coreset(const data::WeightedDataset& dataset,
 }
 
 Coreset build_coreset(CoresetMethod method, const data::WeightedDataset& dataset,
-                      const nn::DrivingPolicy& model, const CoresetConfig& cfg, Rng& rng) {
+                      const nn::DrivingPolicy& model, const CoresetConfig& cfg, Rng& rng,
+                      ThreadPool* pool) {
   LBCHAT_OBS_SPAN("coreset.build");
   switch (method) {
     case CoresetMethod::kLayered:
-      return build_layered_coreset(dataset, model, cfg, rng);
+      return build_layered_coreset(dataset, model, cfg, rng, pool);
     case CoresetMethod::kUniform:
       return build_uniform_coreset(dataset, cfg, rng);
     case CoresetMethod::kSensitivity:

@@ -50,9 +50,10 @@ enum class CoresetMethod {
                                                const nn::DrivingPolicy& model,
                                                const CoresetConfig& cfg, Rng& rng);
 
-/// Dispatch on the method (kLayered routes to build_layered_coreset).
+/// Dispatch on the method (kLayered routes to build_layered_coreset, which
+/// scores its samples on `pool`'s lanes when one is given).
 [[nodiscard]] Coreset build_coreset(CoresetMethod method, const data::WeightedDataset& dataset,
                                     const nn::DrivingPolicy& model, const CoresetConfig& cfg,
-                                    Rng& rng);
+                                    Rng& rng, ThreadPool* pool = nullptr);
 
 }  // namespace lbchat::coreset

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "nn/int8_policy.h"
 
 namespace lbchat::coreset {
@@ -27,17 +28,28 @@ double weight_of(std::span<const Sample> samples, std::span<const double> weight
   return weights.empty() ? samples[i].weight : weights[i];
 }
 
+/// sample_loss of every sample `wanted(i)` selects (the rest stay 0), each
+/// written to its own slot — on the pool's lanes when one is given.
+template <class Model, class Wanted>
+std::vector<double> sample_losses(const Model& model, std::span<const Sample> samples,
+                                  ThreadPool* pool, Wanted wanted) {
+  std::vector<double> losses(samples.size(), 0.0);
+  parallel_for(pool, 0, static_cast<std::int64_t>(samples.size()), [&](std::int64_t i) {
+    const auto k = static_cast<std::size_t>(i);
+    if (wanted(k)) losses[k] = model.sample_loss(samples[k]);
+  });
+  return losses;
+}
+
 /// sample_loss of every positively weighted sample, the only ones Eq. (6)
 /// reads (the rest stay 0). Both Eq. (6) terms reduce over these, so each
 /// sample costs one forward pass.
 template <class Model>
 std::vector<double> weighted_sample_losses(const Model& model, std::span<const Sample> samples,
-                                           std::span<const double> weights) {
-  std::vector<double> losses(samples.size(), 0.0);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (weight_of(samples, weights, i) > 0.0) losses[i] = model.sample_loss(samples[i]);
-  }
-  return losses;
+                                           std::span<const double> weights,
+                                           ThreadPool* pool = nullptr) {
+  return sample_losses(model, samples, pool,
+                       [&](std::size_t i) { return weight_of(samples, weights, i) > 0.0; });
 }
 
 /// sigma(x) from per-sample losses (weights already validated).
@@ -85,11 +97,12 @@ double command_balance_penalty_impl(const Model& model, std::span<const Sample> 
 
 template <class Model>
 double penalized_loss_impl(const Model& model, std::span<const Sample> samples,
-                           std::span<const double> weights, const PenaltyConfig& penalty) {
+                           std::span<const double> weights, const PenaltyConfig& penalty,
+                           ThreadPool* pool) {
   if (!weights.empty() && weights.size() != samples.size()) {
     throw std::invalid_argument{"penalized_loss: weights size mismatch"};
   }
-  const std::vector<double> losses = weighted_sample_losses(model, samples, weights);
+  const std::vector<double> losses = weighted_sample_losses(model, samples, weights, pool);
   double empirical = 0.0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double w = weight_of(samples, weights, i);
@@ -113,13 +126,15 @@ double command_balance_penalty(const nn::Int8Policy& model, std::span<const Samp
 }
 
 double penalized_loss(const nn::DrivingPolicy& model, std::span<const Sample> samples,
-                      std::span<const double> weights, const PenaltyConfig& penalty) {
-  return penalized_loss_impl(model, samples, weights, penalty);
+                      std::span<const double> weights, const PenaltyConfig& penalty,
+                      ThreadPool* pool) {
+  return penalized_loss_impl(model, samples, weights, penalty, pool);
 }
 
 double penalized_loss(const nn::Int8Policy& model, std::span<const Sample> samples,
-                      std::span<const double> weights, const PenaltyConfig& penalty) {
-  return penalized_loss_impl(model, samples, weights, penalty);
+                      std::span<const double> weights, const PenaltyConfig& penalty,
+                      ThreadPool* pool) {
+  return penalized_loss_impl(model, samples, weights, penalty, pool);
 }
 
 double Coreset::total_weight() const {
@@ -133,19 +148,21 @@ std::size_t Coreset::logical_bytes() const {
   return 16 + samples.size() * (data::packed_sample_bytes(spec) + 4);
 }
 
-LayerPartition partition_into_layers(const nn::DrivingPolicy& model,
-                                     const WeightedDataset& dataset) {
-  if (dataset.empty()) throw std::invalid_argument{"partition_into_layers: empty dataset"};
-  LayerPartition part;
-  const std::size_t n = dataset.size();
+namespace {
 
-  // Per-sample losses; the center d~ is the smallest-loss sample (line 1).
-  std::vector<double> losses(n);
+/// Lines 1-6 of Algorithm 1 over precomputed per-sample losses; `mass[i]`
+/// is sample i's weight in R's weighted sum. One sequential pass in index
+/// order, so the partition does not depend on how the losses were scored.
+LayerPartition partition_by_loss(std::span<const double> losses,
+                                 std::span<const double> mass) {
+  LayerPartition part;
+  const std::size_t n = losses.size();
+
+  // The center d~ is the smallest-loss sample (line 1).
   double weighted_sum = 0.0;
   double min_loss = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    losses[i] = model.sample_loss(dataset[i]);
-    weighted_sum += dataset[i].weight * losses[i];
+    weighted_sum += mass[i] * losses[i];
     min_loss = std::min(min_loss, losses[i]);
   }
   part.center_loss = min_loss;
@@ -172,7 +189,17 @@ LayerPartition partition_into_layers(const nn::DrivingPolicy& model,
   return part;
 }
 
-namespace {
+/// Every sample's loss (the layer partition scores the whole set).
+std::vector<double> all_sample_losses(const nn::DrivingPolicy& model,
+                                      std::span<const Sample> samples, ThreadPool* pool) {
+  return sample_losses(model, samples, pool, [](std::size_t) { return true; });
+}
+
+std::vector<double> dataset_weights(const WeightedDataset& dataset) {
+  std::vector<double> weights(dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) weights[i] = dataset[i].weight;
+  return weights;
+}
 
 /// Shared core of Algorithm 1 lines 7-15, parameterized over an abstract
 /// weighted sample view so both build (from a dataset) and reduce (from a
@@ -280,24 +307,29 @@ Coreset layered_sample(std::span<const Sample> samples, std::span<const double> 
 
 }  // namespace
 
+LayerPartition partition_into_layers(const nn::DrivingPolicy& model,
+                                     const WeightedDataset& dataset, ThreadPool* pool) {
+  if (dataset.empty()) throw std::invalid_argument{"partition_into_layers: empty dataset"};
+  return partition_by_loss(all_sample_losses(model, dataset.samples(), pool),
+                           dataset_weights(dataset));
+}
+
 Coreset build_layered_coreset(const WeightedDataset& dataset, const nn::DrivingPolicy& model,
-                              const CoresetConfig& cfg, Rng& rng) {
+                              const CoresetConfig& cfg, Rng& rng, ThreadPool* pool) {
   if (dataset.empty()) return Coreset{dataset.spec(), {}, {}};
-  const LayerPartition part = partition_into_layers(model, dataset);
-  std::vector<double> weights(dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) weights[i] = dataset[i].weight;
-  return layered_sample(dataset.samples(), weights, part.layer_of, part.num_layers,
+  const LayerPartition part = partition_into_layers(model, dataset, pool);
+  return layered_sample(dataset.samples(), dataset_weights(dataset), part.layer_of, part.num_layers,
                         cfg.target_size, dataset.spec(), rng);
 }
 
 double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const PenaltyConfig& penalty) {
-  return penalized_loss(model, c.samples, c.wc, penalty);
+                           const PenaltyConfig& penalty, ThreadPool* pool) {
+  return penalized_loss(model, c.samples, c.wc, penalty, pool);
 }
 
 double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const PenaltyConfig& penalty) {
-  return penalized_loss(model, c.samples, c.wc, penalty);
+                           const PenaltyConfig& penalty, ThreadPool* pool) {
+  return penalized_loss(model, c.samples, c.wc, penalty, pool);
 }
 
 Coreset merge_coresets(const Coreset& a, const Coreset& b) {
@@ -314,32 +346,14 @@ Coreset merge_coresets(const Coreset& a, const Coreset& b) {
 }
 
 Coreset reduce_coreset(const Coreset& c, const nn::DrivingPolicy& model, std::size_t target,
-                       Rng& rng) {
+                       Rng& rng, ThreadPool* pool) {
   if (c.size() <= target) return c;
-  // Re-run the layer partition over the coreset itself, with w_C as weights.
-  const std::size_t n = c.size();
-  std::vector<double> losses(n);
-  double weighted_sum = 0.0;
-  double min_loss = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    losses[i] = model.sample_loss(c.samples[i]);
-    weighted_sum += std::max(c.wc[i], 0.0) * losses[i];
-    min_loss = std::min(min_loss, losses[i]);
-  }
-  const double radius = std::max(weighted_sum / static_cast<double>(n), 1e-9);
-  const int max_layer = static_cast<int>(std::ceil(std::log2(static_cast<double>(n) + 1.0)));
-  std::vector<int> layer_of(n);
-  int top = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dist = losses[i] - min_loss;
-    int layer = 0;
-    if (dist > radius) {
-      layer = std::min(static_cast<int>(std::floor(std::log2(dist / radius))) + 1, max_layer);
-    }
-    layer_of[i] = layer;
-    top = std::max(top, layer);
-  }
-  return layered_sample(c.samples, c.wc, layer_of, top + 1, target, c.spec, rng);
+  // Re-run the layer partition over the coreset itself, with w_C as weights
+  // (negative w_C adds no mass to R).
+  std::vector<double> mass(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) mass[i] = std::max(c.wc[i], 0.0);
+  const LayerPartition part = partition_by_loss(all_sample_losses(model, c.samples, pool), mass);
+  return layered_sample(c.samples, c.wc, part.layer_of, part.num_layers, target, c.spec, rng);
 }
 
 }  // namespace lbchat::coreset

@@ -9,6 +9,11 @@
 //    take a w(d)-weighted random sample from each ring;
 //  * coreset merge (union) and 'reduce' [10], which together keep the coreset
 //    size constant under frequent encounters (§III-D fast path).
+//
+// Every per-sample loss sweep takes an optional lane pool (`pool`, null =
+// sequential). Each sample's loss lands in its own slot and every reduction
+// over the slots runs afterwards on the caller in index order, so results
+// are bit-identical at any lane count; RNG draws stay on the caller.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +24,10 @@
 #include "data/dataset.h"
 #include "data/frame.h"
 #include "nn/policy.h"
+
+namespace lbchat {
+class ThreadPool;  // common/thread_pool.h
+}
 
 namespace lbchat::nn {
 class Int8Policy;  // nn/int8_policy.h — forward-only quantized eval twin
@@ -49,11 +58,13 @@ double command_balance_penalty(const nn::Int8Policy& model,
 /// empty means "use each sample's own w(d)". Note this is a weighted *sum*
 /// (Eq. (2)/(4)), not a mean, so f(x; C) approximates f(x; D) in magnitude.
 double penalized_loss(const nn::DrivingPolicy& model, std::span<const data::Sample> samples,
-                      std::span<const double> weights = {}, const PenaltyConfig& penalty = {});
+                      std::span<const double> weights = {}, const PenaltyConfig& penalty = {},
+                      ThreadPool* pool = nullptr);
 /// Int8 twin (DESIGN.md §15): same reductions over the quantized model's
 /// sample losses; the ||x|| term uses the dequantized parameter norm.
 double penalized_loss(const nn::Int8Policy& model, std::span<const data::Sample> samples,
-                      std::span<const double> weights = {}, const PenaltyConfig& penalty = {});
+                      std::span<const double> weights = {}, const PenaltyConfig& penalty = {},
+                      ThreadPool* pool = nullptr);
 
 /// A coreset C: samples plus their in-coreset weights w_C(d) (distinct from
 /// the original weights w(d), which remain in Sample::weight).
@@ -87,7 +98,8 @@ struct LayerPartition {
 /// rings. A sample with loss distance dist <= R lands in layer 0; otherwise in
 /// layer floor(log2(dist / R)), clamped to ceil(log2(|D| + 1)) layers.
 LayerPartition partition_into_layers(const nn::DrivingPolicy& model,
-                                     const data::WeightedDataset& dataset);
+                                     const data::WeightedDataset& dataset,
+                                     ThreadPool* pool = nullptr);
 
 /// Algorithm 1 end-to-end: layered-sampling coreset construction. Per-layer
 /// budgets are proportional to layer weight mass (>= 1 sample per non-empty
@@ -96,13 +108,14 @@ LayerPartition partition_into_layers(const nn::DrivingPolicy& model,
 /// which preserves each layer's total mass and reduces to the paper's line 12
 /// under equal w(d).
 Coreset build_layered_coreset(const data::WeightedDataset& dataset,
-                              const nn::DrivingPolicy& model, const CoresetConfig& cfg, Rng& rng);
+                              const nn::DrivingPolicy& model, const CoresetConfig& cfg, Rng& rng,
+                              ThreadPool* pool = nullptr);
 
 /// f(x; C) of Eq. (4)/(6): penalized weighted-sum loss on the coreset.
 double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const PenaltyConfig& penalty = {});
+                           const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
 double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const PenaltyConfig& penalty = {});
+                           const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
 
 /// Union of two coresets (valid epsilon-coreset of the union of the original
 /// datasets when those are disjoint; paper §III-D).
@@ -112,6 +125,6 @@ Coreset merge_coresets(const Coreset& a, const Coreset& b);
 /// layered sampling over the coreset itself (treating w_C as the weights), so
 /// merge-then-reduce keeps |C| constant under frequent encounters.
 Coreset reduce_coreset(const Coreset& c, const nn::DrivingPolicy& model, std::size_t target,
-                       Rng& rng);
+                       Rng& rng, ThreadPool* pool = nullptr);
 
 }  // namespace lbchat::coreset

@@ -84,12 +84,7 @@ FleetSim::FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy
 }
 
 void FleetSim::for_each_vehicle(const std::function<void(std::int64_t)>& fn) const {
-  const auto n = static_cast<std::int64_t>(nodes_.size());
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, n, fn);
-  } else {
-    for (std::int64_t v = 0; v < n; ++v) fn(v);
-  }
+  parallel_for(pool_.get(), 0, static_cast<std::int64_t>(nodes_.size()), fn);
 }
 
 FleetSim::~FleetSim() = default;
@@ -417,11 +412,7 @@ void FleetSim::tick_sessions(double dt) {
         p.ticked = true;
       }
     };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(0, static_cast<std::int64_t>(count), prep);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) prep(static_cast<std::int64_t>(i));
-    }
+    parallel_for(pool_.get(), 0, static_cast<std::int64_t>(count), prep);
   }
 
   for (std::size_t i = 0; i < count; ++i) {

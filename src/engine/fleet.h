@@ -215,6 +215,12 @@ class FleetSim {
   [[nodiscard]] VehicleNode& node(int v) { return *nodes_[static_cast<std::size_t>(v)]; }
   [[nodiscard]] const std::vector<data::Sample>& eval_set() const { return eval_set_; }
   [[nodiscard]] Rng& rng() { return strategy_rng_; }
+  /// The engine's lanes (null for a 1-lane run), lent to a strategy's
+  /// sequential callbacks for forward-only sweeps. Work placed on them must
+  /// stay bit-identical at any lane count: each task writes only its own
+  /// index slots, reductions run on the caller in index order, and events
+  /// are emitted only from the calling thread.
+  [[nodiscard]] ThreadPool* pool() const { return pool_.get(); }
   [[nodiscard]] TransferStats& stats() { return stats_; }
   /// Per-vehicle accounting slice (always maintained; see VehicleTransferStats).
   [[nodiscard]] VehicleTransferStats& vehicle_stats(int v) {
@@ -381,7 +387,8 @@ class FleetSim {
   /// Atomic: incremented from concurrent local_train lanes; the final count
   /// is order-independent, so determinism is unaffected.
   std::atomic<long> train_steps_{0};
-  /// Worker pool for per-vehicle loops (null when cfg.num_threads == 1).
+  /// Worker pool for per-vehicle loops and the strategy work lent through
+  /// pool() (null when cfg.num_threads == 1).
   /// Mutable: parallel dispatch from const evaluation paths mutates only
   /// pool bookkeeping, not simulation state.
   mutable std::unique_ptr<ThreadPool> pool_;

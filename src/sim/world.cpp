@@ -226,11 +226,7 @@ void World::step_snapshot(double dt) {
     a.s += a.speed * dt;
   };
   const auto ncars = static_cast<std::int64_t>(nv + nc);
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, ncars, advance);
-  } else {
-    for (std::int64_t k = 0; k < ncars; ++k) advance(k);
-  }
+  parallel_for(pool_, 0, ncars, advance);
 
   // Phase 2 (ordered commit): route reassignment consumes the shared route
   // RNG strictly in agent order — the same id order at any thread count —

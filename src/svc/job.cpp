@@ -102,9 +102,13 @@ constexpr KeyEntry kKeys[] = {
      }},
     {"seed",
      [](const Apply& a) {
+       // JSON numbers are doubles: above 2^53 they no longer name one seed.
+       constexpr double kMaxExactSeed = 9007199254740992.0;  // 2^53
        double x = 0.0;
        if (!a.number(x)) return false;
-       if (x < 0.0) return a.fail("\"seed\" must be >= 0");
+       if (!(x >= 0.0 && x <= kMaxExactSeed) || x != std::floor(x)) {
+         return a.fail("\"seed\" must be an integer in [0, 2^53]");
+       }
        a.spec.cfg.seed = static_cast<std::uint64_t>(x);
        return true;
      }},

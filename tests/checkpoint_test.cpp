@@ -278,6 +278,99 @@ TEST(CheckpointDeterminism, SimGossipThreadBitIdentity) {
   expect_thread_bit_identity("SimGossip", 41);
 }
 
+// --- LbChat's pooled scoring: bit-identical at any lane count ---------------
+
+/// A 4-vehicle LbChat run that exercises every pooled path: coreset receipts
+/// (merge-reduce), model phases with psi > 0 (two-task handshake), peer-model
+/// aggregations (two-task scoring) and periodic rebuilds (pooled sweeps).
+engine::ScenarioConfig lane_cfg(bool int8) {
+  auto cfg = tiny_cfg(3, /*faults=*/false, /*vehicles=*/4, /*duration=*/40.0);
+  cfg.coreset_rebuild_interval_s = 10.0;
+  cfg.int8_eval.enabled = int8;
+  return cfg;
+}
+
+/// Bit patterns of every TransferStats field.
+std::vector<std::uint64_t> transfer_bits(const engine::TransferStats& t) {
+  std::vector<std::uint64_t> bits;
+  for (const long c :
+       {long{t.model_sends_started}, long{t.model_sends_completed}, long{t.coreset_sends_started},
+        long{t.coreset_sends_completed}, long{t.sessions_started}, long{t.sessions_aborted},
+        long{t.frames_rejected}, long{t.model_frames_rejected}, long{t.sessions_lost_to_blackout},
+        long{t.backoff_retries}, long{t.byzantine_payloads_sent}, t.straggler_train_skips,
+        long{t.frames_rejected_invalid}}) {
+    bits.push_back(static_cast<std::uint64_t>(c));
+  }
+  bits.push_back(t.bytes_delivered);
+  for (const double d : {t.offline_vehicle_seconds, t.attacker_peer_weight, t.total_peer_weight}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(d));
+  }
+  return bits;
+}
+
+void expect_same_run(const engine::RunMetrics& a, const engine::RunMetrics& b,
+                     const std::string& what) {
+  EXPECT_EQ(curve_bits(a), curve_bits(b)) << what;
+  EXPECT_EQ(transfer_bits(a.transfers), transfer_bits(b.transfers)) << what;
+  EXPECT_EQ(a.train_steps, b.train_steps) << what;
+  EXPECT_EQ(a.final_params, b.final_params) << what;
+}
+
+class LbChatLanes : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LbChatLanes, RunBitIdenticalAtOneTwoThreeLanes) {
+  auto cfg = lane_cfg(GetParam());
+  obs::reset();
+  obs::set_events_enabled(true);
+  std::vector<engine::RunMetrics> runs;
+  std::vector<std::string> events;
+  for (const int lanes : {1, 2, 3}) {
+    obs::reset();
+    cfg.num_threads = lanes;
+    auto sim = make_sim(cfg, "LbChat");
+    runs.push_back(sim.run());
+    events.push_back(obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped()));
+  }
+  obs::set_events_enabled(false);
+  obs::reset();
+  // The scenario reaches every pooled path.
+  const engine::TransferStats& t = runs[0].transfers;
+  EXPECT_GT(t.coreset_sends_completed, 0);
+  EXPECT_GT(t.model_sends_completed, 0);
+  EXPECT_NE(events[0].find("\"aggregate\""), std::string::npos);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const std::string what = "lanes=" + std::to_string(i + 1);
+    expect_same_run(runs[0], runs[i], what);
+    // Events come only from the calling thread, so their order is fixed too.
+    EXPECT_EQ(events[0], events[i]) << what;
+  }
+}
+
+TEST_P(LbChatLanes, SavedUnderThreeLanesResumesUnderOne) {
+  auto cfg = lane_cfg(GetParam());
+  cfg.num_threads = 1;
+  auto straight = make_sim(cfg, "LbChat");
+  const engine::RunMetrics m_straight = straight.run();
+
+  auto three_cfg = cfg;
+  three_cfg.num_threads = 3;
+  auto first = make_sim(three_cfg, "LbChat");
+  first.prepare();
+  first.run_until(23.0);  // after the first periodic rebuild
+  const auto bytes = checkpoint_of(first);
+
+  auto resumed = make_sim(cfg, "LbChat");
+  ByteReader r{bytes};
+  ASSERT_EQ(resumed.restore(r), CkptStatus::kOk);
+  resumed.run_until(cfg.duration_s);
+  expect_same_run(m_straight, resumed.finalize(), "3-lane save, 1-lane resume");
+}
+
+INSTANTIATE_TEST_SUITE_P(Eval, LbChatLanes, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? std::string{"Int8"} : std::string{"Fp32"};
+                         });
+
 void expect_exports_survive_resume(int threads) {
   auto cfg = tiny_cfg(21, /*faults=*/true);
   cfg.num_threads = threads;

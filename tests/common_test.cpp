@@ -6,6 +6,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/geometry.h"
 #include "common/interpolation.h"
@@ -424,6 +426,40 @@ TEST(ThreadPoolTest, RethrowsFirstException) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](std::int64_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPoolTest, NestedCallRunsInline) {
+  // A parallel_for issued from inside a loop body, on the caller's lane or a
+  // worker's, runs its whole range inline on that thread, in index order.
+  ThreadPool pool{3};
+  std::vector<std::vector<std::int64_t>> inner(7);
+  std::atomic<int> off_thread{0};
+  pool.parallel_for(0, 7, [&](std::int64_t i) {
+    const auto lane = std::this_thread::get_id();
+    pool.parallel_for(0, 5, [&](std::int64_t j) {
+      if (std::this_thread::get_id() != lane) ++off_thread;
+      inner[static_cast<std::size_t>(i)].push_back(j);
+    });
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  for (const auto& order : inner) EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  // The pool is released afterwards: the next job spreads across lanes again.
+  std::vector<int> hits(100, 0);
+  pool.parallel_for(0, 100, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; });
+  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
+}
+
+TEST(ThreadPoolTest, ParallelInvokeRunsBothTasks) {
+  ThreadPool pool{2};
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    int first = 0;
+    int second = 0;
+    parallel_invoke(p, [&] { first = 1; }, [&] { second = 2; });
+    EXPECT_EQ(first + second, 3);
+    EXPECT_THROW(parallel_invoke(
+                     p, [] {}, [] { throw std::runtime_error{"boom"}; }),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace

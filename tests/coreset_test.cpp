@@ -6,8 +6,11 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "coreset/coreset.h"
 #include "nn/int8_policy.h"
 #include "nn/optim.h"
@@ -272,6 +275,75 @@ TEST_F(CoresetFixture, PenalizedLossMatchesTwoPassReferenceBitForBit) {
     EXPECT_EQ(penalized_loss(*model_, {}, {}, penalty),
               naive_penalized_loss(*model_, std::span<const data::Sample>{}, {}, penalty));
   }
+}
+
+/// Pooled per-sample sweeps must reproduce the sequential ones bit for bit:
+/// every loss lands in its own slot and all reductions run on the caller.
+/// Three lanes split 2 and 4 samples unevenly; 0 and 1 run inline.
+TEST_F(CoresetFixture, PooledSweepsMatchSequentialBitForBit) {
+  ThreadPool pool{3};
+  std::vector<data::Sample> all = dataset_->samples();
+  all.push_back(all.front());  // 301 samples
+  const nn::Int8Policy quantized{*model_};
+  const PenaltyConfig penalty{1e-3, 1.0};
+  for (const std::size_t n : {0u, 1u, 2u, 4u, 301u}) {
+    const std::span<const data::Sample> samples{all.data(), n};
+    std::vector<double> mixed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      mixed[i] = i % 3 == 0 ? 0.0 : i % 4 == 1 ? -1.5 : 0.5 + static_cast<double>(i % 5);
+    }
+    using Weights = std::span<const double>;
+    for (const Weights w : {Weights{}, Weights{mixed}}) {
+      EXPECT_EQ(penalized_loss(*model_, samples, w, penalty, &pool),
+                penalized_loss(*model_, samples, w, penalty))
+          << "n=" << n;
+      EXPECT_EQ(penalized_loss(quantized, samples, w, penalty, &pool),
+                penalized_loss(quantized, samples, w, penalty))
+          << "int8, n=" << n;
+    }
+  }
+  const LayerPartition seq = partition_into_layers(*model_, *dataset_);
+  const LayerPartition pooled = partition_into_layers(*model_, *dataset_, &pool);
+  EXPECT_EQ(seq.center_loss, pooled.center_loss);
+  EXPECT_EQ(seq.ring_radius, pooled.ring_radius);
+  EXPECT_EQ(seq.layer_of, pooled.layer_of);
+
+  // Build and reduce: identical coresets and identical RNG consumption.
+  CoresetConfig cfg;
+  cfg.target_size = 40;
+  Rng rng_seq{17};
+  Rng rng_pool{17};
+  const Coreset built_seq = build_layered_coreset(*dataset_, *model_, cfg, rng_seq);
+  const Coreset built_pool = build_layered_coreset(*dataset_, *model_, cfg, rng_pool, &pool);
+  EXPECT_EQ(built_seq.wc, built_pool.wc);
+  const Coreset merged = merge_coresets(built_seq, built_seq);
+  const Coreset reduced_seq = reduce_coreset(merged, *model_, 25, rng_seq);
+  const Coreset reduced_pool = reduce_coreset(merged, *model_, 25, rng_pool, &pool);
+  EXPECT_EQ(reduced_seq.wc, reduced_pool.wc);
+  ASSERT_EQ(reduced_seq.size(), reduced_pool.size());
+  for (std::size_t i = 0; i < reduced_seq.size(); ++i) {
+    EXPECT_EQ(reduced_seq.samples[i].bev.cells, reduced_pool.samples[i].bev.cells) << i;
+  }
+  EXPECT_EQ(rng_seq.next_u64(), rng_pool.next_u64());
+}
+
+TEST_F(CoresetFixture, PooledSweepSkipsUnweightedSamplesAndPropagatesErrors) {
+  // A sample whose BEV grid has the wrong size throws if it is ever scored.
+  ThreadPool pool{3};
+  std::vector<data::Sample> samples(dataset_->samples().begin(),
+                                    dataset_->samples().begin() + 30);
+  data::Sample broken = samples[0];
+  broken.bev.cells.pop_back();
+  samples[10] = broken;
+  samples[25] = broken;
+  std::vector<double> w(samples.size(), 1.0);
+  w[10] = 0.0;
+  w[25] = -1.0;
+  // Zero and negative weights leave their slots unscored on every lane.
+  EXPECT_EQ(penalized_loss(*model_, samples, w, {}, &pool), penalized_loss(*model_, samples, w));
+  // Scored in the last chunk, the error reaches the caller.
+  w[25] = 1.0;
+  EXPECT_THROW((void)penalized_loss(*model_, samples, w, {}, &pool), std::invalid_argument);
 }
 
 TEST_F(CoresetFixture, LogicalBytesScaleWithSize) {

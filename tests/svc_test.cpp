@@ -179,6 +179,25 @@ TEST(JobSpecTest, RejectsUnknownAndInvalid) {
   EXPECT_FALSE(parse_job_spec("not json", spec, err));
 }
 
+TEST(JobSpecTest, SeedMustBeAnExactInteger) {
+  // "seed" arrives as a JSON double: fractions, negatives and values past
+  // 2^53 (where doubles stop naming one integer) are errors, never a cast.
+  const auto parse = [](const std::string& seed, JobSpec& spec, std::string& err) {
+    return parse_job_spec(R"({"vehicles":4,"duration":40,"seed":)" + seed + "}", spec, err);
+  };
+  JobSpec spec;
+  std::string err;
+  ASSERT_TRUE(parse("9007199254740992", spec, err)) << err;  // 2^53
+  EXPECT_EQ(spec.cfg.seed, 9007199254740992ull);
+  ASSERT_TRUE(parse("0", spec, err)) << err;
+  EXPECT_EQ(spec.cfg.seed, 0u);
+  for (const char* bad : {"1.5", "9007199254740994", "1e300", "18446744073709551616", "-1"}) {
+    err.clear();
+    EXPECT_FALSE(parse(bad, spec, err)) << bad;
+    EXPECT_EQ(err, "\"seed\" must be an integer in [0, 2^53]") << bad;
+  }
+}
+
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
   // "strategy" is the registry-keyed spelling; "approach" stays accepted for
   // pre-registry specs. Options are validated against the registry schema.
