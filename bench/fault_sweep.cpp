@@ -37,9 +37,7 @@ lbchat::engine::FaultConfig fault_level(double level) {
 int main() {
   using namespace lbchat;
   const std::vector<double> levels{0.0, 0.25, 0.5, 1.0};
-  const std::vector<baselines::Approach> approaches{
-      baselines::Approach::kLbChat, baselines::Approach::kDp,
-      baselines::Approach::kDflDds};
+  const std::vector<std::string> approaches{"LbChat", "DP", "DFL-DDS"};
 
   std::printf("\n=== Fault-injection sweep (receiving rate / final loss vs fault level) ===\n");
   std::FILE* json = std::fopen("BENCH_fault_sweep.json", "w");
@@ -54,14 +52,13 @@ int main() {
   std::fprintf(json, "],\n  \"approaches\": [\n");
 
   for (std::size_t ai = 0; ai < approaches.size(); ++ai) {
-    const auto approach = approaches[ai];
-    const std::string name{baselines::approach_name(approach)};
+    const std::string& name = approaches[ai];
     std::fprintf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
     for (std::size_t li = 0; li < levels.size(); ++li) {
       auto cfg = bench::default_scenario(/*wireless_loss=*/true);
       cfg.duration_s *= 0.5;  // the sweep is 12 runs; keep each one shorter
       cfg.faults = fault_level(levels[li]);
-      const auto run = bench::run_or_load(cfg, approach);
+      const auto run = bench::run_or_load(cfg, name);
       const auto& t = run.transfers;
       const double final_loss = run.loss_curve.values.back();
       std::printf(

@@ -6,18 +6,13 @@
 
 int main() {
   using namespace lbchat;
-  const baselines::Approach approaches[] = {
-      baselines::Approach::kProxSkip, baselines::Approach::kRsuL,
-      baselines::Approach::kDflDds, baselines::Approach::kDp, baselines::Approach::kLbChat};
-
   for (const bool wireless : {false, true}) {
     std::printf("\n=== Figure 2(%c): training loss vs time (%s wireless loss) ===\n",
                 wireless ? 'b' : 'a', wireless ? "with" : "without");
-    for (const auto approach : approaches) {
+    for (const std::string_view approach : bench::kPaperApproaches) {
       const auto cfg = bench::default_scenario(wireless);
       const auto run = bench::run_or_load(cfg, approach);
-      bench::print_loss_series(std::string{baselines::approach_name(approach)},
-                               run.loss_curve);
+      bench::print_loss_series(std::string{approach}, run.loss_curve);
     }
   }
   return 0;

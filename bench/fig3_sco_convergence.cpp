@@ -12,8 +12,8 @@ int main() {
     std::printf("\n=== Figure 3 (%s wireless loss): LbChat vs SCO ===\n",
                 wireless ? "with" : "without");
     const auto cfg = bench::default_scenario(wireless);
-    const auto lbchat = bench::run_or_load(cfg, baselines::Approach::kLbChat);
-    const auto sco = bench::run_or_load(cfg, baselines::Approach::kSco);
+    const auto lbchat = bench::run_or_load(cfg, "LbChat");
+    const auto sco = bench::run_or_load(cfg, "SCO");
     bench::print_loss_series("LbChat", lbchat.loss_curve);
     bench::print_loss_series("SCO", sco.loss_curve);
 

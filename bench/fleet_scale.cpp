@@ -10,16 +10,18 @@
 //     toggling only ScenarioConfig::spatial_index.
 // Results go to stdout and BENCH_fleet_scale.json in the working directory.
 //
-// LBCHAT_BENCH_MAX_VEHICLES caps the sweep (e.g. 256 for CI smoke runs).
+// LBCHAT_BENCH_MAX_VEHICLES (an integer >= 16) caps the sweep, e.g. at 256 for
+// CI smoke runs.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string_view>
 #include <vector>
 
 #include "engine/fleet.h"
+#include "harness.h"
 #include "net/spatial_index.h"
 #include "sim/world.h"
 
@@ -164,10 +166,10 @@ ScaleRow bench_fleet(int vehicles, double sim_horizon_s) {
 }  // namespace
 
 int main() {
-  int max_vehicles = 1024;
-  if (const char* cap = std::getenv("LBCHAT_BENCH_MAX_VEHICLES")) {
-    max_vehicles = std::atoi(cap);
-  }
+  const int max_vehicles = static_cast<int>(lbchat::bench::env_number(
+      "LBCHAT_BENCH_MAX_VEHICLES", 1024.0,
+      [](double v) { return v >= 16.0 && v < 2147483648.0 && v == std::floor(v); },
+      "an integer >= 16"));
   std::vector<ScaleRow> rows;
   std::printf("%9s %14s %14s %9s %14s %14s %9s\n", "vehicles", "grid query us", "scan query us",
               "speedup", "grid ms/sim-s", "scan ms/sim-s", "speedup");

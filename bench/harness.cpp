@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,13 +25,6 @@ namespace {
 /// v3: CachedRun carries the adversary/heterogeneity counters and the
 /// honest/attacker cohort loss curves.
 constexpr std::uint32_t kCacheVersion = 3;
-
-double bench_scale() {
-  const char* env = std::getenv("LBCHAT_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  return v > 0.01 ? v : 1.0;
-}
 
 std::filesystem::path cache_dir() {
   const char* env = std::getenv("LBCHAT_BENCH_CACHE");
@@ -155,19 +149,36 @@ bool read_run(const std::filesystem::path& path, CachedRun& run) {
 
 }  // namespace
 
+double env_number(const char* name, double fallback, bool (*in_range)(double),
+                  const char* range) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  if (*end != '\0' || !std::isfinite(v) || !in_range(v)) {
+    std::fprintf(stderr, "%s=%s: must be %s\n", name, env, range);
+    std::exit(2);
+  }
+  return v;
+}
+
 engine::ScenarioConfig default_scenario(bool wireless_loss) {
   engine::ScenarioConfig cfg;
   cfg.seed = 1;
   cfg.num_vehicles = 16;
   cfg.wireless_loss = wireless_loss;
   cfg.collect_duration_s = 600.0;
-  cfg.duration_s = 1800.0 * bench_scale();
+  const double scale = env_number(
+      "LBCHAT_BENCH_SCALE", 1.0, [](double v) { return v > 0.01; }, "a number > 0.01");
+  cfg.duration_s = 1800.0 * scale;
   cfg.eval_interval_s = 100.0;
   // Worker lanes for the fleet's per-vehicle loops. Bit-deterministic for
   // any value, so it is not part of the cache fingerprint; default to all
   // hardware threads, override with LBCHAT_THREADS=n.
-  const char* threads_env = std::getenv("LBCHAT_THREADS");
-  cfg.num_threads = threads_env != nullptr ? std::atoi(threads_env) : 0;
+  cfg.num_threads = static_cast<int>(env_number(
+      "LBCHAT_THREADS", 0.0,
+      [](double v) { return v >= 0.0 && v < 2147483648.0 && v == std::floor(v); },
+      "an integer >= 0"));
   return cfg;
 }
 
@@ -187,11 +198,6 @@ std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg, std::string_vie
   // keys of their own.
   return nn::salt_with_kernel_path(engine::scenario_fingerprint(
       cfg, strategy, baselines::registry().fingerprint_options(strategy, options)));
-}
-
-std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
-                              baselines::Approach approach) {
-  return run_fingerprint(cfg, baselines::approach_name(approach));
 }
 
 CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strategy,
@@ -225,16 +231,12 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
   return run;
 }
 
-CachedRun run_or_load(const engine::ScenarioConfig& cfg, baselines::Approach approach) {
-  return run_or_load(cfg, baselines::approach_name(approach));
-}
-
 std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
-                                            baselines::Approach approach,
-                                            const CachedRun& run, int models_to_eval) {
+                                            std::string_view strategy, const CachedRun& run,
+                                            int models_to_eval) {
   const eval::EvalConfig ec = default_eval_config();
   FnvHasher h;
-  h.add(run_fingerprint(cfg, approach));
+  h.add(run_fingerprint(cfg, strategy));
   h.add(ec.trials);
   h.add(models_to_eval);
   h.add(std::string_view{"success-v1"});
@@ -260,8 +262,7 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
   }
 
   std::fprintf(stderr, "[bench] online eval of %s (%d models x %d trials)...\n",
-               std::string{baselines::approach_name(approach)}.c_str(), models_to_eval,
-               ec.trials);
+               std::string{strategy}.c_str(), models_to_eval, ec.trials);
   eval::OnlineEvaluator evaluator{ec};
   // Spread the evaluated vehicles across the fleet (urban + rural dwellers).
   std::array<double, 5> rates{};

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/factory.h"
 #include "baselines/registry.h"
 #include "common/stats.h"
 #include "engine/fleet.h"
@@ -22,9 +21,21 @@
 
 namespace lbchat::bench {
 
+/// The approaches Fig. 2, the receiving-rate statistic and Tables II/III
+/// compare, as registry names in the paper's column order.
+inline constexpr std::array<std::string_view, 5> kPaperApproaches{"ProxSkip", "RSU-L",
+                                                                  "DFL-DDS", "DP", "LbChat"};
+
+/// Numeric environment knob `name`: `fallback` when unset or empty; otherwise
+/// the whole value must parse as a finite number that `in_range` accepts, or
+/// the process exits with status 2 naming the variable and `range`.
+[[nodiscard]] double env_number(const char* name, double fallback, bool (*in_range)(double),
+                                const char* range);
+
 /// The bench-scale scenario shared by all experiments (the paper's setup
 /// scaled to a single CPU core; see DESIGN.md for the mapping). The
-/// LBCHAT_BENCH_SCALE env var (default 1.0) scales the training horizon.
+/// LBCHAT_BENCH_SCALE env var (default 1.0, must be > 0.01) scales the
+/// training horizon; LBCHAT_THREADS (an integer >= 0) sets the worker lanes.
 [[nodiscard]] engine::ScenarioConfig default_scenario(bool wireless_loss);
 
 /// The online-evaluation configuration matched to default_scenario.
@@ -48,24 +59,18 @@ struct CachedRun {
 [[nodiscard]] std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
                                             std::string_view strategy,
                                             const baselines::StrategyOptions& options = {});
-/// Enum shim for the pre-registry bench binaries.
-[[nodiscard]] std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg,
-                                            baselines::Approach approach);
 
 /// Run the campaign entry (or load it from .bench_cache). Prints a one-line
 /// progress note to stderr when an actual run is required.
 [[nodiscard]] CachedRun run_or_load(const engine::ScenarioConfig& cfg,
                                     std::string_view strategy,
                                     const baselines::StrategyOptions& options = {});
-/// Enum shim for the pre-registry bench binaries.
-[[nodiscard]] CachedRun run_or_load(const engine::ScenarioConfig& cfg,
-                                    baselines::Approach approach);
 
-/// Per-task driving success rates (percent) of an approach's final models:
-/// the first `models_to_eval` vehicles' models are deployed on the testing
-/// autopilot and their success rates averaged. Cached.
+/// Per-task driving success rates (percent) of a strategy's final models
+/// (default options): `models_to_eval` vehicles spread across the fleet are
+/// deployed on the testing autopilot and their success rates averaged. Cached.
 [[nodiscard]] std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
-                                                          baselines::Approach approach,
+                                                          std::string_view strategy,
                                                           const CachedRun& run,
                                                           int models_to_eval = 5);
 

@@ -253,7 +253,6 @@ Row bench_contact_query() {
 std::vector<nn::KernelPath> available_paths() {
   std::vector<nn::KernelPath> out{nn::KernelPath::kScalar};
   if (nn::kernel_path_available(nn::KernelPath::kAvx2)) out.push_back(nn::KernelPath::kAvx2);
-  if (nn::kernel_path_available(nn::KernelPath::kNeon)) out.push_back(nn::KernelPath::kNeon);
   return out;
 }
 

@@ -9,14 +9,11 @@
 int main() {
   using namespace lbchat;
   std::printf("\n=== Successful model receiving rate (with wireless loss) ===\n");
-  for (const auto approach :
-       {baselines::Approach::kProxSkip, baselines::Approach::kRsuL,
-        baselines::Approach::kDflDds, baselines::Approach::kDp,
-        baselines::Approach::kLbChat}) {
+  for (const std::string_view approach : bench::kPaperApproaches) {
     const auto cfg = bench::default_scenario(/*wireless_loss=*/true);
     const auto run = bench::run_or_load(cfg, approach);
     std::printf("%-10s  %3.0f%%   (%d of %d model sends completed; %d sessions, %d aborted)\n",
-                std::string{baselines::approach_name(approach)}.c_str(),
+                std::string{approach}.c_str(),
                 100.0 * run.transfers.model_receiving_rate(),
                 run.transfers.model_sends_completed, run.transfers.model_sends_started,
                 run.transfers.sessions_started, run.transfers.sessions_aborted);

@@ -19,9 +19,7 @@
 int main() {
   using namespace lbchat;
   const std::vector<double> fractions{0.0, 0.125, 0.25, 0.5};
-  const std::vector<baselines::Approach> approaches{
-      baselines::Approach::kLbChat, baselines::Approach::kDp,
-      baselines::Approach::kDflDds};
+  const std::vector<std::string> approaches{"LbChat", "DP", "DFL-DDS"};
 
   std::printf(
       "\n=== Byzantine sweep (honest-cohort loss / attacker share vs fraction) ===\n");
@@ -37,8 +35,7 @@ int main() {
   std::fprintf(json, "],\n  \"poison_scale\": 1.5,\n  \"approaches\": [\n");
 
   for (std::size_t ai = 0; ai < approaches.size(); ++ai) {
-    const auto approach = approaches[ai];
-    const std::string name{baselines::approach_name(approach)};
+    const std::string& name = approaches[ai];
     std::fprintf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
     for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
       auto cfg = bench::default_scenario(/*wireless_loss=*/true);
@@ -48,7 +45,7 @@ int main() {
       // flip makes poisoned models so obviously bad that even loss-blind
       // weighting rejects them and every defense looks equally good.
       cfg.adversary.poison_scale = 1.5;
-      const auto run = bench::run_or_load(cfg, approach);
+      const auto run = bench::run_or_load(cfg, name);
       const auto& t = run.transfers;
       const double final_loss = run.loss_curve.values.back();
       const double honest_loss = run.honest_loss_curve.values.empty()

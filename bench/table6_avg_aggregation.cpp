@@ -7,17 +7,17 @@ int main() {
   std::vector<bench::SuccessColumn> columns;
   for (const bool wireless : {false, true}) {
     const auto cfg = bench::default_scenario(wireless);
-    const auto run = bench::run_or_load(cfg, baselines::Approach::kLbChatAvgAgg);
+    const auto run = bench::run_or_load(cfg, "LbChat(avg-agg)");
     columns.push_back(
         {std::string{wireless ? "avg (W)" : "avg (W/O)"},
-         bench::success_rates_or_load(cfg, baselines::Approach::kLbChatAvgAgg, run, 3)});
+         bench::success_rates_or_load(cfg, "LbChat(avg-agg)", run, 3)});
   }
   for (const bool wireless : {false, true}) {
     const auto cfg = bench::default_scenario(wireless);
-    const auto run = bench::run_or_load(cfg, baselines::Approach::kLbChat);
+    const auto run = bench::run_or_load(cfg, "LbChat");
     columns.push_back(
         {std::string{wireless ? "LbChat (W)" : "LbChat (W/O)"},
-         bench::success_rates_or_load(cfg, baselines::Approach::kLbChat, run, 3)});
+         bench::success_rates_or_load(cfg, "LbChat", run, 3)});
   }
   bench::print_paper_table(
       "=== Table VI: driving success rate with avg. aggregation (%) ===", columns);

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "engine/fleet.h"
 
 int main(int argc, char** argv) {
@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
   cfg.world.num_pedestrians = 30;
   cfg.wireless_loss = true;
 
-  for (const auto approach : {baselines::Approach::kLbChat, baselines::Approach::kDp}) {
-    engine::FleetSim sim{cfg, baselines::make_strategy(approach)};
+  for (const char* approach : {"LbChat", "DP"}) {
+    engine::FleetSim sim{cfg, baselines::registry().make(approach)};
     const engine::RunMetrics m = sim.run();
-    std::printf("\n=== %s ===\n", std::string{baselines::approach_name(approach)}.c_str());
+    std::printf("\n=== %s ===\n", approach);
     std::printf("loss curve (t, mean held-out loss):\n");
     for (std::size_t i = 0; i < m.loss_curve.size(); ++i) {
       std::printf("  %6.0fs  %.4f\n", m.loss_curve.times[i], m.loss_curve.values[i]);

@@ -1,21 +1,9 @@
 // lbchat_sim_cli: run any approach/configuration from the command line and
 // print the metrics the paper reports — loss curve, receiving rate, and
-// (optionally) driving success rates.
-//
-// Usage:
-//   lbchat_sim_cli [--strategy NAME] [--strategy-opt KEY=VALUE]...
-//                  [--list-strategies] [--vehicles N] [--duration S]
-//                  [--coreset N] [--seed N] [--no-wireless-loss] [--eval]
-//                  [--kernel auto|scalar|avx2|neon] [--int8-eval]
-//                  [--byzantine-frac F] [--straggler-frac F]
-//                  [--trace-out F] [--events-out F] [--metrics-out F]
-//                  [--report-out F] [--checkpoint-out F] [--resume-from F]
-//                  [--checkpoint-every S]
-//
-// Strategies come from the registry (see --list-strategies for names and
-// per-strategy options); --approach is a legacy alias of --strategy.
+// (optionally) driving success rates. `lbchat_sim_cli --help` lists the flags.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,19 +21,22 @@
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "svc/job.h"
+#include "svc/json.h"
 
 namespace {
 
-// Scenario flags read their value through the JobSpec key table entry of the
+// These flags read their value through the JobSpec key table entry of the
 // same name (flag --a-b is key a_b), so a flag and its fleet-service key share
-// one type check, range check and fan-out.
-constexpr const char* kScenarioFlags[] = {
-    "--vehicles", "--num-vehicles", "--duration",       "--collect-duration", "--coreset",
-    "--seed",     "--threads",      "--byzantine-frac", "--straggler-frac",
+// one type check, range check and fan-out. --strategy-opt K=V is the
+// "strategy_options" member K.
+constexpr const char* kSpecFlags[] = {
+    "--strategy",         "--approach", "--vehicles", "--num-vehicles", "--duration",
+    "--collect-duration", "--coreset",  "--seed",     "--threads",      "--byzantine-frac",
+    "--straggler-frac",
 };
 
-bool is_scenario_flag(const char* arg) {
-  return std::any_of(std::begin(kScenarioFlags), std::end(kScenarioFlags),
+bool is_spec_flag(const char* arg) {
+  return std::any_of(std::begin(kSpecFlags), std::end(kSpecFlags),
                      [arg](const char* flag) { return std::strcmp(arg, flag) == 0; });
 }
 
@@ -57,10 +48,12 @@ void usage() {
                "                      [--num-vehicles N] [--collect-duration S]\n"
                "                      [--coreset N] [--seed N] [--threads N]\n"
                "                      [--no-wireless-loss] [--eval]\n"
-               "                      [--kernel auto|scalar|avx2|neon] [--int8-eval]\n"
+               "                      [--kernel auto|scalar|avx2] [--int8-eval]\n"
                "                      [--byzantine-frac F] [--straggler-frac F]\n"
                "                      [--trace-out FILE] [--events-out FILE]\n"
                "                      [--metrics-out FILE] [--report-out FILE]\n"
+               "                      [--checkpoint-out FILE] [--resume-from FILE]\n"
+               "                      [--checkpoint-every S]\n"
                "  --strategy NAME   registry name (--approach is a legacy alias)\n"
                "  --strategy-opt KEY=VALUE  set a per-strategy tunable (repeatable;\n"
                "                    keys must exist in the strategy's schema)\n"
@@ -71,8 +64,8 @@ void usage() {
                "                    results are bit-identical for any value)\n"
                "  --kernel NAME     GEMM backend: auto (default; best available),\n"
                "                    scalar (bit-reproduces committed goldens),\n"
-               "                    avx2, neon; errors if NAME is unavailable on\n"
-               "                    this build/CPU (LBCHAT_KERNEL is the env\n"
+               "                    avx2; errors if NAME is unavailable on this\n"
+               "                    build/CPU (LBCHAT_KERNEL is the env\n"
                "                    equivalent, with warn-and-fallback instead)\n"
                "  --int8-eval       score coreset values and eval losses with the\n"
                "                    int8-quantized forward path (training stays\n"
@@ -95,8 +88,8 @@ void usage() {
                "  --report-out F    per-vehicle run report (.csv => CSV, else JSON)\n"
                "  --checkpoint-out F   write a run-state checkpoint at the horizon\n"
                "  --resume-from F      restore run state from a checkpoint first\n"
-               "  --checkpoint-every S also checkpoint periodically (sim seconds;\n"
-               "                       overwrites --checkpoint-out each time)\n");
+               "  --checkpoint-every S also checkpoint periodically (sim seconds > 0;\n"
+               "                       needs --checkpoint-out, overwritten each time)\n");
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -142,13 +135,11 @@ bool save_checkpoint_file(const lbchat::engine::FleetSim& sim, const std::string
 int main(int argc, char** argv) {
   using namespace lbchat;
 
-  std::string approach_name = "LbChat";
-  baselines::StrategyOptions strategy_opts;
   svc::JobSpec spec;
   engine::ScenarioConfig& cfg = spec.cfg;
   cfg.num_vehicles = 8;
   cfg.duration_s = 900.0;
-  svc::JobSpecBuilder scenario{spec};
+  svc::JobSpecBuilder builder{spec};
   std::string error;
   bool run_eval = false;
   std::string trace_out;
@@ -168,16 +159,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--strategy") == 0 || std::strcmp(argv[i], "--approach") == 0) {
-      approach_name = need_value(argv[i]);
-    } else if (std::strcmp(argv[i], "--strategy-opt") == 0) {
+    if (std::strcmp(argv[i], "--strategy-opt") == 0) {
       const std::string kv = need_value("--strategy-opt");
       const std::size_t eq = kv.find('=');
       if (eq == 0 || eq == std::string::npos) {
         std::fprintf(stderr, "--strategy-opt expects KEY=VALUE, got '%s'\n", kv.c_str());
         return 2;
       }
-      strategy_opts.set(kv.substr(0, eq), std::atof(kv.c_str() + eq + 1));
+      if (!builder.set_text("strategy_options." + kv.substr(0, eq), kv.substr(eq + 1), error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--list-strategies") == 0) {
       for (const std::string& name : baselines::registry().list()) {
         std::printf("%s\n", name.c_str());
@@ -187,10 +179,10 @@ int main(int argc, char** argv) {
         }
       }
       return 0;
-    } else if (is_scenario_flag(argv[i])) {
+    } else if (is_spec_flag(argv[i])) {
       std::string key{argv[i] + 2};
       std::replace(key.begin(), key.end(), '-', '_');
-      if (!scenario.set_text(key, need_value(argv[i]), error)) {
+      if (!builder.set_text(key, need_value(argv[i]), error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 2;
       }
@@ -199,7 +191,7 @@ int main(int argc, char** argv) {
       if (name != "auto") {
         const auto parsed = nn::parse_kernel_path(name);
         if (!parsed.has_value()) {
-          std::fprintf(stderr, "--kernel expects auto/scalar/avx2/neon, got '%s'\n", name.c_str());
+          std::fprintf(stderr, "--kernel expects auto/scalar/avx2, got '%s'\n", name.c_str());
           return 2;
         }
         if (!nn::kernel_path_available(*parsed)) {
@@ -227,7 +219,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume-from") == 0) {
       resume_from = need_value("--resume-from");
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-      checkpoint_every = std::atof(need_value("--checkpoint-every"));
+      const char* text = need_value("--checkpoint-every");
+      const auto value = svc::json_parse(text, error);
+      if (value == nullptr || !value->is_number() || !(value->as_number() > 0.0) ||
+          !std::isfinite(value->as_number())) {
+        std::fprintf(stderr, "--checkpoint-every must be a number > 0, got '%s'\n", text);
+        return 2;
+      }
+      checkpoint_every = value->as_number();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       usage();
@@ -235,15 +234,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (checkpoint_every > 0.0 && checkpoint_out.empty()) {
+    std::fprintf(stderr, "--checkpoint-every needs --checkpoint-out\n");
+    return 2;
+  }
   std::unique_ptr<engine::Strategy> strategy;
   try {
-    strategy = baselines::registry().make(approach_name, strategy_opts);
+    strategy = baselines::registry().make(spec.approach_name, spec.options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     usage();
     return 2;
   }
-  if (!scenario.finish(error)) {
+  if (!builder.finish(error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
@@ -251,7 +254,7 @@ int main(int argc, char** argv) {
   std::printf(
       "approach=%s vehicles=%d duration=%.0fs coreset=%zu wireless_loss=%d seed=%llu "
       "threads=%d kernel=%s int8_eval=%d\n",
-      approach_name.c_str(), cfg.num_vehicles, cfg.duration_s, cfg.coreset_size,
+      spec.approach_name.c_str(), cfg.num_vehicles, cfg.duration_s, cfg.coreset_size,
       cfg.wireless_loss ? 1 : 0, static_cast<unsigned long long>(cfg.seed), cfg.num_threads,
       std::string{nn::kernel_path_name(nn::active_kernel_path())}.c_str(),
       cfg.int8_eval.enabled ? 1 : 0);
@@ -281,7 +284,7 @@ int main(int argc, char** argv) {
   }
 
   sim.prepare();
-  if (checkpoint_every > 0.0 && !checkpoint_out.empty()) {
+  if (checkpoint_every > 0.0) {
     double next_ckpt = sim.time() + checkpoint_every;
     while (sim.time() < cfg.duration_s) {
       sim.run_until(next_ckpt < cfg.duration_s ? next_ckpt : cfg.duration_s);
@@ -313,7 +316,7 @@ int main(int argc, char** argv) {
       ++export_failures;
     }
     if (!report_out.empty()) {
-      const obs::RunReport report = engine::build_run_report(approach_name, cfg, m);
+      const obs::RunReport report = engine::build_run_report(spec.approach_name, cfg, m);
       const std::string body = ends_with(report_out, ".csv")
                                    ? obs::run_report_csv(report)
                                    : obs::run_report_json(report);

@@ -1,5 +1,4 @@
-// String-keyed strategy registry: the open successor of the closed
-// baselines::Approach enum factory.
+// String-keyed strategy registry.
 //
 // Every collaborative-training strategy — the paper's approaches, the LbChat
 // ablations, and the communication-efficiency protocols from related work —
@@ -10,8 +9,7 @@
 // "typo'd knob must not silently run the default" policy.
 //
 // The registry is also the single source of truth for the name list:
-// registration rejects empty and duplicate names, and the deprecated
-// make_strategy(Approach) shim (baselines/factory.h) delegates here.
+// registration rejects empty and duplicate names.
 #pragma once
 
 #include <functional>

@@ -177,11 +177,6 @@ void sgemm_on(KernelPath path, int m, int n, int k, const float* a, const float*
       detail::avx2::sgemm(m, n, k, a, b, c);
       return;
 #endif
-#if defined(__ARM_NEON)
-    case KernelPath::kNeon:
-      detail::neon::sgemm(m, n, k, a, b, c);
-      return;
-#endif
     default:
       throw std::invalid_argument{"sgemm_on: kernel path not compiled into this build"};
   }
@@ -196,11 +191,6 @@ void sgemm_atb_on(KernelPath path, int m, int n, int k, const float* a, const fl
 #if defined(__x86_64__) || defined(__i386__)
     case KernelPath::kAvx2:
       detail::avx2::sgemm_atb(m, n, k, a, b, c);
-      return;
-#endif
-#if defined(__ARM_NEON)
-    case KernelPath::kNeon:
-      detail::neon::sgemm_atb(m, n, k, a, b, c);
       return;
 #endif
     default:
@@ -219,11 +209,6 @@ void sgemm_abt_on(KernelPath path, int m, int n, int k, const float* a, const fl
       detail::avx2::sgemm_abt(m, n, k, a, b, c);
       return;
 #endif
-#if defined(__ARM_NEON)
-    case KernelPath::kNeon:
-      detail::neon::sgemm_abt(m, n, k, a, b, c);
-      return;
-#endif
     default:
       throw std::invalid_argument{"sgemm_abt_on: kernel path not compiled into this build"};
   }
@@ -240,11 +225,6 @@ void igemm_abt_on(KernelPath path, int m, int n, int k, const std::int8_t* a,
       detail::avx2::igemm_abt(m, n, k, a, b, c);
       return;
 #endif
-#if defined(__ARM_NEON)
-    case KernelPath::kNeon:
-      detail::neon::igemm_abt(m, n, k, a, b, c);
-      return;
-#endif
     default:
       throw std::invalid_argument{"igemm_abt_on: kernel path not compiled into this build"};
   }
@@ -259,11 +239,6 @@ void igemm_abt_u8s8_on(KernelPath path, int m, int n, int k, const std::int8_t* 
 #if defined(__x86_64__) || defined(__i386__)
     case KernelPath::kAvx2:
       detail::avx2::igemm_abt_u8s8(m, n, k, a, b, c);
-      return;
-#endif
-#if defined(__ARM_NEON)
-    case KernelPath::kNeon:
-      detail::neon::igemm_abt(m, n, k, a, b, c);
       return;
 #endif
     default:

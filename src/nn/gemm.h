@@ -11,7 +11,7 @@
 // The public entry points dispatch at runtime between hand-written backends
 // (nn/kernel_dispatch.h): the scalar C++ kernels — laid out so the compiler
 // auto-vectorizes them, and the mandatory fallback every build carries — and
-// AVX2+FMA microkernels on x86-64 (NEON is a guarded stub). The `naive_*`
+// AVX2+FMA microkernels on x86-64. The `naive_*`
 // twins are the deliberately simple triple loops kept as parity oracles for
 // tests; every backend must match them up to the tolerance contract of
 // DESIGN.md §15 (scalar sgemm/sgemm_atb bit-exactly when C starts zeroed,
@@ -87,9 +87,9 @@ void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c);
 void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                std::int32_t* c);
 }  // namespace scalar
-// The scalar and NEON backends have no unsigned×signed shortcut: on
-// conforming inputs ([0,127] is the same value signed or unsigned) the plain
-// signed kernel already is the u8s8 result, so only AVX2 gets its own body.
+// The scalar backend has no unsigned×signed shortcut: on conforming inputs
+// ([0,127] is the same value signed or unsigned) the plain signed kernel
+// already is the u8s8 result, so only AVX2 gets its own body.
 
 #if defined(__x86_64__) || defined(__i386__)
 /// Hand-written AVX2+FMA microkernels (gemm_avx2.cpp; x86-64 builds only —
@@ -103,19 +103,6 @@ void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
 void igemm_abt_u8s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c);
 }  // namespace avx2
-#endif
-
-#if defined(__ARM_NEON)
-/// NEON stubs (gemm_neon.cpp): registered as a path so the dispatch plumbing
-/// is exercised on AArch64, currently forwarding to the scalar kernels until
-/// tuned on hardware.
-namespace neon {
-void sgemm(int m, int n, int k, const float* a, const float* b, float* c);
-void sgemm_atb(int m, int n, int k, const float* a, const float* b, float* c);
-void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c);
-void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-               std::int32_t* c);
-}  // namespace neon
 #endif
 
 }  // namespace detail

@@ -20,14 +20,6 @@ bool avx2_supported() {
 #endif
 }
 
-bool neon_supported() {
-#if defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 KernelPath resolve_from_env() {
   const char* env = std::getenv("LBCHAT_KERNEL");
   if (env == nullptr || *env == '\0' || std::string_view{env} == "auto") {
@@ -36,7 +28,7 @@ KernelPath resolve_from_env() {
   const std::optional<KernelPath> parsed = parse_kernel_path(env);
   if (!parsed.has_value()) {
     std::fprintf(stderr,
-                 "lbchat: LBCHAT_KERNEL=%s is not one of auto/scalar/avx2/neon; "
+                 "lbchat: LBCHAT_KERNEL=%s is not one of auto/scalar/avx2; "
                  "using the scalar kernels\n",
                  env);
     return KernelPath::kScalar;
@@ -64,15 +56,12 @@ bool kernel_path_available(KernelPath p) {
       return true;
     case KernelPath::kAvx2:
       return avx2_supported();
-    case KernelPath::kNeon:
-      return neon_supported();
   }
   return false;
 }
 
 KernelPath best_kernel_path() {
   if (avx2_supported()) return KernelPath::kAvx2;
-  if (neon_supported()) return KernelPath::kNeon;
   return KernelPath::kScalar;
 }
 
@@ -93,8 +82,6 @@ std::string_view kernel_path_name(KernelPath p) {
       return "scalar";
     case KernelPath::kAvx2:
       return "avx2";
-    case KernelPath::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -102,7 +89,6 @@ std::string_view kernel_path_name(KernelPath p) {
 std::optional<KernelPath> parse_kernel_path(std::string_view name) {
   if (name == "scalar") return KernelPath::kScalar;
   if (name == "avx2") return KernelPath::kAvx2;
-  if (name == "neon") return KernelPath::kNeon;
   return std::nullopt;
 }
 

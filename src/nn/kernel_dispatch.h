@@ -1,19 +1,17 @@
 // Runtime selection of the GEMM microkernel implementation (DESIGN.md §15).
 //
 // The gemm.h entry points stay the single interface the layers call; this
-// header decides which hand-written backend services them. Three paths exist:
+// header decides which hand-written backend services them. Two paths exist:
 //
 //   kScalar  the register-blocked C++ kernels (mandatory fallback, present on
 //            every build; the bit-reproducibility anchor — all committed
 //            goldens were produced by it)
 //   kAvx2    hand-written AVX2+FMA microkernels (x86-64 builds, used when the
 //            CPU reports avx2+fma at runtime)
-//   kNeon    guarded NEON stubs (AArch64 builds; currently forward to the
-//            scalar kernels until tuned on hardware)
 //
 // The active path is resolved once, on first use, from the LBCHAT_KERNEL
 // environment variable: "auto" (or unset) picks the best available path via
-// CPUID; "scalar"/"avx2"/"neon" force one explicitly. Forcing a path the
+// CPUID; "scalar"/"avx2" force one explicitly. Forcing a path the
 // build or CPU cannot run warns on stderr and falls back to scalar rather
 // than crashing, so a pinned-kernel run degrades loudly but safely.
 // set_kernel_path() overrides the choice programmatically (CLI --kernel,
@@ -29,7 +27,6 @@ namespace lbchat::nn {
 enum class KernelPath : int {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
 /// True when this build + this CPU can execute `p`. kScalar is always true.
@@ -47,10 +44,10 @@ enum class KernelPath : int {
 /// behaviour go through LBCHAT_KERNEL instead).
 void set_kernel_path(KernelPath p);
 
-/// "scalar" / "avx2" / "neon".
+/// "scalar" / "avx2".
 [[nodiscard]] std::string_view kernel_path_name(KernelPath p);
 
-/// Parse a path name ("scalar", "avx2", "neon"); nullopt for anything else
+/// Parse a path name ("scalar", "avx2"); nullopt for anything else
 /// (including "auto", which callers resolve via best_kernel_path()).
 [[nodiscard]] std::optional<KernelPath> parse_kernel_path(std::string_view name);
 

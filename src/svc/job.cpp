@@ -206,13 +206,19 @@ bool JobSpecBuilder::set_text(std::string_view key, std::string_view text, std::
   // Text that is no JSON literal is the JSON string it spells, so "60x" fails
   // the number check instead of parsing as 60.
   std::string json_error;
-  auto value = json_parse(text, json_error);
-  if (value == nullptr) value = json_parse("\"" + json_escape(text) + "\"", json_error);
+  std::string literal{text};
+  if (json_parse(literal, json_error) == nullptr) literal = "\"" + json_escape(text) + "\"";
+  // "object.member" sets one member of an object key: {"member": literal}.
+  const std::size_t dot = key.find('.');
+  if (dot != std::string_view::npos) {
+    literal = "{\"" + json_escape(key.substr(dot + 1)) + "\":" + literal + "}";
+  }
+  const auto value = json_parse(literal, json_error);
   if (value == nullptr) {
     error = "\"" + std::string{key} + "\": " + json_error;
     return false;
   }
-  return set(key, *value, error);
+  return set(key.substr(0, dot), *value, error);
 }
 
 bool JobSpecBuilder::finish(std::string& error) {

@@ -57,7 +57,8 @@ class JobSpecBuilder {
   /// a wrong type, or an out-of-range value.
   [[nodiscard]] bool set(std::string_view key, const JsonValue& value, std::string& error);
   /// set() with the value given as command-line text: a JSON literal, or else
-  /// the JSON string it spells.
+  /// the JSON string it spells. A key "object.member" sets that one member of
+  /// an object key ("strategy_options.divergence_bound").
   [[nodiscard]] bool set_text(std::string_view key, std::string_view text, std::string& error);
   /// The order-independent rules: metro scaling ("num_vehicles") last, then
   /// the cross-key checks (vehicles >= 2, duration > 0, threads >= 0).

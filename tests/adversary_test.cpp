@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "common/bytes.h"
 #include "common/frame.h"
 #include "coreset/coreset_io.h"
@@ -75,7 +75,7 @@ engine::ScenarioConfig adv_cfg(std::uint64_t seed, double byz_frac, double strag
 }
 
 FleetSim make_sim(const engine::ScenarioConfig& cfg, const char* approach) {
-  return FleetSim{cfg, baselines::make_strategy(baselines::approach_from_name(approach))};
+  return FleetSim{cfg, baselines::registry().make(approach)};
 }
 
 std::vector<std::uint64_t> curve_bits(const engine::RunMetrics& m) {

@@ -244,8 +244,7 @@ TEST(ScenarioFingerprintTest, KernelPathDoesNotEnterScenarioFingerprint) {
   // call sites that cache run *results*.
   const engine::ScenarioConfig cfg;
   const std::uint64_t fp = scenario_fingerprint(cfg, "LbChat");
-  for (const nn::KernelPath p :
-       {nn::KernelPath::kScalar, nn::KernelPath::kAvx2, nn::KernelPath::kNeon}) {
+  for (const nn::KernelPath p : {nn::KernelPath::kScalar, nn::KernelPath::kAvx2}) {
     if (!nn::kernel_path_available(p)) continue;
     nn::ScopedKernelPath guard{p};
     EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), fp);

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "common/bytes.h"
 #include "common/frame.h"
 #include "engine/fleet.h"
@@ -33,7 +33,7 @@ namespace lbchat::golden {
 
 struct GoldenScenario {
   const char* name;      ///< golden file stem (tests/goldens/<name>.golden)
-  const char* approach;  ///< baselines::approach_from_name input
+  const char* approach;  ///< registry name
   std::uint64_t seed;
   bool faults;
   /// > 0: run at this metro-scaled fleet size (apply_metro_scale — spatial
@@ -120,7 +120,7 @@ inline std::string run_golden_scenario(const GoldenScenario& sc) {
   obs::set_events_enabled(true);
   engine::FleetSim sim{sc.metro > 0 ? golden_metro_config(sc.seed, sc.faults, sc.metro)
                                     : golden_config(sc.seed, sc.faults),
-                       baselines::make_strategy(baselines::approach_from_name(sc.approach))};
+                       baselines::registry().make(sc.approach)};
   sim.prepare();
   sim.run_until(sim.config().duration_s);
   ByteWriter ckpt;

@@ -4,7 +4,7 @@
 // aggregation protections hold, and the whole pipeline stays deterministic.
 #include <gtest/gtest.h>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "core/lbchat.h"
 #include "engine/fleet.h"
 
@@ -30,8 +30,8 @@ TEST(IntegrationTest, LbChatBeatsPureGossipOnHeldOutLoss) {
   // LbChat's coreset-guided exchanges reach a lower held-out loss than the
   // loss-weighted gossip baseline (DP).
   const auto cfg = mini_scenario(true);
-  engine::FleetSim lbchat{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
-  engine::FleetSim dp{cfg, baselines::make_strategy(baselines::Approach::kDp)};
+  engine::FleetSim lbchat{cfg, baselines::registry().make("LbChat")};
+  engine::FleetSim dp{cfg, baselines::registry().make("DP")};
   const auto m_lbchat = lbchat.run();
   const auto m_dp = dp.run();
   EXPECT_LT(m_lbchat.loss_curve.values.back(), m_dp.loss_curve.values.back());
@@ -41,8 +41,8 @@ TEST(IntegrationTest, LbChatReceivingRateBeatsBlindBaselineUnderLoss) {
   // §IV-C: route sharing + loss-aware sizing keep LbChat's model sends
   // completing; the blind fit-to-window baselines overrun and abort.
   const auto cfg = mini_scenario(true);
-  engine::FleetSim lbchat{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
-  engine::FleetSim dp{cfg, baselines::make_strategy(baselines::Approach::kDp)};
+  engine::FleetSim lbchat{cfg, baselines::registry().make("LbChat")};
+  engine::FleetSim dp{cfg, baselines::registry().make("DP")};
   const auto m_lbchat = lbchat.run();
   const auto m_dp = dp.run();
   ASSERT_GT(m_dp.transfers.model_sends_started, 0);
@@ -55,7 +55,7 @@ TEST(IntegrationTest, LbChatReceivingRateBeatsBlindBaselineUnderLoss) {
 
 TEST(IntegrationTest, CoresetSharingExpandsEveryActiveDataset) {
   const auto cfg = mini_scenario(false);
-  engine::FleetSim sim{cfg, baselines::make_strategy(baselines::Approach::kSco)};
+  engine::FleetSim sim{cfg, baselines::registry().make("SCO")};
   (void)sim.run();
   int expanded = 0;
   const auto frames =
@@ -68,9 +68,9 @@ TEST(IntegrationTest, CoresetSharingExpandsEveryActiveDataset) {
 }
 
 TEST(IntegrationTest, WirelessLossSlowsEveryApproachButRunsComplete) {
-  for (const auto approach : {baselines::Approach::kLbChat, baselines::Approach::kDp}) {
-    engine::FleetSim clean{mini_scenario(false), baselines::make_strategy(approach)};
-    engine::FleetSim lossy{mini_scenario(true), baselines::make_strategy(approach)};
+  for (const char* approach : {"LbChat", "DP"}) {
+    engine::FleetSim clean{mini_scenario(false), baselines::registry().make(approach)};
+    engine::FleetSim lossy{mini_scenario(true), baselines::registry().make(approach)};
     const auto m_clean = clean.run();
     const auto m_lossy = lossy.run();
     // Both complete and learn; the lossy case can't beat the clean one by
@@ -82,8 +82,8 @@ TEST(IntegrationTest, WirelessLossSlowsEveryApproachButRunsComplete) {
 
 TEST(IntegrationTest, IdenticalSeedsIdenticalCampaigns) {
   const auto cfg = mini_scenario(true);
-  engine::FleetSim a{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
-  engine::FleetSim b{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
+  engine::FleetSim a{cfg, baselines::registry().make("LbChat")};
+  engine::FleetSim b{cfg, baselines::registry().make("LbChat")};
   const auto ma = a.run();
   const auto mb = b.run();
   ASSERT_EQ(ma.loss_curve.size(), mb.loss_curve.size());
@@ -98,8 +98,8 @@ TEST(IntegrationTest, DifferentSeedsDifferentTrajectories) {
   auto cfg_a = mini_scenario(true);
   auto cfg_b = cfg_a;
   cfg_b.seed = 2;
-  engine::FleetSim a{cfg_a, baselines::make_strategy(baselines::Approach::kLbChat)};
-  engine::FleetSim b{cfg_b, baselines::make_strategy(baselines::Approach::kLbChat)};
+  engine::FleetSim a{cfg_a, baselines::registry().make("LbChat")};
+  engine::FleetSim b{cfg_b, baselines::registry().make("LbChat")};
   EXPECT_NE(a.run().final_params[0], b.run().final_params[0]);
 }
 

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "engine/fleet.h"
 #include "engine/report.h"
 #include "obs/export.h"
@@ -189,7 +189,7 @@ class ObsEngineTest : public ::testing::Test {
     obs::set_events_enabled(true);
     auto c = cfg;
     c.num_threads = threads;
-    engine::FleetSim sim{c, baselines::make_strategy(baselines::Approach::kLbChat)};
+    engine::FleetSim sim{c, baselines::registry().make("LbChat")};
     Capture cap;
     cap.m = sim.run();
     cap.events = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
@@ -217,13 +217,13 @@ TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
   const auto cfg = traced_scenario();
 
   obs::reset();  // both flags off: the default production configuration
-  engine::FleetSim off{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
+  engine::FleetSim off{cfg, baselines::registry().make("LbChat")};
   const engine::RunMetrics m_off = off.run();
   EXPECT_TRUE(obs::tracer().events().empty());
 
   obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
-  engine::FleetSim on{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
+  engine::FleetSim on{cfg, baselines::registry().make("LbChat")};
   const engine::RunMetrics m_on = on.run();
 
   EXPECT_EQ(m_off.train_steps, m_on.train_steps);
@@ -242,7 +242,7 @@ TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
   cfg.num_threads = 2;
-  engine::FleetSim sim{cfg, baselines::make_strategy(baselines::Approach::kLbChat)};
+  engine::FleetSim sim{cfg, baselines::registry().make("LbChat")};
   const engine::RunMetrics m = sim.run();
 
   const std::string trace =

@@ -1,6 +1,6 @@
 // The string-keyed strategy registry (baselines/registry.h): name list
-// integrity, construction, option validation, the canonical fingerprint view
-// of options, and the deprecated enum shim's equivalence.
+// integrity, construction, option validation, and the canonical fingerprint
+// view of options.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "baselines/dyn_thresh.h"
-#include "baselines/factory.h"
 #include "baselines/registry.h"
 #include "baselines/sim_gossip.h"
 #include "common/fingerprint.h"
@@ -55,18 +54,6 @@ TEST(RegistryTest, NameRoundTripsThroughConstruction) {
     ASSERT_NE(s, nullptr) << name;
     EXPECT_EQ(s->name(), name);
   }
-}
-
-TEST(RegistryTest, EnumShimMatchesRegistryNames) {
-  // The deprecated make_strategy(Approach) delegates here; every enum value
-  // must resolve, and the enum's name list must be a subset of the registry.
-  for (const Approach a : kAllApproaches) {
-    const auto name = approach_name(a);
-    EXPECT_TRUE(registry().contains(name)) << name;
-    EXPECT_EQ(make_strategy(a)->name(), registry().make(name)->name());
-    EXPECT_EQ(approach_from_name(name), a);
-  }
-  EXPECT_THROW((void)approach_from_name("NoSuch"), std::invalid_argument);
 }
 
 TEST(RegistryTest, UnknownNamesAndOptionsAreErrors) {

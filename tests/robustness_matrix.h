@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <string>
 
-#include "baselines/factory.h"
+#include "baselines/registry.h"
 #include "common/bytes.h"
 #include "common/frame.h"
 #include "engine/fleet.h"
@@ -130,7 +130,7 @@ inline CellResult run_matrix_cell(const MatrixScenario& sc, const char* approach
   obs::reset();
   obs::set_events_enabled(false);
   engine::FleetSim sim{matrix_config(sc),
-                       baselines::make_strategy(baselines::approach_from_name(approach))};
+                       baselines::registry().make(approach)};
   sim.prepare();
   sim.run_until(sim.config().duration_s);
   ByteWriter ckpt;

@@ -223,6 +223,24 @@ TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
       R"({"strategy":"DynThresh","strategy_options":{"divergence_bound":"x"}})", spec, err));
 }
 
+TEST(JobSpecTest, SetTextReachesObjectMembers) {
+  // Command-line text: "object.member" sets one member, with the same type
+  // check and error text as the JSON spec.
+  JobSpec spec;
+  JobSpecBuilder builder{spec};
+  std::string err;
+  ASSERT_TRUE(builder.set_text("strategy", "LbChat(avg-agg)", err)) << err;
+  EXPECT_EQ(spec.approach_name, "LbChat(avg-agg)");
+  ASSERT_TRUE(builder.set_text("strategy_options.divergence_bound", "2e-4", err)) << err;
+  EXPECT_DOUBLE_EQ(spec.options.get_or("divergence_bound", -1.0), 2e-4);
+  ASSERT_TRUE(builder.set_text("faults.burst_rate_per_min", "0.5", err)) << err;
+  EXPECT_DOUBLE_EQ(spec.cfg.faults.burst_rate_per_min, 0.5);
+  EXPECT_FALSE(builder.set_text("strategy_options.divergence_bound", "abc", err));
+  EXPECT_EQ(err, "\"strategy_options.divergence_bound\" must be a number");
+  EXPECT_FALSE(builder.set_text("faults.no_such_key", "1", err));
+  EXPECT_EQ(err, "unknown faults key \"no_such_key\"");
+}
+
 TEST(JobSpecTest, FingerprintSplitsOnNonDefaultOptionsOnly) {
   JobSpec plain;
   JobSpec defaults;
@@ -361,7 +379,7 @@ TEST(FleetServiceTest, SubmitRunsAndProducesPayload) {
 }
 
 TEST(FleetServiceTest, RegistryStrategyRunsThroughService) {
-  // A registry-only strategy (no Approach enum value) with non-default
+  // A strategy from outside the paper (DynThresh) with non-default
   // options must run end to end through the job server; the options split
   // the cache key from the default-configured run.
   const auto root = fresh_dir("dynthresh");
