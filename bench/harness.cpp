@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/bytes.h"
 #include "common/fingerprint.h"
@@ -12,7 +13,6 @@
 #include "nn/kernel_dispatch.h"
 #include "engine/report.h"
 #include "obs/export.h"
-#include "obs/obs.h"
 
 namespace lbchat::bench {
 
@@ -52,20 +52,21 @@ std::string sanitize_name(std::string_view name) {
 }
 
 void export_run_observability(const engine::ScenarioConfig& cfg, std::string_view strategy,
-                              std::uint64_t key, const engine::RunMetrics& m) {
+                              std::uint64_t key, const engine::FleetSim& sim,
+                              const engine::RunMetrics& m) {
   const std::string approach_str{strategy};
   char stem[128];
   std::snprintf(stem, sizeof stem, "%s_%016llx", sanitize_name(approach_str).c_str(),
                 static_cast<unsigned long long>(key));
   const auto dir = trace_dir();
-  const auto events = obs::tracer().events();
+  const auto events = sim.events().events();
   const auto save = [&dir](const std::string& file, const std::string& body) {
     std::ofstream out{dir / file, std::ios::binary};
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
   };
   save(std::string{stem} + ".trace.json", obs::chrome_trace_json(events, obs::spans().spans()));
-  save(std::string{stem} + ".events.jsonl", obs::events_jsonl(events, obs::tracer().dropped()));
-  save(std::string{stem} + ".metrics.json", obs::metrics_json(obs::registry().snapshot()));
+  save(std::string{stem} + ".events.jsonl", obs::events_jsonl(events, sim.events().dropped()));
+  save(std::string{stem} + ".metrics.json", obs::metrics_json(sim.metrics_snapshot()));
   save(std::string{stem} + ".report.json",
        obs::run_report_json(engine::build_run_report(approach_str, cfg, m)));
   std::fprintf(stderr, "[bench] observability exports: %s/%s.{trace.json,events.jsonl,...}\n",
@@ -202,6 +203,17 @@ std::uint64_t run_fingerprint(const engine::ScenarioConfig& cfg, std::string_vie
 
 CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strategy,
                       const baselines::StrategyOptions& options) {
+  // LBCHAT_TRACE=1|events|spans turns on observability for uncached runs;
+  // each run records its own events, so its exports cover exactly that run.
+  // The cache fingerprint is unaffected (tracing is pure observation). Read
+  // before the cache lookup so a bad value fails every run, cached or not.
+  obs::TraceEnv trace;
+  try {
+    trace = obs::init_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   const std::uint64_t key = run_fingerprint(cfg, strategy, options);
   char name[64];
   std::snprintf(name, sizeof name, "run_%016llx.bin",
@@ -213,14 +225,11 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
   std::fprintf(stderr, "[bench] training %s (wireless=%d, |C|=%zu, %.0fs)...\n",
                std::string{strategy}.c_str(), cfg.wireless_loss ? 1 : 0, cfg.coreset_size,
                cfg.duration_s);
-  // LBCHAT_TRACE=1|events|spans turns on observability for uncached runs;
-  // each run starts from a clean slate so its exports cover exactly that
-  // run. The cache fingerprint is unaffected (tracing is pure observation).
-  const bool tracing = obs::init_from_env();
-  if (tracing) obs::reset();
+  if (trace.spans) obs::spans().clear();
   engine::FleetSim sim{cfg, baselines::registry().make(strategy, options)};
+  sim.enable_events(trace.events);
   const engine::RunMetrics m = sim.run();
-  if (tracing) export_run_observability(cfg, strategy, key, m);
+  if (trace.events || trace.spans) export_run_observability(cfg, strategy, key, sim, m);
   run.loss_curve = m.loss_curve;
   run.honest_loss_curve = m.honest_loss_curve;
   run.attacker_loss_curve = m.attacker_loss_curve;

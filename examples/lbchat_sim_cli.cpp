@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "eval/online.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
-#include "obs/obs.h"
 #include "svc/job.h"
 #include "svc/json.h"
 
@@ -84,7 +84,7 @@ void usage() {
                "  --trace-out F     Chrome trace-event JSON (open in Perfetto);\n"
                "                    enables sim-event + wall-clock span tracing\n"
                "  --events-out F    sim-time event log, one JSON object per line\n"
-               "  --metrics-out F   merged metrics-registry snapshot as JSON\n"
+               "  --metrics-out F   the run's metrics snapshot as JSON\n"
                "  --report-out F    per-vehicle run report (.csv => CSV, else JSON)\n"
                "  --checkpoint-out F   write a run-state checkpoint at the horizon\n"
                "  --resume-from F      restore run state from a checkpoint first\n"
@@ -250,6 +250,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
+  obs::TraceEnv trace_env;
+  try {
+    trace_env = obs::init_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::printf(
       "approach=%s vehicles=%d duration=%.0fs coreset=%zu wireless_loss=%d seed=%llu "
@@ -262,13 +269,11 @@ int main(int argc, char** argv) {
   // Tracing is opt-in: sim events feed every export; wall-clock spans are
   // only collected when the Chrome trace was requested (they appear nowhere
   // else). LBCHAT_TRACE can also enable collection without an output flag.
-  obs::init_from_env();
-  if (!trace_out.empty() || !events_out.empty() || !metrics_out.empty()) {
-    obs::set_events_enabled(true);
-  }
   if (!trace_out.empty()) obs::set_spans_enabled(true);
 
   engine::FleetSim sim{cfg, std::move(strategy)};
+  sim.enable_events(trace_env.events || !trace_out.empty() || !events_out.empty() ||
+                    !metrics_out.empty());
 
   if (!resume_from.empty()) {
     std::vector<std::uint8_t> bytes;
@@ -302,17 +307,17 @@ int main(int argc, char** argv) {
   int export_failures = 0;
   if (!trace_out.empty() || !events_out.empty() || !metrics_out.empty() ||
       !report_out.empty()) {
-    const auto events = obs::tracer().events();
+    const auto events = sim.events().events();
     if (!trace_out.empty() &&
         !write_file(trace_out, obs::chrome_trace_json(events, obs::spans().spans()))) {
       ++export_failures;
     }
     if (!events_out.empty() &&
-        !write_file(events_out, obs::events_jsonl(events, obs::tracer().dropped()))) {
+        !write_file(events_out, obs::events_jsonl(events, sim.events().dropped()))) {
       ++export_failures;
     }
     if (!metrics_out.empty() &&
-        !write_file(metrics_out, obs::metrics_json(obs::registry().snapshot()))) {
+        !write_file(metrics_out, obs::metrics_json(sim.metrics_snapshot()))) {
       ++export_failures;
     }
     if (!report_out.empty()) {

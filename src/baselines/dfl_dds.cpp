@@ -48,7 +48,7 @@ void DflDdsStrategy::on_tick(FleetSim& sim) {
     if (!sim.is_idle(c.a) || !sim.is_idle(c.b)) continue;
     if (start_exchange(sim, c.a, c.b)) ++exchanges;
   }
-  obs::emit(sim.time(), obs::EventKind::kRound, -1, -1, exchanges);
+  sim.emit(obs::EventKind::kRound, -1, -1, exchanges);
 }
 
 void DflDdsStrategy::aggregate(FleetSim& sim, int receiver, int sender,

@@ -58,7 +58,7 @@ void ProxSkipStrategy::synchronize(FleetSim& sim) {
     for (std::size_t k = 0; k < dim; ++k) avg[k] += p[k];
     ++received;
   }
-  obs::emit(sim.time(), obs::EventKind::kRound, -1, -1, received);
+  sim.emit(obs::EventKind::kRound, -1, -1, received);
   if (received == 0) return;
   const float inv = 1.0f / static_cast<float>(received);
   for (float& x : avg) x *= inv;
@@ -79,7 +79,7 @@ void ProxSkipStrategy::synchronize(FleetSim& sim) {
       for (std::size_t k = 0; k < dim; ++k) h[k] += hs * (avg[k] - params[k]);
     }
     std::copy(avg.begin(), avg.end(), params.begin());
-    obs::emit(sim.time(), obs::EventKind::kAggregate, v, -1, 1.0);
+    sim.emit(obs::EventKind::kAggregate, v, -1, 1.0);
   }
 }
 

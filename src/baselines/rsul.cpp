@@ -84,7 +84,7 @@ void RsuStrategy::on_tick(FleetSim& sim) {
         for (std::size_t k = 0; k < rsu.size(); ++k) {
           vehicle_params[k] = a * vehicle_params[k] + b * rsu[k];
         }
-        obs::emit(sim.time(), obs::EventKind::kAggregate, v, -1, opts_.vehicle_mix);
+        sim.emit(obs::EventKind::kAggregate, v, -1, opts_.vehicle_mix);
       }
       break;  // one RSU exchange per tick per vehicle
     }

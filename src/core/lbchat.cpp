@@ -197,8 +197,8 @@ void LbChatStrategy::on_transfer_complete(FleetSim& sim, PairSession& s, const S
           st.cs = coreset::reduce_coreset(coreset::merge_coresets(st.cs, received), node.model,
                                           sim.config().coreset_size, node.rng, sim.pool());
         }
-        obs::emit(sim.time(), obs::EventKind::kCoresetExchange, receiver, tag.from,
-                  static_cast<double>(received.size()));
+        sim.emit(obs::EventKind::kCoresetExchange, receiver, tag.from,
+                 static_cast<double>(received.size()));
       } else if (tag.kind == StageTag::kModel) {
         const nn::SparseModel sparse = nn::read_sparse_model(r);
         // Aggregate against the *sender's* coreset (the freshest estimate of

@@ -4,6 +4,7 @@
 #include "engine/checkpoint.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -15,8 +16,6 @@
 #include "data/sample_io.h"
 #include "engine/fleet.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace lbchat::engine {
@@ -26,6 +25,8 @@ namespace {
 constexpr std::uint8_t kNumSections = 9;
 constexpr std::uint8_t kMaxEventKind =
     static_cast<std::uint8_t>(obs::EventKind::kStragglerSkip);
+/// kObs histogram shape limit: at most this many buckets, overflow included.
+constexpr std::uint32_t kMaxHistogramBuckets = 16;
 
 /// Serialize every config field that shapes simulation state, in declaration
 /// order. duration_s and num_threads are deliberately absent (checkpoint.h).
@@ -482,13 +483,12 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
     w.write_bytes(blob.bytes());
     section(CkptSection::kStrategy, w);
   }
-  {  // kObs: event-trace ring + metrics-registry snapshot, captured only
-    // when event tracing is on (with it off both are empty by contract).
+  {  // kObs: the run's event ring + metrics snapshot, captured only when
+    // its events are on (with them off both are empty by contract).
     ByteWriter w;
-    const bool captured = obs::events_enabled();
-    w.write_u8(captured ? 1 : 0);
-    if (captured) {
-      const auto events = obs::tracer().events();
+    w.write_u8(events_on_ ? 1 : 0);
+    if (events_on_) {
+      const auto events = events_.events();
       w.write_u32(static_cast<std::uint32_t>(events.size()));
       for (const auto& e : events) {
         w.write_f64(e.t);
@@ -497,8 +497,8 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
         w.write_i32(e.b);
         w.write_f64(e.value);
       }
-      w.write_u64(obs::tracer().dropped());
-      const auto snap = obs::registry().snapshot();
+      w.write_u64(events_.dropped());
+      const auto snap = metrics_snapshot();
       w.write_u32(static_cast<std::uint32_t>(snap.metrics.size()));
       for (const auto& m : snap.metrics) {
         w.write_string(m.name);
@@ -782,19 +782,19 @@ CkptStatus FleetSim::restore(ByteReader& in) {
               m.value = s.read_f64();
               m.bounds = s.read_f64_vec();
               const std::uint32_t nbk = s.read_u32();
-              if (nbk > obs::MetricsRegistry::kBucketSlots) {
+              if (nbk > kMaxHistogramBuckets) {
                 throw std::runtime_error{"checkpoint: bucket count out of range"};
               }
               m.buckets.resize(nbk);
               for (auto& b : m.buckets) b = s.read_u64();
               snap.metrics.push_back(std::move(m));
             }
-            // Re-applied only when tracing is on in this process; with it
-            // off the captured state is read (validated) and discarded, as
-            // the resumed run will not export events either.
-            if (obs::events_enabled()) {
-              obs::tracer().restore(std::move(events), dropped);
-              obs::registry().restore(snap);
+            // Re-applied only when this run's events are on; with them off
+            // the captured state is read (validated) and discarded, as the
+            // resumed run will not export events either.
+            if (events_on_) {
+              events_.restore(std::move(events), dropped);
+              restore_metrics(snap);
             }
           }
           require_exhausted(s, "obs");
@@ -820,6 +820,31 @@ CkptStatus FleetSim::restore(ByteReader& in) {
     return CkptStatus::kOk;
   } catch (const std::exception&) {
     return CkptStatus::kMalformed;
+  }
+}
+
+void FleetSim::restore_metrics(const obs::Snapshot& snap) {
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.kind == obs::MetricKind::kHistogram) {
+      if (m.bounds.size() >= kMaxHistogramBuckets ||
+          !std::is_sorted(m.bounds.begin(), m.bounds.end())) {
+        throw std::runtime_error{"checkpoint: histogram bounds out of range"};
+      }
+      if (m.buckets.size() != m.bounds.size() + 1) {
+        throw std::runtime_error{"checkpoint: histogram bucket count mismatch"};
+      }
+    }
+    // train.steps is train_steps_ (kCore); the gauges are read from stats_,
+    // so a gauge only says that finalize() had run.
+    if (m.kind == obs::MetricKind::kGauge) gauges_published_ = true;
+    if (m.name != "chat.duration_s") continue;
+    if (m.kind != obs::MetricKind::kHistogram ||
+        !std::equal(m.bounds.begin(), m.bounds.end(), kChatDurationBounds.begin(),
+                    kChatDurationBounds.end())) {
+      throw std::runtime_error{"checkpoint: chat.duration_s shape mismatch"};
+    }
+    std::copy(m.buckets.begin(), m.buckets.end(), chat_duration_buckets_.begin());
+    chat_duration_sum_micro_ = std::llround(m.value * 1e6);
   }
 }
 

@@ -18,17 +18,19 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint64_t seed, double 
       corrupt_rng_(Rng{seed}.fork("fault-corrupt")),
       offline_until_(static_cast<std::size_t>(num_vehicles), 0.0) {}
 
-void FaultInjector::advance(double time, double dt) {
+void FaultInjector::advance(double time, double dt, obs::EventTracer* events) {
   time_ = time;
   went_offline_.clear();
+  const auto emit = [events, time](obs::EventKind kind, int a, int b, double value) {
+    if (events != nullptr) events->emit(obs::Event{time, kind, a, b, value});
+  };
 
   if (cfg_.burst_rate_per_min > 0.0) {
     // Expire first so a burst lasts its sampled duration, not duration + dt.
     bursts_.erase(std::remove_if(bursts_.begin(), bursts_.end(),
-                                 [time](const Burst& b) {
+                                 [time, &emit](const Burst& b) {
                                    if (time >= b.until_s) {
-                                     obs::emit(time, obs::EventKind::kBurstEnd, -1, -1,
-                                               b.extra_loss);
+                                     emit(obs::EventKind::kBurstEnd, -1, -1, b.extra_loss);
                                      return true;
                                    }
                                    return false;
@@ -41,7 +43,7 @@ void FaultInjector::advance(double time, double dt) {
       b.radius_m = cfg_.burst_radius_m;
       b.extra_loss = std::clamp(cfg_.burst_extra_loss, 0.0, 1.0);
       b.until_s = time + cfg_.burst_duration_s * burst_rng_.uniform(0.5, 1.5);
-      obs::emit(time, obs::EventKind::kBurstBegin, -1, -1, b.until_s);
+      emit(obs::EventKind::kBurstBegin, -1, -1, b.until_s);
       bursts_.push_back(b);
     }
   }
@@ -55,7 +57,7 @@ void FaultInjector::advance(double time, double dt) {
           // RNG) was never touched, so it resumes where it left off.
           offline_until_[v] = 0.0;
           --offline_count_;
-          obs::emit(time, obs::EventKind::kChurnOnline, static_cast<int>(v));
+          emit(obs::EventKind::kChurnOnline, static_cast<int>(v), -1, 0.0);
         }
         continue;
       }
@@ -64,8 +66,7 @@ void FaultInjector::advance(double time, double dt) {
         offline_until_[v] = time + std::max(dur, dt);
         ++offline_count_;
         went_offline_.push_back(static_cast<int>(v));
-        obs::emit(time, obs::EventKind::kChurnOffline, static_cast<int>(v), -1,
-                  offline_until_[v]);
+        emit(obs::EventKind::kChurnOffline, static_cast<int>(v), -1, offline_until_[v]);
       }
     }
   }

@@ -31,6 +31,7 @@
 
 #include "common/geometry.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 
 namespace lbchat {
 class ByteWriter;
@@ -91,9 +92,10 @@ class FaultInjector {
   FaultInjector(const FaultConfig& cfg, std::uint64_t seed, double extent_m, int num_vehicles);
 
   /// Advance to `time` (one engine tick of length `dt`): expire and spawn
-  /// bursts, process churn transitions. After this call, went_offline()
+  /// bursts, process churn transitions, recording them in `events` when it
+  /// is non-null (the run's log, events on). After this call, went_offline()
   /// lists the vehicles that dropped out during this tick.
-  void advance(double time, double dt);
+  void advance(double time, double dt, obs::EventTracer* events = nullptr);
 
   /// Additional per-packet loss for a link between `a` and `b` (max over
   /// active bursts covering either endpoint; 0 when clear).

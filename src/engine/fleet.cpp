@@ -217,7 +217,7 @@ void FleetSim::note_pair_failure(int a, int b) {
   ++backoff_inserts_;
   const int consecutive = ++pair_backoff_[pair_key(a, b)];
   ++stats_.backoff_retries;
-  obs::emit(time_, obs::EventKind::kBackoffExtend, a, b, consecutive);
+  emit(obs::EventKind::kBackoffExtend, a, b, consecutive);
 }
 
 void FleetSim::note_frame_rejected(int receiver, bool is_model, bool invalid_values) {
@@ -229,7 +229,7 @@ void FleetSim::note_frame_rejected(int receiver, bool is_model, bool invalid_val
     ++vs.frames_rejected;
     if (is_model) ++vs.model_frames_rejected;
   }
-  obs::emit(time_, obs::EventKind::kFrameReject, receiver, -1, is_model ? 1.0 : 0.0);
+  emit(obs::EventKind::kFrameReject, receiver, -1, is_model ? 1.0 : 0.0);
 }
 
 void FleetSim::note_aggregate(int receiver, int sender, double peer_weight) {
@@ -242,7 +242,7 @@ void FleetSim::note_aggregate(int receiver, int sender, double peer_weight) {
       stats_.attacker_peer_weight += peer_weight;
     }
   }
-  obs::emit(time_, obs::EventKind::kAggregate, receiver, sender, peer_weight);
+  emit(obs::EventKind::kAggregate, receiver, sender, peer_weight);
 }
 
 void FleetSim::note_pair_success(int a, int b) {
@@ -291,7 +291,7 @@ PairSession& FleetSim::start_session(int a, int b) {
   }
   ++vehicle_stats(a).chats_started;
   ++vehicle_stats(b).chats_started;
-  obs::emit(time_, obs::EventKind::kChatStart, a, b);
+  emit(obs::EventKind::kChatStart, a, b);
   sessions_.push_back(std::move(s));
   return *sessions_.back();
 }
@@ -310,7 +310,7 @@ PairSession& FleetSim::start_infra_session(int a, const Vec2& pos) {
                                   static_cast<std::uint64_t>(stats_.sessions_started));
   }
   ++vehicle_stats(a).chats_started;
-  obs::emit(time_, obs::EventKind::kChatStart, a, -1);
+  emit(obs::EventKind::kChatStart, a, -1);
   sessions_.push_back(std::move(s));
   return *sessions_.back();
 }
@@ -339,15 +339,14 @@ void FleetSim::queue_transfer(PairSession& s, int from_vehicle, std::size_t byte
     if (adversary_.transform_payload(static_cast<int>(tag.kind), payload,
                                      cfg_.policy.bev)) {
       ++stats_.byzantine_payloads_sent;
-      obs::emit(time_, obs::EventKind::kByzantinePayload, from_vehicle, receiver,
-                static_cast<double>(tag.kind));
+      emit(obs::EventKind::kByzantinePayload, from_vehicle, receiver,
+           static_cast<double>(tag.kind));
     }
   }
   if (tag.kind == StageTag::kModel && bytes > 0) {
     ++stats_.model_sends_started;
     if (receiver >= 0) ++vehicle_stats(receiver).model_recv_started;
-    obs::emit(time_, obs::EventKind::kModelSend, from_vehicle, receiver,
-              static_cast<double>(bytes));
+    emit(obs::EventKind::kModelSend, from_vehicle, receiver, static_cast<double>(bytes));
   }
   if (tag.kind == StageTag::kCoreset && bytes > 0) ++stats_.coreset_sends_started;
   s.queue_.push_back(PairSession::Stage{tag, net::Transfer{bytes, session_radio(s.a_, s.b_)},
@@ -445,7 +444,7 @@ void FleetSim::tick_sessions(double dt) {
       if (blackout) ++stats_.sessions_lost_to_blackout;
       ++vehicle_stats(s.a_).chats_aborted;
       if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_aborted;
-      obs::emit(time_, obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
+      emit(obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
       s.queue_.clear();
       s.closed_ = true;
       s.aborted_ = true;
@@ -519,12 +518,13 @@ void FleetSim::reap_sessions() {
         const double duration = time_ - s.started_at_;
         ++vehicle_stats(s.a_).chats_completed;
         if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_completed;
-        obs::emit(time_, obs::EventKind::kChatComplete, s.a_, s.b_, duration);
-        if (obs::events_enabled()) {
-          static const auto kChatDuration = obs::registry().histogram(
-              "chat.duration_s",
-              std::array<double, 7>{1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0});
-          obs::registry().observe(kChatDuration, duration);
+        emit(obs::EventKind::kChatComplete, s.a_, s.b_, duration);
+        if (events_on_) {
+          const auto bucket = std::lower_bound(kChatDurationBounds.begin(),
+                                               kChatDurationBounds.end(), duration) -
+                              kChatDurationBounds.begin();
+          ++chat_duration_buckets_[static_cast<std::size_t>(bucket)];
+          chat_duration_sum_micro_ += std::llround(duration * 1e6);
         }
       }
       it = sessions_.erase(it);
@@ -540,7 +540,7 @@ void FleetSim::abort_sessions_of(int v) {
   ++stats_.sessions_aborted;
   ++vehicle_stats(s->a_).chats_aborted;
   if (s->b_ >= 0) ++vehicle_stats(s->b_).chats_aborted;
-  obs::emit(time_, obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
+  emit(obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
   s->queue_.clear();
   s->closed_ = true;
   s->aborted_ = true;
@@ -549,10 +549,6 @@ void FleetSim::abort_sessions_of(int v) {
 
 double FleetSim::default_local_train(int v) {
   LBCHAT_OBS_SPAN("engine.local_train");
-  if (obs::events_enabled()) {
-    static const auto kTrainSteps = obs::registry().counter("train.steps");
-    obs::registry().add(kTrainSteps);
-  }
   VehicleNode& n = node(v);
   const auto idx = n.dataset.sample_batch(n.rng, static_cast<std::size_t>(cfg_.batch_size));
   std::vector<const data::Sample*> batch;
@@ -624,40 +620,59 @@ void FleetSim::eval_and_record(RunMetrics& metrics, double t) {
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     metrics.per_vehicle_loss[v].add(t, losses[v]);
   }
-  obs::emit(t, obs::EventKind::kEval, -1, -1, mean);
+  if (events_on_) events_.emit(obs::Event{t, obs::EventKind::kEval, -1, -1, mean});
 }
 
-void FleetSim::publish_run_metrics() const {
-  if (!obs::events_enabled()) return;
-  auto& reg = obs::registry();
-  const auto set = [&reg](std::string_view name, double value) {
-    reg.set(reg.gauge(name), value);
-  };
-  set("transfer.bytes_delivered", static_cast<double>(stats_.bytes_delivered));
-  set("transfer.model_sends_started", stats_.model_sends_started);
-  set("transfer.model_sends_completed", stats_.model_sends_completed);
-  set("transfer.coreset_sends_started", stats_.coreset_sends_started);
-  set("transfer.coreset_sends_completed", stats_.coreset_sends_completed);
-  set("transfer.sessions_started", stats_.sessions_started);
-  set("transfer.sessions_aborted", stats_.sessions_aborted);
-  set("transfer.frames_rejected", stats_.frames_rejected);
-  set("transfer.model_frames_rejected", stats_.model_frames_rejected);
-  set("transfer.sessions_lost_to_blackout", stats_.sessions_lost_to_blackout);
-  set("transfer.backoff_retries", stats_.backoff_retries);
-  set("transfer.offline_vehicle_seconds", stats_.offline_vehicle_seconds);
-  set("transfer.model_receiving_rate", stats_.model_receiving_rate());
-  set("transfer.effective_model_receiving_rate", stats_.effective_model_receiving_rate());
-  // Gated on configuration (not just nonzero values) so runs without an
-  // adversary/heterogeneity block — including the committed golden scenarios
-  // — publish a byte-identical registry snapshot.
-  if (cfg_.adversary.enabled()) {
-    set("adversary.byzantine_payloads_sent", stats_.byzantine_payloads_sent);
-    set("adversary.attacker_weight_share", stats_.attacker_weight_share());
-    set("adversary.frames_rejected_invalid", stats_.frames_rejected_invalid);
+obs::Snapshot FleetSim::metrics_snapshot() const {
+  obs::Snapshot snap;
+  if (!events_on_) return snap;
+  const long steps = train_steps_.load();
+  if (steps > 0) {
+    snap.metrics.push_back({"train.steps", obs::MetricKind::kCounter,
+                            static_cast<std::uint64_t>(steps), 0.0, {}, {}});
   }
-  if (cfg_.hetero.enabled()) {
-    set("hetero.straggler_train_skips", static_cast<double>(stats_.straggler_train_skips));
+  std::uint64_t chats = 0;
+  for (const std::uint64_t n : chat_duration_buckets_) chats += n;
+  if (chats > 0) {
+    snap.metrics.push_back(
+        {"chat.duration_s", obs::MetricKind::kHistogram, chats,
+         static_cast<double>(chat_duration_sum_micro_) / 1e6,
+         {kChatDurationBounds.begin(), kChatDurationBounds.end()},
+         {chat_duration_buckets_.begin(), chat_duration_buckets_.end()}});
   }
+  if (gauges_published_) {
+    const auto gauge = [&snap](const char* name, double value) {
+      snap.metrics.push_back({name, obs::MetricKind::kGauge, 0, value, {}, {}});
+    };
+    gauge("transfer.bytes_delivered", static_cast<double>(stats_.bytes_delivered));
+    gauge("transfer.model_sends_started", stats_.model_sends_started);
+    gauge("transfer.model_sends_completed", stats_.model_sends_completed);
+    gauge("transfer.coreset_sends_started", stats_.coreset_sends_started);
+    gauge("transfer.coreset_sends_completed", stats_.coreset_sends_completed);
+    gauge("transfer.sessions_started", stats_.sessions_started);
+    gauge("transfer.sessions_aborted", stats_.sessions_aborted);
+    gauge("transfer.frames_rejected", stats_.frames_rejected);
+    gauge("transfer.model_frames_rejected", stats_.model_frames_rejected);
+    gauge("transfer.sessions_lost_to_blackout", stats_.sessions_lost_to_blackout);
+    gauge("transfer.backoff_retries", stats_.backoff_retries);
+    gauge("transfer.offline_vehicle_seconds", stats_.offline_vehicle_seconds);
+    gauge("transfer.model_receiving_rate", stats_.model_receiving_rate());
+    gauge("transfer.effective_model_receiving_rate", stats_.effective_model_receiving_rate());
+    // Gated on configuration (not just nonzero values) so runs without an
+    // adversary/heterogeneity block — including the committed golden
+    // scenarios — export the same snapshot as before those blocks existed.
+    if (cfg_.adversary.enabled()) {
+      gauge("adversary.byzantine_payloads_sent", stats_.byzantine_payloads_sent);
+      gauge("adversary.attacker_weight_share", stats_.attacker_weight_share());
+      gauge("adversary.frames_rejected_invalid", stats_.frames_rejected_invalid);
+    }
+    if (cfg_.hetero.enabled()) {
+      gauge("hetero.straggler_train_skips", static_cast<double>(stats_.straggler_train_skips));
+    }
+  }
+  std::sort(snap.metrics.begin(), snap.metrics.end(),
+            [](const obs::MetricValue& a, const obs::MetricValue& b) { return a.name < b.name; });
+  return snap;
 }
 
 void FleetSim::prepare() {
@@ -678,7 +693,7 @@ void FleetSim::run_until(double t_end) {
     world_.step(cfg_.tick_s);
     sync_positions();
     time_ += cfg_.tick_s;
-    faults_.advance(time_, cfg_.tick_s);
+    faults_.advance(time_, cfg_.tick_s, events_on_ ? &events_ : nullptr);
     // Churn: a vehicle dropping out mid-session aborts it (the peer sees
     // on_session_aborted, as if the link died); its own training and
     // chatting pause until it rejoins, state intact.
@@ -705,7 +720,7 @@ void FleetSim::run_until(double t_end) {
           if (!hetero_.should_train(v)) {
             train_gate_[static_cast<std::size_t>(v)] = 0;
             ++stats_.straggler_train_skips;
-            obs::emit(time_, obs::EventKind::kStragglerSkip, v);
+            emit(obs::EventKind::kStragglerSkip, v);
           }
         }
       }
@@ -753,7 +768,7 @@ RunMetrics FleetSim::finalize() {
   for (const auto& n : nodes_) {
     metrics_.final_params.emplace_back(n->model.params().begin(), n->model.params().end());
   }
-  publish_run_metrics();
+  gauges_published_ = events_on_;
   return metrics_;
 }
 

@@ -9,6 +9,7 @@
 // "successful model receiving rate" metric (§IV-C).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -32,7 +33,8 @@
 #include "net/wireless.h"
 #include "nn/optim.h"
 #include "nn/policy.h"
-#include "obs/obs.h"
+#include "obs/export.h"
+#include "obs/trace.h"
 #include "sim/world.h"
 
 namespace lbchat::engine {
@@ -204,6 +206,24 @@ class FleetSim {
   /// this sim in an unspecified state (construct a new one).
   [[nodiscard]] CkptStatus restore(ByteReader& in);
 
+  // --- per-run observability (DESIGN.md §9) ---
+  /// Record this run's sim-time events and metrics. Off by default; switch
+  /// it on before prepare() or restore() so the log covers the whole run (a
+  /// restore re-applies a checkpoint's log only when events are on).
+  void enable_events(bool on = true) { events_on_ = on; }
+  /// The run's event log (empty while events are off).
+  [[nodiscard]] const obs::EventTracer& events() const { return events_; }
+  /// Record an event stamped with the current sim time, iff events are on.
+  /// Tick thread only: never from work placed on pool() lanes.
+  void emit(obs::EventKind kind, int a = -1, int b = -1, double value = 0.0) {
+    if (events_on_) events_.emit(obs::Event{time_, kind, a, b, value});
+  }
+  /// The run's metrics, name-sorted; empty while events are off. The
+  /// train.steps counter and the chat.duration_s histogram once they count
+  /// something, and the transfer gauges (read from stats()) once finalize()
+  /// has run.
+  [[nodiscard]] obs::Snapshot metrics_snapshot() const;
+
   // --- accessors for strategies ---
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
   [[nodiscard]] double time() const { return time_; }
@@ -312,8 +332,9 @@ class FleetSim {
   /// Evaluate the fleet at sim time `t` and record the mean + per-vehicle
   /// losses into `metrics` (same reduction order as mean_eval_loss()).
   void eval_and_record(RunMetrics& metrics, double t);
-  /// Mirror TransferStats into registry gauges (when events are enabled).
-  void publish_run_metrics() const;
+  /// kObs restore: re-apply a checkpoint's metrics snapshot. Throws
+  /// std::exception on a histogram shape the format does not allow.
+  void restore_metrics(const obs::Snapshot& snap);
   void tick_sessions(double dt);
   void reap_sessions();
   /// Abort every session a churned-out vehicle participates in.
@@ -387,6 +408,19 @@ class FleetSim {
   /// Atomic: incremented from concurrent local_train lanes; the final count
   /// is order-independent, so determinism is unaffected.
   std::atomic<long> train_steps_{0};
+  // Per-run observability (serialized in the kObs section when events are
+  // on). Written from the tick thread only.
+  static constexpr std::array<double, 7> kChatDurationBounds{1.0,  2.0,  5.0, 10.0,
+                                                             20.0, 40.0, 80.0};
+  bool events_on_ = false;
+  obs::EventTracer events_;
+  /// chat.duration_s: completed chats per kChatDurationBounds bucket (last =
+  /// overflow) and their summed duration in integer microunits, so the
+  /// exported sum is exact.
+  std::array<std::uint64_t, kChatDurationBounds.size() + 1> chat_duration_buckets_{};
+  std::int64_t chat_duration_sum_micro_ = 0;
+  /// finalize() ran with events on: the snapshot carries the transfer gauges.
+  bool gauges_published_ = false;
   /// Worker pool for per-vehicle loops and the strategy work lent through
   /// pool() (null when cfg.num_threads == 1).
   /// Mutable: parallel dispatch from const evaluation paths mutates only

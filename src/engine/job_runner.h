@@ -19,6 +19,10 @@ class JobRunner {
  public:
   JobRunner(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy);
 
+  /// Record the run's events and metrics (FleetSim::enable_events). Call
+  /// before resume() so a checkpoint's event log is carried over.
+  void enable_events(bool on) { sim_.enable_events(on); }
+
   /// Restore run state from checkpoint bytes produced by save_checkpoint()
   /// under the same configuration + strategy. Call before the first run_to.
   [[nodiscard]] CkptStatus resume(std::span<const std::uint8_t> ckpt);
@@ -38,6 +42,8 @@ class JobRunner {
   [[nodiscard]] double horizon() const { return horizon_; }
   [[nodiscard]] bool done() const { return sim_.time() >= horizon_; }
   [[nodiscard]] const ScenarioConfig& config() const { return sim_.config(); }
+  /// The run's event log (empty unless enable_events was called).
+  [[nodiscard]] const obs::EventTracer& events() const { return sim_.events(); }
 
  private:
   double horizon_;

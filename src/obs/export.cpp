@@ -12,6 +12,15 @@
 
 namespace lbchat::obs {
 
+std::string_view to_string(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGauge: return "gauge";
+    case MetricKind::kHistogram: return "histogram";
+  }
+  return "?";
+}
+
 std::string format_double(double v) {
   if (!std::isfinite(v)) return v > 0 ? "1e999" : (v < 0 ? "-1e999" : "0");
   char buf[32];

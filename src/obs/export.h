@@ -4,7 +4,7 @@
 // the same scenario) and one mixed artifact:
 //
 //  * events_jsonl   — one JSON object per sim-time event (deterministic)
-//  * metrics_json   — the merged registry snapshot (deterministic)
+//  * metrics_json   — a run's metrics snapshot (deterministic)
 //  * run_report_*   — per-vehicle accounting table, JSON and CSV
 //                     (deterministic)
 //  * chrome_trace_json — Chrome trace-event format, loadable in Perfetto /
@@ -23,10 +23,30 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace lbchat::obs {
+
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+[[nodiscard]] std::string_view to_string(MetricKind kind);
+
+/// One metric of a snapshot.
+struct MetricValue {
+  std::string name;
+  MetricKind kind = MetricKind::kCounter;
+  std::uint64_t count = 0;  ///< counter total, or histogram observation count
+  double value = 0.0;       ///< gauge value, or histogram sum
+  std::vector<double> bounds;           ///< histogram upper bounds (empty otherwise)
+  std::vector<std::uint64_t> buckets;   ///< bounds.size()+1 entries (last = overflow)
+};
+
+/// Metrics sorted by name: a run's (FleetSim::metrics_snapshot) or a fleet
+/// service payload's summary. Every value is a function of the simulation,
+/// never of wall-clock time or thread scheduling.
+struct Snapshot {
+  std::vector<MetricValue> metrics;
+};
 
 /// One JSON object per line: {"t":..,"kind":"..","a":..,"b":..,"value":..}.
 /// A final {"dropped":N} line is appended when the ring overflowed.

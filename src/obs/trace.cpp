@@ -1,7 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace lbchat::obs {
 
@@ -28,7 +32,6 @@ std::string_view to_string(EventKind kind) {
 }
 
 void EventTracer::emit(const Event& e) {
-  std::lock_guard<std::mutex> lock{mu_};
   if (ring_.size() < cap_) {
     ring_.push_back(e);
     return;
@@ -39,7 +42,6 @@ void EventTracer::emit(const Event& e) {
 }
 
 std::vector<Event> EventTracer::events() const {
-  std::lock_guard<std::mutex> lock{mu_};
   std::vector<Event> out;
   out.reserve(ring_.size());
   // next_ is the oldest slot once the ring has wrapped.
@@ -50,24 +52,20 @@ std::vector<Event> EventTracer::events() const {
 }
 
 std::uint64_t EventTracer::dropped() const {
-  std::lock_guard<std::mutex> lock{mu_};
   return dropped_;
 }
 
 void EventTracer::set_capacity(std::size_t cap) {
-  std::lock_guard<std::mutex> lock{mu_};
   cap_ = std::max<std::size_t>(cap, 1);
 }
 
 void EventTracer::clear() {
-  std::lock_guard<std::mutex> lock{mu_};
   ring_.clear();
   next_ = 0;
   dropped_ = 0;
 }
 
 void EventTracer::restore(std::vector<Event> events, std::uint64_t dropped) {
-  std::lock_guard<std::mutex> lock{mu_};
   if (events.size() > cap_) {
     const std::size_t excess = events.size() - cap_;
     dropped += excess;
@@ -158,13 +156,10 @@ void SpanStore::clear() {
 }
 
 namespace {
-std::atomic<bool> g_events_enabled{false};
 std::atomic<bool> g_spans_enabled{false};
 }  // namespace
 
-bool events_enabled() { return g_events_enabled.load(std::memory_order_relaxed); }
 bool spans_enabled() { return g_spans_enabled.load(std::memory_order_relaxed); }
-void set_events_enabled(bool on) { g_events_enabled.store(on, std::memory_order_relaxed); }
 void set_spans_enabled(bool on) { g_spans_enabled.store(on, std::memory_order_relaxed); }
 
 std::uint64_t monotonic_ns() {
@@ -173,14 +168,28 @@ std::uint64_t monotonic_ns() {
                                         .count());
 }
 
-EventTracer& tracer() {
-  static EventTracer t;
-  return t;
-}
-
 SpanStore& spans() {
   static SpanStore s;
   return s;
+}
+
+TraceEnv init_from_env() {
+  const char* env = std::getenv("LBCHAT_TRACE");
+  const std::string_view v = env != nullptr ? std::string_view{env} : std::string_view{};
+  TraceEnv out;
+  if (v == "1" || v == "on" || v == "all") {
+    out = {true, true};
+  } else if (v == "events") {
+    out.events = true;
+  } else if (v == "spans") {
+    out.spans = true;
+  } else if (!v.empty() && v != "0" && v != "off") {
+    throw std::invalid_argument{"LBCHAT_TRACE=" + std::string{v} +
+                                ": must be unset or one of \"\", 0, off, 1, on, all, "
+                                "events, spans"};
+  }
+  set_spans_enabled(out.spans);
+  return out;
 }
 
 }  // namespace lbchat::obs

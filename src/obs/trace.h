@@ -5,12 +5,14 @@
 //  * Events — structured, sim-time-stamped protocol/fault occurrences
 //    (chat start/abort/complete, frame reject, burst begin/end, churn
 //    offline/online, backoff extension, aggregation, coreset exchange, ...).
-//    They are emitted from the engine's single-threaded tick path (or from
-//    strategy callbacks, which run on it), so their order and content are a
-//    pure function of the scenario: the JSONL export of an enabled run is
-//    byte-identical at any thread count. Stored in one bounded ring buffer
-//    with drop-oldest semantics and an explicit dropped counter (no silent
-//    truncation).
+//    Each run records its own: FleetSim owns an EventTracer and a per-run
+//    switch (FleetSim::enable_events, off by default). Events are emitted
+//    from the engine's single-threaded tick path (or from strategy
+//    callbacks, which run on it), so their order and content are a pure
+//    function of the scenario: the JSONL export of an enabled run is
+//    byte-identical at any thread count, and runs in one process never see
+//    each other's events. Stored in a bounded ring buffer with drop-oldest
+//    semantics and an explicit dropped counter (no silent truncation).
 //
 //  * Spans — RAII wall-clock timings around hot paths (conv/GEMM, local
 //    training, evaluation, the wireless tick, frame encode/decode). These
@@ -19,12 +21,11 @@
 //    own process track in the Chrome trace; never in the JSONL/metrics
 //    exports).
 //
-// Everything is gated by two process-wide flags (relaxed atomics): with both
-// off — the default — emission points reduce to one load + branch, and runs
-// are bit-identical to a build without this subsystem.
+// Spans are gated by one process-wide flag (a relaxed atomic): with it off —
+// the default — a span reduces to one load + branch. Neither switch ever
+// changes simulation results.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -64,7 +65,8 @@ struct Event {
   double value = 0.0;
 };
 
-/// Bounded drop-oldest ring of sim-time events.
+/// Bounded drop-oldest ring of sim-time events. One run's log: written and
+/// read from the run's tick thread only, so it takes no lock.
 class EventTracer {
  public:
   void emit(const Event& e);
@@ -81,7 +83,6 @@ class EventTracer {
   void restore(std::vector<Event> events, std::uint64_t dropped);
 
  private:
-  mutable std::mutex mu_;
   std::vector<Event> ring_;
   std::size_t cap_ = 1u << 18;
   std::size_t next_ = 0;  ///< overwrite position once the ring is full
@@ -118,25 +119,31 @@ class SpanStore {
   std::uint64_t epoch_ = 1;  ///< bumped by clear() so cached buffers re-register
 };
 
-// --- process-wide enable flags (relaxed; checked on every emission point) ---
-[[nodiscard]] bool events_enabled();
+// --- process-wide span switch (relaxed; checked on every span) ---
 [[nodiscard]] bool spans_enabled();
-void set_events_enabled(bool on);
 void set_spans_enabled(bool on);
 
 /// Monotonic wall clock for spans.
 [[nodiscard]] std::uint64_t monotonic_ns();
 
-// --- global sinks (one per process; see obs/obs.h for lifecycle helpers) ---
-[[nodiscard]] EventTracer& tracer();
+/// The process-wide span store.
 [[nodiscard]] SpanStore& spans();
 
-/// Emit a sim-time event iff event tracing is enabled.
-inline void emit(double t, EventKind kind, int a = -1, int b = -1, double value = 0.0) {
-  if (events_enabled()) {
-    tracer().emit(Event{t, kind, a, b, value});
-  }
-}
+/// What LBCHAT_TRACE asks a binary to collect.
+struct TraceEnv {
+  bool events = false;  ///< the caller enables events on each run it exports
+  bool spans = false;
+};
+
+/// Read LBCHAT_TRACE and switch spans on process-wide when it asks for them:
+///   unset / "" / "0" / "off" -> nothing (the default)
+///   "1" / "on" / "all"       -> events + spans
+///   "events"                 -> sim-time events only (deterministic exports)
+///   "spans"                  -> wall-clock spans only
+/// Events are per run, so the caller passes `events` on to
+/// FleetSim::enable_events. Throws std::invalid_argument, naming the variable
+/// and the accepted values, for any other value.
+[[nodiscard]] TraceEnv init_from_env();
 
 /// RAII wall-clock span; reads the clock only when span tracing is enabled.
 class ScopedSpan {

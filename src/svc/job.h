@@ -33,8 +33,8 @@ struct JobSpec {
   std::string name;
   /// Higher runs earlier; ties broken by submission order.
   int priority = 0;
-  /// Collect sim-time events and include events.jsonl in the payload.
-  /// Serialized by the obs lease (svc/server.cpp), so it costs concurrency.
+  /// Collect sim-time events and include events.jsonl in the payload. The
+  /// events are the job's own run's, so this costs no concurrency.
   bool events = false;
   /// Test hook: self-preempt (checkpoint + requeue) once when sim time
   /// reaches this value. <= 0 disables. Excluded from the job fingerprint —

@@ -11,7 +11,6 @@
 #include "engine/checkpoint.h"
 #include "engine/job_runner.h"
 #include "obs/export.h"
-#include "obs/obs.h"
 
 namespace lbchat::svc {
 namespace {
@@ -411,28 +410,6 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
   bool preempt_at_fired = job.preempt_at_fired;
   lk.unlock();
 
-  // obs lease: an events job owns the process-global obs surface for this
-  // occupancy; ordinary jobs share it (their engine writes are all gated off
-  // by events_enabled() == false).
-  std::shared_lock<std::shared_mutex> shared_lease;
-  std::unique_lock<std::shared_mutex> excl_lease;
-  if (spec.events) {
-    excl_lease = std::unique_lock{obs_mu_};
-    obs::reset();
-    obs::set_events_enabled(true);  // before resume: kObs restore needs it
-  } else {
-    shared_lease = std::shared_lock{obs_mu_};
-  }
-  const auto release_lease = [&] {
-    if (spec.events) {
-      obs::set_events_enabled(false);
-      obs::reset();
-      excl_lease.unlock();
-    } else {
-      shared_lease.unlock();
-    }
-  };
-
   std::string fail;
   engine::RunMetrics metrics;
   std::string events_text;
@@ -446,6 +423,7 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
   try {
     engine::JobRunner runner{spec.cfg,
                              baselines::registry().make(spec.approach_name, spec.options)};
+    runner.enable_events(spec.events);  // before resume: kObs restore needs it
     if (!ckpt.empty()) {
       const auto st = runner.resume(ckpt);
       if (st != engine::CkptStatus::kOk) {
@@ -498,7 +476,7 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
     if (completed) {
       metrics = runner.finish();
       if (spec.events) {
-        events_text = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
+        events_text = obs::events_jsonl(runner.events().events(), runner.events().dropped());
       }
     }
   } catch (const std::exception& e) {
@@ -506,7 +484,6 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
   } catch (...) {
     fail = "unknown error";
   }
-  release_lease();
 
   if (completed && fail.empty()) {
     JobPayload payload = build_payload(spec, metrics, std::move(events_text));

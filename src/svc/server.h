@@ -15,11 +15,9 @@
 // published to the fingerprint-keyed ResultCache at <root>/cache/, so an
 // identical spec submitted again is served without running.
 //
-// obs lease: the engine's observability surface is process-global, so a job
-// that records events holds `obs_mu_` exclusively for each occupancy (reset +
-// enable on entry, ring travels through the checkpoint's kObs section across
-// preemptions); ordinary jobs hold it shared and therefore run concurrently
-// with each other but never with an events job.
+// Events: a job with `events` records them on its own run (its ring travels
+// through the checkpoint's kObs section across preemptions), so events jobs
+// run concurrently with each other and with ordinary jobs.
 //
 // Shutdown: drain() stops intake, persists every queued/preempted job (spec +
 // checkpoint) to <root>/state/, and waits for in-flight jobs to finish;
@@ -35,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,9 +194,6 @@ class FleetService {
   bool draining_ = false;
   std::size_t running_ = 0;
   ServiceStats totals_;  ///< monotonic counters only (snapshot fills the rest)
-
-  /// Process-global obs lease — see the header comment.
-  std::shared_mutex obs_mu_;
 
   std::vector<std::thread> threads_;
   bool joined_ = false;

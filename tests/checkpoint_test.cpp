@@ -24,8 +24,6 @@
 #include "engine/fleet.h"
 #include "nn/optim.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace {
@@ -155,31 +153,6 @@ TEST(CheckpointUnit, EventTracerRestore) {
   t.emit({9.0, obs::EventKind::kEval, 0, -1, 0.25});
   EXPECT_EQ(t.events().size(), evs.size() + 1);
   EXPECT_EQ(t.events().back().t, 9.0);
-}
-
-TEST(CheckpointUnit, RegistryRestoreReproducesSnapshot) {
-  obs::MetricsRegistry reg;
-  reg.add(reg.counter("ckpt_test/sends"), 7);
-  reg.set(reg.gauge("ckpt_test/rate"), 0.875);
-  const double bounds[] = {1.0, 2.0, 4.0};
-  const auto h = reg.histogram("ckpt_test/dur", bounds);
-  reg.observe(h, 0.5);
-  reg.observe(h, 3.0);
-  reg.observe(h, 100.0);
-  const obs::Snapshot snap = reg.snapshot();
-
-  obs::MetricsRegistry fresh;
-  fresh.restore(snap);
-  const obs::Snapshot again = fresh.snapshot();
-  ASSERT_EQ(again.metrics.size(), snap.metrics.size());
-  for (std::size_t i = 0; i < snap.metrics.size(); ++i) {
-    EXPECT_EQ(again.metrics[i].name, snap.metrics[i].name);
-    EXPECT_EQ(again.metrics[i].kind, snap.metrics[i].kind);
-    EXPECT_EQ(again.metrics[i].count, snap.metrics[i].count);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.metrics[i].value),
-              std::bit_cast<std::uint64_t>(snap.metrics[i].value));
-    EXPECT_EQ(again.metrics[i].buckets, snap.metrics[i].buckets);
-  }
 }
 
 // --- full-sim round-trip + resume contract ----------------------------------
@@ -320,19 +293,15 @@ class LbChatLanes : public ::testing::TestWithParam<bool> {};
 
 TEST_P(LbChatLanes, RunBitIdenticalAtOneTwoThreeLanes) {
   auto cfg = lane_cfg(GetParam());
-  obs::reset();
-  obs::set_events_enabled(true);
   std::vector<engine::RunMetrics> runs;
   std::vector<std::string> events;
   for (const int lanes : {1, 2, 3}) {
-    obs::reset();
     cfg.num_threads = lanes;
     auto sim = make_sim(cfg, "LbChat");
+    sim.enable_events();
     runs.push_back(sim.run());
-    events.push_back(obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped()));
+    events.push_back(obs::events_jsonl(sim.events().events(), sim.events().dropped()));
   }
-  obs::set_events_enabled(false);
-  obs::reset();
   // The scenario reaches every pooled path.
   const engine::TransferStats& t = runs[0].transfers;
   EXPECT_GT(t.coreset_sends_completed, 0);
@@ -374,35 +343,31 @@ INSTANTIATE_TEST_SUITE_P(Eval, LbChatLanes, ::testing::Values(false, true),
 void expect_exports_survive_resume(int threads) {
   auto cfg = tiny_cfg(21, /*faults=*/true);
   cfg.num_threads = threads;
+  const auto exports = [](const FleetSim& sim) {
+    return obs::events_jsonl(sim.events().events(), sim.events().dropped()) +
+           obs::metrics_json(sim.metrics_snapshot());
+  };
 
-  obs::reset();
-  obs::set_events_enabled(true);
   auto straight = make_sim(cfg, "LbChat");
+  straight.enable_events();
   (void)straight.run();
-  const std::string events_straight =
-      obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-  const std::string metrics_straight = obs::metrics_json(obs::registry().snapshot());
 
-  obs::reset();
   auto first = make_sim(cfg, "LbChat");
+  first.enable_events();
   first.prepare();
   first.run_until(14.0);
   const auto bytes = checkpoint_of(first);
 
-  obs::reset();  // fresh-process stand-in: all collected obs data cleared
   auto resumed = make_sim(cfg, "LbChat");
+  resumed.enable_events();
   ByteReader r{bytes};
   ASSERT_EQ(resumed.restore(r), CkptStatus::kOk);
   resumed.run_until(cfg.duration_s);
   (void)resumed.finalize();
-  const std::string events_resumed =
-      obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-  const std::string metrics_resumed = obs::metrics_json(obs::registry().snapshot());
 
-  EXPECT_EQ(events_straight, events_resumed) << "threads=" << threads;
-  EXPECT_EQ(metrics_straight, metrics_resumed) << "threads=" << threads;
-  obs::set_events_enabled(false);
-  obs::reset();
+  EXPECT_EQ(exports(straight), exports(resumed)) << "threads=" << threads;
+  EXPECT_NE(exports(straight).find("\"chat.duration_s\""), std::string::npos);
+  EXPECT_NE(exports(straight).find("\"transfer.sessions_started\""), std::string::npos);
 }
 
 TEST(CheckpointRestore, ResumePreservesEventAndMetricsExports) {
@@ -410,6 +375,31 @@ TEST(CheckpointRestore, ResumePreservesEventAndMetricsExports) {
 }
 TEST(CheckpointRestore, ResumePreservesEventAndMetricsExports4Threads) {
   expect_exports_survive_resume(4);
+}
+
+// A run's checkpoint is a function of that run alone: its kObs metrics are
+// the run's own, so runs finished earlier in the process (here one with
+// adversary and heterogeneity gauges) cannot add to them.
+TEST(CheckpointRestore, BytesIndependentOfEarlierRunsInProcess) {
+  const auto traced_run = [](const engine::ScenarioConfig& cfg, const char* approach) {
+    auto sim = make_sim(cfg, approach);
+    sim.enable_events();
+    (void)sim.run();
+  };
+  const auto dp_checkpoint = [] {
+    auto sim = make_sim(tiny_cfg(11, /*faults=*/true), "DP");
+    sim.enable_events();
+    sim.prepare();
+    sim.run_until(14.0);
+    return checkpoint_of(sim);
+  };
+  traced_run(tiny_cfg(21, /*faults=*/true), "LbChat");
+  const auto before = dp_checkpoint();
+  auto adversarial = tiny_cfg(21, /*faults=*/false);
+  adversarial.adversary.byzantine_frac = 0.34;
+  adversarial.hetero.straggler_frac = 0.34;
+  traced_run(adversarial, "LbChat");
+  EXPECT_EQ(before, dp_checkpoint());
 }
 
 TEST(CheckpointRestore, CheckpointBytesIdenticalAcrossThreadCounts) {

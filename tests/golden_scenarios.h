@@ -8,10 +8,9 @@
 // injection, event emission, or the checkpoint wire format shows up as a
 // digest mismatch.
 //
-// IMPORTANT: metric definitions accumulate per process and the checkpoint
-// embeds the registry snapshot, so digests depend on which scenarios ran
-// earlier in the same process. Both the test and the tool therefore run ALL
-// scenarios in one process, in kGoldenScenarios order.
+// Each digest is a function of its scenario alone: the run records its own
+// events and metrics (FleetSim::enable_events), so scenarios may run in any
+// order and in any process.
 #pragma once
 
 #include <bit>
@@ -26,8 +25,6 @@
 #include "engine/fleet.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
-#include "obs/obs.h"
-#include "obs/trace.h"
 
 namespace lbchat::golden {
 
@@ -41,12 +38,10 @@ struct GoldenScenario {
   int metro = 0;
 };
 
-/// Keep this list and its order in sync between regen and test (see the
-/// header comment). Three scenarios cover the paper's protocol, a payload
-/// strategy without session scratch, and a synchronous-round baseline; the
-/// fourth pins the metro-scaling machinery (DESIGN.md §11). Append new
-/// scenarios LAST: per-process metric accumulation means reordering would
-/// shift every digest after the insertion point.
+/// The scenarios with a committed golden each. Three cover the paper's
+/// protocol, a payload strategy without session scratch, and a
+/// synchronous-round baseline; the fourth pins the metro-scaling machinery
+/// (DESIGN.md §11).
 inline constexpr GoldenScenario kGoldenScenarios[] = {
     {"lbchat_s7", "LbChat", 7, false},
     {"dp_s11_faults", "DP", 11, true},
@@ -116,11 +111,10 @@ inline std::string run_golden_scenario(const GoldenScenario& sc) {
   // the suite passes on any machine regardless of the runtime CPUID dispatch
   // (DESIGN.md §15). LBCHAT_KERNEL still governs every non-golden run.
   nn::ScopedKernelPath kernel_guard{nn::KernelPath::kScalar};
-  obs::reset();
-  obs::set_events_enabled(true);
   engine::FleetSim sim{sc.metro > 0 ? golden_metro_config(sc.seed, sc.faults, sc.metro)
                                     : golden_config(sc.seed, sc.faults),
                        baselines::registry().make(sc.approach)};
+  sim.enable_events();
   sim.prepare();
   sim.run_until(sim.config().duration_s);
   ByteWriter ckpt;
@@ -132,7 +126,7 @@ inline std::string run_golden_scenario(const GoldenScenario& sc) {
     curve = fnv64(curve, std::bit_cast<std::uint64_t>(m.loss_curve.times[i]));
     curve = fnv64(curve, std::bit_cast<std::uint64_t>(m.loss_curve.values[i]));
   }
-  const std::string events = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
+  const std::string events = obs::events_jsonl(sim.events().events(), sim.events().dropped());
   const std::vector<std::uint8_t> events_bytes{events.begin(), events.end()};
 
   char buf[64];

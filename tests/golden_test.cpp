@@ -1,9 +1,8 @@
 // Golden-scenario regression suite: runs the fixed-seed scenarios from
 // golden_scenarios.h and compares their digests against the committed
 // goldens in tests/goldens/ (path baked in via LBCHAT_GOLDEN_DIR).
-//
-// All scenarios run inside ONE test, in kGoldenScenarios order, because the
-// metrics registry accumulates definitions per process (see the header).
+// Each scenario's digest depends on that scenario alone, so the order of
+// kGoldenScenarios does not matter.
 
 #include <cstdio>
 #include <string>

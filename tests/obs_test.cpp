@@ -1,13 +1,15 @@
-// Tests for the observability subsystem: metrics-registry snapshot
-// determinism (1 writer thread vs 4), event-ring drop semantics, exporter
-// well-formedness, and the engine-level contract — enabling observability
-// never changes simulation results, and the sim-time exports (events JSONL,
-// metrics JSON) are byte-identical at any worker thread count.
+// Tests for the observability subsystem: event-ring drop semantics,
+// LBCHAT_TRACE parsing, exporter well-formedness, and the engine-level
+// contract — enabling observability never changes simulation results, the
+// sim-time exports (events JSONL, metrics JSON) are byte-identical at any
+// worker thread count, and each run's exports are its own even while other
+// runs record concurrently in the same process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,115 +19,10 @@
 #include "engine/fleet.h"
 #include "engine/report.h"
 #include "obs/export.h"
-#include "obs/obs.h"
+#include "obs/trace.h"
 
 namespace lbchat {
 namespace {
-
-// ------------------------------------------------------------- registry
-
-TEST(MetricsRegistryTest, CounterGaugeHistogramRoundTrip) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.counter("chats");
-  const auto g = reg.gauge("rate");
-  const std::vector<double> bounds{1.0, 2.0, 5.0};
-  const auto h = reg.histogram("latency", bounds);
-
-  reg.add(c, 3);
-  reg.add(c);
-  reg.set(g, 0.25);
-  reg.set(g, 0.75);  // last write wins
-  reg.observe(h, 0.5);
-  reg.observe(h, 1.5);
-  reg.observe(h, 100.0);
-
-  const obs::Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.metrics.size(), 3u);
-  // Name-sorted.
-  EXPECT_EQ(snap.metrics[0].name, "chats");
-  EXPECT_EQ(snap.metrics[1].name, "latency");
-  EXPECT_EQ(snap.metrics[2].name, "rate");
-
-  const obs::MetricValue* chats = snap.find("chats");
-  ASSERT_NE(chats, nullptr);
-  EXPECT_EQ(chats->kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(chats->count, 4u);
-
-  const obs::MetricValue* rate = snap.find("rate");
-  ASSERT_NE(rate, nullptr);
-  EXPECT_DOUBLE_EQ(rate->value, 0.75);
-
-  const obs::MetricValue* lat = snap.find("latency");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 3u);
-  EXPECT_DOUBLE_EQ(lat->value, 102.0);  // integer-microunit sum is exact here
-  ASSERT_EQ(lat->buckets.size(), 4u);   // 3 bounds + overflow
-  EXPECT_EQ(lat->buckets[0], 1u);
-  EXPECT_EQ(lat->buckets[1], 1u);
-  EXPECT_EQ(lat->buckets[2], 0u);
-  EXPECT_EQ(lat->buckets[3], 1u);
-
-  EXPECT_EQ(snap.find("absent"), nullptr);
-}
-
-TEST(MetricsRegistryTest, SameNameDifferentKindThrows) {
-  obs::MetricsRegistry reg;
-  (void)reg.counter("x");
-  EXPECT_THROW((void)reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("x", std::vector<double>{1.0}), std::invalid_argument);
-  // Re-registering with the matching kind returns the same slot.
-  EXPECT_EQ(reg.counter("x").slot, reg.counter("x").slot);
-}
-
-TEST(MetricsRegistryTest, SnapshotIdenticalForOneAndFourWriterThreads) {
-  const std::vector<double> bounds{0.5, 1.5, 2.5};
-  constexpr int kOps = 4000;
-  const auto workload = [&](obs::MetricsRegistry& reg, int num_threads) {
-    const auto c = reg.counter("work.items");
-    const auto h = reg.histogram("work.cost", bounds);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(num_threads));
-    for (int w = 0; w < num_threads; ++w) {
-      workers.emplace_back([&, w] {
-        for (int i = w; i < kOps; i += num_threads) {
-          reg.add(c, static_cast<std::uint64_t>(i % 3));
-          reg.observe(h, static_cast<double>(i % 7) * 0.5);
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-  };
-
-  obs::MetricsRegistry serial;
-  workload(serial, 1);
-  obs::MetricsRegistry sharded;
-  workload(sharded, 4);
-
-  const obs::Snapshot a = serial.snapshot();
-  const obs::Snapshot b = sharded.snapshot();
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
-    EXPECT_EQ(a.metrics[i].kind, b.metrics[i].kind);
-    EXPECT_EQ(a.metrics[i].count, b.metrics[i].count);
-    EXPECT_DOUBLE_EQ(a.metrics[i].value, b.metrics[i].value);
-    EXPECT_EQ(a.metrics[i].bounds, b.metrics[i].bounds);
-    EXPECT_EQ(a.metrics[i].buckets, b.metrics[i].buckets);
-  }
-}
-
-TEST(MetricsRegistryTest, ResetValuesKeepsDefinitionsAndHandles) {
-  obs::MetricsRegistry reg;
-  const auto c = reg.counter("c");
-  reg.add(c, 9);
-  reg.reset_values();
-  const obs::Snapshot snap = reg.snapshot();
-  const obs::MetricValue* m = snap.find("c");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->count, 0u);
-  reg.add(c, 2);  // old handle still valid
-  EXPECT_EQ(reg.snapshot().find("c")->count, 2u);
-}
 
 // -------------------------------------------------------------- event ring
 
@@ -165,17 +62,16 @@ engine::ScenarioConfig traced_scenario() {
   return cfg;
 }
 
-/// Global-state fixture: every test starts and ends with observability fully
-/// disabled and empty, so tests cannot leak events into each other.
+/// Spans are the one process-wide sink: every test starts and ends with
+/// them off and empty.
 class ObsEngineTest : public ::testing::Test {
  protected:
   void SetUp() override { disarm(); }
   void TearDown() override { disarm(); }
 
   static void disarm() {
-    obs::set_events_enabled(false);
     obs::set_spans_enabled(false);
-    obs::reset();
+    obs::spans().clear();
   }
 
   struct Capture {
@@ -184,17 +80,16 @@ class ObsEngineTest : public ::testing::Test {
     std::string metrics;
   };
 
-  static Capture run_traced(const engine::ScenarioConfig& cfg, int threads) {
-    obs::reset();
-    obs::set_events_enabled(true);
+  static Capture run_traced(const engine::ScenarioConfig& cfg, int threads,
+                            const char* approach = "LbChat") {
     auto c = cfg;
     c.num_threads = threads;
-    engine::FleetSim sim{c, baselines::registry().make("LbChat")};
+    engine::FleetSim sim{c, baselines::registry().make(approach)};
+    sim.enable_events();
     Capture cap;
     cap.m = sim.run();
-    cap.events = obs::events_jsonl(obs::tracer().events(), obs::tracer().dropped());
-    cap.metrics = obs::metrics_json(obs::registry().snapshot());
-    obs::set_events_enabled(false);
+    cap.events = obs::events_jsonl(sim.events().events(), sim.events().dropped());
+    cap.metrics = obs::metrics_json(sim.metrics_snapshot());
     return cap;
   }
 };
@@ -216,14 +111,15 @@ TEST_F(ObsEngineTest, SimTimeExportsByteIdenticalAcrossThreadCounts) {
 TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
   const auto cfg = traced_scenario();
 
-  obs::reset();  // both flags off: the default production configuration
+  // Events and spans off: the default production configuration.
   engine::FleetSim off{cfg, baselines::registry().make("LbChat")};
   const engine::RunMetrics m_off = off.run();
-  EXPECT_TRUE(obs::tracer().events().empty());
+  EXPECT_TRUE(off.events().events().empty());
+  EXPECT_TRUE(off.metrics_snapshot().metrics.empty());
 
-  obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
   engine::FleetSim on{cfg, baselines::registry().make("LbChat")};
+  on.enable_events();
   const engine::RunMetrics m_on = on.run();
 
   EXPECT_EQ(m_off.train_steps, m_on.train_steps);
@@ -238,15 +134,14 @@ TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
 
 TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   auto cfg = traced_scenario();
-  obs::reset();
-  obs::set_events_enabled(true);
   obs::set_spans_enabled(true);
   cfg.num_threads = 2;
   engine::FleetSim sim{cfg, baselines::registry().make("LbChat")};
+  sim.enable_events();
   const engine::RunMetrics m = sim.run();
 
   const std::string trace =
-      obs::chrome_trace_json(obs::tracer().events(), obs::spans().spans());
+      obs::chrome_trace_json(sim.events().events(), obs::spans().spans());
   EXPECT_EQ(obs::validate_chrome_trace(trace), "");
 
   // The validator is not a rubber stamp.
@@ -269,6 +164,80 @@ TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   const auto lines = static_cast<std::size_t>(
       std::count(csv.begin(), csv.end(), '\n'));
   EXPECT_EQ(lines, report.vehicles.size() + 1);
+}
+
+// Two runs recording at once on two threads: each run's events and metrics
+// equal its solo run's, so neither sees the other's emissions.
+TEST_F(ObsEngineTest, ConcurrentRunsExportOnlyTheirOwnEvents) {
+  const auto cfg = traced_scenario();
+  const Capture lbchat_solo = run_traced(cfg, 1, "LbChat");
+  const Capture dp_solo = run_traced(cfg, 1, "DP");
+  ASSERT_NE(lbchat_solo.events, dp_solo.events);
+
+  Capture lbchat;
+  Capture dp;
+  std::thread a{[&] { lbchat = run_traced(cfg, 1, "LbChat"); }};
+  std::thread b{[&] { dp = run_traced(cfg, 1, "DP"); }};
+  a.join();
+  b.join();
+  EXPECT_EQ(lbchat.events, lbchat_solo.events);
+  EXPECT_EQ(lbchat.metrics, lbchat_solo.metrics);
+  EXPECT_EQ(dp.events, dp_solo.events);
+  EXPECT_EQ(dp.metrics, dp_solo.metrics);
+}
+
+// ----------------------------------------------------------- LBCHAT_TRACE
+
+/// Sets LBCHAT_TRACE for one scope and restores the span switch after.
+class ScopedTraceEnv {
+ public:
+  explicit ScopedTraceEnv(const char* value) {
+    if (value != nullptr) {
+      ::setenv("LBCHAT_TRACE", value, 1);
+    } else {
+      ::unsetenv("LBCHAT_TRACE");
+    }
+  }
+  ~ScopedTraceEnv() {
+    ::unsetenv("LBCHAT_TRACE");
+    obs::set_spans_enabled(false);
+  }
+  ScopedTraceEnv(const ScopedTraceEnv&) = delete;
+  ScopedTraceEnv& operator=(const ScopedTraceEnv&) = delete;
+};
+
+TEST(TraceEnvTest, AcceptedValuesSetTheSwitches) {
+  struct Case {
+    const char* value;
+    bool events;
+    bool spans;
+  };
+  for (const Case c : {Case{nullptr, false, false}, Case{"", false, false},
+                       Case{"0", false, false}, Case{"off", false, false},
+                       Case{"1", true, true}, Case{"on", true, true}, Case{"all", true, true},
+                       Case{"events", true, false}, Case{"spans", false, true}}) {
+    const ScopedTraceEnv env{c.value};
+    const obs::TraceEnv got = obs::init_from_env();
+    const std::string what = c.value != nullptr ? c.value : "(unset)";
+    EXPECT_EQ(got.events, c.events) << what;
+    EXPECT_EQ(got.spans, c.spans) << what;
+    EXPECT_EQ(obs::spans_enabled(), c.spans) << what;
+  }
+}
+
+TEST(TraceEnvTest, UnknownValueThrowsNamingVariableAndAcceptedValues) {
+  for (const char* bad : {"event", "yes", "ON", " 1", "spans,events"}) {
+    const ScopedTraceEnv env{bad};
+    try {
+      (void)obs::init_from_env();
+      ADD_FAILURE() << "accepted LBCHAT_TRACE=" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("LBCHAT_TRACE"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("events"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("spans"), std::string::npos) << msg;
+    }
+  }
 }
 
 }  // namespace

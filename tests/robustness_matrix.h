@@ -24,7 +24,6 @@
 #include "common/frame.h"
 #include "engine/fleet.h"
 #include "nn/kernel_dispatch.h"
-#include "obs/obs.h"
 
 namespace lbchat::robustness {
 
@@ -127,8 +126,6 @@ inline CellResult run_matrix_cell(const MatrixScenario& sc, const char* approach
   // Pinned digests assume the scalar kernel path (DESIGN.md §15), same as
   // the golden-scenario suite.
   nn::ScopedKernelPath kernel_guard{nn::KernelPath::kScalar};
-  obs::reset();
-  obs::set_events_enabled(false);
   engine::FleetSim sim{matrix_config(sc),
                        baselines::registry().make(approach)};
   sim.prepare();

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -500,30 +501,45 @@ TEST_P(PreemptDeterminismTest, PreemptedRunMatchesStraightRun) {
 INSTANTIATE_TEST_SUITE_P(Workers, PreemptDeterminismTest, ::testing::Values(1, 4));
 
 TEST(FleetServiceTest, EventsJobExportsIdenticalEventsAcrossPreemption) {
-  // The event ring travels through the checkpoint's kObs section, so even
-  // the events.jsonl export is byte-stable across a mid-run preemption.
+  // Each job records its own events, and the event ring travels through the
+  // checkpoint's kObs section, so events.jsonl is byte-stable across a
+  // mid-run preemption even while other events jobs run alongside it.
   const auto ref_root = fresh_dir("ev_ref");
-  JobPayload reference;
+  std::map<int, JobPayload> reference;
   {
     FleetService service{tiny_options(ref_root, 1, /*cache_enabled=*/false)};
-    const JobStatus st = submit_and_wait(service, tiny_spec(7, R"("events":true)"));
-    ASSERT_EQ(st.state, JobState::kDone) << st.error;
-    std::string error;
-    ASSERT_TRUE(service.result(st.id, reference, error)) << error;
-    ASSERT_FALSE(reference.events_jsonl.empty());
+    for (const int seed : {7, 8}) {
+      const JobStatus st = submit_and_wait(service, tiny_spec(seed, R"("events":true)"));
+      ASSERT_EQ(st.state, JobState::kDone) << st.error;
+      std::string error;
+      ASSERT_TRUE(service.result(st.id, reference[seed], error)) << error;
+      ASSERT_FALSE(reference[seed].events_jsonl.empty());
+    }
     service.shutdown(false);
   }
+  ASSERT_NE(reference[7].events_jsonl, reference[8].events_jsonl);
+
   const auto root = fresh_dir("ev_preempt");
   FleetService service{tiny_options(root, 2, /*cache_enabled=*/false)};
-  const JobStatus st =
-      submit_and_wait(service, tiny_spec(7, R"("events":true,"preempt_at":20)"));
-  ASSERT_EQ(st.state, JobState::kDone) << st.error;
-  EXPECT_GE(st.preemptions, 1);
-  JobPayload payload;
   std::string error;
-  ASSERT_TRUE(service.result(st.id, payload, error)) << error;
-  EXPECT_EQ(payload.events_jsonl, reference.events_jsonl);
-  EXPECT_EQ(payload.metrics_json, reference.metrics_json);
+  const std::vector<std::pair<int, std::uint64_t>> jobs{
+      {7, service.submit(tiny_spec(7, R"("events":true,"preempt_at":20)"), error)},
+      {7, service.submit(tiny_spec(7, R"("events":true)"), error)},
+      {8, service.submit(tiny_spec(8, R"("events":true)"), error)},
+  };
+  for (const auto& [seed, id] : jobs) {
+    ASSERT_NE(id, 0u) << error;
+    JobStatus st;
+    ASSERT_TRUE(service.wait(id, st));
+    ASSERT_EQ(st.state, JobState::kDone) << st.error;
+    if (id == jobs.front().second) {
+      EXPECT_GE(st.preemptions, 1) << "preempt_at must have fired";
+    }
+    JobPayload payload;
+    ASSERT_TRUE(service.result(id, payload, error)) << error;
+    EXPECT_EQ(payload.events_jsonl, reference[seed].events_jsonl) << "job " << id;
+    EXPECT_EQ(payload.metrics_json, reference[seed].metrics_json) << "job " << id;
+  }
   service.shutdown(false);
   std::filesystem::remove_all(ref_root);
   std::filesystem::remove_all(root);

@@ -3,9 +3,9 @@
 // Usage: golden_regen [OUT_DIR]   (default: tests/goldens relative to cwd,
 //                                  or the baked-in source path if it exists)
 //
-// Runs every scenario in kGoldenScenarios order — the same order and process
-// layout as tests/golden_test.cpp, which matters because metric definitions
-// accumulate per process — and writes one <name>.golden file each.
+// Runs every scenario in kGoldenScenarios and writes one <name>.golden file
+// each. A digest depends on its scenario alone, not on which scenarios ran
+// before it in the process.
 
 #include <cstdio>
 #include <string>
