@@ -1,13 +1,13 @@
 // fleet_scale: vehicles-vs-wallclock scaling bench for the mega-fleet layer
 // (DESIGN.md §11).
 //
-// For each fleet size it reports two pairs of numbers, grid vs legacy scan:
-//   - neighbor discovery cost for one tick (spatial-index rebuild + one range
-//     query per vehicle, against the O(n^2) all-pairs sweep) — both produce
-//     identical neighbor lists, so this isolates the data-structure win;
+// For each fleet size it reports:
+//   - neighbor discovery cost for one tick, grid vs scan (spatial-index
+//     rebuild + one range query per vehicle, against the O(n^2) all-pairs
+//     sweep) — both produce identical neighbor lists, so this isolates the
+//     data-structure win;
 //   - end-to-end engine wall clock per simulated second for a short run of a
-//     chat-heavy strategy on a metro-scaled town (density held constant),
-//     toggling only ScenarioConfig::spatial_index.
+//     chat-heavy strategy on a metro-scaled town (density held constant).
 // Results go to stdout and BENCH_fleet_scale.json in the working directory.
 //
 // LBCHAT_BENCH_MAX_VEHICLES (an integer >= 16) caps the sweep, e.g. at 256 for
@@ -75,7 +75,7 @@ class ChatSweepStrategy final : public engine::Strategy {
 
 /// Metro-scaled scenario stripped to the scaling layer: no background
 /// traffic, no training, no evaluation, tiny data collection.
-engine::ScenarioConfig scale_config(int vehicles, bool grid) {
+engine::ScenarioConfig scale_config(int vehicles) {
   engine::ScenarioConfig cfg;
   cfg.seed = 17;
   cfg.world.num_background_cars = 0;
@@ -94,7 +94,6 @@ engine::ScenarioConfig scale_config(int vehicles, bool grid) {
   cfg.policy.branch_hidden = 4;
   cfg.world.bev = cfg.policy.bev;
   engine::apply_metro_scale(cfg, vehicles);
-  cfg.spatial_index = grid;
   return cfg;
 }
 
@@ -102,14 +101,9 @@ struct ScaleRow {
   int vehicles = 0;
   double grid_query_us = 0.0;  ///< neighbor discovery, all vehicles, one tick
   double scan_query_us = 0.0;
-  double grid_wall_ms_per_sim_s = 0.0;  ///< engine run, spatial_index on
-  double scan_wall_ms_per_sim_s = 0.0;  ///< engine run, spatial_index off
+  double wall_ms_per_sim_s = 0.0;  ///< engine run
   [[nodiscard]] double query_speedup() const {
     return grid_query_us > 0.0 ? scan_query_us / grid_query_us : 0.0;
-  }
-  [[nodiscard]] double wall_speedup() const {
-    return grid_wall_ms_per_sim_s > 0.0 ? scan_wall_ms_per_sim_s / grid_wall_ms_per_sim_s
-                                        : 0.0;
   }
 };
 
@@ -118,7 +112,7 @@ ScaleRow bench_fleet(int vehicles, double sim_horizon_s) {
   row.vehicles = vehicles;
 
   // --- neighbor discovery in isolation, from real (stepped) positions ---
-  const engine::ScenarioConfig cfg = scale_config(vehicles, true);
+  const engine::ScenarioConfig cfg = scale_config(vehicles);
   sim::World world{cfg.world, vehicles, cfg.seed};
   for (int i = 0; i < 10; ++i) world.step(0.5);
   std::vector<Vec2> pos(static_cast<std::size_t>(vehicles));
@@ -152,14 +146,11 @@ ScaleRow bench_fleet(int vehicles, double sim_horizon_s) {
     sink = sink + total;
   });
 
-  // --- end-to-end engine run, grid vs scan (single shot: runs are long) ---
-  for (const bool grid : {true, false}) {
-    engine::FleetSim sim{scale_config(vehicles, grid), std::make_unique<ChatSweepStrategy>()};
-    sim.prepare();
-    const double secs = wall_seconds([&] { sim.run_until(sim_horizon_s); });
-    const double ms_per_sim_s = 1000.0 * secs / sim_horizon_s;
-    (grid ? row.grid_wall_ms_per_sim_s : row.scan_wall_ms_per_sim_s) = ms_per_sim_s;
-  }
+  // --- end-to-end engine run (single shot: runs are long) ---
+  engine::FleetSim sim{cfg, std::make_unique<ChatSweepStrategy>()};
+  sim.prepare();
+  const double secs = wall_seconds([&] { sim.run_until(sim_horizon_s); });
+  row.wall_ms_per_sim_s = 1000.0 * secs / sim_horizon_s;
   return row;
 }
 
@@ -171,17 +162,16 @@ int main() {
       [](double v) { return v >= 16.0 && v < 2147483648.0 && v == std::floor(v); },
       "an integer >= 16"));
   std::vector<ScaleRow> rows;
-  std::printf("%9s %14s %14s %9s %14s %14s %9s\n", "vehicles", "grid query us", "scan query us",
-              "speedup", "grid ms/sim-s", "scan ms/sim-s", "speedup");
+  std::printf("%9s %14s %14s %9s %14s\n", "vehicles", "grid query us", "scan query us",
+              "speedup", "ms/sim-s");
   for (const int n : {16, 64, 256, 1024}) {
     if (n > max_vehicles) {
       std::printf("(skipping %d vehicles: LBCHAT_BENCH_MAX_VEHICLES=%d)\n", n, max_vehicles);
       continue;
     }
     const ScaleRow row = bench_fleet(n, /*sim_horizon_s=*/30.0);
-    std::printf("%9d %14.1f %14.1f %8.1fx %14.1f %14.1f %8.1fx\n", row.vehicles,
-                row.grid_query_us, row.scan_query_us, row.query_speedup(),
-                row.grid_wall_ms_per_sim_s, row.scan_wall_ms_per_sim_s, row.wall_speedup());
+    std::printf("%9d %14.1f %14.1f %8.1fx %14.1f\n", row.vehicles, row.grid_query_us,
+                row.scan_query_us, row.query_speedup(), row.wall_ms_per_sim_s);
     rows.push_back(row);
   }
 
@@ -196,11 +186,9 @@ int main() {
     std::fprintf(f,
                  "  {\"vehicles\": %d, \"grid_query_us_per_tick\": %.3f, "
                  "\"scan_query_us_per_tick\": %.3f, \"query_speedup\": %.3f, "
-                 "\"grid_wall_ms_per_sim_s\": %.3f, \"scan_wall_ms_per_sim_s\": %.3f, "
-                 "\"wall_speedup\": %.3f}%s\n",
+                 "\"wall_ms_per_sim_s\": %.3f}%s\n",
                  r.vehicles, r.grid_query_us, r.scan_query_us, r.query_speedup(),
-                 r.grid_wall_ms_per_sim_s, r.scan_wall_ms_per_sim_s, r.wall_speedup(),
-                 i + 1 < rows.size() ? "," : "");
+                 r.wall_ms_per_sim_s, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

@@ -71,9 +71,7 @@ void usage() {
                "                    int8-quantized forward path (training stays\n"
                "                    fp32); changes run numerics + fingerprint\n"
                "  --num-vehicles N  metro scaling: grow the fleet to N while the\n"
-               "                    town tiles to keep vehicle density constant,\n"
-               "                    and switch on the spatial index, snapshot\n"
-               "                    mobility, and parallel session ticks\n"
+               "                    town tiles to keep vehicle density constant\n"
                "                    (--vehicles changes the count on a fixed map)\n"
                "  --collect-duration S  length of the data-collection phase\n"
                "  --byzantine-frac F  seed F*N Byzantine vehicles (sign-flipped\n"

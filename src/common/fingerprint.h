@@ -14,7 +14,7 @@
 // little-endian layout as the wire formats) and the byte stream is hashed
 // with 64-bit FNV-1a. Opt-in layers follow one marker-tail rule: a group of
 // knobs is written only while one of them is live, behind its marker byte
-// (0x5C scaling, 0xAD adversary/heterogeneity, 0x18 int8 eval), so an inert
+// (0xAD adversary/heterogeneity, 0x18 int8 eval), so an inert
 // layer hashes exactly like a scenario that never mentions it.
 #pragma once
 

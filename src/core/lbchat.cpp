@@ -235,7 +235,7 @@ void LbChatStrategy::on_session_aborted(FleetSim& sim, PairSession& s) {
   // An aborted chat (range loss, blackout, churn) counts as a pair failure
   // for the exponential-backoff policy; with chat_backoff off this is a
   // no-op and stock behaviour is unchanged.
-  if (!s.infrastructure()) sim.note_pair_failure(s.vehicle_a(), s.vehicle_b());
+  sim.note_pair_failure(s.vehicle_a(), s.vehicle_b());
 }
 
 void LbChatStrategy::on_session_idle(FleetSim& sim, PairSession& s) {

@@ -118,20 +118,8 @@ void write_config(ByteWriter& w, const ScenarioConfig& c) {
   w.write_u8(f.chat_backoff ? 1 : 0);
   w.write_f64(f.backoff_base);
   w.write_i32(f.backoff_max_exp);
-  // Fleet-scaling knobs (DESIGN.md §11). spatial_index is deliberately
-  // absent: neighbor queries through the grid are exact, so it is a pure
-  // wall-clock knob like num_threads. snapshot_mobility and
-  // parallel_sessions DO change trajectories / RNG stream assignment, so
-  // they must fingerprint — but the block is written only when one of them
-  // is on, keeping every pre-existing (default-config) checkpoint and golden
-  // digest byte-identical.
-  if (c.world.snapshot_mobility || c.parallel_sessions) {
-    w.write_u8(0x5C);
-    w.write_u8(c.world.snapshot_mobility ? 1 : 0);
-    w.write_u8(c.parallel_sessions ? 1 : 0);
-  }
-  // Adversary/heterogeneity block (same conditional-tail pattern): written
-  // only when one of the layers is configured, so all-off runs keep the
+  // Adversary/heterogeneity block (a conditional tail): written only when
+  // one of the layers is configured, so all-off runs keep the
   // pre-existing fingerprint and checkpoint bytes. The fingerprint is hashed,
   // never parsed, so appending fields here is always safe.
   if (c.adversary.enabled() || c.hetero.enabled()) {
@@ -335,8 +323,6 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
     w.write_f64(next_prune_);
     w.write_u64(static_cast<std::uint64_t>(train_steps_.load()));
     strategy_rng_.save(w);
-    net_rng_.save(w);
-    infra_rng_.save(w);
     // Hash maps iterate in unspecified order; sort by key so identical state
     // yields identical bytes.
     std::vector<std::pair<std::uint64_t, double>> chats{last_chat_.begin(), last_chat_.end()};
@@ -400,17 +386,12 @@ void FleetSim::save_checkpoint(ByteWriter& out) const {
       const PairSession& s = *sp;
       w.write_i32(s.a_);
       w.write_i32(s.b_);
-      w.write_f64(s.fixed_pos_.x);
-      w.write_f64(s.fixed_pos_.y);
       w.write_f64(s.started_at_);
       w.write_u8(s.closed_ ? 1 : 0);
       w.write_u8(s.aborted_ ? 1 : 0);
       w.write_i32(s.phase);
       w.write_f64(s.deadline_s);
-      // The per-session RNG stream exists only in parallel-sessions mode
-      // (which is part of the config fingerprint whenever on, so writer and
-      // reader always agree on this field's presence).
-      if (cfg_.parallel_sessions) s.rng_.save(w);
+      s.rng_.save(w);
       w.write_u32(static_cast<std::uint32_t>(s.queue_.size()));
       for (const auto& st : s.queue_) {
         w.write_u8(static_cast<std::uint8_t>(st.tag.kind));
@@ -557,8 +538,6 @@ CkptStatus FleetSim::restore(ByteReader& in) {
           next_prune_ = s.read_f64();
           train_steps_.store(static_cast<long>(s.read_u64()));
           strategy_rng_.load(s);
-          net_rng_.load(s);
-          infra_rng_.load(s);
           last_chat_.clear();
           const std::uint32_t nc = s.read_u32();
           for (std::uint32_t k = 0; k < nc; ++k) {
@@ -634,18 +613,16 @@ CkptStatus FleetSim::restore(ByteReader& in) {
             auto sess = std::make_unique<PairSession>();
             sess->a_ = s.read_i32();
             sess->b_ = s.read_i32();
-            if (sess->a_ < 0 || sess->a_ >= n || sess->b_ < -1 || sess->b_ >= n ||
+            if (sess->a_ < 0 || sess->a_ >= n || sess->b_ < 0 || sess->b_ >= n ||
                 sess->b_ == sess->a_) {
               throw std::runtime_error{"checkpoint: session endpoint out of range"};
             }
-            sess->fixed_pos_.x = s.read_f64();
-            sess->fixed_pos_.y = s.read_f64();
             sess->started_at_ = s.read_f64();
             sess->closed_ = s.read_u8() != 0;
             sess->aborted_ = s.read_u8() != 0;
             sess->phase = s.read_i32();
             sess->deadline_s = s.read_f64();
-            if (cfg_.parallel_sessions) sess->rng_.load(s);
+            sess->rng_.load(s);
             const std::uint32_t nq = s.read_u32();
             for (std::uint32_t q = 0; q < nq; ++q) {
               const std::uint8_t kind = s.read_u8();
@@ -669,11 +646,11 @@ CkptStatus FleetSim::restore(ByteReader& in) {
             strategy_->load_session_state(*this, *sess, sr);
             require_exhausted(sr, "session scratch");
             if (busy_[static_cast<std::size_t>(sess->a_)] != nullptr ||
-                (sess->b_ >= 0 && busy_[static_cast<std::size_t>(sess->b_)] != nullptr)) {
+                busy_[static_cast<std::size_t>(sess->b_)] != nullptr) {
               throw std::runtime_error{"checkpoint: vehicle in two sessions"};
             }
             busy_[static_cast<std::size_t>(sess->a_)] = sess.get();
-            if (sess->b_ >= 0) busy_[static_cast<std::size_t>(sess->b_)] = sess.get();
+            busy_[static_cast<std::size_t>(sess->b_)] = sess.get();
             sessions_.push_back(std::move(sess));
           }
           require_exhausted(s, "sessions");
@@ -813,9 +790,7 @@ CkptStatus FleetSim::restore(ByteReader& in) {
     if (!r.exhausted()) return CkptStatus::kMalformed;
     // The position cache and neighbor index are derived state, rebuilt here
     // rather than serialized (DESIGN.md §11): a rebuild from the restored
-    // world is bit-identical to the saved run's cache, and skipping them
-    // keeps the checkpoint byte layout independent of the spatial_index
-    // wall-clock knob.
+    // world is bit-identical to the saved run's cache.
     sync_positions();
     return CkptStatus::kOk;
   } catch (const std::exception&) {

@@ -33,7 +33,9 @@ namespace lbchat::engine {
 struct ScenarioConfig;
 
 /// Bumped on any incompatible change to the checkpoint payload layout.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// v2: one tick semantics — kCore drops the net/infra RNG streams, and every
+/// session carries its own RNG stream and no RSU position.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Section tags of the checkpoint body (u8 on the wire). Every section is
 /// length-prefixed, so tooling can walk the structure without the config.
@@ -73,7 +75,8 @@ enum class CkptStatus : std::uint8_t {
 /// all cached results (bench .bench_cache entries and svc ResultCache
 /// entries alike) after behavioural code changes.
 /// v4: the scenario fields enter through config_fingerprint.
-inline constexpr std::uint32_t kScenarioFingerprintVersion = 4;
+/// v5: one tick semantics (snapshot mobility, per-session RNG streams).
+inline constexpr std::uint32_t kScenarioFingerprintVersion = 5;
 
 /// Result-cache key of a run: the approach name, the version salt, duration_s
 /// (a cache entry answers one exact horizon) and config_fingerprint — so the

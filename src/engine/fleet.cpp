@@ -59,13 +59,10 @@ FleetSim::FleetSim(const ScenarioConfig& cfg, std::unique_ptr<Strategy> strategy
       faults_(cfg.faults, cfg.seed, world_.map().extent(), cfg.num_vehicles),
       adversary_(cfg.adversary, cfg.seed, cfg.num_vehicles),
       hetero_(cfg.hetero, cfg.seed, cfg.num_vehicles),
-      strategy_rng_(Rng{cfg.seed}.fork("strategy")),
-      net_rng_(Rng{cfg.seed}.fork("net")),
-      infra_rng_(Rng{cfg.seed}.fork("infra")) {
+      strategy_rng_(Rng{cfg.seed}.fork("strategy")) {
   if (strategy_ == nullptr) throw std::invalid_argument{"FleetSim: null strategy"};
   if (cfg.num_threads != 1) pool_ = std::make_unique<ThreadPool>(cfg.num_threads);
-  // Lend the pool to the world for snapshot-mode stepping (no-op when null
-  // or when snapshot_mobility is off).
+  // Lend the pool to the world's per-car speed updates (inline when null).
   world_.set_pool(pool_.get());
   nodes_.resize(static_cast<std::size_t>(cfg.num_vehicles));
   for_each_vehicle([this](std::int64_t v) {
@@ -175,7 +172,7 @@ void FleetSim::sync_positions() {
   for (int v = 0; v < cfg_.num_vehicles; ++v) {
     vpos_[static_cast<std::size_t>(v)] = world_.vehicle(v).pos;
   }
-  if (cfg_.spatial_index) nindex_.rebuild(vpos_, cfg_.radio.max_range_m);
+  nindex_.rebuild(vpos_, cfg_.radio.max_range_m);
 }
 
 double FleetSim::pair_distance(int a, int b) const {
@@ -187,14 +184,7 @@ bool FleetSim::in_range(int a, int b) const {
 }
 
 const std::vector<int>& FleetSim::neighbors_in_range(int v) const {
-  neighbor_scratch_.clear();
-  if (cfg_.spatial_index) {
-    nindex_.query(v, neighbor_scratch_);
-  } else {
-    for (int b = 0; b < num_vehicles(); ++b) {
-      if (b != v && in_range(v, b)) neighbor_scratch_.push_back(b);
-    }
-  }
+  nindex_.query(v, neighbor_scratch_);
   return neighbor_scratch_;
 }
 
@@ -213,7 +203,7 @@ bool FleetSim::cooldown_passed(int a, int b) const {
 }
 
 void FleetSim::note_pair_failure(int a, int b) {
-  if (!cfg_.faults.chat_backoff || b < 0) return;
+  if (!cfg_.faults.chat_backoff) return;
   ++backoff_inserts_;
   const int consecutive = ++pair_backoff_[pair_key(a, b)];
   ++stats_.backoff_retries;
@@ -246,7 +236,7 @@ void FleetSim::note_aggregate(int receiver, int sender, double peer_weight) {
 }
 
 void FleetSim::note_pair_success(int a, int b) {
-  if (!cfg_.faults.chat_backoff || b < 0) return;
+  if (!cfg_.faults.chat_backoff) return;
   pair_backoff_.erase(pair_key(a, b));
 }
 
@@ -283,12 +273,10 @@ PairSession& FleetSim::start_session(int a, int b) {
   last_chat_[pair_key(a, b)] = time_;
   ++chat_inserts_;
   ++stats_.sessions_started;
-  if (cfg_.parallel_sessions) {
-    // Session-ordinal RNG stream: reproducible from (seed, start count), and
-    // private to this session so transfer ticks can run on concurrent lanes.
-    s->rng_ = Rng{cfg_.seed}.fork(hash_name("session") +
-                                  static_cast<std::uint64_t>(stats_.sessions_started));
-  }
+  // Session-ordinal RNG stream: reproducible from (seed, start count), and
+  // private to this session so transfer ticks can run on concurrent lanes.
+  s->rng_ = Rng{cfg_.seed}.fork(hash_name("session") +
+                                static_cast<std::uint64_t>(stats_.sessions_started));
   ++vehicle_stats(a).chats_started;
   ++vehicle_stats(b).chats_started;
   emit(obs::EventKind::kChatStart, a, b);
@@ -296,31 +284,10 @@ PairSession& FleetSim::start_session(int a, int b) {
   return *sessions_.back();
 }
 
-PairSession& FleetSim::start_infra_session(int a, const Vec2& pos) {
-  if (!is_idle(a)) throw std::logic_error{"start_infra_session: vehicle busy"};
-  auto s = std::make_unique<PairSession>();
-  s->a_ = a;
-  s->b_ = -1;
-  s->fixed_pos_ = pos;
-  s->started_at_ = time_;
-  busy_[static_cast<std::size_t>(a)] = s.get();
-  ++stats_.sessions_started;
-  if (cfg_.parallel_sessions) {
-    s->rng_ = Rng{cfg_.seed}.fork(hash_name("session") +
-                                  static_cast<std::uint64_t>(stats_.sessions_started));
-  }
-  ++vehicle_stats(a).chats_started;
-  emit(obs::EventKind::kChatStart, a, -1);
-  sessions_.push_back(std::move(s));
-  return *sessions_.back();
-}
-
 net::RadioConfig FleetSim::session_radio(int a, int b) const {
   net::RadioConfig radio = cfg_.radio;
   if (hetero_.active()) {
-    const double sa = hetero_.radio_scale(a);
-    const double sb = b >= 0 ? hetero_.radio_scale(b) : 1.0;
-    radio.bandwidth_bps *= std::min(sa, sb);
+    radio.bandwidth_bps *= std::min(hetero_.radio_scale(a), hetero_.radio_scale(b));
   }
   return radio;
 }
@@ -334,7 +301,7 @@ void FleetSim::queue_transfer(PairSession& s, int from_vehicle, std::size_t byte
   // valid CRC and only value-level scoring at the receiver can catch it.
   // queue_transfer runs on the single-threaded tick path (strategy on_tick /
   // session callbacks), so the adversary's noise stream needs no locking.
-  if (adversary_.active() && from_vehicle >= 0 && adversary_.byzantine(from_vehicle) &&
+  if (adversary_.active() && adversary_.byzantine(from_vehicle) &&
       !payload.empty()) {
     if (adversary_.transform_payload(static_cast<int>(tag.kind), payload,
                                      cfg_.policy.bev)) {
@@ -345,7 +312,7 @@ void FleetSim::queue_transfer(PairSession& s, int from_vehicle, std::size_t byte
   }
   if (tag.kind == StageTag::kModel && bytes > 0) {
     ++stats_.model_sends_started;
-    if (receiver >= 0) ++vehicle_stats(receiver).model_recv_started;
+    ++vehicle_stats(receiver).model_recv_started;
     emit(obs::EventKind::kModelSend, from_vehicle, receiver, static_cast<double>(bytes));
   }
   if (tag.kind == StageTag::kCoreset && bytes > 0) ++stats_.coreset_sends_started;
@@ -359,21 +326,13 @@ bool FleetSim::infra_transfer_succeeds(Rng& r) {
   return r.chance(1.0 - p);
 }
 
-double FleetSim::session_distance(const PairSession& s) const {
-  const Vec2& pa = vpos_[static_cast<std::size_t>(s.a_)];
-  if (s.infrastructure()) return distance(pa, s.fixed_pos_);
-  return distance(pa, vpos_[static_cast<std::size_t>(s.b_)]);
-}
-
 void FleetSim::tick_sessions(double dt) {
   LBCHAT_OBS_SPAN("engine.tick_sessions");
   const net::WirelessLossModel& active_loss = cfg_.wireless_loss ? loss_ : no_loss_;
   // Iterate over a snapshot: callbacks may start new sessions.
   const std::size_t count = sessions_.size();
 
-  // Parallel-sessions mode (DESIGN.md §11). The branch is on the config flag
-  // alone — never on pool availability — so 1-thread and 4-thread runs
-  // execute the identical two-phase algorithm and stay bit-identical.
+  // Two phases (DESIGN.md §11), run identically at any lane count.
   //
   // Phase 1 (concurrent lanes): per-session geometry, the abort verdict, and
   // — when the head transfer is incomplete at tick start — one transfer tick
@@ -388,62 +347,43 @@ void FleetSim::tick_sessions(double dt) {
     bool ticked = false;  ///< phase 1 advanced the head transfer
     std::uint64_t delivered = 0;
   };
-  std::vector<Plan> plans;
-  if (cfg_.parallel_sessions) {
-    plans.resize(count);
-    const auto prep = [&](std::int64_t idx) {
-      PairSession& s = *sessions_[static_cast<std::size_t>(idx)];
-      if (s.closed_ && s.queue_.empty()) return;
-      Plan& p = plans[static_cast<std::size_t>(idx)];
-      p.d = session_distance(s);
-      const Vec2& pos_a = vpos_[static_cast<std::size_t>(s.a_)];
-      const Vec2 pos_b =
-          s.infrastructure() ? s.fixed_pos_ : vpos_[static_cast<std::size_t>(s.b_)];
-      p.extra = faults_.extra_loss(pos_a, pos_b);
-      p.abort = p.d > cfg_.radio.max_range_m || (!s.queue_.empty() && time_ > s.deadline_s) ||
-                (!s.queue_.empty() && time_ - s.started_at_ > cfg_.session_timeout_s);
-      if (p.abort || s.queue_.empty()) return;
-      auto& stage = s.queue_.front();
-      // A complete (zero-byte) head is drained — and the next incomplete
-      // stage ticked inline — by phase 2, which may consume s.rng_ there.
-      if (!stage.transfer.complete()) {
-        p.delivered = stage.transfer.tick(p.d, dt, active_loss, s.rng_, p.extra);
-        p.ticked = true;
-      }
-    };
-    parallel_for(pool_.get(), 0, static_cast<std::int64_t>(count), prep);
-  }
+  std::vector<Plan> plans(count);
+  const auto prep = [&](std::int64_t idx) {
+    PairSession& s = *sessions_[static_cast<std::size_t>(idx)];
+    if (s.closed_ && s.queue_.empty()) return;
+    Plan& p = plans[static_cast<std::size_t>(idx)];
+    const Vec2& pos_a = vpos_[static_cast<std::size_t>(s.a_)];
+    const Vec2& pos_b = vpos_[static_cast<std::size_t>(s.b_)];
+    p.d = distance(pos_a, pos_b);
+    // Interference bursts add per-packet loss on top of the distance table
+    // (0.0 when no burst covers either endpoint, which is always true with
+    // fault injection off).
+    p.extra = faults_.extra_loss(pos_a, pos_b);
+    p.abort = p.d > cfg_.radio.max_range_m || (!s.queue_.empty() && time_ > s.deadline_s) ||
+              (!s.queue_.empty() && time_ - s.started_at_ > cfg_.session_timeout_s);
+    if (p.abort || s.queue_.empty()) return;
+    auto& stage = s.queue_.front();
+    // A complete (zero-byte) head is drained — and the next incomplete
+    // stage ticked inline — by phase 2, which may consume s.rng_ there.
+    if (!stage.transfer.complete()) {
+      p.delivered = stage.transfer.tick(p.d, dt, active_loss, s.rng_, p.extra);
+      p.ticked = true;
+    }
+  };
+  parallel_for(pool_.get(), 0, static_cast<std::int64_t>(count), prep);
 
   for (std::size_t i = 0; i < count; ++i) {
     PairSession& s = *sessions_[i];
     if (s.closed_ && s.queue_.empty()) continue;
-    double d = 0.0;
-    double extra = 0.0;
-    bool abort_now = false;
-    if (cfg_.parallel_sessions) {
-      d = plans[i].d;
-      extra = plans[i].extra;
-      abort_now = plans[i].abort;
-    } else {
-      d = session_distance(s);
-      // Interference bursts add per-packet loss on top of the distance table
-      // (0.0 when no burst covers either endpoint, which is always true with
-      // fault injection off).
-      const Vec2& pos_a = vpos_[static_cast<std::size_t>(s.a_)];
-      const Vec2 pos_b =
-          s.infrastructure() ? s.fixed_pos_ : vpos_[static_cast<std::size_t>(s.b_)];
-      extra = faults_.extra_loss(pos_a, pos_b);
-      abort_now = d > cfg_.radio.max_range_m || (!s.queue_.empty() && time_ > s.deadline_s) ||
-                  (!s.queue_.empty() && time_ - s.started_at_ > cfg_.session_timeout_s);
-    }
-    if (abort_now) {
+    const Plan& plan = plans[i];
+    if (plan.abort) {
       ++stats_.sessions_aborted;
       // A deadline/timeout abort while a burst blacks the link out is
       // attributed to the blackout: the transfer could not make progress.
-      const bool blackout = extra >= 1.0 && !s.queue_.empty();
+      const bool blackout = plan.extra >= 1.0 && !s.queue_.empty();
       if (blackout) ++stats_.sessions_lost_to_blackout;
       ++vehicle_stats(s.a_).chats_aborted;
-      if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_aborted;
+      ++vehicle_stats(s.b_).chats_aborted;
       emit(obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
       s.queue_.clear();
       s.closed_ = true;
@@ -455,23 +395,18 @@ void FleetSim::tick_sessions(double dt) {
     const auto credit = [&](std::uint64_t delivered, const PairSession::Stage& stage) {
       stats_.bytes_delivered += delivered;
       if (delivered > 0) {
-        if (stage.tag.from >= 0) vehicle_stats(stage.tag.from).bytes_sent += delivered;
-        const int to = s.peer_of(stage.tag.from);
-        if (to >= 0) vehicle_stats(to).bytes_received += delivered;
+        vehicle_stats(stage.tag.from).bytes_sent += delivered;
+        vehicle_stats(s.peer_of(stage.tag.from)).bytes_received += delivered;
       }
     };
-    bool ticked = false;
-    if (cfg_.parallel_sessions && plans[i].ticked) {
-      // Phase 1 already advanced the head on a worker lane; book the bytes
-      // here, in session order, so the accounting is thread-count-invariant.
-      credit(plans[i].delivered, s.queue_.front());
-      ticked = true;
-    }
+    // Phase 1 may already have advanced the head on a worker lane; book its
+    // bytes here, in session order, so the accounting is thread-count-invariant.
+    bool ticked = plan.ticked;
+    if (ticked) credit(plan.delivered, s.queue_.front());
     while (!s.queue_.empty()) {
       auto& stage = s.queue_.front();
       if (!stage.transfer.complete() && !ticked) {
-        Rng& stream = cfg_.parallel_sessions ? s.rng_ : net_rng_;
-        credit(stage.transfer.tick(d, dt, active_loss, stream, extra), stage);
+        credit(stage.transfer.tick(plan.d, dt, active_loss, s.rng_, plan.extra), stage);
         ticked = true;
       }
       if (!stage.transfer.complete()) break;
@@ -479,13 +414,12 @@ void FleetSim::tick_sessions(double dt) {
       s.delivered_payload_ = std::move(stage.payload);
       s.queue_.pop_front();
       if (!s.delivered_payload_.empty() &&
-          faults_.corrupt_delivery(d, cfg_.radio.max_range_m)) {
+          faults_.corrupt_delivery(plan.d, cfg_.radio.max_range_m)) {
         faults_.corrupt_payload(s.delivered_payload_);
       }
       if (tag.kind == StageTag::kModel) {
         ++stats_.model_sends_completed;
-        const int to = s.peer_of(tag.from);
-        if (to >= 0) ++vehicle_stats(to).model_recv_completed;
+        ++vehicle_stats(s.peer_of(tag.from)).model_recv_completed;
       }
       if (tag.kind == StageTag::kCoreset) ++stats_.coreset_sends_completed;
       strategy_->on_transfer_complete(*this, s, tag);
@@ -509,7 +443,7 @@ void FleetSim::reap_sessions() {
       if (busy_[static_cast<std::size_t>(s.a_)] == &s) {
         busy_[static_cast<std::size_t>(s.a_)] = nullptr;
       }
-      if (s.b_ >= 0 && busy_[static_cast<std::size_t>(s.b_)] == &s) {
+      if (busy_[static_cast<std::size_t>(s.b_)] == &s) {
         busy_[static_cast<std::size_t>(s.b_)] = nullptr;
         last_chat_[pair_key(s.a_, s.b_)] = time_;
         ++chat_inserts_;
@@ -517,7 +451,7 @@ void FleetSim::reap_sessions() {
       if (!s.aborted_) {
         const double duration = time_ - s.started_at_;
         ++vehicle_stats(s.a_).chats_completed;
-        if (s.b_ >= 0) ++vehicle_stats(s.b_).chats_completed;
+        ++vehicle_stats(s.b_).chats_completed;
         emit(obs::EventKind::kChatComplete, s.a_, s.b_, duration);
         if (events_on_) {
           const auto bucket = std::lower_bound(kChatDurationBounds.begin(),
@@ -539,7 +473,7 @@ void FleetSim::abort_sessions_of(int v) {
   if (s == nullptr || (s->closed_ && s->queue_.empty())) return;
   ++stats_.sessions_aborted;
   ++vehicle_stats(s->a_).chats_aborted;
-  if (s->b_ >= 0) ++vehicle_stats(s->b_).chats_aborted;
+  ++vehicle_stats(s->b_).chats_aborted;
   emit(obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
   s->queue_.clear();
   s->closed_ = true;

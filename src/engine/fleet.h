@@ -56,18 +56,15 @@ struct VehicleNode {
 struct StageTag {
   enum Kind : int { kAssist = 0, kCoreset = 1, kModel = 2, kOther = 3 };
   Kind kind = kOther;
-  int from = -1;    ///< sending vehicle id (or -1 for the infrastructure side)
+  int from = -1;    ///< sending vehicle id (queue_transfer sets it)
   int payload = 0;  ///< strategy-defined discriminator
 };
 
-/// One pairwise exchange session. `vehicle_b < 0` denotes an infrastructure
-/// endpoint (RSU) at `fixed_pos`.
+/// One pairwise exchange session between two vehicles.
 class PairSession {
  public:
   [[nodiscard]] int vehicle_a() const { return a_; }
   [[nodiscard]] int vehicle_b() const { return b_; }
-  [[nodiscard]] bool infrastructure() const { return b_ < 0; }
-  [[nodiscard]] const Vec2& fixed_pos() const { return fixed_pos_; }
   [[nodiscard]] double started_at() const { return started_at_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] bool closed() const { return closed_; }
@@ -104,17 +101,14 @@ class PairSession {
   };
   int a_ = -1;
   int b_ = -1;
-  Vec2 fixed_pos_{};
   double started_at_ = 0.0;
   bool closed_ = false;
   bool aborted_ = false;  ///< closed by range/deadline/churn, not gracefully
   std::deque<Stage> queue_;
   std::vector<std::uint8_t> delivered_payload_;
-  /// Private packet-noise stream (ScenarioConfig::parallel_sessions only):
-  /// derived from (seed, session ordinal) at session start so transfer
-  /// ticks of distinct sessions can run on concurrent lanes without sharing
-  /// the engine's net RNG. Unused (and not checkpointed) in the default
-  /// sequential mode, which draws from the shared stream.
+  /// Private packet-noise stream, derived from (seed, session ordinal) at
+  /// session start so transfer ticks of distinct sessions can run on
+  /// concurrent lanes.
   Rng rng_{0};
 };
 
@@ -251,9 +245,9 @@ class FleetSim {
   [[nodiscard]] bool in_range(int a, int b) const;
   /// All peers within radio range of `v` (inclusive boundary, like
   /// in_range), ascending by id — exactly the set and order a brute-force
-  /// all-pairs scan yields, answered from the per-tick spatial grid when
-  /// ScenarioConfig::spatial_index is on (DESIGN.md §11). The reference is
-  /// to a scratch buffer, valid until the next neighbors_in_range call.
+  /// all-pairs scan yields, answered from the per-tick spatial grid
+  /// (DESIGN.md §11). The reference is to a scratch buffer, valid until the
+  /// next neighbors_in_range call.
   [[nodiscard]] const std::vector<int>& neighbors_in_range(int v) const;
   /// Free to start a session: no active session AND not churned offline.
   [[nodiscard]] bool is_idle(int v) const {
@@ -297,9 +291,6 @@ class FleetSim {
 
   /// Start a vehicle-vehicle session (both must be idle and in range).
   PairSession& start_session(int a, int b);
-  /// Start a vehicle-infrastructure session (RSU at `pos`); only the vehicle
-  /// becomes busy.
-  PairSession& start_infra_session(int a, const Vec2& pos);
   /// Queue a directional transfer on a session; model transfers are counted
   /// toward the receiving-rate statistics. `payload` carries the framed wire
   /// bytes (common/frame.h) delivered to the receiver on completion — the
@@ -339,7 +330,6 @@ class FleetSim {
   void reap_sessions();
   /// Abort every session a churned-out vehicle participates in.
   void abort_sessions_of(int v);
-  [[nodiscard]] double session_distance(const PairSession& s) const;
   /// Drop last_chat_/pair_backoff_ entries whose cooldown (with any backoff
   /// multiplier) has fully elapsed — they can no longer affect
   /// cooldown_passed(), so pruning never changes behaviour, only memory.
@@ -354,7 +344,7 @@ class FleetSim {
   /// Run fn(v) for every vehicle, on the pool when one is configured.
   /// Deterministic provided fn(v) only touches vehicle-v state.
   void for_each_vehicle(const std::function<void(std::int64_t)>& fn) const;
-  /// RadioConfig governing a session link between `a` and `b` (b < 0 = RSU):
+  /// RadioConfig governing a session link between vehicles `a` and `b`:
   /// the configured radio with bandwidth scaled by min of the endpoints'
   /// heterogeneity scales (the session rate is min{B_i, B_j}). Identical to
   /// cfg_.radio with heterogeneity off. Used at Transfer construction and,
@@ -396,8 +386,6 @@ class FleetSim {
   TransferStats stats_;
   std::vector<VehicleTransferStats> vstats_;
   Rng strategy_rng_;
-  Rng net_rng_;
-  Rng infra_rng_;
   double time_ = 0.0;
   // Phased-execution state (serialized in checkpoints).
   RunMetrics metrics_;

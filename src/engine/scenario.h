@@ -20,7 +20,7 @@ namespace lbchat::engine {
 /// default-configured runs hash, checkpoint, and evaluate exactly as before.
 /// When enabled, loss trajectories change (quantized eval numerics), so the
 /// knob joins the scenario fingerprint and the checkpoint config fingerprint
-/// via conditional tails like the adversary/scaling blocks.
+/// via a conditional tail like the adversary block.
 struct Int8EvalConfig {
   bool enabled = false;
   /// Quantize the models evaluated during chat value scoring (Eq. (7)/(8)
@@ -84,21 +84,6 @@ struct ScenarioConfig {
   /// (between rebuilds, the merge-reduce fast path keeps it fresh).
   double coreset_rebuild_interval_s = 240.0;
 
-  // --- Fleet scaling (DESIGN.md §11) ---
-  /// Answer strategy neighbor queries from a uniform spatial grid rebuilt
-  /// once per tick instead of an O(n^2) all-pairs scan. The grid is an exact
-  /// candidate filter (same set, same ascending-id order, same inclusive
-  /// boundary as the scan), so runs are bit-identical either way: a pure
-  /// wall-clock knob, excluded from the checkpoint config fingerprint like
-  /// num_threads.
-  bool spatial_index = true;
-  /// Per-session RNG streams + parallel transfer ticks with an ordered
-  /// sequential commit. Changes which RNG stream packet noise draws from
-  /// (one stream per session instead of the shared engine stream), so it is
-  /// OFF by default to keep historical runs bit-identical; with it on, runs
-  /// are bit-identical across any num_threads.
-  bool parallel_sessions = false;
-
   nn::PolicyConfig policy{};
   coreset::PenaltyConfig penalty{};
 
@@ -124,9 +109,8 @@ struct ScenarioConfig {
 /// One-line metro fleet: grow the scenario to `num_vehicles` while holding
 /// density constant. The town is tiled by sqrt(count ratio) — map extent,
 /// urban grid and rural ring all scale with the tile factor, background
-/// traffic with the count ratio — and the scaling machinery (spatial index,
-/// snapshot-parallel mobility, parallel session ticks) is switched on.
-/// Exposed to the CLI as --num-vehicles.
+/// traffic with the count ratio. The engine's tick needs no switch to scale
+/// (DESIGN.md §11). Exposed to the CLI as --num-vehicles.
 inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
   const double f =
       static_cast<double>(std::max(num_vehicles, 1)) / std::max(cfg.num_vehicles, 1);
@@ -140,9 +124,6 @@ inline void apply_metro_scale(ScenarioConfig& cfg, int num_vehicles) {
       static_cast<int>(std::lround(cfg.world.num_background_cars * f));
   cfg.world.num_pedestrians = static_cast<int>(std::lround(cfg.world.num_pedestrians * f));
   cfg.num_vehicles = std::max(num_vehicles, 1);
-  cfg.spatial_index = true;
-  cfg.parallel_sessions = true;
-  cfg.world.snapshot_mobility = true;
 }
 
 }  // namespace lbchat::engine

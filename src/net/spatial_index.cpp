@@ -16,8 +16,8 @@ void NeighborIndex::query(int v, std::vector<int>& out) const {
   const Vec2& p = positions_[static_cast<std::size_t>(v)];
   grid_.for_each_candidate(p, range_m_, [&](std::uint32_t i) {
     if (static_cast<int>(i) == v) return;
-    // Exact filter with the inclusive boundary the legacy scan uses
-    // (FleetSim::in_range), against the same snapshot positions.
+    // Exact filter with FleetSim::in_range's inclusive boundary, against
+    // the same snapshot positions.
     if (distance(positions_[i], p) <= range_m_) out.push_back(static_cast<int>(i));
   });
   // Candidates arrive cell-major; the API contract is ascending id (so

@@ -9,9 +9,8 @@
 //
 // Exactness contract (DESIGN.md §11): query(v) returns EXACTLY the vehicles
 // b != v with distance(pos[v], pos[b]) <= range, in ascending-id order —
-// the same set, same order, same inclusive boundary predicate as the legacy
-// brute-force scan. Engine behaviour is therefore bit-identical with the
-// index on or off, which is what keeps the committed golden digests valid.
+// the same set, same order, same inclusive boundary predicate as the
+// brute-force scan, which tests/spatial_test.cpp keeps as its oracle.
 #pragma once
 
 #include <span>

@@ -138,47 +138,7 @@ double World::allowed_speed_snapshot(const Vec2& pos, double heading, double bas
   return std::min(base_speed, std::sqrt(2.0 * cfg_.brake_decel * headroom));
 }
 
-void World::step_car(CarAgent& a, double dt, int vehicle_index, Rng& rng) {
-  const double target = expert_target_speed(a, vehicle_index);
-  if (a.speed < target) {
-    a.speed = std::min(target, a.speed + cfg_.accel * dt);
-  } else {
-    a.speed = std::max(target, a.speed - cfg_.brake_decel * dt);
-  }
-  // Deadlock breaker: a car halted too long (crossing stalemate) briefly
-  // ignores other cars and creeps through.
-  if (a.speed < 0.1) {
-    if (a.blocked_since_s < 0.0) a.blocked_since_s = time_;
-    if (time_ - a.blocked_since_s > cfg_.deadlock_patience_s &&
-        a.ignore_cars_until_s < time_) {
-      a.ignore_cars_until_s = time_ + cfg_.deadlock_ignore_s;
-      a.blocked_since_s = -1.0;
-    }
-  } else {
-    a.blocked_since_s = -1.0;
-  }
-  a.s += a.speed * dt;
-  if (a.s >= a.route.length() - 0.5) {
-    assign_new_route(a, rng);
-  }
-  a.pos = lane_position(a.route, a.s);
-  a.heading = a.route.heading_at(a.s);
-}
-
 void World::step(double dt) {
-  if (cfg_.snapshot_mobility) {
-    step_snapshot(dt);
-    return;
-  }
-  for (int i = 0; i < num_vehicles(); ++i) {
-    step_car(vehicles_[static_cast<std::size_t>(i)], dt, i, route_rng_);
-  }
-  for (CarAgent& c : cars_) step_car(c, dt, -1, route_rng_);
-  step_peds(dt);
-  time_ += dt;
-}
-
-void World::step_snapshot(double dt) {
   // Tick-start obstacle snapshot: vehicles, background cars, the external
   // car (if any), then pedestrians. Index i < snap_peds_begin_ is a car.
   const std::size_t nv = vehicles_.size();
@@ -213,6 +173,8 @@ void World::step_snapshot(double dt) {
     } else {
       a.speed = std::max(target, a.speed - cfg_.brake_decel * dt);
     }
+    // Deadlock breaker: a car halted too long (crossing stalemate) briefly
+    // ignores other cars and creeps through.
     if (a.speed < 0.1) {
       if (a.blocked_since_s < 0.0) a.blocked_since_s = time_;
       if (time_ - a.blocked_since_s > cfg_.deadlock_patience_s &&

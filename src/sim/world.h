@@ -61,15 +61,6 @@ struct WorldConfig {
   /// Fraction of peer vehicles whose destinations are urban-biased; the rest
   /// roam rural — this is what makes local datasets heterogeneous.
   double urban_dweller_fraction = 0.5;
-  /// Snapshot-based mobility (DESIGN.md §11): each car's obstacle scan reads
-  /// the tick-START positions of every other agent (via a spatial grid)
-  /// instead of the in-place sweep where agent i sees agents < i already
-  /// moved. Per-car speed updates become order-independent, so step() can
-  /// fan them out across a thread pool and commit positions and route
-  /// reassignments in a sequential, id-ordered phase — bit-identical at any
-  /// thread count. The two modes produce (slightly) different trajectories,
-  /// so this is OFF by default; metro-scale scenarios switch it on.
-  bool snapshot_mobility = false;
 };
 
 /// A car glued to a road route (peer vehicle or background traffic).
@@ -96,6 +87,11 @@ class World {
   /// per `cfg`. Fully deterministic for a given seed.
   World(const WorldConfig& cfg, int num_vehicles, std::uint64_t seed);
 
+  /// Advance every agent by `dt` (DESIGN.md §11). Each car's obstacle scan
+  /// reads the tick-START positions of every other agent (via a spatial
+  /// grid), so per-car speed updates are order-independent: they fan out
+  /// across the lent pool, and positions and route reassignments commit in
+  /// a sequential, id-ordered phase — bit-identical at any thread count.
   void step(double dt);
 
   [[nodiscard]] double time() const { return time_; }
@@ -138,9 +134,8 @@ class World {
   /// (peer vehicle `exclude_vehicle` excluded).
   [[nodiscard]] bool collides(const Vec2& pos, double radius, int exclude_vehicle = -1) const;
 
-  /// Lend a worker pool for snapshot-mode stepping (non-owning, transient —
-  /// never serialized). Null or absent: the snapshot phase runs inline,
-  /// producing bit-identical results.
+  /// Lend a worker pool for step() (non-owning, transient — never
+  /// serialized). Null or absent: step() runs inline, bit-identically.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Register (or clear, with nullopt) the position of an external vehicle —
@@ -159,13 +154,11 @@ class World {
 
  private:
   void assign_new_route(CarAgent& a, Rng& rng);
-  void step_car(CarAgent& a, double dt, int vehicle_index, Rng& rng);
-  void step_snapshot(double dt);
   void step_peds(double dt);
   [[nodiscard]] double expert_target_speed(const CarAgent& a, int vehicle_index) const;
-  /// Command/bend speed cap shared by the legacy and snapshot steppers.
+  /// Command/bend speed cap shared by step() and the labels.
   [[nodiscard]] double base_target_speed(const CarAgent& a) const;
-  /// Snapshot-mode twin of allowed_speed_at: scans the tick-start obstacle
+  /// step()'s twin of allowed_speed_at: scans the tick-start obstacle
   /// grid instead of live agent state. `exclude` indexes snap_pos_ (< 0:
   /// exclude nothing; self-overlap is rejected by the corridor test anyway).
   [[nodiscard]] double allowed_speed_snapshot(const Vec2& pos, double heading,
@@ -182,7 +175,7 @@ class World {
   Rng ped_rng_;
   double time_ = 0.0;
   ThreadPool* pool_ = nullptr;  // transient; not serialized
-  // Snapshot-mode scratch (rebuilt each tick; never serialized).
+  // step()'s obstacle snapshot (rebuilt each tick; never serialized).
   std::vector<Vec2> snap_pos_;
   UniformGrid snap_grid_;
   std::size_t snap_peds_begin_ = 0;  ///< snap_pos_ layout: cars, then peds

@@ -568,14 +568,18 @@ TEST(CheckpointReject, StrategyOptionsMismatch) {
 }
 
 TEST(CheckpointReject, BadVersion) {
-  ByteWriter body;
-  body.write_u32(engine::kCheckpointVersion + 1);
-  const auto bytes = frame::encode(frame::FrameType::kCheckpoint, body.bytes());
-  auto sim = make_sim(tiny_cfg(2, false), "LbChat");
-  ByteReader r{bytes};
-  EXPECT_EQ(sim.restore(r), CkptStatus::kBadVersion);
-  engine::CkptInfo info;
-  EXPECT_EQ(engine::inspect_checkpoint(bytes, info), CkptStatus::kBadVersion);
+  // A future layout, and version 1 (the layout with the shared net/infra RNG
+  // streams and RSU session positions).
+  for (const std::uint32_t version : {engine::kCheckpointVersion + 1, std::uint32_t{1}}) {
+    ByteWriter body;
+    body.write_u32(version);
+    const auto bytes = frame::encode(frame::FrameType::kCheckpoint, body.bytes());
+    auto sim = make_sim(tiny_cfg(2, false), "LbChat");
+    ByteReader r{bytes};
+    EXPECT_EQ(sim.restore(r), CkptStatus::kBadVersion) << version;
+    engine::CkptInfo info;
+    EXPECT_EQ(engine::inspect_checkpoint(bytes, info), CkptStatus::kBadVersion) << version;
+  }
 }
 
 TEST(CheckpointReject, GarbageAndEmptyInput) {

@@ -71,7 +71,7 @@ class ChattyStrategy final : public Strategy {
   }
 
   void on_session_aborted(FleetSim& sim, PairSession& s) override {
-    if (!s.infrastructure()) sim.note_pair_failure(s.vehicle_a(), s.vehicle_b());
+    sim.note_pair_failure(s.vehicle_a(), s.vehicle_b());
   }
 
   std::size_t bytes_to_send = 64 * 1024;

@@ -51,13 +51,13 @@ TEST(FnvHasherTest, EmptyDigestIsOffsetBasis) {
 
 TEST(ScenarioFingerprintTest, PinnedDefaults) {
   // Frozen digests of the default scenario under two approaches, exactly as
-  // the bench cache has keyed them since kScenarioFingerprintVersion = 4.
+  // the bench cache has keyed them since kScenarioFingerprintVersion = 5.
   const engine::ScenarioConfig cfg;
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xF0CC61537C9B0DB3ull);
-  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x50E7005F628646D1ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xEA6C4D563455561Eull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "ProxSkip"), 0x905CE01E78BF388Cull);
   engine::ScenarioConfig seeded = cfg;
   seeded.seed = 2;
-  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0xB8E3515F6417F252ull);
+  EXPECT_EQ(scenario_fingerprint(seeded, "LbChat"), 0x8E630F7637C61BE7ull);
 }
 
 TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
@@ -78,15 +78,6 @@ TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
 
   c = base;
   c.adversary.byzantine_frac = 0.25;
-  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
-
-  // The metro-scaling knobs change trajectories and RNG streams.
-  c = base;
-  c.parallel_sessions = true;
-  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
-
-  c = base;
-  c.world.snapshot_mobility = true;
   EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp);
 
   c = base;
@@ -128,17 +119,14 @@ TEST(ScenarioFingerprintTest, MovesExactlyWithConfigFingerprint) {
       {"penalty.lambda1", [](Cfg& c) { c.penalty.lambda1 += 0.5; }},
       {"faults.burst_rate_per_min", [](Cfg& c) { c.faults.burst_rate_per_min = 1.0; }},
       {"faults.chat_backoff", [](Cfg& c) { c.faults.chat_backoff = !c.faults.chat_backoff; }},
-      {"parallel_sessions", [](Cfg& c) { c.parallel_sessions = true; }},
-      {"world.snapshot_mobility", [](Cfg& c) { c.world.snapshot_mobility = true; }},
       {"adversary.byzantine_frac", [](Cfg& c) { c.adversary.byzantine_frac = 0.25; }},
       {"hetero.straggler_frac", [](Cfg& c) { c.hetero.straggler_frac = 0.5; }},
       {"int8_eval.enabled", [](Cfg& c) { c.int8_eval.enabled = true; }},
   };
   // Knobs of a disabled group are inert, so neither key may see them; the
-  // wall-clock knobs are inert by the determinism contract.
+  // wall-clock knob is inert by the determinism contract.
   const Perturbation inert[] = {
       {"num_threads", [](Cfg& c) { c.num_threads = 8; }},
-      {"spatial_index", [](Cfg& c) { c.spatial_index = !c.spatial_index; }},
       {"adversary.poison_scale", [](Cfg& c) { c.adversary.poison_scale = 99.0; }},
       {"hetero.straggler_rate", [](Cfg& c) { c.hetero.straggler_rate = 0.9; }},
       {"hetero.dataset_keep_min", [](Cfg& c) { c.hetero.dataset_keep_min = 0.9; }},
@@ -170,12 +158,11 @@ TEST(ScenarioFingerprintTest, MovesExactlyWithConfigFingerprint) {
 }
 
 TEST(ScenarioFingerprintTest, InsensitiveToWallClockKnobs) {
-  // num_threads and spatial_index change wall-clock behaviour only — runs
-  // are bit-identical — so they must not split cache keys.
+  // num_threads changes wall-clock behaviour only — runs are bit-identical —
+  // so it must not split cache keys.
   const engine::ScenarioConfig base;
   engine::ScenarioConfig c = base;
   c.num_threads = 8;
-  c.spatial_index = !c.spatial_index;
   EXPECT_EQ(scenario_fingerprint(c, "LbChat"), scenario_fingerprint(base, "LbChat"));
 }
 
@@ -195,7 +182,7 @@ TEST(ScenarioFingerprintTest, EmptyOptionsKeepLegacyKeys) {
   // disk keeps its key across the registry migration.
   const engine::ScenarioConfig cfg;
   EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), scenario_fingerprint(cfg, "LbChat"));
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xF0CC61537C9B0DB3ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat", {}), 0xEA6C4D563455561Eull);
 }
 
 TEST(ScenarioFingerprintTest, NonDefaultOptionsSplitKeys) {
@@ -214,7 +201,7 @@ TEST(ScenarioFingerprintTest, DisabledInt8EvalKeepsLegacyKeys) {
   // member's existence must not move any historical key, and its sub-knobs
   // are dead while enabled == false.
   const engine::ScenarioConfig base;
-  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xF0CC61537C9B0DB3ull);
+  EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xEA6C4D563455561Eull);
   engine::ScenarioConfig c = base;
   c.int8_eval.value_scoring = false;  // ignored while !enabled
   c.int8_eval.eval_loss = false;

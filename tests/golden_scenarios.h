@@ -33,14 +33,14 @@ struct GoldenScenario {
   const char* approach;  ///< registry name
   std::uint64_t seed;
   bool faults;
-  /// > 0: run at this metro-scaled fleet size (apply_metro_scale — spatial
-  /// index, snapshot mobility and parallel session ticks all on).
+  /// > 0: run at this metro-scaled fleet size (apply_metro_scale tiles the
+  /// town so vehicle density stays constant).
   int metro = 0;
 };
 
 /// The scenarios with a committed golden each. Three cover the paper's
 /// protocol, a payload strategy without session scratch, and a
-/// synchronous-round baseline; the fourth pins the metro-scaling machinery
+/// synchronous-round baseline; the fourth pins a metro-scaled fleet
 /// (DESIGN.md §11).
 inline constexpr GoldenScenario kGoldenScenarios[] = {
     {"lbchat_s7", "LbChat", 7, false},
@@ -84,8 +84,7 @@ inline engine::ScenarioConfig golden_config(std::uint64_t seed, bool faults) {
 }
 
 /// Metro twin of golden_config: the same tiny scenario tiled up to
-/// `vehicles` with the scaling machinery on, horizons trimmed so the run
-/// stays a few wall-clock seconds.
+/// `vehicles`, horizons trimmed so the run stays a few wall-clock seconds.
 inline engine::ScenarioConfig golden_metro_config(std::uint64_t seed, bool faults,
                                                   int vehicles) {
   engine::ScenarioConfig cfg = golden_config(seed, faults);

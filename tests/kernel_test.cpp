@@ -485,7 +485,7 @@ TEST(Int8EvalKnob, DefaultFingerprintStillPinned) {
   // (tests/fingerprint_test.cpp pins the same value; double-anchored here
   // because this suite is the one CI runs per kernel path).
   engine::ScenarioConfig cfg;
-  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xF0CC61537C9B0DB3ull);
+  EXPECT_EQ(scenario_fingerprint(cfg, "LbChat"), 0xEA6C4D563455561Eull);
 }
 
 TEST(Int8EvalKnob, OnSplitsFingerprintAndChangesLosses) {

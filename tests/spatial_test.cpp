@@ -1,9 +1,9 @@
 // Tests for the fleet-scaling layer (DESIGN.md §11): the uniform spatial
-// grid and neighbor index (exactness against brute force, including cell
-// boundaries and degenerate geometry), grid on/off bit-identity of full
-// runs, thread-count bit-identity of metro-scale runs (snapshot mobility +
-// parallel sessions + faults), metro checkpoint resume, and the pair-map
-// plateau at 1,024 vehicles under incremental pruning.
+// grid and neighbor index (exactness against the brute-force scan, including
+// cell boundaries and degenerate geometry, and during a run), thread-count
+// bit-identity of metro-scale runs (snapshot mobility + parallel sessions +
+// faults), metro checkpoint resume, and the pair-map plateau at 1,024
+// vehicles under incremental pruning.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -197,7 +197,6 @@ TEST(SpatialEngineTest, GridNeighborsMatchBruteForceDuringRun) {
   cfg.num_vehicles = 24;
   cfg.duration_s = 40.0;
   cfg.radio.max_range_m = 250.0;
-  ASSERT_TRUE(cfg.spatial_index);
   auto strategy = std::make_unique<ProbeStrategy>();
   ProbeStrategy* probe = strategy.get();
   FleetSim sim{cfg, std::move(strategy)};
@@ -215,24 +214,6 @@ std::vector<std::uint8_t> run_and_checkpoint(const ScenarioConfig& cfg, double h
   return {w.bytes().begin(), w.bytes().end()};
 }
 
-TEST(SpatialEngineTest, GridOnOffBitIdentical) {
-  // The grid is an exact candidate filter, so a full run — sessions, stats,
-  // RNG streams, everything the checkpoint captures — must be byte-identical
-  // with it on and off.
-  ScenarioConfig cfg = lean_config(9);
-  cfg.num_vehicles = 20;
-  cfg.duration_s = 60.0;
-  cfg.faults.burst_rate_per_min = 2.0;
-  cfg.faults.churn_rate_per_min = 1.0;
-  cfg.faults.churn_offline_mean_s = 8.0;
-  cfg.faults.chat_backoff = true;
-  cfg.spatial_index = true;
-  const auto with_grid = run_and_checkpoint(cfg, cfg.duration_s);
-  cfg.spatial_index = false;
-  const auto without_grid = run_and_checkpoint(cfg, cfg.duration_s);
-  ASSERT_EQ(with_grid, without_grid);
-}
-
 TEST(MetroScaleTest, TilingHoldsDensityConstantAndEnablesScaling) {
   ScenarioConfig base;
   const double base_density = base.num_vehicles / (base.world.town.extent_m *
@@ -245,11 +226,8 @@ TEST(MetroScaleTest, TilingHoldsDensityConstantAndEnablesScaling) {
       cfg.num_vehicles / (cfg.world.town.extent_m * cfg.world.town.extent_m);
   EXPECT_NEAR(density / base_density, 1.0, 1e-9);
   EXPECT_NEAR(cfg.world.num_background_cars / base_bg, 16.0, 0.1);
-  EXPECT_TRUE(cfg.spatial_index);
-  EXPECT_TRUE(cfg.parallel_sessions);
-  EXPECT_TRUE(cfg.world.snapshot_mobility);
   // Scaling up is part of the checkpoint config fingerprint (the scaled
-  // world and RNG assignment differ), so mismatched resumes are rejected.
+  // world differs), so mismatched resumes are rejected.
   EXPECT_NE(engine::config_fingerprint(cfg), engine::config_fingerprint(base));
 }
 
@@ -271,8 +249,8 @@ ScenarioConfig metro_config(std::uint64_t seed, int vehicles, bool faults) {
 }
 
 TEST(MetroScaleTest, KiloFleetBitIdenticalAcrossThreadCounts) {
-  // The tentpole determinism claim: with snapshot mobility, parallel session
-  // ticks and fault injection all on, a 1,024-vehicle run must be
+  // The scaling determinism claim: with the parallel world and session
+  // phases fanned out and fault injection on, a 1,024-vehicle run must be
   // bit-identical for any worker-lane count.
   ScenarioConfig cfg = metro_config(21, 1024, /*faults=*/true);
   cfg.duration_s = 30.0;

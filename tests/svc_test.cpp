@@ -275,16 +275,20 @@ TEST(JobSpecTest, FingerprintSplitsOnEventsButNotPreemptAt) {
 }
 
 TEST(JobSpecTest, FingerprintSplitsOnMetroScaling) {
-  // "num_vehicles" tiles the town and switches on snapshot mobility and
-  // parallel sessions: the result changes, so the cache key must too, even
-  // when the vehicle count stays the same.
+  // "num_vehicles" tiles the town to the requested count. At the spec's own
+  // count the tiling is the identity, and the engine has one tick, so the
+  // scenario (and its cache key) is the plain one; a real scale-up changes
+  // the town and the result, so the key must split.
   JobSpec fixed;
+  JobSpec identity;
   JobSpec metro;
   std::string err;
   const std::string base =
       R"("strategy":"DP","vehicles":6,"duration":120,"collect_duration":60,"seed":3)";
   ASSERT_TRUE(parse_job_spec("{" + base + "}", fixed, err)) << err;
-  ASSERT_TRUE(parse_job_spec("{" + base + R"(,"num_vehicles":6})", metro, err)) << err;
+  ASSERT_TRUE(parse_job_spec("{" + base + R"(,"num_vehicles":6})", identity, err)) << err;
+  ASSERT_TRUE(parse_job_spec("{" + base + R"(,"num_vehicles":12})", metro, err)) << err;
+  EXPECT_EQ(job_fingerprint(fixed), job_fingerprint(identity));
   EXPECT_NE(job_fingerprint(fixed), job_fingerprint(metro));
 }
 
