@@ -26,6 +26,25 @@ namespace {
 /// honest/attacker cohort loss curves.
 constexpr std::uint32_t kCacheVersion = 3;
 
+/// The cache file layouts: a CachedRun, and a table's success rates.
+template <class Io, FieldsOf<CachedRun> S>
+void fields(Io& io, S& run) {
+  io.exact(kCacheVersion, "bench cache version");
+  io(run.loss_curve);
+  io(run.transfers);
+  adversary_fields(io, run.transfers);
+  io(run.honest_loss_curve);
+  io(run.attacker_loss_curve);
+  io(run.train_steps);
+  io.resize(run.final_params, sizeof(std::uint32_t));
+  for (auto& params : run.final_params) io(params);
+}
+
+template <class Io, FieldsOf<std::array<double, 5>> S>
+void fields(Io& io, S& rates) {
+  for (auto& rate : rates) io(rate);
+}
+
 std::filesystem::path cache_dir() {
   const char* env = std::getenv("LBCHAT_BENCH_CACHE");
   std::filesystem::path dir = env != nullptr ? env : ".bench_cache";
@@ -73,79 +92,34 @@ void export_run_observability(const engine::ScenarioConfig& cfg, std::string_vie
                dir.string().c_str(), stem);
 }
 
-void write_run(const std::filesystem::path& path, const CachedRun& run) {
+template <class T>
+void write_file(const std::filesystem::path& path, const T& value) {
   ByteWriter w;
-  w.write_u32(kCacheVersion);
-  w.write_f64_vec(run.loss_curve.times);
-  w.write_f64_vec(run.loss_curve.values);
-  w.write_i32(run.transfers.model_sends_started);
-  w.write_i32(run.transfers.model_sends_completed);
-  w.write_i32(run.transfers.coreset_sends_started);
-  w.write_i32(run.transfers.coreset_sends_completed);
-  w.write_i32(run.transfers.sessions_started);
-  w.write_i32(run.transfers.sessions_aborted);
-  w.write_u64(run.transfers.bytes_delivered);
-  w.write_i32(run.transfers.frames_rejected);
-  w.write_i32(run.transfers.model_frames_rejected);
-  w.write_i32(run.transfers.sessions_lost_to_blackout);
-  w.write_i32(run.transfers.backoff_retries);
-  w.write_f64(run.transfers.offline_vehicle_seconds);
-  w.write_i32(run.transfers.byzantine_payloads_sent);
-  w.write_u64(static_cast<std::uint64_t>(run.transfers.straggler_train_skips));
-  w.write_i32(run.transfers.frames_rejected_invalid);
-  w.write_f64(run.transfers.attacker_peer_weight);
-  w.write_f64(run.transfers.total_peer_weight);
-  w.write_f64_vec(run.honest_loss_curve.times);
-  w.write_f64_vec(run.honest_loss_curve.values);
-  w.write_f64_vec(run.attacker_loss_curve.times);
-  w.write_f64_vec(run.attacker_loss_curve.values);
-  w.write_u64(static_cast<std::uint64_t>(run.train_steps));
-  w.write_u32(static_cast<std::uint32_t>(run.final_params.size()));
-  for (const auto& p : run.final_params) w.write_f32_vec(p);
+  Save io{w};
+  fields(io, value);
   std::ofstream out{path, std::ios::binary};
   out.write(reinterpret_cast<const char*>(w.bytes().data()),
             static_cast<std::streamsize>(w.size()));
 }
 
-bool read_run(const std::filesystem::path& path, CachedRun& run) {
+/// Decode the cache file at `path` into `value`; false (and `value`
+/// untouched) when the file is missing or does not decode.
+template <class T>
+bool read_file(const std::filesystem::path& path, T& value) {
   std::ifstream in{path, std::ios::binary};
   if (!in) return false;
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
   try {
     ByteReader r{bytes};
-    if (r.read_u32() != kCacheVersion) return false;
-    run.loss_curve.times = r.read_f64_vec();
-    run.loss_curve.values = r.read_f64_vec();
-    run.transfers.model_sends_started = r.read_i32();
-    run.transfers.model_sends_completed = r.read_i32();
-    run.transfers.coreset_sends_started = r.read_i32();
-    run.transfers.coreset_sends_completed = r.read_i32();
-    run.transfers.sessions_started = r.read_i32();
-    run.transfers.sessions_aborted = r.read_i32();
-    run.transfers.bytes_delivered = r.read_u64();
-    run.transfers.frames_rejected = r.read_i32();
-    run.transfers.model_frames_rejected = r.read_i32();
-    run.transfers.sessions_lost_to_blackout = r.read_i32();
-    run.transfers.backoff_retries = r.read_i32();
-    run.transfers.offline_vehicle_seconds = r.read_f64();
-    run.transfers.byzantine_payloads_sent = r.read_i32();
-    run.transfers.straggler_train_skips = static_cast<long>(r.read_u64());
-    run.transfers.frames_rejected_invalid = r.read_i32();
-    run.transfers.attacker_peer_weight = r.read_f64();
-    run.transfers.total_peer_weight = r.read_f64();
-    run.honest_loss_curve.times = r.read_f64_vec();
-    run.honest_loss_curve.values = r.read_f64_vec();
-    run.attacker_loss_curve.times = r.read_f64_vec();
-    run.attacker_loss_curve.values = r.read_f64_vec();
-    run.train_steps = static_cast<long>(r.read_u64());
-    const auto n = r.read_u32();
-    run.final_params.clear();
-    for (std::uint32_t i = 0; i < n; ++i) run.final_params.push_back(r.read_f32_vec());
+    Load io{r};
+    T decoded{};
+    fields(io, decoded);
+    value = std::move(decoded);
+    return true;
   } catch (const std::exception&) {
     return false;
   }
-  return true;
 }
 
 }  // namespace
@@ -220,7 +194,7 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
                 static_cast<unsigned long long>(key));
   const auto path = cache_dir() / name;
   CachedRun run;
-  if (read_run(path, run)) return run;
+  if (read_file(path, run)) return run;
 
   std::fprintf(stderr, "[bench] training %s (wireless=%d, |C|=%zu, %.0fs)...\n",
                std::string{strategy}.c_str(), cfg.wireless_loss ? 1 : 0, cfg.coreset_size,
@@ -236,7 +210,7 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
   run.transfers = m.transfers;
   run.final_params = m.final_params;
   run.train_steps = m.train_steps;
-  write_run(path, run);
+  write_file(path, run);
   return run;
 }
 
@@ -253,28 +227,13 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
   std::snprintf(name, sizeof name, "eval_%016llx.bin",
                 static_cast<unsigned long long>(h.digest()));
   const auto path = cache_dir() / name;
-
-  {
-    std::ifstream in{path, std::ios::binary};
-    if (in) {
-      std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                      std::istreambuf_iterator<char>()};
-      try {
-        ByteReader r{bytes};
-        std::array<double, 5> rates{};
-        for (double& v : rates) v = r.read_f64();
-        return rates;
-      } catch (const std::exception&) {
-        // fall through to recompute
-      }
-    }
-  }
+  std::array<double, 5> rates{};
+  if (read_file(path, rates)) return rates;
 
   std::fprintf(stderr, "[bench] online eval of %s (%d models x %d trials)...\n",
                std::string{strategy}.c_str(), models_to_eval, ec.trials);
   eval::OnlineEvaluator evaluator{ec};
   // Spread the evaluated vehicles across the fleet (urban + rural dwellers).
-  std::array<double, 5> rates{};
   const int n = static_cast<int>(run.final_params.size());
   const int k = std::min(models_to_eval, n);
   for (int m = 0; m < k; ++m) {
@@ -286,12 +245,7 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
     }
   }
   for (double& v : rates) v /= std::max(k, 1);
-
-  ByteWriter w;
-  for (const double v : rates) w.write_f64(v);
-  std::ofstream out{path, std::ios::binary};
-  out.write(reinterpret_cast<const char*>(w.bytes().data()),
-            static_cast<std::streamsize>(w.size()));
+  write_file(path, rates);
   return rates;
 }
 

@@ -1,14 +1,30 @@
-// Little-endian byte (de)serialization used for model/coreset wire formats and
-// for the bench result cache.
+// Little-endian byte (de)serialization used by the model/coreset/sample wire
+// formats, the bench result cache and fleet checkpoints.
+//
+// Serialized state is written as one field list per type (DESIGN.md §10):
+//
+//     template <class Io, FieldsOf<T> S> void fields(Io& io, S& t);
+//
+// calls io(field) for each field in wire order. Under Save S deduces to
+// const T and io() writes; under Load S is T and io() reads, so the save and
+// load of a type cannot drift apart. Load-only validation sits in
+// `if constexpr (Io::kLoad)` blocks. Save/Load own the one mapping from C++
+// types to wire types and the two count primitives that bound what a corrupt
+// count can allocate.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/geometry.h"
 
 namespace lbchat {
 
@@ -76,11 +92,8 @@ class ByteReader {
   double read_f64() { return read_pod<double>(); }
 
   std::string read_string() {
-    const auto n = read_u32();
-    check(n);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
+    const auto v = read_view();
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
   }
 
   std::vector<float> read_f32_vec() { return read_pod_vec<float>(); }
@@ -88,10 +101,15 @@ class ByteReader {
   std::vector<std::uint32_t> read_u32_vec() { return read_pod_vec<std::uint32_t>(); }
 
   std::vector<std::uint8_t> read_bytes() {
+    const auto v = read_view();
+    return {v.begin(), v.end()};
+  }
+
+  /// A u32-length-prefixed byte run as a view into the input (no copy).
+  std::span<const std::uint8_t> read_view() {
     const auto n = read_u32();
     check(n);
-    std::vector<std::uint8_t> v(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const auto v = data_.subspan(pos_, n);
     pos_ += n;
     return v;
   }
@@ -136,6 +154,163 @@ class ByteReader {
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+};
+
+/// `S` is `T` or `const T`: constrains a field list to the type it lists.
+template <class S, class T>
+concept FieldsOf = std::same_as<std::remove_const_t<S>, T>;
+
+/// Vec2 on the wire: x then y, as f64.
+template <class Io, FieldsOf<Vec2> S>
+void fields(Io& io, S& v) {
+  io(v.x);
+  io(v.y);
+}
+
+/// An int vector on the wire: a bounded u32 count, then i32 elements.
+template <class Io, FieldsOf<std::vector<int>> S>
+void fields(Io& io, S& v) {
+  io.resize(v, sizeof(std::int32_t));
+  for (auto& x : v) io(x);
+}
+
+/// Save side of a field list. The overloads are the type-to-wire mapping:
+/// int -> i32, std::uint32_t -> u32, std::uint64_t and long -> u64, double
+/// -> f64, bool and std::uint8_t -> u8; strings and float, double and byte
+/// vectors carry a u32 length prefix. A class type goes through its save()
+/// member if it has one, else through its fields() (Vec2 and int vectors
+/// above, any other by argument-dependent lookup).
+class Save {
+ public:
+  static constexpr bool kLoad = false;
+  explicit Save(ByteWriter& w) : w_(w) {}
+
+  void operator()(const int& v) { w_.write_i32(v); }
+  void operator()(const std::uint32_t& v) { w_.write_u32(v); }
+  void operator()(const std::uint64_t& v) { w_.write_u64(v); }
+  void operator()(const long& v) { w_.write_u64(static_cast<std::uint64_t>(v)); }
+  void operator()(const double& v) { w_.write_f64(v); }
+  void operator()(const bool& v) { w_.write_u8(v ? 1 : 0); }
+  void operator()(const std::uint8_t& v) { w_.write_u8(v); }
+  void operator()(const std::string& v) { w_.write_string(v); }
+  void operator()(std::span<const float> v) { w_.write_f32_vec(v); }
+  void operator()(const std::vector<float>& v) { w_.write_f32_vec(v); }
+  void operator()(const std::vector<double>& v) { w_.write_f64_vec(v); }
+  void operator()(const std::vector<std::uint8_t>& v) { w_.write_bytes(v); }
+  template <class T>
+    requires std::is_class_v<T>
+  void operator()(const T& v) {
+    if constexpr (requires { v.save(w_); }) {
+      v.save(w_);
+    } else {
+      fields(*this, v);
+    }
+  }
+  /// A scalar type without a wire mapping is an error, not a conversion.
+  template <class T>
+    requires std::is_scalar_v<T>
+  void operator()(const T&) = delete;
+
+  /// A value the loader must find unchanged (an echoed option, a kind).
+  template <class T>
+  void exact(const T& v, const char*) { (*this)(v); }
+  /// Exact count: the u32 size of a container the loader already sized.
+  void exact_count(std::size_t n, const char* what) { exact(static_cast<std::uint32_t>(n), what); }
+  /// Bounded resize: the u32 size of a container the loader resizes.
+  template <class C>
+  void resize(const C& c, std::size_t) { w_.write_u32(static_cast<std::uint32_t>(c.size())); }
+  /// An enum stored as u8; the loader rejects values above `max`.
+  template <class E>
+  void enum_u8(const E& e, E, const char*) { w_.write_u8(static_cast<std::uint8_t>(e)); }
+  /// A u32-length-prefixed nested blob, filled by `f(Save&)`.
+  template <class F>
+  void blob(const char*, F&& f) {
+    ByteWriter inner;
+    Save io{inner};
+    f(io);
+    w_.write_bytes(inner.bytes());
+  }
+  /// The underlying writer, for codecs with their own write_* functions.
+  [[nodiscard]] ByteWriter& writer() { return w_; }
+
+ private:
+  ByteWriter& w_;
+};
+
+/// Load side of a field list: the same overloads as Save, reading into
+/// non-const fields. Every failure throws (std::out_of_range on underflow,
+/// std::runtime_error on a value the field list rejects).
+class Load {
+ public:
+  static constexpr bool kLoad = true;
+  explicit Load(ByteReader& r) : r_(r) {}
+
+  void operator()(int& v) { v = r_.read_i32(); }
+  void operator()(std::uint32_t& v) { v = r_.read_u32(); }
+  void operator()(std::uint64_t& v) { v = r_.read_u64(); }
+  void operator()(long& v) { v = static_cast<long>(r_.read_u64()); }
+  void operator()(double& v) { v = r_.read_f64(); }
+  void operator()(bool& v) { v = r_.read_u8() != 0; }
+  void operator()(std::uint8_t& v) { v = r_.read_u8(); }
+  void operator()(std::string& v) { v = r_.read_string(); }
+  /// Reads into a fixed-size span; the stored length must match.
+  void operator()(std::span<float> v) {
+    const auto stored = r_.read_f32_vec();
+    if (stored.size() != v.size()) throw std::runtime_error{"Load: vector length mismatch"};
+    std::copy(stored.begin(), stored.end(), v.begin());
+  }
+  void operator()(std::vector<float>& v) { v = r_.read_f32_vec(); }
+  void operator()(std::vector<double>& v) { v = r_.read_f64_vec(); }
+  void operator()(std::vector<std::uint8_t>& v) { v = r_.read_bytes(); }
+  template <class T>
+    requires std::is_class_v<T>
+  void operator()(T& v) {
+    if constexpr (requires { v.load(r_); }) {
+      v.load(r_);
+    } else {
+      fields(*this, v);
+    }
+  }
+
+  template <class T>
+  void exact(const T& expected, const char* what) {
+    T v{};
+    (*this)(v);
+    if (!(v == expected)) throw std::runtime_error{std::string{what} + " mismatch"};
+  }
+  void exact_count(std::size_t n, const char* what) { exact(static_cast<std::uint32_t>(n), what); }
+  /// Resizes `c` to the stored count after rejecting a count larger than
+  /// remaining() / element_bytes (each element's least wire size), so a
+  /// corrupt count fails before anything is allocated.
+  template <class C>
+  void resize(C& c, std::size_t element_bytes) {
+    const std::uint32_t n = r_.read_u32();
+    if (n > r_.remaining() / element_bytes) {
+      throw std::out_of_range{"ByteReader: count exceeds the remaining bytes"};
+    }
+    c.clear();
+    c.resize(n);
+  }
+  template <class E>
+  void enum_u8(E& e, E max, const char* what) {
+    const std::uint8_t v = r_.read_u8();
+    if (v > static_cast<std::uint8_t>(max)) {
+      throw std::runtime_error{std::string{what} + " out of range"};
+    }
+    e = static_cast<E>(v);
+  }
+  /// Reads a nested blob through `f(Load&)`, which must consume all of it.
+  template <class F>
+  void blob(const char* what, F&& f) {
+    ByteReader inner{r_.read_view()};
+    Load io{inner};
+    f(io);
+    if (!inner.exhausted()) throw std::runtime_error{std::string{"trailing bytes in "} + what};
+  }
+  [[nodiscard]] ByteReader& reader() { return r_; }
+
+ private:
+  ByteReader& r_;
 };
 
 }  // namespace lbchat

@@ -134,18 +134,22 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   return p;
 }
 
+template <class Io, class S>
+void Rng::fields(Io& io, S& rng) {
+  io(rng.seed_);
+  for (auto& s : rng.s_) io(s);
+  io(rng.have_spare_normal_);
+  io(rng.spare_normal_);
+}
+
 void Rng::save(ByteWriter& w) const {
-  w.write_u64(seed_);
-  for (const auto s : s_) w.write_u64(s);
-  w.write_u8(have_spare_normal_ ? 1 : 0);
-  w.write_f64(spare_normal_);
+  Save io{w};
+  fields(io, *this);
 }
 
 void Rng::load(ByteReader& r) {
-  seed_ = r.read_u64();
-  for (auto& s : s_) s = r.read_u64();
-  have_spare_normal_ = r.read_u8() != 0;
-  spare_normal_ = r.read_f64();
+  Load io{r};
+  fields(io, *this);
 }
 
 }  // namespace lbchat

@@ -62,6 +62,9 @@ class Rng {
   void load(ByteReader& r);
 
  private:
+  template <class Io, class S>
+  static void fields(Io& io, S& rng);
+
   std::uint64_t seed_;  // original seed material, used by fork()
   std::uint64_t s_[4];  // xoshiro256** state
   bool have_spare_normal_ = false;

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace lbchat {
 
 inline double mean(std::span<const double> v) {
@@ -105,5 +107,18 @@ struct TimeSeries {
     return -1.0;
   }
 };
+
+/// Field list of a TimeSeries (common/bytes.h), shared by checkpoints and the
+/// bench cache.
+template <class Io, FieldsOf<TimeSeries> S>
+void fields(Io& io, S& ts) {
+  io(ts.times);
+  io(ts.values);
+  if constexpr (Io::kLoad) {
+    if (ts.times.size() != ts.values.size()) {
+      throw std::runtime_error{"TimeSeries: length mismatch"};
+    }
+  }
+}
 
 }  // namespace lbchat

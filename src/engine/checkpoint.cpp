@@ -1,6 +1,8 @@
 // Checkpoint/restore implementation (see engine/checkpoint.h and DESIGN.md
-// §10 for the wire layout). save_checkpoint/restore are FleetSim members so
-// the serializer reaches engine privates without widening the public API.
+// §10 for the wire layout). save_checkpoint/restore are FleetSim members, and
+// the section field lists live in CheckpointFields, a friend of FleetSim and
+// PairSession, so the serializer reaches engine privates without widening
+// the public API.
 #include "engine/checkpoint.h"
 
 #include <algorithm>
@@ -23,8 +25,7 @@ namespace lbchat::engine {
 namespace {
 
 constexpr std::uint8_t kNumSections = 9;
-constexpr std::uint8_t kMaxEventKind =
-    static_cast<std::uint8_t>(obs::EventKind::kStragglerSkip);
+constexpr obs::EventKind kMaxEventKind = obs::EventKind::kStragglerSkip;
 /// kObs histogram shape limit: at most this many buckets, overflow included.
 constexpr std::uint32_t kMaxHistogramBuckets = 16;
 
@@ -152,19 +153,45 @@ void write_config(ByteWriter& w, const ScenarioConfig& c) {
   }
 }
 
-void write_time_series(ByteWriter& w, const TimeSeries& ts) {
-  w.write_f64_vec(ts.times);
-  w.write_f64_vec(ts.values);
+/// Marker byte of the adversary/heterogeneity tails of kCore, kStats and
+/// kMetrics: present exactly when the config fingerprints those layers.
+constexpr std::uint8_t kTailMarker = 0x5E;
+/// Least wire sizes of one element, the bounds of Load::resize: a sample
+/// (command, BEV length, waypoints, weight, id, source), a queued stage, a
+/// session (its scalars, a 49-byte Rng, queue count, scratch length), an
+/// event and a metric.
+constexpr std::size_t kSampleBytes = 1 + 4 + 2 * data::kNumWaypoints * 4 + 8 + 8 + 4;
+constexpr std::size_t kStageBytes = 1 + 4 + 4 + 8 + 4;
+constexpr std::size_t kSessionBytes = 4 + 4 + 8 + 1 + 1 + 4 + 8 + 49 + 4 + 4;
+constexpr std::size_t kEventBytes = 8 + 1 + 4 + 4 + 8;
+constexpr std::size_t kMetricBytes = 4 + 1 + 8 + 8 + 4 + 4;
+
+/// The checkpoint header. A load stops after a version it does not know,
+/// which the caller reports as kBadVersion.
+template <class Io, FieldsOf<CkptInfo> S>
+void fields(Io& io, S& h) {
+  io(h.version);
+  if constexpr (Io::kLoad) {
+    if (h.version != kCheckpointVersion) return;
+  }
+  io(h.config_fingerprint);
+  io(h.seed);
+  io(h.num_vehicles);
+  io(h.strategy);
+  io(h.time_s);
 }
 
-TimeSeries read_time_series(ByteReader& r) {
-  TimeSeries ts;
-  ts.times = r.read_f64_vec();
-  ts.values = r.read_f64_vec();
-  if (ts.times.size() != ts.values.size()) {
-    throw std::runtime_error{"checkpoint: time series length mismatch"};
-  }
-  return ts;
+/// The one header parser of restore() and inspect_checkpoint(): checks the
+/// envelope, reads the header into `info` and leaves `body` at the section
+/// count. Throws on a truncated header.
+CkptStatus read_header(std::span<const std::uint8_t> bytes, CkptInfo& info, ByteReader& body) {
+  const auto dec = frame::decode(bytes);
+  if (!dec.ok() || dec.type != frame::FrameType::kCheckpoint) return CkptStatus::kBadFrame;
+  body = ByteReader{dec.payload};
+  info = CkptInfo{};
+  Load io{body};
+  fields(io, info);
+  return info.version == kCheckpointVersion ? CkptStatus::kOk : CkptStatus::kBadVersion;
 }
 
 }  // namespace
@@ -266,31 +293,18 @@ std::string ckpt_info_json(const CkptInfo& info) {
 }
 
 CkptStatus inspect_checkpoint(std::span<const std::uint8_t> bytes, CkptInfo& info) {
-  const auto dec = frame::decode(bytes);
-  if (!dec.ok() || dec.type != frame::FrameType::kCheckpoint) return CkptStatus::kBadFrame;
   try {
-    ByteReader r{dec.payload};
-    info = CkptInfo{};
-    info.version = r.read_u32();
-    if (info.version != kCheckpointVersion) return CkptStatus::kBadVersion;
-    info.config_fingerprint = r.read_u64();
-    info.seed = r.read_u64();
-    info.num_vehicles = r.read_u32();
-    info.strategy = r.read_string();
-    info.time_s = r.read_f64();
+    ByteReader r{std::span<const std::uint8_t>{}};
+    if (const CkptStatus st = read_header(bytes, info, r); st != CkptStatus::kOk) return st;
     const std::uint32_t nsec = r.read_u32();
     if (nsec > 255) return CkptStatus::kMalformed;
     for (std::uint32_t i = 0; i < nsec; ++i) {
       CkptInfo::Section s;
       s.tag = r.read_u8();
-      const std::uint32_t len = r.read_u32();
-      if (len > r.remaining()) return CkptStatus::kMalformed;
-      s.bytes = len;
-      r = ByteReader{r.rest().subspan(len)};  // skip the blob without copying
+      s.bytes = r.read_view().size();  // skip the blob without copying
       info.sections.push_back(s);
     }
-    if (!r.exhausted()) return CkptStatus::kMalformed;
-    return CkptStatus::kOk;
+    return r.exhausted() ? CkptStatus::kOk : CkptStatus::kMalformed;
   } catch (const std::exception&) {
     return CkptStatus::kMalformed;
   }
@@ -300,493 +314,314 @@ CkptStatus inspect_checkpoint(std::span<const std::uint8_t> bytes, CkptInfo& inf
 // FleetSim serialization (defined here; declared in engine/fleet.h)
 // ---------------------------------------------------------------------------
 
+/// The checkpoint body after the header: one field list per section, each
+/// run under Save by save_checkpoint (Sim = const FleetSim) and under Load by
+/// restore (Sim = FleetSim). Every section is a u8 tag and a length-prefixed
+/// blob that a load must consume exactly.
+struct CheckpointFields {
+  template <class Io, class Sim>
+  static void body(Io& io, Sim& sim) {
+    io.exact_count(kNumSections, "checkpoint: section count");
+    bool seen[kNumSections + 1] = {};
+    for (std::uint8_t i = 1; i <= kNumSections; ++i) {
+      std::uint8_t tag = i;
+      io(tag);
+      if constexpr (Io::kLoad) {
+        if (tag < 1 || tag > kNumSections || seen[tag]) {
+          throw std::runtime_error{"checkpoint: bad section tag"};
+        }
+        seen[tag] = true;
+      }
+      io.blob(section_name(tag).data(),
+              [&](auto& s) { section(s, sim, static_cast<CkptSection>(tag)); });
+    }
+  }
+
+  template <class Io, class Sim>
+  static void section(Io& io, Sim& sim, CkptSection tag) {
+    switch (tag) {
+      case CkptSection::kCore: return core(io, sim);
+      case CkptSection::kWorld: return io(sim.world_);
+      case CkptSection::kFaults: return io(sim.faults_);
+      case CkptSection::kNodes: return nodes(io, sim);
+      case CkptSection::kSessions: return sessions(io, sim);
+      case CkptSection::kStats: return stats(io, sim);
+      case CkptSection::kMetrics: return metrics(io, sim);
+      case CkptSection::kStrategy:
+        return io.blob("strategy state", [&](auto& s) {
+          if constexpr (Io::kLoad) {
+            sim.strategy_->load_state(sim, s.reader());
+          } else {
+            sim.strategy_->save_state(sim, s.writer());
+          }
+        });
+      case CkptSection::kObs: return events(io, sim);
+    }
+  }
+
+  /// Clock schedule, engine RNG streams, pair maps.
+  template <class Io, class Sim>
+  static void core(Io& io, Sim& sim) {
+    io(sim.prepared_);
+    io(sim.next_train_);
+    io(sim.next_eval_);
+    io(sim.next_prune_);
+    long steps = sim.train_steps_.load();
+    io(steps);
+    if constexpr (Io::kLoad) sim.train_steps_.store(steps);
+    io(sim.strategy_rng_);
+    pair_map(io, sim.last_chat_);
+    pair_map(io, sim.pair_backoff_);
+    if (sim.cfg_.adversary.enabled() || sim.cfg_.hetero.enabled()) {
+      io.exact(kTailMarker, "checkpoint: adversary core tail");
+      io(sim.adversary_);
+      io(sim.hetero_);
+    }
+  }
+
+  /// A hash map as its entries sorted by key, so equal state gives equal bytes.
+  template <class Io, class Map>
+  static void pair_map(Io& io, Map& map) {
+    using Value = typename std::remove_const_t<Map>::mapped_type;
+    std::vector<std::pair<std::uint64_t, Value>> entries;
+    if constexpr (!Io::kLoad) {
+      entries.assign(map.begin(), map.end());
+      std::sort(entries.begin(), entries.end());
+    }
+    io.resize(entries, sizeof(std::uint64_t) + sizeof(Value));
+    for (auto& [key, value] : entries) {
+      io(key);
+      io(value);
+    }
+    if constexpr (Io::kLoad) {
+      map.clear();
+      for (const auto& [key, value] : entries) map[key] = value;
+    }
+  }
+
+  /// Shared eval set + per-vehicle model, optimizer, dataset and RNG.
+  template <class Io, class Sim>
+  static void nodes(Io& io, Sim& sim) {
+    const data::BevSpec& bev = sim.cfg_.policy.bev;
+    samples(io, sim.eval_set_, bev);
+    io.exact_count(sim.nodes_.size(), "checkpoint: node count");
+    for (auto& np : sim.nodes_) {
+      std::conditional_t<Io::kLoad, VehicleNode, const VehicleNode>& n = *np;
+      io(n.rng);
+      io(n.model.params());
+      io.exact(std::string{n.opt->kind()}, "checkpoint: optimizer kind");
+      if constexpr (Io::kLoad) {
+        n.opt->load_state(io.reader());
+        // Replaying add() in saved order reproduces the weighted dataset's
+        // cumulative-weight table bit-exactly.
+        std::vector<data::Sample> saved;
+        samples(io, saved, bev);
+        n.dataset = data::WeightedDataset{bev};
+        for (auto& s : saved) n.dataset.add(std::move(s));
+      } else {
+        n.opt->save_state(io.writer());
+        samples(io, n.dataset.samples(), bev);
+      }
+      samples(io, n.validation, bev);
+    }
+  }
+
+  template <class Io, class List>
+  static void samples(Io& io, List& list, const data::BevSpec& bev) {
+    io.resize(list, kSampleBytes);
+    for (auto& s : list) {
+      if constexpr (Io::kLoad) {
+        s = data::read_sample(io.reader(), bev);
+      } else {
+        data::write_sample(io.writer(), s);
+      }
+    }
+  }
+
+  /// In-flight pair sessions with their queued transfers.
+  template <class Io, class Sim>
+  static void sessions(Io& io, Sim& sim) {
+    if constexpr (Io::kLoad) std::fill(sim.busy_.begin(), sim.busy_.end(), nullptr);
+    io.resize(sim.sessions_, kSessionBytes);
+    for (auto& sp : sim.sessions_) {
+      if constexpr (Io::kLoad) sp = std::make_unique<PairSession>();
+      std::conditional_t<Io::kLoad, PairSession, const PairSession>& s = *sp;
+      session(io, sim, s);
+      if constexpr (Io::kLoad) {
+        for (const int v : {s.a_, s.b_}) {
+          PairSession*& slot = sim.busy_[static_cast<std::size_t>(v)];
+          if (slot != nullptr) throw std::runtime_error{"checkpoint: vehicle in two sessions"};
+          slot = sp.get();
+        }
+      }
+    }
+  }
+
+  template <class Io, class Sim, class Session>
+  static void session(Io& io, Sim& sim, Session& s) {
+    io(s.a_);
+    io(s.b_);
+    if constexpr (Io::kLoad) {
+      const int n = sim.num_vehicles();
+      if (s.a_ < 0 || s.a_ >= n || s.b_ < 0 || s.b_ >= n || s.b_ == s.a_) {
+        throw std::runtime_error{"checkpoint: session endpoint out of range"};
+      }
+    }
+    io(s.started_at_);
+    io(s.closed_);
+    io(s.aborted_);
+    io(s.phase);
+    io(s.deadline_s);
+    io(s.rng_);
+    io.resize(s.queue_, kStageBytes);
+    for (auto& st : s.queue_) {
+      io.enum_u8(st.tag.kind, StageTag::kOther, "checkpoint: stage kind");
+      io(st.tag.from);
+      io(st.tag.payload);
+      std::uint64_t remaining = st.transfer.remaining_bytes();
+      io(remaining);
+      io(st.payload);
+      if constexpr (Io::kLoad) {
+        st.transfer = net::Transfer{static_cast<std::size_t>(remaining),
+                                    sim.session_radio(s.a_, s.b_)};
+      }
+    }
+    io.blob("session scratch", [&](auto& scratch) {
+      if constexpr (Io::kLoad) {
+        sim.strategy_->load_session_state(sim, s, scratch.reader());
+      } else {
+        sim.strategy_->save_session_state(sim, s, scratch.writer());
+      }
+    });
+  }
+
+  /// Fleet + per-vehicle accounting.
+  template <class Io, class Sim>
+  static void stats(Io& io, Sim& sim) {
+    io(sim.stats_);
+    io.exact_count(sim.vstats_.size(), "checkpoint: vehicle stats count");
+    for (auto& v : sim.vstats_) io(v);
+    if (sim.cfg_.adversary.enabled() || sim.cfg_.hetero.enabled()) {
+      io.exact(kTailMarker, "checkpoint: adversary stats tail");
+      adversary_fields(io, sim.stats_);
+    }
+  }
+
+  /// Loss curves accumulated so far. finalize() fills the transfer and
+  /// parameter fields of RunMetrics from live state, so only the curves are
+  /// serialized.
+  template <class Io, class Sim>
+  static void metrics(Io& io, Sim& sim) {
+    auto& m = sim.metrics_;
+    if constexpr (Io::kLoad) m = RunMetrics{};
+    io(m.loss_curve);
+    io.resize(m.per_vehicle_loss, 2 * sizeof(std::uint32_t));
+    if constexpr (Io::kLoad) {
+      if (!m.per_vehicle_loss.empty() && m.per_vehicle_loss.size() != sim.nodes_.size()) {
+        throw std::runtime_error{"checkpoint: per-vehicle curve count mismatch"};
+      }
+    }
+    for (auto& ts : m.per_vehicle_loss) io(ts);
+    if (sim.cfg_.adversary.enabled()) {
+      io.exact(kTailMarker, "checkpoint: cohort metrics tail");
+      io(m.honest_loss_curve);
+      io(m.attacker_loss_curve);
+    }
+  }
+
+  /// The run's event ring + metrics snapshot, captured only when its events
+  /// are on (with them off both are empty by contract).
+  template <class Io, class Sim>
+  static void events(Io& io, Sim& sim) {
+    bool captured = sim.events_on_;
+    io(captured);
+    if (!captured) return;
+    std::vector<obs::Event> ring;
+    std::uint64_t dropped = 0;
+    obs::Snapshot snap;
+    if constexpr (!Io::kLoad) {
+      ring = sim.events_.events();
+      dropped = sim.events_.dropped();
+      snap = sim.metrics_snapshot();
+    }
+    io.resize(ring, kEventBytes);
+    for (auto& e : ring) {
+      io(e.t);
+      io.enum_u8(e.kind, kMaxEventKind, "checkpoint: event kind");
+      io(e.a);
+      io(e.b);
+      io(e.value);
+    }
+    io(dropped);
+    io.resize(snap.metrics, kMetricBytes);
+    for (auto& m : snap.metrics) {
+      io(m.name);
+      io.enum_u8(m.kind, obs::MetricKind::kHistogram, "checkpoint: metric kind");
+      io(m.count);
+      io(m.value);
+      io(m.bounds);
+      io.resize(m.buckets, sizeof(std::uint64_t));
+      for (auto& b : m.buckets) io(b);
+      if constexpr (Io::kLoad) restore_metric(sim, m);
+    }
+    if constexpr (Io::kLoad) {
+      if (sim.events_on_) sim.events_.restore(std::move(ring), dropped);
+    }
+  }
+
+  /// Validates a loaded metric and re-applies it when this run's events are
+  /// on. With them off it is discarded, as the resumed run will not export
+  /// events either.
+  static void restore_metric(FleetSim& sim, const obs::MetricValue& m) {
+    const bool histogram = m.kind == obs::MetricKind::kHistogram;
+    if (m.buckets.size() > kMaxHistogramBuckets ||
+        (histogram && (m.buckets.size() != m.bounds.size() + 1 ||
+                       !std::is_sorted(m.bounds.begin(), m.bounds.end())))) {
+      throw std::runtime_error{"checkpoint: histogram shape out of range"};
+    }
+    if (!sim.events_on_) return;
+    // train.steps is train_steps_ (kCore); the gauges are read from stats_,
+    // so a gauge only says that finalize() had run.
+    if (m.kind == obs::MetricKind::kGauge) sim.gauges_published_ = true;
+    if (m.name != "chat.duration_s") return;
+    const auto& chat_bounds = FleetSim::kChatDurationBounds;
+    if (!histogram ||
+        !std::equal(m.bounds.begin(), m.bounds.end(), chat_bounds.begin(), chat_bounds.end())) {
+      throw std::runtime_error{"checkpoint: chat.duration_s shape mismatch"};
+    }
+    std::copy(m.buckets.begin(), m.buckets.end(), sim.chat_duration_buckets_.begin());
+    sim.chat_duration_sum_micro_ = std::llround(m.value * 1e6);
+  }
+};
+
 void FleetSim::save_checkpoint(ByteWriter& out) const {
   ByteWriter body;
-  body.write_u32(kCheckpointVersion);
-  body.write_u64(config_fingerprint(cfg_));
-  body.write_u64(cfg_.seed);
-  body.write_u32(static_cast<std::uint32_t>(cfg_.num_vehicles));
-  body.write_string(strategy_->name());
-  body.write_f64(time_);
-  body.write_u32(kNumSections);
-
-  const auto section = [&body](CkptSection tag, const ByteWriter& blob) {
-    body.write_u8(static_cast<std::uint8_t>(tag));
-    body.write_bytes(blob.bytes());
-  };
-
-  {  // kCore: clock schedule, engine RNG streams, pair maps.
-    ByteWriter w;
-    w.write_u8(prepared_ ? 1 : 0);
-    w.write_f64(next_train_);
-    w.write_f64(next_eval_);
-    w.write_f64(next_prune_);
-    w.write_u64(static_cast<std::uint64_t>(train_steps_.load()));
-    strategy_rng_.save(w);
-    // Hash maps iterate in unspecified order; sort by key so identical state
-    // yields identical bytes.
-    std::vector<std::pair<std::uint64_t, double>> chats{last_chat_.begin(), last_chat_.end()};
-    std::sort(chats.begin(), chats.end());
-    w.write_u32(static_cast<std::uint32_t>(chats.size()));
-    for (const auto& [k, t] : chats) {
-      w.write_u64(k);
-      w.write_f64(t);
-    }
-    std::vector<std::pair<std::uint64_t, int>> backoff{pair_backoff_.begin(),
-                                                       pair_backoff_.end()};
-    std::sort(backoff.begin(), backoff.end());
-    w.write_u32(static_cast<std::uint32_t>(backoff.size()));
-    for (const auto& [k, n] : backoff) {
-      w.write_u64(k);
-      w.write_i32(n);
-    }
-    // Adversary/hetero mutable state: conditional tail, present exactly when
-    // the config block fingerprints it (writer and reader always agree
-    // because restore() verified the fingerprint first).
-    if (cfg_.adversary.enabled() || cfg_.hetero.enabled()) {
-      w.write_u8(0x5E);
-      adversary_.save(w);
-      hetero_.save(w);
-    }
-    section(CkptSection::kCore, w);
-  }
-  {  // kWorld
-    ByteWriter w;
-    world_.save(w);
-    section(CkptSection::kWorld, w);
-  }
-  {  // kFaults
-    ByteWriter w;
-    faults_.save(w);
-    section(CkptSection::kFaults, w);
-  }
-  {  // kNodes: shared eval set + per-vehicle training state.
-    ByteWriter w;
-    w.write_u32(static_cast<std::uint32_t>(eval_set_.size()));
-    for (const auto& s : eval_set_) data::write_sample(w, s);
-    w.write_u32(static_cast<std::uint32_t>(nodes_.size()));
-    for (const auto& np : nodes_) {
-      const VehicleNode& n = *np;
-      n.rng.save(w);
-      const auto params = n.model.params();
-      w.write_f32_vec(params);
-      w.write_string(n.opt->kind());
-      n.opt->save_state(w);
-      w.write_u32(static_cast<std::uint32_t>(n.dataset.samples().size()));
-      for (const auto& s : n.dataset.samples()) data::write_sample(w, s);
-      w.write_u32(static_cast<std::uint32_t>(n.validation.size()));
-      for (const auto& s : n.validation) data::write_sample(w, s);
-    }
-    section(CkptSection::kNodes, w);
-  }
-  {  // kSessions: in-flight pair sessions with queued transfers.
-    ByteWriter w;
-    w.write_u32(static_cast<std::uint32_t>(sessions_.size()));
-    for (const auto& sp : sessions_) {
-      const PairSession& s = *sp;
-      w.write_i32(s.a_);
-      w.write_i32(s.b_);
-      w.write_f64(s.started_at_);
-      w.write_u8(s.closed_ ? 1 : 0);
-      w.write_u8(s.aborted_ ? 1 : 0);
-      w.write_i32(s.phase);
-      w.write_f64(s.deadline_s);
-      s.rng_.save(w);
-      w.write_u32(static_cast<std::uint32_t>(s.queue_.size()));
-      for (const auto& st : s.queue_) {
-        w.write_u8(static_cast<std::uint8_t>(st.tag.kind));
-        w.write_i32(st.tag.from);
-        w.write_i32(st.tag.payload);
-        w.write_u64(st.transfer.remaining_bytes());
-        w.write_bytes(st.payload);
-      }
-      ByteWriter scratch;
-      strategy_->save_session_state(*this, s, scratch);
-      w.write_bytes(scratch.bytes());
-    }
-    section(CkptSection::kSessions, w);
-  }
-  {  // kStats: fleet + per-vehicle accounting.
-    ByteWriter w;
-    w.write_i32(stats_.model_sends_started);
-    w.write_i32(stats_.model_sends_completed);
-    w.write_i32(stats_.coreset_sends_started);
-    w.write_i32(stats_.coreset_sends_completed);
-    w.write_i32(stats_.sessions_started);
-    w.write_i32(stats_.sessions_aborted);
-    w.write_u64(stats_.bytes_delivered);
-    w.write_i32(stats_.frames_rejected);
-    w.write_i32(stats_.model_frames_rejected);
-    w.write_i32(stats_.sessions_lost_to_blackout);
-    w.write_i32(stats_.backoff_retries);
-    w.write_f64(stats_.offline_vehicle_seconds);
-    w.write_u32(static_cast<std::uint32_t>(vstats_.size()));
-    for (const auto& v : vstats_) {
-      w.write_u64(v.bytes_sent);
-      w.write_u64(v.bytes_received);
-      w.write_i32(v.chats_started);
-      w.write_i32(v.chats_completed);
-      w.write_i32(v.chats_aborted);
-      w.write_i32(v.model_recv_started);
-      w.write_i32(v.model_recv_completed);
-      w.write_i32(v.frames_rejected);
-      w.write_i32(v.model_frames_rejected);
-      w.write_f64(v.offline_seconds);
-    }
-    if (cfg_.adversary.enabled() || cfg_.hetero.enabled()) {
-      w.write_u8(0x5E);
-      w.write_i32(stats_.byzantine_payloads_sent);
-      w.write_u64(static_cast<std::uint64_t>(stats_.straggler_train_skips));
-      w.write_i32(stats_.frames_rejected_invalid);
-      w.write_f64(stats_.attacker_peer_weight);
-      w.write_f64(stats_.total_peer_weight);
-    }
-    section(CkptSection::kStats, w);
-  }
-  {  // kMetrics: loss curves accumulated so far. Transfer/param fields of
-    // RunMetrics are filled by finalize() from live state, so only the
-    // curves need serializing.
-    ByteWriter w;
-    write_time_series(w, metrics_.loss_curve);
-    w.write_u32(static_cast<std::uint32_t>(metrics_.per_vehicle_loss.size()));
-    for (const auto& ts : metrics_.per_vehicle_loss) write_time_series(w, ts);
-    if (cfg_.adversary.enabled()) {
-      w.write_u8(0x5E);
-      write_time_series(w, metrics_.honest_loss_curve);
-      write_time_series(w, metrics_.attacker_loss_curve);
-    }
-    section(CkptSection::kMetrics, w);
-  }
-  {  // kStrategy
-    ByteWriter blob;
-    strategy_->save_state(*this, blob);
-    ByteWriter w;
-    w.write_bytes(blob.bytes());
-    section(CkptSection::kStrategy, w);
-  }
-  {  // kObs: the run's event ring + metrics snapshot, captured only when
-    // its events are on (with them off both are empty by contract).
-    ByteWriter w;
-    w.write_u8(events_on_ ? 1 : 0);
-    if (events_on_) {
-      const auto events = events_.events();
-      w.write_u32(static_cast<std::uint32_t>(events.size()));
-      for (const auto& e : events) {
-        w.write_f64(e.t);
-        w.write_u8(static_cast<std::uint8_t>(e.kind));
-        w.write_i32(e.a);
-        w.write_i32(e.b);
-        w.write_f64(e.value);
-      }
-      w.write_u64(events_.dropped());
-      const auto snap = metrics_snapshot();
-      w.write_u32(static_cast<std::uint32_t>(snap.metrics.size()));
-      for (const auto& m : snap.metrics) {
-        w.write_string(m.name);
-        w.write_u8(static_cast<std::uint8_t>(m.kind));
-        w.write_u64(m.count);
-        w.write_f64(m.value);
-        w.write_f64_vec(m.bounds);
-        w.write_u32(static_cast<std::uint32_t>(m.buckets.size()));
-        for (const std::uint64_t b : m.buckets) w.write_u64(b);
-      }
-    }
-    section(CkptSection::kObs, w);
-  }
-
+  Save io{body};
+  CkptInfo header{.version = kCheckpointVersion,
+                  .config_fingerprint = config_fingerprint(cfg_),
+                  .seed = cfg_.seed,
+                  .num_vehicles = static_cast<std::uint32_t>(cfg_.num_vehicles),
+                  .strategy = std::string{strategy_->name()},
+                  .time_s = time_,
+                  .sections = {}};
+  fields(io, header);
+  CheckpointFields::body(io, *this);
   out.append_raw(frame::encode(frame::FrameType::kCheckpoint, body.bytes()));
 }
 
-namespace {
-
-/// Throws unless the sub-reader consumed its whole section blob.
-void require_exhausted(const ByteReader& r, const char* what) {
-  if (!r.exhausted()) {
-    throw std::runtime_error{std::string{"checkpoint: trailing bytes in "} + what};
-  }
-}
-
-}  // namespace
-
 CkptStatus FleetSim::restore(ByteReader& in) {
-  const auto dec = frame::decode(in.rest());
-  if (!dec.ok() || dec.type != frame::FrameType::kCheckpoint) return CkptStatus::kBadFrame;
   try {
-    ByteReader r{dec.payload};
-    if (r.read_u32() != kCheckpointVersion) return CkptStatus::kBadVersion;
-    if (r.read_u64() != config_fingerprint(cfg_)) return CkptStatus::kConfigMismatch;
-    if (r.read_u64() != cfg_.seed) return CkptStatus::kConfigMismatch;
-    if (r.read_u32() != static_cast<std::uint32_t>(cfg_.num_vehicles)) {
+    CkptInfo header;
+    ByteReader r{std::span<const std::uint8_t>{}};
+    if (const CkptStatus st = read_header(in.rest(), header, r); st != CkptStatus::kOk) return st;
+    if (header.config_fingerprint != config_fingerprint(cfg_) || header.seed != cfg_.seed ||
+        header.num_vehicles != static_cast<std::uint32_t>(cfg_.num_vehicles)) {
       return CkptStatus::kConfigMismatch;
     }
-    if (r.read_string() != strategy_->name()) return CkptStatus::kStrategyMismatch;
-    time_ = r.read_f64();
-    const std::uint32_t nsec = r.read_u32();
-    if (nsec != kNumSections) return CkptStatus::kMalformed;
-    bool seen[kNumSections + 1] = {};
-    for (std::uint32_t i = 0; i < nsec; ++i) {
-      const std::uint8_t tag = r.read_u8();
-      if (tag < 1 || tag > kNumSections || seen[tag]) return CkptStatus::kMalformed;
-      seen[tag] = true;
-      const auto blob = r.read_bytes();
-      ByteReader s{blob};
-      switch (static_cast<CkptSection>(tag)) {
-        case CkptSection::kCore: {
-          prepared_ = s.read_u8() != 0;
-          next_train_ = s.read_f64();
-          next_eval_ = s.read_f64();
-          next_prune_ = s.read_f64();
-          train_steps_.store(static_cast<long>(s.read_u64()));
-          strategy_rng_.load(s);
-          last_chat_.clear();
-          const std::uint32_t nc = s.read_u32();
-          for (std::uint32_t k = 0; k < nc; ++k) {
-            const std::uint64_t key = s.read_u64();
-            last_chat_[key] = s.read_f64();
-          }
-          pair_backoff_.clear();
-          const std::uint32_t nb = s.read_u32();
-          for (std::uint32_t k = 0; k < nb; ++k) {
-            const std::uint64_t key = s.read_u64();
-            pair_backoff_[key] = s.read_i32();
-          }
-          if (cfg_.adversary.enabled() || cfg_.hetero.enabled()) {
-            if (s.read_u8() != 0x5E) {
-              throw std::runtime_error{"checkpoint: missing adversary core tail"};
-            }
-            adversary_.load(s);
-            hetero_.load(s);
-          }
-          break;
-        }
-        case CkptSection::kWorld:
-          world_.load(s);
-          break;
-        case CkptSection::kFaults:
-          faults_.load(s);
-          break;
-        case CkptSection::kNodes: {
-          eval_set_.clear();
-          const std::uint32_t ne = s.read_u32();
-          eval_set_.reserve(std::min<std::uint32_t>(ne, 1u << 20));
-          for (std::uint32_t k = 0; k < ne; ++k) {
-            eval_set_.push_back(data::read_sample(s, cfg_.policy.bev));
-          }
-          if (s.read_u32() != nodes_.size()) {
-            throw std::runtime_error{"checkpoint: node count mismatch"};
-          }
-          for (auto& np : nodes_) {
-            VehicleNode& n = *np;
-            n.rng.load(s);
-            const auto params = s.read_f32_vec();
-            if (params.size() != n.model.param_count()) {
-              throw std::runtime_error{"checkpoint: param count mismatch"};
-            }
-            n.model.set_params(params);
-            if (s.read_string() != n.opt->kind()) {
-              throw std::runtime_error{"checkpoint: optimizer kind mismatch"};
-            }
-            n.opt->load_state(s);
-            // Replaying add() in saved order reproduces the weighted
-            // dataset's cumulative-weight table bit-exactly.
-            n.dataset = data::WeightedDataset{cfg_.policy.bev};
-            const std::uint32_t nd = s.read_u32();
-            for (std::uint32_t k = 0; k < nd; ++k) {
-              n.dataset.add(data::read_sample(s, cfg_.policy.bev));
-            }
-            n.validation.clear();
-            const std::uint32_t nv = s.read_u32();
-            n.validation.reserve(std::min<std::uint32_t>(nv, 1u << 20));
-            for (std::uint32_t k = 0; k < nv; ++k) {
-              n.validation.push_back(data::read_sample(s, cfg_.policy.bev));
-            }
-          }
-          require_exhausted(s, "nodes");
-          break;
-        }
-        case CkptSection::kSessions: {
-          sessions_.clear();
-          std::fill(busy_.begin(), busy_.end(), nullptr);
-          const std::uint32_t ns = s.read_u32();
-          const int n = num_vehicles();
-          for (std::uint32_t k = 0; k < ns; ++k) {
-            auto sess = std::make_unique<PairSession>();
-            sess->a_ = s.read_i32();
-            sess->b_ = s.read_i32();
-            if (sess->a_ < 0 || sess->a_ >= n || sess->b_ < 0 || sess->b_ >= n ||
-                sess->b_ == sess->a_) {
-              throw std::runtime_error{"checkpoint: session endpoint out of range"};
-            }
-            sess->started_at_ = s.read_f64();
-            sess->closed_ = s.read_u8() != 0;
-            sess->aborted_ = s.read_u8() != 0;
-            sess->phase = s.read_i32();
-            sess->deadline_s = s.read_f64();
-            sess->rng_.load(s);
-            const std::uint32_t nq = s.read_u32();
-            for (std::uint32_t q = 0; q < nq; ++q) {
-              const std::uint8_t kind = s.read_u8();
-              if (kind > StageTag::kOther) {
-                throw std::runtime_error{"checkpoint: stage kind out of range"};
-              }
-              StageTag tag;
-              tag.kind = static_cast<StageTag::Kind>(kind);
-              tag.from = s.read_i32();
-              tag.payload = s.read_i32();
-              const std::uint64_t remaining = s.read_u64();
-              auto payload = s.read_bytes();
-              sess->queue_.push_back(
-                  PairSession::Stage{tag,
-                                     net::Transfer{static_cast<std::size_t>(remaining),
-                                                   session_radio(sess->a_, sess->b_)},
-                                     std::move(payload)});
-            }
-            const auto scratch = s.read_bytes();
-            ByteReader sr{scratch};
-            strategy_->load_session_state(*this, *sess, sr);
-            require_exhausted(sr, "session scratch");
-            if (busy_[static_cast<std::size_t>(sess->a_)] != nullptr ||
-                busy_[static_cast<std::size_t>(sess->b_)] != nullptr) {
-              throw std::runtime_error{"checkpoint: vehicle in two sessions"};
-            }
-            busy_[static_cast<std::size_t>(sess->a_)] = sess.get();
-            busy_[static_cast<std::size_t>(sess->b_)] = sess.get();
-            sessions_.push_back(std::move(sess));
-          }
-          require_exhausted(s, "sessions");
-          break;
-        }
-        case CkptSection::kStats: {
-          stats_.model_sends_started = s.read_i32();
-          stats_.model_sends_completed = s.read_i32();
-          stats_.coreset_sends_started = s.read_i32();
-          stats_.coreset_sends_completed = s.read_i32();
-          stats_.sessions_started = s.read_i32();
-          stats_.sessions_aborted = s.read_i32();
-          stats_.bytes_delivered = s.read_u64();
-          stats_.frames_rejected = s.read_i32();
-          stats_.model_frames_rejected = s.read_i32();
-          stats_.sessions_lost_to_blackout = s.read_i32();
-          stats_.backoff_retries = s.read_i32();
-          stats_.offline_vehicle_seconds = s.read_f64();
-          if (s.read_u32() != vstats_.size()) {
-            throw std::runtime_error{"checkpoint: vehicle stats count mismatch"};
-          }
-          for (auto& v : vstats_) {
-            v.bytes_sent = s.read_u64();
-            v.bytes_received = s.read_u64();
-            v.chats_started = s.read_i32();
-            v.chats_completed = s.read_i32();
-            v.chats_aborted = s.read_i32();
-            v.model_recv_started = s.read_i32();
-            v.model_recv_completed = s.read_i32();
-            v.frames_rejected = s.read_i32();
-            v.model_frames_rejected = s.read_i32();
-            v.offline_seconds = s.read_f64();
-          }
-          if (cfg_.adversary.enabled() || cfg_.hetero.enabled()) {
-            if (s.read_u8() != 0x5E) {
-              throw std::runtime_error{"checkpoint: missing adversary stats tail"};
-            }
-            stats_.byzantine_payloads_sent = s.read_i32();
-            stats_.straggler_train_skips = static_cast<long>(s.read_u64());
-            stats_.frames_rejected_invalid = s.read_i32();
-            stats_.attacker_peer_weight = s.read_f64();
-            stats_.total_peer_weight = s.read_f64();
-          }
-          require_exhausted(s, "stats");
-          break;
-        }
-        case CkptSection::kMetrics: {
-          metrics_ = RunMetrics{};
-          metrics_.loss_curve = read_time_series(s);
-          const std::uint32_t np = s.read_u32();
-          if (np != 0 && np != nodes_.size()) {
-            throw std::runtime_error{"checkpoint: per-vehicle curve count mismatch"};
-          }
-          metrics_.per_vehicle_loss.resize(np);
-          for (auto& ts : metrics_.per_vehicle_loss) ts = read_time_series(s);
-          if (cfg_.adversary.enabled()) {
-            if (s.read_u8() != 0x5E) {
-              throw std::runtime_error{"checkpoint: missing cohort metrics tail"};
-            }
-            metrics_.honest_loss_curve = read_time_series(s);
-            metrics_.attacker_loss_curve = read_time_series(s);
-          }
-          require_exhausted(s, "metrics");
-          break;
-        }
-        case CkptSection::kStrategy: {
-          const auto blob2 = s.read_bytes();
-          ByteReader sr{blob2};
-          strategy_->load_state(*this, sr);
-          require_exhausted(sr, "strategy state");
-          require_exhausted(s, "strategy");
-          break;
-        }
-        case CkptSection::kObs: {
-          const bool captured = s.read_u8() != 0;
-          if (captured) {
-            const std::uint32_t nev = s.read_u32();
-            std::vector<obs::Event> events;
-            events.reserve(std::min<std::uint32_t>(nev, 1u << 20));
-            for (std::uint32_t k = 0; k < nev; ++k) {
-              obs::Event e;
-              e.t = s.read_f64();
-              const std::uint8_t kind = s.read_u8();
-              if (kind > kMaxEventKind) {
-                throw std::runtime_error{"checkpoint: event kind out of range"};
-              }
-              e.kind = static_cast<obs::EventKind>(kind);
-              e.a = s.read_i32();
-              e.b = s.read_i32();
-              e.value = s.read_f64();
-              events.push_back(e);
-            }
-            const std::uint64_t dropped = s.read_u64();
-            obs::Snapshot snap;
-            const std::uint32_t nm = s.read_u32();
-            snap.metrics.reserve(std::min<std::uint32_t>(nm, 1024));
-            for (std::uint32_t k = 0; k < nm; ++k) {
-              obs::MetricValue m;
-              m.name = s.read_string();
-              const std::uint8_t kind = s.read_u8();
-              if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) {
-                throw std::runtime_error{"checkpoint: metric kind out of range"};
-              }
-              m.kind = static_cast<obs::MetricKind>(kind);
-              m.count = s.read_u64();
-              m.value = s.read_f64();
-              m.bounds = s.read_f64_vec();
-              const std::uint32_t nbk = s.read_u32();
-              if (nbk > kMaxHistogramBuckets) {
-                throw std::runtime_error{"checkpoint: bucket count out of range"};
-              }
-              m.buckets.resize(nbk);
-              for (auto& b : m.buckets) b = s.read_u64();
-              snap.metrics.push_back(std::move(m));
-            }
-            // Re-applied only when this run's events are on; with them off
-            // the captured state is read (validated) and discarded, as the
-            // resumed run will not export events either.
-            if (events_on_) {
-              events_.restore(std::move(events), dropped);
-              restore_metrics(snap);
-            }
-          }
-          require_exhausted(s, "obs");
-          break;
-        }
-      }
-      if (tag == static_cast<std::uint8_t>(CkptSection::kCore) ||
-          tag == static_cast<std::uint8_t>(CkptSection::kWorld) ||
-          tag == static_cast<std::uint8_t>(CkptSection::kFaults)) {
-        require_exhausted(s, section_name(tag).data());
-      }
-    }
-    for (std::uint8_t t = 1; t <= kNumSections; ++t) {
-      if (!seen[t]) return CkptStatus::kMalformed;
-    }
+    if (header.strategy != strategy_->name()) return CkptStatus::kStrategyMismatch;
+    time_ = header.time_s;
+    Load io{r};
+    CheckpointFields::body(io, *this);
     if (!r.exhausted()) return CkptStatus::kMalformed;
     // The position cache and neighbor index are derived state, rebuilt here
     // rather than serialized (DESIGN.md §11): a rebuild from the restored
@@ -795,31 +630,6 @@ CkptStatus FleetSim::restore(ByteReader& in) {
     return CkptStatus::kOk;
   } catch (const std::exception&) {
     return CkptStatus::kMalformed;
-  }
-}
-
-void FleetSim::restore_metrics(const obs::Snapshot& snap) {
-  for (const obs::MetricValue& m : snap.metrics) {
-    if (m.kind == obs::MetricKind::kHistogram) {
-      if (m.bounds.size() >= kMaxHistogramBuckets ||
-          !std::is_sorted(m.bounds.begin(), m.bounds.end())) {
-        throw std::runtime_error{"checkpoint: histogram bounds out of range"};
-      }
-      if (m.buckets.size() != m.bounds.size() + 1) {
-        throw std::runtime_error{"checkpoint: histogram bucket count mismatch"};
-      }
-    }
-    // train.steps is train_steps_ (kCore); the gauges are read from stats_,
-    // so a gauge only says that finalize() had run.
-    if (m.kind == obs::MetricKind::kGauge) gauges_published_ = true;
-    if (m.name != "chat.duration_s") continue;
-    if (m.kind != obs::MetricKind::kHistogram ||
-        !std::equal(m.bounds.begin(), m.bounds.end(), kChatDurationBounds.begin(),
-                    kChatDurationBounds.end())) {
-      throw std::runtime_error{"checkpoint: chat.duration_s shape mismatch"};
-    }
-    std::copy(m.buckets.begin(), m.buckets.end(), chat_duration_buckets_.begin());
-    chat_duration_sum_micro_ = std::llround(m.value * 1e6);
   }
 }
 

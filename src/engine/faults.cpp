@@ -103,52 +103,40 @@ void FaultInjector::corrupt_payload(std::vector<std::uint8_t>& payload) {
   }
 }
 
-void FaultInjector::save(ByteWriter& w) const {
-  w.write_f64(time_);
-  burst_rng_.save(w);
-  churn_rng_.save(w);
-  corrupt_rng_.save(w);
-  w.write_u32(static_cast<std::uint32_t>(bursts_.size()));
-  for (const auto& b : bursts_) {
-    w.write_f64(b.center.x);
-    w.write_f64(b.center.y);
-    w.write_f64(b.radius_m);
-    w.write_f64(b.extra_loss);
-    w.write_f64(b.until_s);
+template <class Io, class S>
+void FaultInjector::fields(Io& io, S& f) {
+  io(f.time_);
+  io(f.burst_rng_);
+  io(f.churn_rng_);
+  io(f.corrupt_rng_);
+  io.resize(f.bursts_, 5 * sizeof(double));
+  for (auto& b : f.bursts_) {
+    io(b.center);
+    io(b.radius_m);
+    io(b.extra_loss);
+    io(b.until_s);
   }
-  w.write_f64_vec(offline_until_);
-  w.write_u32(static_cast<std::uint32_t>(went_offline_.size()));
-  for (const int v : went_offline_) w.write_i32(v);
+  io.exact_count(f.offline_until_.size(), "FaultInjector::load: vehicle count");
+  for (auto& until : f.offline_until_) io(until);
+  io(f.went_offline_);
+  if constexpr (Io::kLoad) {
+    const int n = static_cast<int>(f.offline_until_.size());
+    for (const int v : f.went_offline_) {
+      if (v < 0 || v >= n) throw std::runtime_error{"FaultInjector::load: vehicle out of range"};
+    }
+    f.offline_count_ = static_cast<int>(std::count_if(f.offline_until_.begin(), f.offline_until_.end(),
+                                                       [](double t) { return t > 0.0; }));
+  }
+}
+
+void FaultInjector::save(ByteWriter& w) const {
+  Save io{w};
+  fields(io, *this);
 }
 
 void FaultInjector::load(ByteReader& r) {
-  time_ = r.read_f64();
-  burst_rng_.load(r);
-  churn_rng_.load(r);
-  corrupt_rng_.load(r);
-  bursts_.resize(r.read_u32());
-  for (auto& b : bursts_) {
-    b.center.x = r.read_f64();
-    b.center.y = r.read_f64();
-    b.radius_m = r.read_f64();
-    b.extra_loss = r.read_f64();
-    b.until_s = r.read_f64();
-  }
-  auto offline = r.read_f64_vec();
-  if (offline.size() != offline_until_.size()) {
-    throw std::runtime_error{"FaultInjector::load: vehicle count mismatch"};
-  }
-  offline_until_ = std::move(offline);
-  went_offline_.resize(r.read_u32());
-  const int n = static_cast<int>(offline_until_.size());
-  for (auto& v : went_offline_) {
-    v = r.read_i32();
-    if (v < 0 || v >= n) throw std::runtime_error{"FaultInjector::load: vehicle out of range"};
-  }
-  offline_count_ = 0;
-  for (const double until : offline_until_) {
-    if (until > 0.0) ++offline_count_;
-  }
+  Load io{r};
+  fields(io, *this);
 }
 
 }  // namespace lbchat::engine

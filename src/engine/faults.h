@@ -132,6 +132,9 @@ class FaultInjector {
   void load(ByteReader& r);
 
  private:
+  template <class Io, class S>
+  static void fields(Io& io, S& f);
+
   struct Burst {
     Vec2 center;
     double radius_m = 0.0;

@@ -60,6 +60,9 @@ struct StageTag {
   int payload = 0;  ///< strategy-defined discriminator
 };
 
+/// The checkpoint's per-section field lists (engine/checkpoint.cpp).
+struct CheckpointFields;
+
 /// One pairwise exchange session between two vehicles.
 class PairSession {
  public:
@@ -94,9 +97,10 @@ class PairSession {
 
  private:
   friend class FleetSim;
+  friend struct CheckpointFields;
   struct Stage {
     StageTag tag;
-    net::Transfer transfer;
+    net::Transfer transfer{0, net::RadioConfig{}};  ///< set when queued or restored
     std::vector<std::uint8_t> payload;  ///< framed wire bytes (may be empty)
   };
   int a_ = -1;
@@ -159,11 +163,13 @@ class Strategy {
   // Checkpoint hooks. Strategies with private mutable state (coreset stores,
   // round schedules, control variates, session scratch) override these so a
   // restored run continues bit-identically; stateless strategies keep the
-  // no-op defaults. load_state must consume exactly the bytes save_state
-  // wrote and may throw std::exception on malformed input (the engine maps
-  // it to CkptStatus::kMalformed). Restore does NOT call setup() — setup
-  // consumes RNG streams — so load_state must fully reconstruct what setup
-  // built.
+  // no-op defaults. Each hook's bytes travel as one length-prefixed blob, and
+  // load_state must consume exactly the bytes save_state wrote (restore
+  // rejects trailing bytes). It may throw std::exception on malformed input
+  // (the engine maps it to CkptStatus::kMalformed). A hook may write its state
+  // as one field list run under Save and Load (common/bytes.h), as the engine
+  // does for its own sections. Restore does NOT call setup() — setup consumes
+  // RNG streams — so load_state must fully reconstruct what setup built.
   virtual void save_state(const FleetSim& sim, ByteWriter& w) const;
   virtual void load_state(FleetSim& sim, ByteReader& r);
   /// Per-session scratch (PairSession::phase is saved by the engine; the
@@ -323,9 +329,6 @@ class FleetSim {
   /// Evaluate the fleet at sim time `t` and record the mean + per-vehicle
   /// losses into `metrics` (same reduction order as mean_eval_loss()).
   void eval_and_record(RunMetrics& metrics, double t);
-  /// kObs restore: re-apply a checkpoint's metrics snapshot. Throws
-  /// std::exception on a histogram shape the format does not allow.
-  void restore_metrics(const obs::Snapshot& snap);
   void tick_sessions(double dt);
   void reap_sessions();
   /// Abort every session a churned-out vehicle participates in.
@@ -350,6 +353,9 @@ class FleetSim {
   /// cfg_.radio with heterogeneity off. Used at Transfer construction and,
   /// identically, at checkpoint restore.
   [[nodiscard]] net::RadioConfig session_radio(int a, int b) const;
+
+  // The checkpoint sections read and write these members directly.
+  friend struct CheckpointFields;
 
   ScenarioConfig cfg_;
   net::WirelessLossModel loss_;

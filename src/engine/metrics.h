@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/stats.h"
 
 namespace lbchat::engine {
@@ -73,6 +74,35 @@ struct TransferStats {
   }
 };
 
+/// Field list of the base TransferStats counters (common/bytes.h): the
+/// checkpoint's kStats section and the bench cache both start with it.
+template <class Io, FieldsOf<TransferStats> S>
+void fields(Io& io, S& t) {
+  io(t.model_sends_started);
+  io(t.model_sends_completed);
+  io(t.coreset_sends_started);
+  io(t.coreset_sends_completed);
+  io(t.sessions_started);
+  io(t.sessions_aborted);
+  io(t.bytes_delivered);
+  io(t.frames_rejected);
+  io(t.model_frames_rejected);
+  io(t.sessions_lost_to_blackout);
+  io(t.backoff_retries);
+  io(t.offline_vehicle_seconds);
+}
+
+/// The adversary/heterogeneity counters: a checkpoint writes them in its
+/// 0x5E tail only when those layers are configured, the bench cache always.
+template <class Io, FieldsOf<TransferStats> S>
+void adversary_fields(Io& io, S& t) {
+  io(t.byzantine_payloads_sent);
+  io(t.straggler_train_skips);
+  io(t.frames_rejected_invalid);
+  io(t.attacker_peer_weight);
+  io(t.total_peer_weight);
+}
+
 /// Per-vehicle slice of the fleet accounting. Updated from the engine's
 /// single-threaded tick path, so it is deterministic and always on (the
 /// counters are cheap enough not to need a flag) — the run-report exporters
@@ -100,6 +130,20 @@ struct VehicleTransferStats {
                : 0.0;
   }
 };
+
+template <class Io, FieldsOf<VehicleTransferStats> S>
+void fields(Io& io, S& v) {
+  io(v.bytes_sent);
+  io(v.bytes_received);
+  io(v.chats_started);
+  io(v.chats_completed);
+  io(v.chats_aborted);
+  io(v.model_recv_started);
+  io(v.model_recv_completed);
+  io(v.frames_rejected);
+  io(v.model_frames_rejected);
+  io(v.offline_seconds);
+}
 
 struct RunMetrics {
   /// Mean held-out loss of all vehicles' models vs simulated time.

@@ -43,21 +43,30 @@ void Adam::step(std::span<float> params, std::span<const float> grads) {
   }
 }
 
-void Sgd::save_state(ByteWriter& w) const { w.write_f32_vec(velocity_); }
+void Sgd::save_state(ByteWriter& w) const { Save{w}(velocity_); }
 
-void Sgd::load_state(ByteReader& r) { velocity_ = r.read_f32_vec(); }
+void Sgd::load_state(ByteReader& r) { Load{r}(velocity_); }
+
+template <class Io, class S>
+void Adam::fields(Io& io, S& adam) {
+  io(adam.m_);
+  io(adam.v_);
+  if constexpr (Io::kLoad) {
+    if (adam.m_.size() != adam.v_.size()) {
+      throw std::invalid_argument{"Adam::load_state: m/v size mismatch"};
+    }
+  }
+  io(adam.t_);
+}
 
 void Adam::save_state(ByteWriter& w) const {
-  w.write_f32_vec(m_);
-  w.write_f32_vec(v_);
-  w.write_u64(static_cast<std::uint64_t>(t_));
+  Save io{w};
+  fields(io, *this);
 }
 
 void Adam::load_state(ByteReader& r) {
-  m_ = r.read_f32_vec();
-  v_ = r.read_f32_vec();
-  if (m_.size() != v_.size()) throw std::invalid_argument{"Adam::load_state: m/v size mismatch"};
-  t_ = static_cast<long>(r.read_u64());
+  Load io{r};
+  fields(io, *this);
 }
 
 }  // namespace lbchat::nn

@@ -86,6 +86,9 @@ class Adam final : public Optimizer {
   void load_state(ByteReader& r) override;
 
  private:
+  template <class Io, class S>
+  static void fields(Io& io, S& adam);
+
   double beta1_, beta2_, eps_, weight_decay_;
   std::vector<float> m_, v_;
   long t_ = 0;

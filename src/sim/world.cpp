@@ -316,76 +316,56 @@ bool World::collides(const Vec2& pos, double radius, int exclude_vehicle) const 
 
 namespace {
 
-void save_car(ByteWriter& w, const CarAgent& a) {
-  w.write_f64(a.pos.x);
-  w.write_f64(a.pos.y);
-  w.write_f64(a.heading);
-  w.write_f64(a.speed);
-  w.write_f64(a.s);
-  w.write_i32(a.at_node);
-  w.write_f64(a.urban_bias);
-  w.write_f64(a.blocked_since_s);
-  w.write_f64(a.ignore_cars_until_s);
-  const auto& seq = a.route.node_sequence();
-  w.write_u32(static_cast<std::uint32_t>(seq.size()));
-  for (const int n : seq) w.write_i32(n);
-}
-
-void load_car(ByteReader& r, CarAgent& a, const TownMap& map) {
-  a.pos.x = r.read_f64();
-  a.pos.y = r.read_f64();
-  a.heading = r.read_f64();
-  a.speed = r.read_f64();
-  a.s = r.read_f64();
-  a.at_node = r.read_i32();
-  a.urban_bias = r.read_f64();
-  a.blocked_since_s = r.read_f64();
-  a.ignore_cars_until_s = r.read_f64();
-  const auto n = r.read_u32();
-  if (n < 2) throw std::runtime_error{"World::load: route shorter than 2 nodes"};
-  std::vector<int> seq(n);
-  const int num_nodes = static_cast<int>(map.nodes().size());
-  for (auto& id : seq) {
-    id = r.read_i32();
-    if (id < 0 || id >= num_nodes) throw std::runtime_error{"World::load: route node out of range"};
+/// Field list of a car; a loaded route is validated against `map`.
+template <class Io, class A>
+void car_fields(Io& io, A& a, const TownMap& map) {
+  io(a.pos);
+  io(a.heading);
+  io(a.speed);
+  io(a.s);
+  io(a.at_node);
+  io(a.urban_bias);
+  io(a.blocked_since_s);
+  io(a.ignore_cars_until_s);
+  std::vector<int> seq;
+  if constexpr (!Io::kLoad) seq = a.route.node_sequence();
+  io(seq);
+  if constexpr (Io::kLoad) {
+    if (seq.size() < 2) throw std::runtime_error{"World::load: route shorter than 2 nodes"};
+    const int num_nodes = static_cast<int>(map.nodes().size());
+    if (std::any_of(seq.begin(), seq.end(), [&](int id) { return id < 0 || id >= num_nodes; })) {
+      throw std::runtime_error{"World::load: route node out of range"};
+    }
+    a.route = Route{std::move(seq), map};
   }
-  a.route = Route{std::move(seq), map};
 }
 
 }  // namespace
 
-void World::save(ByteWriter& w) const {
-  w.write_f64(time_);
-  w.write_u32(static_cast<std::uint32_t>(vehicles_.size()));
-  for (const auto& a : vehicles_) save_car(w, a);
-  w.write_u32(static_cast<std::uint32_t>(cars_.size()));
-  for (const auto& a : cars_) save_car(w, a);
-  w.write_u32(static_cast<std::uint32_t>(peds_.size()));
-  for (const auto& p : peds_) {
-    w.write_f64(p.pos.x);
-    w.write_f64(p.pos.y);
-    w.write_f64(p.target.x);
-    w.write_f64(p.target.y);
+template <class Io, class S>
+void World::fields(Io& io, S& w) {
+  io(w.time_);
+  io.exact_count(w.vehicles_.size(), "World::load: vehicle count");
+  for (auto& a : w.vehicles_) car_fields(io, a, w.map_);
+  io.exact_count(w.cars_.size(), "World::load: car count");
+  for (auto& a : w.cars_) car_fields(io, a, w.map_);
+  io.exact_count(w.peds_.size(), "World::load: pedestrian count");
+  for (auto& p : w.peds_) {
+    io(p.pos);
+    io(p.target);
   }
-  route_rng_.save(w);
-  ped_rng_.save(w);
+  io(w.route_rng_);
+  io(w.ped_rng_);
+}
+
+void World::save(ByteWriter& w) const {
+  Save io{w};
+  fields(io, *this);
 }
 
 void World::load(ByteReader& r) {
-  time_ = r.read_f64();
-  if (r.read_u32() != vehicles_.size()) throw std::runtime_error{"World::load: vehicle count mismatch"};
-  for (auto& a : vehicles_) load_car(r, a, map_);
-  if (r.read_u32() != cars_.size()) throw std::runtime_error{"World::load: car count mismatch"};
-  for (auto& a : cars_) load_car(r, a, map_);
-  if (r.read_u32() != peds_.size()) throw std::runtime_error{"World::load: pedestrian count mismatch"};
-  for (auto& p : peds_) {
-    p.pos.x = r.read_f64();
-    p.pos.y = r.read_f64();
-    p.target.x = r.read_f64();
-    p.target.y = r.read_f64();
-  }
-  route_rng_.load(r);
-  ped_rng_.load(r);
+  Load io{r};
+  fields(io, *this);
 }
 
 }  // namespace lbchat::sim

@@ -153,6 +153,9 @@ class World {
   void load(ByteReader& r);
 
  private:
+  template <class Io, class S>
+  static void fields(Io& io, S& w);
+
   void assign_new_route(CarAgent& a, Rng& rng);
   void step_peds(double dt);
   [[nodiscard]] double expert_target_speed(const CarAgent& a, int vehicle_index) const;
