@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 #include "common/bytes.h"
 
@@ -64,14 +63,12 @@ void SimGossipStrategy::aggregate(FleetSim& sim, int receiver, int sender,
 
 void SimGossipStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
   (void)sim;
-  w.write_f64(opts_.temperature);
+  Save{w}.exact(opts_.temperature, "SimGossip::load_state: options");
 }
 
 void SimGossipStrategy::load_state(FleetSim& sim, ByteReader& r) {
   (void)sim;
-  if (r.read_f64() != opts_.temperature) {
-    throw std::runtime_error{"SimGossip::load_state: options mismatch"};
-  }
+  Load{r}.exact(opts_.temperature, "SimGossip::load_state: options");
 }
 
 }  // namespace lbchat::baselines
