@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/bytes.h"
+#include "common/file_io.h"
 #include "common/fingerprint.h"
 #include "common/rng.h"
 #include "nn/kernel_dispatch.h"
@@ -80,8 +80,9 @@ void export_run_observability(const engine::ScenarioConfig& cfg, std::string_vie
   const auto dir = trace_dir();
   const auto events = sim.events().events();
   const auto save = [&dir](const std::string& file, const std::string& body) {
-    std::ofstream out{dir / file, std::ios::binary};
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    if (!write_file(dir / file, body)) {
+      std::fprintf(stderr, "[bench] cannot write %s\n", (dir / file).string().c_str());
+    }
   };
   save(std::string{stem} + ".trace.json", obs::chrome_trace_json(events, obs::spans().spans()));
   save(std::string{stem} + ".events.jsonl", obs::events_jsonl(events, sim.events().dropped()));
@@ -92,24 +93,24 @@ void export_run_observability(const engine::ScenarioConfig& cfg, std::string_vie
                dir.string().c_str(), stem);
 }
 
+/// Encode `value` into the cache file at `path`. A failed write only costs
+/// a retraining next time, so it is reported, not fatal.
 template <class T>
-void write_file(const std::filesystem::path& path, const T& value) {
+void save_cached(const std::filesystem::path& path, const T& value) {
   ByteWriter w;
   Save io{w};
   fields(io, value);
-  std::ofstream out{path, std::ios::binary};
-  out.write(reinterpret_cast<const char*>(w.bytes().data()),
-            static_cast<std::streamsize>(w.size()));
+  if (!write_file(path, w.bytes())) {
+    std::fprintf(stderr, "[bench] cannot write %s\n", path.string().c_str());
+  }
 }
 
 /// Decode the cache file at `path` into `value`; false (and `value`
 /// untouched) when the file is missing or does not decode.
 template <class T>
-bool read_file(const std::filesystem::path& path, T& value) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                        std::istreambuf_iterator<char>()};
+bool load_cached(const std::filesystem::path& path, T& value) {
+  std::vector<std::uint8_t> bytes;
+  if (!read_file(path, bytes)) return false;
   try {
     ByteReader r{bytes};
     Load io{r};
@@ -194,7 +195,7 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
                 static_cast<unsigned long long>(key));
   const auto path = cache_dir() / name;
   CachedRun run;
-  if (read_file(path, run)) return run;
+  if (load_cached(path, run)) return run;
 
   std::fprintf(stderr, "[bench] training %s (wireless=%d, |C|=%zu, %.0fs)...\n",
                std::string{strategy}.c_str(), cfg.wireless_loss ? 1 : 0, cfg.coreset_size,
@@ -210,7 +211,7 @@ CachedRun run_or_load(const engine::ScenarioConfig& cfg, std::string_view strate
   run.transfers = m.transfers;
   run.final_params = m.final_params;
   run.train_steps = m.train_steps;
-  write_file(path, run);
+  save_cached(path, run);
   return run;
 }
 
@@ -228,7 +229,7 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
                 static_cast<unsigned long long>(h.digest()));
   const auto path = cache_dir() / name;
   std::array<double, 5> rates{};
-  if (read_file(path, rates)) return rates;
+  if (load_cached(path, rates)) return rates;
 
   std::fprintf(stderr, "[bench] online eval of %s (%d models x %d trials)...\n",
                std::string{strategy}.c_str(), models_to_eval, ec.trials);
@@ -245,7 +246,7 @@ std::array<double, 5> success_rates_or_load(const engine::ScenarioConfig& cfg,
     }
   }
   for (double& v : rates) v /= std::max(k, 1);
-  write_file(path, rates);
+  save_cached(path, rates);
   return rates;
 }
 

@@ -14,6 +14,7 @@
 
 #include "baselines/registry.h"
 #include "common/bytes.h"
+#include "common/file_io.h"
 #include "engine/checkpoint.h"
 #include "engine/fleet.h"
 #include "engine/report.h"
@@ -90,42 +91,17 @@ void usage() {
                "                       needs --checkpoint-out, overwritten each time)\n");
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
-}
-
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  return ok;
-}
-
 bool save_checkpoint_file(const lbchat::engine::FleetSim& sim, const std::string& path) {
   lbchat::ByteWriter w;
   sim.save_checkpoint(w);
-  const auto& bytes = w.bytes();
-  return write_file(path, std::string{bytes.begin(), bytes.end()});
+  if (lbchat::write_file(path, w.bytes())) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -275,7 +251,10 @@ int main(int argc, char** argv) {
 
   if (!resume_from.empty()) {
     std::vector<std::uint8_t> bytes;
-    if (!read_file(resume_from, bytes)) return 1;
+    if (!read_file(resume_from, bytes)) {
+      std::fprintf(stderr, "cannot read %s\n", resume_from.c_str());
+      return 1;
+    }
     ByteReader r{bytes};
     const engine::CkptStatus st = sim.restore(r);
     if (st != engine::CkptStatus::kOk) {
@@ -303,27 +282,31 @@ int main(int argc, char** argv) {
   const engine::RunMetrics m = sim.finalize();
 
   int export_failures = 0;
+  const auto export_failed = [&export_failures](const std::string& path) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    ++export_failures;
+  };
   if (!trace_out.empty() || !events_out.empty() || !metrics_out.empty() ||
       !report_out.empty()) {
     const auto events = sim.events().events();
     if (!trace_out.empty() &&
         !write_file(trace_out, obs::chrome_trace_json(events, obs::spans().spans()))) {
-      ++export_failures;
+      export_failed(trace_out);
     }
     if (!events_out.empty() &&
         !write_file(events_out, obs::events_jsonl(events, sim.events().dropped()))) {
-      ++export_failures;
+      export_failed(events_out);
     }
     if (!metrics_out.empty() &&
         !write_file(metrics_out, obs::metrics_json(sim.metrics_snapshot()))) {
-      ++export_failures;
+      export_failed(metrics_out);
     }
     if (!report_out.empty()) {
       const obs::RunReport report = engine::build_run_report(spec.approach_name, cfg, m);
       const std::string body = ends_with(report_out, ".csv")
                                    ? obs::run_report_csv(report)
                                    : obs::run_report_json(report);
-      if (!write_file(report_out, body)) ++export_failures;
+      if (!write_file(report_out, body)) export_failed(report_out);
     }
   }
 

@@ -19,6 +19,7 @@
 #include "engine/fleet.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "svc/json.h"
 
 namespace lbchat::engine {
 
@@ -253,31 +254,17 @@ std::uint64_t scenario_fingerprint(const ScenarioConfig& cfg, std::string_view a
 }
 
 std::string ckpt_info_json(const CkptInfo& info) {
-  // Strategy names are short ASCII identifiers, but a hostile checkpoint can
-  // put anything in that field — escape it like a JSON string must be.
-  std::string strat;
-  for (const char c : info.strategy) {
-    switch (c) {
-      case '"': strat += "\\\""; break;
-      case '\\': strat += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          strat += buf;
-        } else {
-          strat += c;
-        }
-    }
-  }
-  char head[256];
+  char head[160];
   std::snprintf(head, sizeof head,
                 "{\"version\":%u,\"fingerprint\":\"%016llx\",\"seed\":%llu,"
-                "\"vehicles\":%u,\"strategy\":\"%s\",\"time_s\":",
+                "\"vehicles\":%u,\"strategy\":\"",
                 info.version, static_cast<unsigned long long>(info.config_fingerprint),
-                static_cast<unsigned long long>(info.seed), info.num_vehicles,
-                strat.c_str());
+                static_cast<unsigned long long>(info.seed), info.num_vehicles);
   std::string out{head};
+  // Strategy names are short ASCII identifiers, but a hostile checkpoint can
+  // put anything in that field.
+  out += svc::json_escape(info.strategy);
+  out += "\",\"time_s\":";
   out += obs::format_double(info.time_s);
   out += ",\"sections\":[";
   for (std::size_t i = 0; i < info.sections.size(); ++i) {

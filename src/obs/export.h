@@ -14,8 +14,8 @@
 //        sim section is deterministic; span timings are not, which is why
 //        they live under their own process id.
 //
-// validate_chrome_trace() is a dependency-free structural checker shared by
-// the CI smoke tool and the tests.
+// validate_chrome_trace() is a structural checker over svc::json_parse (the
+// repo's one JSON reader) shared by the CI smoke tool and the tests.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,8 @@ struct Snapshot {
 [[nodiscard]] std::string chrome_trace_json(const std::vector<Event>& events,
                                             const std::vector<Span>& spans);
 
-/// Structural validation: well-formed JSON, a traceEvents array of objects
+/// Structural validation: well-formed JSON (svc::json_parse, so nesting
+/// deeper than 64 and duplicate keys are errors), a traceEvents array of objects
 /// with ph/pid fields, and non-decreasing ts within every (pid, tid) track.
 /// Returns "" when valid, else a one-line description of the first problem.
 [[nodiscard]] std::string validate_chrome_trace(std::string_view json);

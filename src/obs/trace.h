@@ -36,7 +36,7 @@
 namespace lbchat::obs {
 
 enum class EventKind : std::uint8_t {
-  kChatStart = 0,      ///< pairwise session opened (a, b; b = -1 for RSU)
+  kChatStart = 0,      ///< pairwise session opened (a, b = the two vehicles)
   kChatComplete,       ///< session drained gracefully (value = duration_s)
   kChatAbort,          ///< range loss / deadline / churn (value = 1 if blackout)
   kModelSend,          ///< model transfer queued (a = sender, b = receiver, value = wire bytes)

@@ -1,11 +1,15 @@
-// Minimal JSON for the fleet service's wire protocol and job specs.
+// The repo's one JSON reader and string escaper: the fleet service's wire
+// protocol, job specs and payload manifests, and the Chrome trace validator
+// (obs::validate_chrome_trace) all parse with json_parse, and every exporter
+// escapes strings with json_escape.
 //
-// A strict recursive-descent parser producing an immutable DOM (JsonValue),
-// plus the escaping helper the response builders share. Scope is deliberately
-// small — the service only ever parses objects a client hand-writes or that
-// this process emitted — but within that scope it is a real parser: full
-// string escapes (\uXXXX incl. surrogate pairs), numbers via strtod, depth
-// limiting, and a trailing-garbage check. No dependencies beyond the stdlib.
+// A strict recursive-descent parser producing an immutable DOM (JsonValue).
+// Scope is deliberately small — it only ever parses objects a client
+// hand-writes or that this repo emitted — but within that scope it is a real
+// parser: full string escapes (\uXXXX incl. surrogate pairs), numbers via
+// strtod, a nesting cap of 64, duplicate-key rejection, and a trailing-garbage
+// check. No dependencies beyond the stdlib (built as lbchat_json, which
+// lbchat_obs links).
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 
+#include "common/file_io.h"
 #include "engine/report.h"
 #include "obs/export.h"
 #include "svc/json.h"
@@ -82,26 +82,6 @@ void append_curve(std::string& out, const engine::RunMetrics& m) {
   out += "]}";
 }
 
-bool write_file(const std::filesystem::path& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.string().c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = content.empty() || std::fwrite(content.data(), 1, content.size(), f) ==
-                                         content.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool read_file(const std::filesystem::path& path, std::string& out) {
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace
 
 JobPayload build_payload(const JobSpec& spec, const engine::RunMetrics& metrics,
@@ -156,10 +136,15 @@ bool read_payload(const std::filesystem::path& dir, JobPayload& out) {
   if (!read_file(dir / "manifest.json", out.manifest_json)) return false;
   if (!read_file(dir / "metrics.json", out.metrics_json)) return false;
   if (!read_file(dir / "report.json", out.report_json)) return false;
+  std::string error;
+  const auto manifest = json_parse(out.manifest_json, error);
+  const JsonValue* files = manifest != nullptr ? manifest->get("files") : nullptr;
+  if (files == nullptr || !files->is_array()) return false;
   // events.jsonl only when the manifest lists it.
-  if (out.manifest_json.find("\"events.jsonl\"") != std::string::npos &&
-      !read_file(dir / "events.jsonl", out.events_jsonl)) {
-    return false;
+  for (const auto& file : files->items()) {
+    if (file->is_string() && file->as_string() == "events.jsonl") {
+      return read_file(dir / "events.jsonl", out.events_jsonl);
+    }
   }
   return true;
 }

@@ -36,8 +36,8 @@ struct JobPayload {
 /// Returns false on any I/O failure.
 [[nodiscard]] bool write_payload(const std::filesystem::path& dir, const JobPayload& payload);
 
-/// Read a payload back from `dir`. Returns false unless manifest.json and
-/// every file it lists are present and readable.
+/// Read a payload back from `dir`. Returns false unless manifest.json parses
+/// and every file in its "files" array is present and readable.
 [[nodiscard]] bool read_payload(const std::filesystem::path& dir, JobPayload& out);
 
 }  // namespace lbchat::svc

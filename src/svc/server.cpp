@@ -2,38 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/file_io.h"
 #include "engine/checkpoint.h"
-#include "engine/job_runner.h"
+#include "engine/fleet.h"
 #include "obs/export.h"
 
 namespace lbchat::svc {
 namespace {
-
-bool write_file(const std::filesystem::path& path, std::span<const std::uint8_t> bytes) {
-  std::FILE* f = std::fopen(path.string().c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool read_file(const std::filesystem::path& path, std::vector<std::uint8_t>& out) {
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  return ok;
-}
 
 [[nodiscard]] bool terminal(JobState s) {
   return s == JobState::kDone || s == JobState::kCancelled || s == JobState::kFailed;
@@ -311,12 +291,8 @@ std::size_t FleetService::persist_pending() {
 bool FleetService::persist_job(const Job& job) {
   const std::filesystem::path state = opts_.root / "state";
   const std::string stem = "job_" + std::to_string(job.id);
-  const auto* spec_bytes = reinterpret_cast<const std::uint8_t*>(job.spec.source.data());
-  if (!write_file(state / (stem + ".spec.json"), {spec_bytes, job.spec.source.size()})) {
-    return false;
-  }
-  if (!job.ckpt.empty() && !write_file(state / (stem + ".ckpt"), job.ckpt)) return false;
-  return true;
+  if (!write_file(state / (stem + ".spec.json"), job.spec.source)) return false;
+  return job.ckpt.empty() || write_file(state / (stem + ".ckpt"), job.ckpt);
 }
 
 void FleetService::finish_terminal(Job& job) {
@@ -345,16 +321,11 @@ void FleetService::recover_state() {
     const std::uint64_t id =
         std::strtoull(name.substr(4, name.size() - 14).c_str(), nullptr, 10);
     if (id == 0) continue;
-    std::vector<std::uint8_t> spec_bytes;
-    if (!read_file(path, spec_bytes)) continue;
+    std::string spec_text;
+    if (!read_file(path, spec_text)) continue;
     JobSpec spec;
     std::string error;
-    if (!parse_job_spec(
-            std::string_view{reinterpret_cast<const char*>(spec_bytes.data()),
-                             spec_bytes.size()},
-            spec, error)) {
-      continue;
-    }
+    if (!parse_job_spec(spec_text, spec, error)) continue;
     auto job = std::make_unique<Job>();
     job->id = id;
     job->spec = std::move(spec);
@@ -421,25 +392,26 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
   double reached = 0.0;
 
   try {
-    engine::JobRunner runner{spec.cfg,
-                             baselines::registry().make(spec.approach_name, spec.options)};
-    runner.enable_events(spec.events);  // before resume: kObs restore needs it
+    engine::FleetSim sim{spec.cfg, baselines::registry().make(spec.approach_name, spec.options)};
+    sim.enable_events(spec.events);  // before restore: kObs restore needs it
     if (!ckpt.empty()) {
-      const auto st = runner.resume(ckpt);
+      ByteReader r{ckpt};
+      const auto st = sim.restore(r);
       if (st != engine::CkptStatus::kOk) {
         fail = "checkpoint restore failed: " + std::string{engine::to_string(st)};
       }
     }
+    const double horizon = spec.cfg.duration_s;
     while (fail.empty()) {
-      double target = std::min(runner.time() + opts_.epoch_s, runner.horizon());
+      double target = std::min(sim.time() + opts_.epoch_s, horizon);
       bool at_preempt_point = false;
-      if (!preempt_at_fired && spec.preempt_at > runner.time() &&
-          spec.preempt_at <= target) {
+      if (!preempt_at_fired && spec.preempt_at > sim.time() && spec.preempt_at <= target) {
         target = spec.preempt_at;
         at_preempt_point = true;
       }
-      const bool done = runner.run_to(target);
-      reached = runner.time();
+      sim.run_until(target);
+      reached = sim.time();
+      const bool done = reached >= horizon;
 
       lk.lock();
       job.progress_s = reached;
@@ -466,7 +438,7 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
       }
       if (want_preempt) {
         ByteWriter w;
-        runner.save_checkpoint(w);
+        sim.save_checkpoint(w);
         new_ckpt = w.take();
         preempted = true;
         if (at_preempt_point) preempt_at_fired = true;
@@ -474,9 +446,9 @@ void FleetService::run_job(std::unique_lock<std::mutex>& lk, Job& job, int wid) 
       }
     }
     if (completed) {
-      metrics = runner.finish();
+      metrics = sim.finalize();
       if (spec.events) {
-        events_text = obs::events_jsonl(runner.events().events(), runner.events().dropped());
+        events_text = obs::events_jsonl(sim.events().events(), sim.events().dropped());
       }
     }
   } catch (const std::exception& e) {

@@ -1,8 +1,9 @@
 // FleetService: the long-running fleet-evaluation job server (DESIGN.md §13).
 //
 // A bounded priority JobQueue feeds a pool of worker threads. Each worker
-// drives one job at a time through engine::JobRunner in checkpoint epochs
-// (`epoch_s` of sim time per slice); between slices it honours cancellation,
+// drives one job at a time, an engine::FleetSim run advanced to the spec's
+// duration in checkpoint epochs (`epoch_s` of sim time per slice, through
+// FleetSim::run_until); between slices it honours cancellation,
 // explicit preemption, the spec's deterministic `preempt_at` test hook,
 // priority preemption (a higher-priority job waiting in the queue evicts a
 // lower-priority running one), and shutdown. A preempted job's state is its

@@ -4,25 +4,14 @@
 // Each scenario's digest depends on that scenario alone, so the order of
 // kGoldenScenarios does not matter.
 
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "golden_scenarios.h"
 
 namespace {
-
-bool read_text(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  out.clear();
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
 
 TEST(GoldenScenarios, DigestsMatchCommitted) {
   using namespace lbchat::golden;
@@ -30,7 +19,7 @@ TEST(GoldenScenarios, DigestsMatchCommitted) {
   for (const auto& sc : kGoldenScenarios) {
     const std::string path = dir + "/" + sc.name + ".golden";
     std::string expected;
-    ASSERT_TRUE(read_text(path, expected))
+    ASSERT_TRUE(lbchat::read_file(path, expected))
         << "missing golden file " << path
         << "\nGenerate it with: build/tools/golden_regen";
     const std::string actual = run_golden_scenario(sc);

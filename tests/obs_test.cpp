@@ -166,6 +166,15 @@ TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   EXPECT_EQ(lines, report.vehicles.size() + 1);
 }
 
+TEST(ChromeTraceValidatorTest, DeepNestingAndDuplicateKeysAreErrors) {
+  // The validator parses with svc::json_parse: its nesting cap turns a
+  // hostile file into an error string instead of a stack overflow.
+  const std::string deep(1'000'000, '[');
+  const std::string err = obs::validate_chrome_trace(deep);
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  EXPECT_NE(obs::validate_chrome_trace(R"({"traceEvents":[],"traceEvents":[]})"), "");
+}
+
 // Two runs recording at once on two threads: each run's events and metrics
 // equal its solo run's, so neither sees the other's emissions.
 TEST_F(ObsEngineTest, ConcurrentRunsExportOnlyTheirOwnEvents) {

@@ -15,12 +15,12 @@
 #include "robustness_matrix.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/file_io.h"
 
 namespace lbchat::robustness {
 namespace {
@@ -45,12 +45,9 @@ const CellMap& all_cells() {
 
 TEST(RobustnessMatrix, DigestsMatchCommitted) {
   const std::string path = std::string{LBCHAT_GOLDEN_DIR} + "/robustness_matrix.golden";
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — regenerate with tools/run_robustness_matrix";
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string committed = ss.str();
+  std::string committed;
+  ASSERT_TRUE(read_file(path, committed)) << "missing golden file " << path
+                                          << " — regenerate with tools/run_robustness_matrix";
 
   std::string actual;
   for (const MatrixScenario& sc : kMatrixScenarios) {

@@ -15,11 +15,11 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 
+#include "common/file_io.h"
 #include "svc/job.h"
 #include "svc/json.h"
 #include "svc/protocol.h"
@@ -44,8 +44,9 @@ std::filesystem::path fresh_dir(const std::string& tag) {
 }
 
 std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in{path, std::ios::binary};
-  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  std::string text;
+  EXPECT_TRUE(read_file(path, text)) << path;
+  return text;
 }
 
 // The tiny-but-complete scenario every run test uses: small fleet, short
@@ -350,7 +351,7 @@ TEST(ResultCacheTest, HalfWrittenEntryReadsAsMiss) {
   ResultCache cache{root};
   // An entry directory without manifest.json (crashed publish) is a miss.
   std::filesystem::create_directories(cache.entry_dir(7));
-  std::ofstream{cache.entry_dir(7) / "metrics.json"} << "{}";
+  ASSERT_TRUE(write_file(cache.entry_dir(7) / "metrics.json", "{}"));
   JobPayload out;
   EXPECT_FALSE(cache.lookup(7, out));
   std::filesystem::remove_all(root);
@@ -440,6 +441,30 @@ TEST(FleetServiceTest, CacheHitServesSameBytesWithoutRunning) {
   // A different spec is a miss.
   const JobStatus third = submit_and_wait(service, tiny_spec(8));
   EXPECT_FALSE(third.cached);
+  service.shutdown(false);
+  std::filesystem::remove_all(root);
+}
+
+TEST(FleetServiceTest, JobNamedLikeAPayloadFileStillHitsTheCache) {
+  // A cache entry lists events.jsonl in its manifest's "files" array only
+  // when the job recorded events. A job *named* events.jsonl with events off
+  // has no such file, and its second submission must still be a cache hit.
+  const auto root = fresh_dir("cachename");
+  FleetService service{tiny_options(root, 1)};
+  std::string spec = tiny_spec();
+  spec.replace(spec.find("\"LbChat\""), 8, "\"DP\"");
+  spec.replace(spec.find("\"tiny\""), 6, "\"events.jsonl\"");
+  const JobStatus first = submit_and_wait(service, spec);
+  ASSERT_EQ(first.state, JobState::kDone) << first.error;
+  const JobStatus second = submit_and_wait(service, spec);
+  ASSERT_EQ(second.state, JobState::kDone) << second.error;
+  EXPECT_FALSE(first.cached);
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(service.stats().completed, 1u) << "the second submission must not run";
+  JobPayload payload;
+  std::string error;
+  ASSERT_TRUE(service.result(second.id, payload, error)) << error;
+  EXPECT_TRUE(payload.events_jsonl.empty());
   service.shutdown(false);
   std::filesystem::remove_all(root);
 }

@@ -16,27 +16,18 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "engine/checkpoint.h"
+#include "svc/json.h"
 
 namespace {
 
-bool read_file(const char* path, std::vector<std::uint8_t>& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  return ok;
-}
-
 bool check(const char* path, bool json) {
+  const std::string file = lbchat::svc::json_escape(path);
   std::vector<std::uint8_t> bytes;
-  if (!read_file(path, bytes)) {
+  if (!lbchat::read_file(path, bytes)) {
     if (json) {
-      std::printf("{\"file\":\"%s\",\"ok\":false,\"error\":\"cannot read\"}\n", path);
+      std::printf("{\"file\":\"%s\",\"ok\":false,\"error\":\"cannot read\"}\n", file.c_str());
     } else {
       std::fprintf(stderr, "%s: cannot read\n", path);
     }
@@ -47,7 +38,8 @@ bool check(const char* path, bool json) {
   if (st != lbchat::engine::CkptStatus::kOk) {
     const std::string why{lbchat::engine::to_string(st)};
     if (json) {
-      std::printf("{\"file\":\"%s\",\"ok\":false,\"error\":\"%s\"}\n", path, why.c_str());
+      std::printf("{\"file\":\"%s\",\"ok\":false,\"error\":\"%s\"}\n", file.c_str(),
+                  why.c_str());
     } else {
       std::fprintf(stderr, "%s: INVALID (%s)\n", path, why.c_str());
     }
@@ -55,7 +47,7 @@ bool check(const char* path, bool json) {
   }
   if (json) {
     std::printf("{\"file\":\"%s\",\"ok\":true,\"size_bytes\":%zu,\"checkpoint\":%s}\n",
-                path, bytes.size(), lbchat::engine::ckpt_info_json(info).c_str());
+                file.c_str(), bytes.size(), lbchat::engine::ckpt_info_json(info).c_str());
     return true;
   }
   std::printf("%s: ok (%zu bytes)\n", path, bytes.size());

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/file_io.h"
 #include "svc/socket.h"
 
 namespace {
@@ -32,18 +33,6 @@ void usage() {
                "  stats                       service counters\n"
                "  drain                       persist queued jobs, finish running ones\n"
                "  shutdown                    stop the daemon (it persists state)\n");
-}
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok = out.empty() || std::fread(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  return ok;
 }
 
 int run_request(const std::string& socket_path, const std::string& request) {
@@ -102,7 +91,7 @@ int main(int argc, char** argv) {
     const char* spec_path = argv[i++];
     const bool wait = i < argc && std::strcmp(argv[i], "--wait") == 0;
     std::string spec;
-    if (!read_file(spec_path, spec)) {
+    if (!lbchat::read_file(spec_path, spec)) {
       std::fprintf(stderr, "cannot read %s\n", spec_path);
       return 1;
     }

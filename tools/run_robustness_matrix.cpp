@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "robustness_matrix.h"
 
 int main(int argc, char** argv) {
@@ -38,13 +39,10 @@ int main(int argc, char** argv) {
   }
 
   if (argc > 1) {
-    std::FILE* f = std::fopen(argv[1], "wb");
-    if (f == nullptr) {
+    if (!lbchat::write_file(argv[1], digests)) {
       std::fprintf(stderr, "cannot write %s\n", argv[1]);
       return 1;
     }
-    std::fwrite(digests.data(), 1, digests.size(), f);
-    std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", argv[1]);
   }
   return 0;

@@ -7,24 +7,10 @@
 // Exit status: 0 if every file validates, 1 otherwise.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/file_io.h"
 #include "obs/export.h"
-
-namespace {
-
-bool read_file(const char* path, std::string& out) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -34,7 +20,7 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (int i = 1; i < argc; ++i) {
     std::string body;
-    if (!read_file(argv[i], body)) {
+    if (!lbchat::read_file(argv[i], body)) {
       std::fprintf(stderr, "%s: cannot read\n", argv[i]);
       ++failures;
       continue;
