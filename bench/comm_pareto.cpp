@@ -87,17 +87,13 @@ int main() {
   }();
 
   std::printf("\n=== Communication Pareto sweep (bytes on air vs final loss) ===\n");
-  std::FILE* json = std::fopen("BENCH_comm_pareto.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_comm_pareto.json for writing\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"scenarios\": [\n");
+  std::string json;
+  bench::appendf(json, "{\n  \"scenarios\": [\n");
 
   for (std::size_t si = 0; si < scenarios.size(); ++si) {
     const Scenario& sc = scenarios[si];
     std::printf("\n-- scenario: %s --\n", sc.name.c_str());
-    std::fprintf(json, "    {\"name\": \"%s\", \"strategies\": [\n", sc.name.c_str());
+    bench::appendf(json, "    {\"name\": \"%s\", \"strategies\": [\n", sc.name.c_str());
     for (std::size_t ei = 0; ei < strategies.size(); ++ei) {
       const Entry& e = strategies[ei];
       const auto run = bench::run_or_load(sc.cfg, e.name, e.options);
@@ -111,21 +107,21 @@ int main() {
                   "(sessions=%d recv-rate=%.0f%%)\n",
                   e.name.c_str(), mb, final_loss, honest_loss, t.sessions_started,
                   100.0 * t.model_receiving_rate());
-      std::fprintf(json,
-                   "      {\"name\": \"%s\", \"bytes_on_air\": %llu, "
-                   "\"megabytes_on_air\": %.3f, \"final_loss\": %.6f, "
-                   "\"honest_final_loss\": %.6f, \"model_sends_started\": %d, "
-                   "\"model_sends_completed\": %d, \"sessions_started\": %d, "
-                   "\"sessions_aborted\": %d, \"train_steps\": %ld}%s\n",
-                   e.name.c_str(), static_cast<unsigned long long>(t.bytes_delivered), mb,
-                   final_loss, honest_loss, t.model_sends_started, t.model_sends_completed,
-                   t.sessions_started, t.sessions_aborted, run.train_steps,
-                   ei + 1 < strategies.size() ? "," : "");
+      bench::appendf(json,
+                     "      {\"name\": \"%s\", \"bytes_on_air\": %llu, "
+                     "\"megabytes_on_air\": %.3f, \"final_loss\": %.6f, "
+                     "\"honest_final_loss\": %.6f, \"model_sends_started\": %d, "
+                     "\"model_sends_completed\": %d, \"sessions_started\": %d, "
+                     "\"sessions_aborted\": %d, \"train_steps\": %ld}%s\n",
+                     e.name.c_str(), static_cast<unsigned long long>(t.bytes_delivered), mb,
+                     final_loss, honest_loss, t.model_sends_started, t.model_sends_completed,
+                     t.sessions_started, t.sessions_aborted, run.train_steps,
+                     ei + 1 < strategies.size() ? "," : "");
     }
-    std::fprintf(json, "    ]}%s\n", si + 1 < scenarios.size() ? "," : "");
+    bench::appendf(json, "    ]}%s\n", si + 1 < scenarios.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
+  bench::appendf(json, "  ]\n}\n");
+  bench::write_or_exit("BENCH_comm_pareto.json", json);
   std::printf("\nwrote BENCH_comm_pareto.json\n");
   return 0;
 }

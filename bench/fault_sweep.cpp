@@ -40,20 +40,16 @@ int main() {
   const std::vector<std::string> approaches{"LbChat", "DP", "DFL-DDS"};
 
   std::printf("\n=== Fault-injection sweep (receiving rate / final loss vs fault level) ===\n");
-  std::FILE* json = std::fopen("BENCH_fault_sweep.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_fault_sweep.json for writing\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"levels\": [");
+  std::string json;
+  bench::appendf(json, "{\n  \"levels\": [");
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    std::fprintf(json, "%s%g", i > 0 ? ", " : "", levels[i]);
+    bench::appendf(json, "%s%g", i > 0 ? ", " : "", levels[i]);
   }
-  std::fprintf(json, "],\n  \"approaches\": [\n");
+  bench::appendf(json, "],\n  \"approaches\": [\n");
 
   for (std::size_t ai = 0; ai < approaches.size(); ++ai) {
     const std::string& name = approaches[ai];
-    std::fprintf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
+    bench::appendf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
     for (std::size_t li = 0; li < levels.size(); ++li) {
       auto cfg = bench::default_scenario(/*wireless_loss=*/true);
       cfg.duration_s *= 0.5;  // the sweep is 12 runs; keep each one shorter
@@ -67,24 +63,24 @@ int main() {
           name.c_str(), levels[li], 100.0 * t.model_receiving_rate(),
           100.0 * t.effective_model_receiving_rate(), final_loss, t.frames_rejected,
           t.sessions_lost_to_blackout, t.offline_vehicle_seconds, t.backoff_retries);
-      std::fprintf(json,
-                   "      {\"level\": %g, \"receiving_rate\": %.6f, "
-                   "\"effective_receiving_rate\": %.6f, \"final_loss\": %.6f, "
-                   "\"model_sends_started\": %d, \"model_sends_completed\": %d, "
-                   "\"frames_rejected\": %d, \"model_frames_rejected\": %d, "
-                   "\"sessions_started\": %d, \"sessions_aborted\": %d, "
-                   "\"sessions_lost_to_blackout\": %d, \"backoff_retries\": %d, "
-                   "\"offline_vehicle_seconds\": %.1f}%s\n",
-                   levels[li], t.model_receiving_rate(), t.effective_model_receiving_rate(),
-                   final_loss, t.model_sends_started, t.model_sends_completed,
-                   t.frames_rejected, t.model_frames_rejected, t.sessions_started,
-                   t.sessions_aborted, t.sessions_lost_to_blackout, t.backoff_retries,
-                   t.offline_vehicle_seconds, li + 1 < levels.size() ? "," : "");
+      bench::appendf(json,
+                     "      {\"level\": %g, \"receiving_rate\": %.6f, "
+                     "\"effective_receiving_rate\": %.6f, \"final_loss\": %.6f, "
+                     "\"model_sends_started\": %d, \"model_sends_completed\": %d, "
+                     "\"frames_rejected\": %d, \"model_frames_rejected\": %d, "
+                     "\"sessions_started\": %d, \"sessions_aborted\": %d, "
+                     "\"sessions_lost_to_blackout\": %d, \"backoff_retries\": %d, "
+                     "\"offline_vehicle_seconds\": %.1f}%s\n",
+                     levels[li], t.model_receiving_rate(), t.effective_model_receiving_rate(),
+                     final_loss, t.model_sends_started, t.model_sends_completed,
+                     t.frames_rejected, t.model_frames_rejected, t.sessions_started,
+                     t.sessions_aborted, t.sessions_lost_to_blackout, t.backoff_retries,
+                     t.offline_vehicle_seconds, li + 1 < levels.size() ? "," : "");
     }
-    std::fprintf(json, "    ]}%s\n", ai + 1 < approaches.size() ? "," : "");
+    bench::appendf(json, "    ]}%s\n", ai + 1 < approaches.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
+  bench::appendf(json, "  ]\n}\n");
+  bench::write_or_exit("BENCH_fault_sweep.json", json);
   std::printf("wrote BENCH_fault_sweep.json\n");
   return 0;
 }

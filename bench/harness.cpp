@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -123,8 +124,9 @@ bool load_cached(const std::filesystem::path& path, T& value) {
   }
 }
 
-}  // namespace
-
+/// Numeric environment knob `name`: `fallback` when unset or empty; otherwise
+/// the whole value must parse as a finite number that `in_range` accepts, or
+/// the process exits with status 2 naming the variable and `range`.
 double env_number(const char* name, double fallback, bool (*in_range)(double),
                   const char* range) {
   const char* env = std::getenv(name);
@@ -137,6 +139,8 @@ double env_number(const char* name, double fallback, bool (*in_range)(double),
   }
   return v;
 }
+
+}  // namespace
 
 engine::ScenarioConfig default_scenario(bool wireless_loss) {
   engine::ScenarioConfig cfg;
@@ -266,6 +270,29 @@ void print_loss_series(const std::string& label, const TimeSeries& series) {
   std::printf("%s:\n", label.c_str());
   for (std::size_t i = 0; i < series.size(); ++i) {
     std::printf("  t=%6.0fs  loss=%.4f\n", series.times[i], series.values[i]);
+  }
+}
+
+void appendf(std::string& out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list args_copy;
+  va_copy(args_copy, args);
+  const int len = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (len > 0) {
+    const std::size_t old_size = out.size();
+    out.resize(old_size + static_cast<std::size_t>(len) + 1);
+    std::vsnprintf(out.data() + old_size, static_cast<std::size_t>(len) + 1, fmt, args_copy);
+    out.resize(old_size + static_cast<std::size_t>(len));
+  }
+  va_end(args_copy);
+}
+
+void write_or_exit(const char* path, std::string_view text) {
+  if (!write_file(path, text)) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    std::exit(1);
   }
 }
 

@@ -26,12 +26,6 @@ namespace lbchat::bench {
 inline constexpr std::array<std::string_view, 5> kPaperApproaches{"ProxSkip", "RSU-L",
                                                                   "DFL-DDS", "DP", "LbChat"};
 
-/// Numeric environment knob `name`: `fallback` when unset or empty; otherwise
-/// the whole value must parse as a finite number that `in_range` accepts, or
-/// the process exits with status 2 naming the variable and `range`.
-[[nodiscard]] double env_number(const char* name, double fallback, bool (*in_range)(double),
-                                const char* range);
-
 /// The bench-scale scenario shared by all experiments (the paper's setup
 /// scaled to a single CPU core; see DESIGN.md for the mapping). The
 /// LBCHAT_BENCH_SCALE env var (default 1.0, must be > 0.01) scales the
@@ -85,5 +79,14 @@ void print_paper_table(const std::string& title, const std::vector<SuccessColumn
 
 /// Print a loss-vs-time series block (for the figure benches).
 void print_loss_series(const std::string& label, const TimeSeries& series);
+
+/// printf-style append to `out`. The sweep benches build their BENCH_*.json
+/// text in memory and write it only after the sweep, so a run that dies
+/// mid-sweep leaves no truncated file behind.
+void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
+/// Write `text` to `path`; on failure print "cannot write <path>" to stderr
+/// and exit with status 1.
+void write_or_exit(const char* path, std::string_view text);
 
 }  // namespace lbchat::bench

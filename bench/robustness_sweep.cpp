@@ -23,20 +23,16 @@ int main() {
 
   std::printf(
       "\n=== Byzantine sweep (honest-cohort loss / attacker share vs fraction) ===\n");
-  std::FILE* json = std::fopen("BENCH_robustness.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_robustness.json for writing\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"byzantine_fractions\": [");
+  std::string json;
+  bench::appendf(json, "{\n  \"byzantine_fractions\": [");
   for (std::size_t i = 0; i < fractions.size(); ++i) {
-    std::fprintf(json, "%s%g", i > 0 ? ", " : "", fractions[i]);
+    bench::appendf(json, "%s%g", i > 0 ? ", " : "", fractions[i]);
   }
-  std::fprintf(json, "],\n  \"poison_scale\": 1.5,\n  \"approaches\": [\n");
+  bench::appendf(json, "],\n  \"poison_scale\": 1.5,\n  \"approaches\": [\n");
 
   for (std::size_t ai = 0; ai < approaches.size(); ++ai) {
     const std::string& name = approaches[ai];
-    std::fprintf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
+    bench::appendf(json, "    {\"name\": \"%s\", \"results\": [\n", name.c_str());
     for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
       auto cfg = bench::default_scenario(/*wireless_loss=*/true);
       cfg.duration_s *= 0.5;  // the sweep is 12 runs; keep each one shorter
@@ -57,22 +53,22 @@ int main() {
           "(poisoned=%d rej-invalid=%d)\n",
           name.c_str(), fractions[fi], honest_loss, final_loss, share,
           t.byzantine_payloads_sent, t.frames_rejected_invalid);
-      std::fprintf(json,
-                   "      {\"byzantine_frac\": %g, \"honest_final_loss\": %.6f, "
-                   "\"final_loss\": %.6f, \"attacker_weight_share\": %.6f, "
-                   "\"attacker_peer_weight\": %.6f, \"total_peer_weight\": %.6f, "
-                   "\"byzantine_payloads_sent\": %d, \"frames_rejected\": %d, "
-                   "\"frames_rejected_invalid\": %d, \"model_sends_completed\": %d, "
-                   "\"sessions_started\": %d}%s\n",
-                   fractions[fi], honest_loss, final_loss, share, t.attacker_peer_weight,
-                   t.total_peer_weight, t.byzantine_payloads_sent, t.frames_rejected,
-                   t.frames_rejected_invalid, t.model_sends_completed, t.sessions_started,
-                   fi + 1 < fractions.size() ? "," : "");
+      bench::appendf(json,
+                     "      {\"byzantine_frac\": %g, \"honest_final_loss\": %.6f, "
+                     "\"final_loss\": %.6f, \"attacker_weight_share\": %.6f, "
+                     "\"attacker_peer_weight\": %.6f, \"total_peer_weight\": %.6f, "
+                     "\"byzantine_payloads_sent\": %d, \"frames_rejected\": %d, "
+                     "\"frames_rejected_invalid\": %d, \"model_sends_completed\": %d, "
+                     "\"sessions_started\": %d}%s\n",
+                     fractions[fi], honest_loss, final_loss, share, t.attacker_peer_weight,
+                     t.total_peer_weight, t.byzantine_payloads_sent, t.frames_rejected,
+                     t.frames_rejected_invalid, t.model_sends_completed, t.sessions_started,
+                     fi + 1 < fractions.size() ? "," : "");
     }
-    std::fprintf(json, "    ]}%s\n", ai + 1 < approaches.size() ? "," : "");
+    bench::appendf(json, "    ]}%s\n", ai + 1 < approaches.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
+  bench::appendf(json, "  ]\n}\n");
+  bench::write_or_exit("BENCH_robustness.json", json);
   std::printf("wrote BENCH_robustness.json\n");
   return 0;
 }

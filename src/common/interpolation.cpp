@@ -67,19 +67,6 @@ double AkimaSpline::operator()(double x) const {
   return a + dx * (b + dx * (c + dx * d));
 }
 
-double AkimaSpline::derivative(double x) const {
-  if (x <= xs_.front()) return slopes_.front();
-  if (x >= xs_.back()) return slopes_.back();
-  const std::size_t i = interval_of(x);
-  const double h = xs_[i + 1] - xs_[i];
-  const double m = (ys_[i + 1] - ys_[i]) / h;
-  const double b = slopes_[i];
-  const double c = (3.0 * m - 2.0 * slopes_[i] - slopes_[i + 1]) / h;
-  const double d = (slopes_[i] + slopes_[i + 1] - 2.0 * m) / (h * h);
-  const double dx = x - xs_[i];
-  return b + dx * (2.0 * c + dx * 3.0 * d);
-}
-
 double lerp_table(std::span<const double> xs, std::span<const double> ys, double x) {
   if (xs.empty() || xs.size() != ys.size()) {
     throw std::invalid_argument{"lerp_table: bad table"};

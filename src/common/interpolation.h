@@ -25,9 +25,6 @@ class AkimaSpline {
   /// clamped to linear extrapolation from the nearest knot's slope.
   [[nodiscard]] double operator()(double x) const;
 
-  /// First derivative at `x` (same extrapolation rule).
-  [[nodiscard]] double derivative(double x) const;
-
   [[nodiscard]] double min_x() const { return xs_.front(); }
   [[nodiscard]] double max_x() const { return xs_.back(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/interpolation.h"
@@ -70,16 +69,6 @@ std::size_t Transfer::tick(double distance, double dt, const WirelessLossModel& 
   bytes = std::min(bytes, remaining_);
   remaining_ -= bytes;
   return bytes;
-}
-
-double expected_transfer_time(std::size_t bytes, double distance, const RadioConfig& radio,
-                              const WirelessLossModel& loss) {
-  if (bytes == 0) return 0.0;
-  if (distance > radio.max_range_m) return std::numeric_limits<double>::infinity();
-  const double p = loss.packet_loss(distance);
-  if (p >= 1.0) return std::numeric_limits<double>::infinity();
-  const double goodput_bps = radio.bandwidth_bps * (1.0 - p);
-  return static_cast<double>(bytes) * 8.0 / goodput_bps;
 }
 
 }  // namespace lbchat::net

@@ -104,11 +104,4 @@ class Transfer {
   std::size_t remaining_;
 };
 
-/// Expected time to push `bytes` across a link at (assumed constant)
-/// `distance`, accounting for loss-driven goodput reduction. Infinity when
-/// out of range.
-[[nodiscard]] double expected_transfer_time(std::size_t bytes, double distance,
-                                            const RadioConfig& radio,
-                                            const WirelessLossModel& loss);
-
 }  // namespace lbchat::net

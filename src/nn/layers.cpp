@@ -193,12 +193,6 @@ void Conv2d::col2im(const float* col, float* gx) const {
 }
 
 void Conv2d::forward(const ParamStore& store, std::span<const float> x, std::span<float> y,
-                     int batch) const {
-  thread_local std::vector<float> col;
-  forward(store, x, y, batch, col);
-}
-
-void Conv2d::forward(const ParamStore& store, std::span<const float> x, std::span<float> y,
                      int batch, std::vector<float>& col_scratch) const {
   LBCHAT_OBS_SPAN("nn.conv2d_fwd");
   const auto w = store.param(w_off, static_cast<std::size_t>(out_ch) * in_ch * kernel * kernel);
@@ -218,13 +212,6 @@ void Conv2d::forward(const ParamStore& store, std::span<const float> x, std::spa
     // y_n [out_ch, out_plane] += W [out_ch, kdim] · col [kdim, out_plane].
     sgemm(out_ch, static_cast<int>(out_plane), kdim, w.data(), col_scratch.data(), yn);
   }
-}
-
-void Conv2d::backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,
-                      std::span<float> gx, int batch) const {
-  thread_local std::vector<float> col;
-  thread_local std::vector<float> gcol;
-  backward(store, x, gy, gx, batch, col, gcol);
 }
 
 void Conv2d::backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,

@@ -102,16 +102,11 @@ struct Conv2d {
 
   /// x: [B, in_ch, in_h, in_w], y: [B, out_ch, out_h, out_w].
   ///
-  /// The two-argument-scratch overloads run im2col + GEMM using the
-  /// caller-owned buffers (resized as needed, so repeat calls never
-  /// allocate); the short forms fall back to thread-local scratch.
-  void forward(const ParamStore& store, std::span<const float> x, std::span<float> y,
-               int batch) const;
+  /// Runs im2col + GEMM using the caller-owned scratch buffers (resized as
+  /// needed, so repeat calls never allocate).
   void forward(const ParamStore& store, std::span<const float> x, std::span<float> y, int batch,
                std::vector<float>& col_scratch) const;
   /// gx (when non-empty) is accumulated (+=), param grads always accumulate.
-  void backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,
-                std::span<float> gx, int batch) const;
   void backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,
                 std::span<float> gx, int batch, std::vector<float>& col_scratch,
                 std::vector<float>& gcol_scratch) const;

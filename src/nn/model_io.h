@@ -40,10 +40,4 @@ inline SparseModel read_sparse_model(ByteReader& r) {
   return m;
 }
 
-inline void write_params(ByteWriter& w, std::span<const float> params) {
-  w.write_f32_vec(params);
-}
-
-inline std::vector<float> read_params(ByteReader& r) { return r.read_f32_vec(); }
-
 }  // namespace lbchat::nn

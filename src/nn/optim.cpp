@@ -7,19 +7,6 @@
 
 namespace lbchat::nn {
 
-void Sgd::step(std::span<float> params, std::span<const float> grads) {
-  if (params.size() != grads.size()) throw std::invalid_argument{"Sgd::step: size mismatch"};
-  if (velocity_.size() != params.size()) velocity_.assign(params.size(), 0.0f);
-  const auto lr = static_cast<float>(lr_);
-  const auto mu = static_cast<float>(momentum_);
-  const auto wd = static_cast<float>(weight_decay_);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const float g = grads[i] + wd * params[i];
-    velocity_[i] = mu * velocity_[i] + g;
-    params[i] -= lr * velocity_[i];
-  }
-}
-
 void Adam::step(std::span<float> params, std::span<const float> grads) {
   if (params.size() != grads.size()) throw std::invalid_argument{"Adam::step: size mismatch"};
   if (m_.size() != params.size()) {
@@ -42,10 +29,6 @@ void Adam::step(std::span<float> params, std::span<const float> grads) {
                                            weight_decay_ * params[i]));
   }
 }
-
-void Sgd::save_state(ByteWriter& w) const { Save{w}(velocity_); }
-
-void Sgd::load_state(ByteReader& r) { Load{r}(velocity_); }
 
 template <class Io, class S>
 void Adam::fields(Io& io, S& adam) {

@@ -24,7 +24,7 @@ class Optimizer {
   virtual void reset() = 0;
   [[nodiscard]] virtual std::unique_ptr<Optimizer> clone() const = 0;
 
-  /// Stable identifier of the concrete optimizer ("sgd", "adam"), used to
+  /// Stable identifier of the concrete optimizer (e.g. "adam"), used to
   /// validate checkpoint compatibility before load_state().
   [[nodiscard]] virtual std::string_view kind() const = 0;
   /// Serialize/restore the mutable state (moment buffers, step count) so a
@@ -39,30 +39,6 @@ class Optimizer {
  protected:
   explicit Optimizer(double lr) : lr_(lr) {}
   double lr_;
-};
-
-/// SGD with classical momentum and decoupled weight decay. The weight-decay
-/// term realizes the lambda_1 * ||x|| structural-risk penalty of Eq. (6)
-/// during training (its gradient), while the full penalized loss is evaluated
-/// by coreset::penalized_loss.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr = 1e-4, double momentum = 0.9, double weight_decay = 0.0)
-      : Optimizer(lr), momentum_(momentum), weight_decay_(weight_decay) {}
-
-  void step(std::span<float> params, std::span<const float> grads) override;
-  void reset() override { velocity_.clear(); }
-  [[nodiscard]] std::unique_ptr<Optimizer> clone() const override {
-    return std::make_unique<Sgd>(lr_, momentum_, weight_decay_);
-  }
-  [[nodiscard]] std::string_view kind() const override { return "sgd"; }
-  void save_state(ByteWriter& w) const override;
-  void load_state(ByteReader& r) override;
-
- private:
-  double momentum_;
-  double weight_decay_;
-  std::vector<float> velocity_;
 };
 
 /// Adam (Kingma & Ba) with optional decoupled weight decay (AdamW-style).

@@ -7,86 +7,6 @@
 namespace lbchat::nn {
 
 namespace {
-constexpr std::size_t kHeaderBytes = 12;  // dim + bits + block
-}
-
-std::size_t QuantizedModel::logical_bytes() const {
-  return kHeaderBytes + scales.size() * 4 + packed.size() * 4;
-}
-
-double QuantizedModel::psi() const {
-  if (dim == 0) return 0.0;
-  return static_cast<double>(logical_bytes()) / (static_cast<double>(dim) * 4.0);
-}
-
-std::vector<float> QuantizedModel::densify() const {
-  std::vector<float> out(dim, 0.0f);
-  const std::uint32_t levels = (1u << (bits - 1)) - 1;  // symmetric range
-  const std::uint32_t mask = (1u << bits) - 1;
-  std::size_t bitpos = 0;
-  for (std::uint32_t i = 0; i < dim; ++i) {
-    const std::size_t word = bitpos / 32;
-    const std::size_t off = bitpos % 32;
-    std::uint64_t raw = packed[word];
-    if (off + bits > 32 && word + 1 < packed.size()) {
-      raw |= static_cast<std::uint64_t>(packed[word + 1]) << 32;
-    }
-    const auto code = static_cast<std::uint32_t>((raw >> off) & mask);
-    // Sign-extend the two's-complement code.
-    const auto half = 1u << (bits - 1);
-    const int value = code >= half ? static_cast<int>(code) - static_cast<int>(mask + 1)
-                                   : static_cast<int>(code);
-    const float scale = scales[i / block];
-    out[i] = levels > 0 ? scale * static_cast<float>(value) / static_cast<float>(levels)
-                        : 0.0f;
-    bitpos += bits;
-  }
-  return out;
-}
-
-QuantizedModel quantize_model(std::span<const float> params, int bits, Rng* stochastic) {
-  if (bits < 2 || bits > 16) throw std::invalid_argument{"quantize_model: bits in [2,16]"};
-  QuantizedModel q;
-  q.dim = static_cast<std::uint32_t>(params.size());
-  q.bits = static_cast<std::uint8_t>(bits);
-  q.block = 1024;
-  const std::size_t num_blocks = (params.size() + q.block - 1) / q.block;
-  q.scales.resize(num_blocks, 0.0f);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    q.scales[i / q.block] = std::max(q.scales[i / q.block], std::abs(params[i]));
-  }
-
-  const int levels = (1 << (bits - 1)) - 1;
-  const std::uint32_t mask = (1u << bits) - 1;
-  const std::size_t total_bits = params.size() * static_cast<std::size_t>(bits);
-  q.packed.assign((total_bits + 31) / 32, 0u);
-  std::size_t bitpos = 0;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const float scale = q.scales[i / q.block];
-    double level = 0.0;
-    if (scale > 0.0f) {
-      const double exact = static_cast<double>(params[i]) / scale * levels;
-      if (stochastic != nullptr) {
-        const double lo = std::floor(exact);
-        level = lo + (stochastic->uniform() < exact - lo ? 1.0 : 0.0);
-      } else {
-        level = std::round(exact);
-      }
-      level = std::clamp(level, static_cast<double>(-levels), static_cast<double>(levels));
-    }
-    const auto code = static_cast<std::uint32_t>(static_cast<int>(level)) & mask;
-    const std::size_t word = bitpos / 32;
-    const std::size_t off = bitpos % 32;
-    q.packed[word] |= code << off;
-    if (off + static_cast<std::size_t>(bits) > 32 && word + 1 < q.packed.size()) {
-      q.packed[word + 1] |= code >> (32 - off);
-    }
-    bitpos += static_cast<std::size_t>(bits);
-  }
-  return q;
-}
-
-namespace {
 
 /// One symmetric int8 code: clamp(round-half-away(x * 127 / absmax)). Pure
 /// float arithmetic (add ±0.5, truncate) rather than lround so the loop
@@ -146,12 +66,6 @@ float quantize_tensor_s8(std::span<const float> x, std::int8_t* out) {
   const float inv = 127.0f / absmax;
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = s8_code(x[i], inv);
   return absmax / 127.0f;
-}
-
-int bits_for_psi(double psi) {
-  // psi ~= bits/32 (block-scale overhead is < 0.4% at block 1024).
-  const int bits = static_cast<int>(std::round(psi * 32.0));
-  return std::clamp(bits, 2, 16);
 }
 
 }  // namespace lbchat::nn

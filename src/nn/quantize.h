@@ -1,55 +1,15 @@
-// Uniform model quantization — the alternative compression the paper points
-// to in §III-C: "other biased/unbiased model compression methods can also be
-// applied to our design, such as quantization".
-//
-// Blocked symmetric uniform quantization: parameters are split into fixed
-// blocks, each block stores one float scale (its absolute maximum) and packs
-// every coordinate into `bits` signed levels. Optional stochastic rounding
-// makes the quantizer unbiased (QSGD-style). The reciprocal compression ratio
-// is psi ~= bits/32 (+ the per-block scale overhead), so LbChat's Eq. (7)
-// machinery applies unchanged with bits playing the role of the knob.
+// Symmetric int8 quantization for the forward-only int8 eval path
+// (DESIGN.md §15), at a granularity matched to integer GEMM: one scale per
+// weight row (= per output channel) and one per activation tensor, codes in
+// [-127, 127] so products fit madd-style int16 pairs. Rounding is
+// round-to-nearest (deterministic), dequantized value is code * scale.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace lbchat::nn {
-
-struct QuantizedModel {
-  std::uint32_t dim = 0;
-  std::uint8_t bits = 8;        ///< 2..16 levels bits per coordinate
-  std::uint32_t block = 1024;   ///< coordinates per scale block
-  std::vector<float> scales;    ///< per-block absmax
-  std::vector<std::uint32_t> packed;  ///< bit-packed signed levels
-
-  /// Wire size: packed payload + per-block scales + a small header.
-  [[nodiscard]] std::size_t logical_bytes() const;
-  /// Achieved reciprocal compression ratio vs the 4-byte dense encoding.
-  [[nodiscard]] double psi() const;
-  /// Reconstruct the dense parameter vector.
-  [[nodiscard]] std::vector<float> densify() const;
-};
-
-/// Quantize to `bits` in [2, 16]. With `stochastic`, rounding is randomized
-/// so the quantizer is unbiased in expectation; otherwise round-to-nearest.
-[[nodiscard]] QuantizedModel quantize_model(std::span<const float> params, int bits,
-                                            Rng* stochastic = nullptr);
-
-/// The number of bits whose quantized encoding best matches a target psi
-/// (clamped to [2, 16]; psi >= ~0.5 saturates at 16 bits).
-[[nodiscard]] int bits_for_psi(double psi);
-
-// --- int8 inference quantization (DESIGN.md §15) -------------------------
-//
-// The forward-only int8 eval path uses the same symmetric-absmax convention
-// as the wire quantizer above, but at a granularity matched to integer GEMM:
-// one scale per weight row (= per output channel) and one per activation
-// tensor, codes in [-127, 127] so products fit madd-style int16 pairs.
-// Rounding is round-to-nearest (deterministic), dequantized value is
-// code * scale.
 
 /// Row-wise symmetric int8 quantization of a dense [rows, row_len] matrix.
 struct Int8Rows {

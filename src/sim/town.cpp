@@ -169,19 +169,6 @@ void TownMap::build_raster() {
   if (road_cells_.empty()) throw std::logic_error{"TownMap: no road cells rasterized"};
 }
 
-int TownMap::nearest_node(const Vec2& p) const {
-  int best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const double d = distance(p, nodes_[i].pos);
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
 int TownMap::random_node(Rng& rng) const {
   return static_cast<int>(rng.uniform_index(nodes_.size()));
 }

@@ -46,8 +46,6 @@ class TownMap {
   [[nodiscard]] const std::vector<std::pair<int, int>>& edges() const { return edges_; }
   [[nodiscard]] double extent() const { return cfg_.extent_m; }
 
-  /// Index of the node nearest to `p`.
-  [[nodiscard]] int nearest_node(const Vec2& p) const;
   /// A uniformly random node index.
   [[nodiscard]] int random_node(Rng& rng) const;
   /// A random node biased toward the urban grid (probability `urban_prob`)

@@ -1,12 +1,8 @@
-// Tests for the §V extensions: alternative coreset constructions and
-// quantization-based model compression.
+// Tests for the §V extension: alternative coreset constructions.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "coreset/alternatives.h"
 #include "nn/optim.h"
-#include "nn/quantize.h"
 #include "sim/world.h"
 
 namespace lbchat {
@@ -125,92 +121,6 @@ TEST_F(AltCoresetFixture, ClusteringSpreadsAcrossLossRange) {
   }
   EXPECT_LT(cs_min, ds_min + 0.1 * (ds_max - ds_min));
   EXPECT_GT(cs_max, ds_max - 0.1 * (ds_max - ds_min));
-}
-
-// ------------------------------------------------ quantization
-
-TEST(QuantizeTest, RoundtripErrorBoundedByStepSize) {
-  Rng rng{3};
-  std::vector<float> params(3000);
-  for (float& v : params) v = static_cast<float>(rng.normal());
-  for (const int bits : {4, 8, 12, 16}) {
-    const auto q = nn::quantize_model(params, bits);
-    const auto back = q.densify();
-    const int levels = (1 << (bits - 1)) - 1;
-    for (std::size_t i = 0; i < params.size(); i += 37) {
-      const float scale = q.scales[i / q.block];
-      const double step = static_cast<double>(scale) / levels;
-      EXPECT_NEAR(back[i], params[i], step * 0.75 + 1e-6) << "bits=" << bits;
-    }
-  }
-}
-
-TEST(QuantizeTest, ErrorDecreasesWithBits) {
-  Rng rng{5};
-  std::vector<float> params(5000);
-  for (float& v : params) v = static_cast<float>(rng.normal());
-  double prev = 1e18;
-  for (const int bits : {2, 4, 8, 12}) {
-    const auto back = nn::quantize_model(params, bits).densify();
-    double err = 0.0;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      err += std::abs(static_cast<double>(params[i]) - back[i]);
-    }
-    EXPECT_LT(err, prev) << "bits=" << bits;
-    prev = err;
-  }
-}
-
-TEST(QuantizeTest, PsiTracksBits) {
-  std::vector<float> params(27288, 0.5f);
-  for (const int bits : {4, 8, 16}) {
-    const auto q = nn::quantize_model(params, bits);
-    EXPECT_NEAR(q.psi(), bits / 32.0, 0.01) << "bits=" << bits;
-  }
-  EXPECT_EQ(nn::bits_for_psi(0.25), 8);
-  EXPECT_EQ(nn::bits_for_psi(0.0), 2);
-  EXPECT_EQ(nn::bits_for_psi(1.0), 16);
-}
-
-TEST(QuantizeTest, StochasticRoundingIsUnbiased) {
-  // Quantize a constant vector many times with stochastic rounding; the mean
-  // reconstruction converges to the true value.
-  const float value = 0.337f;
-  std::vector<float> params(64, value);
-  params[0] = 1.0f;  // pins the block scale to 1.0
-  Rng rng{7};
-  double sum = 0.0;
-  const int reps = 400;
-  for (int r = 0; r < reps; ++r) {
-    const auto back = nn::quantize_model(params, 4, &rng).densify();
-    sum += back[10];
-  }
-  EXPECT_NEAR(sum / reps, value, 0.01);
-}
-
-TEST(QuantizeTest, HandlesZeroAndExtremeBlocks) {
-  std::vector<float> params(2048, 0.0f);
-  const auto q = nn::quantize_model(params, 8);
-  const auto back = q.densify();
-  for (const float v : back) EXPECT_FLOAT_EQ(v, 0.0f);
-  EXPECT_THROW(nn::quantize_model(params, 1), std::invalid_argument);
-  EXPECT_THROW(nn::quantize_model(params, 17), std::invalid_argument);
-}
-
-TEST(QuantizeTest, QuantizedPolicyStillDrivesLikeOriginal) {
-  // 8-bit quantization preserves the policy's predictions closely — the
-  // property that makes quantization a viable compression knob for LbChat.
-  const nn::DrivingPolicy model{{}, 9};
-  const auto q = nn::quantize_model(model.params(), 8);
-  nn::DrivingPolicy dequantized{{}, 0};
-  dequantized.set_params(q.densify());
-  Rng rng{11};
-  data::Sample s;
-  s.bev = data::BevGrid{data::kDefaultBevSpec};
-  for (auto& c : s.bev.cells) c = rng.chance(0.2) ? 1 : 0;
-  const auto a = model.predict(s.bev, data::Command::kLeft);
-  const auto b = dequantized.predict(s.bev, data::Command::kLeft);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 0.02);
 }
 
 }  // namespace

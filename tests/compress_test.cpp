@@ -132,14 +132,6 @@ TEST(ModelIoTest, SparseModelRoundtrip) {
   EXPECT_EQ(back.values, m.values);
 }
 
-TEST(ModelIoTest, ParamsRoundtrip) {
-  const std::vector<float> params{1.0f, -2.0f, 0.25f};
-  ByteWriter w;
-  write_params(w, params);
-  ByteReader r{w.bytes()};
-  EXPECT_EQ(read_params(r), params);
-}
-
 // ------------------------------------------- threshold selection vs the oracle
 
 /// Reference oracle: the index-partition selection top_k_sparsify made before

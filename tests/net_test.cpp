@@ -46,24 +46,6 @@ TEST(LossModelTest, DefaultTableGoldenValues) {
   EXPECT_DOUBLE_EQ(loss.max_distance(), range);
 }
 
-TEST(LossModelTest, ExpectedTransferTimeGoldenValues) {
-  // expected_transfer_time = bytes * 8 / (bandwidth * (1 - p)) — pinned at
-  // the table knots with the default 31 Mbps radio.
-  const RadioConfig radio;
-  const auto loss = WirelessLossModel::default_table(radio.max_range_m);
-  const std::size_t mb = 1024 * 1024;
-  EXPECT_DOUBLE_EQ(expected_transfer_time(mb, 0.0, radio, loss),
-                   static_cast<double>(mb) * 8.0 / (31e6 * (1.0 - 0.02)));
-  EXPECT_DOUBLE_EQ(expected_transfer_time(mb, 0.5 * radio.max_range_m, radio, loss),
-                   static_cast<double>(mb) * 8.0 / (31e6 * (1.0 - 0.30)));
-  EXPECT_DOUBLE_EQ(expected_transfer_time(mb, 0.9 * radio.max_range_m, radio, loss),
-                   static_cast<double>(mb) * 8.0 / (31e6 * (1.0 - 0.85)));
-  EXPECT_DOUBLE_EQ(expected_transfer_time(0, 0.0, radio, loss), 0.0);
-  // Out of range or total loss: infinite.
-  EXPECT_TRUE(std::isinf(expected_transfer_time(mb, radio.max_range_m, radio, loss)));
-  EXPECT_TRUE(std::isinf(expected_transfer_time(mb, radio.max_range_m * 2.0, radio, loss)));
-}
-
 TEST(LossModelTest, ScalesToRange) {
   const auto short_range = WirelessLossModel::default_table(180.0);
   const auto long_range = WirelessLossModel::default_table(500.0);
@@ -134,18 +116,6 @@ TEST(TransferTest, LossReducesGoodput) {
     far_bytes += far_t.tick(0.85 * radio.max_range_m, 0.5, loss, rng_far);
   }
   EXPECT_GT(near_bytes, far_bytes * 2);
-}
-
-TEST(TransferTest, ExpectedTransferTime) {
-  const RadioConfig radio;
-  const auto loss = WirelessLossModel::default_table(radio.max_range_m);
-  // 52 MB at 31 Mbps, ~2% loss: ~13.7 s — the paper's "tens of seconds".
-  const double t = expected_transfer_time(52ull * 1024 * 1024, 1.0, radio, loss);
-  EXPECT_GT(t, 12.0);
-  EXPECT_LT(t, 16.0);
-  EXPECT_EQ(expected_transfer_time(0, 1.0, radio, loss), 0.0);
-  EXPECT_TRUE(std::isinf(
-      expected_transfer_time(100, radio.max_range_m + 1.0, radio, loss)));
 }
 
 TEST(WireSizeTest, PaperScaleDefaults) {

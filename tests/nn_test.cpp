@@ -118,7 +118,8 @@ TEST(Conv2dTest, IdentityKernelPassesThrough) {
   std::vector<float> x(16);
   for (std::size_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i) * 0.1f;
   std::vector<float> y(16, 0.0f);
-  conv.forward(store, x, y, 1);
+  std::vector<float> col;
+  conv.forward(store, x, y, 1, col);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(y[i], x[i], 1e-6);
 }
 
@@ -134,13 +135,15 @@ TEST(Conv2dTest, GradientMatchesFiniteDifferences) {
 
   std::vector<float> y(conv.out_numel(), 0.0f);
   std::vector<float> gx(x.size(), 0.0f);
+  std::vector<float> col;
+  std::vector<float> gcol;
   store.zero_grads();
-  conv.forward(store, x, y, 1);
-  conv.backward(store, x, gy, gx, 1);
+  conv.forward(store, x, y, 1, col);
+  conv.backward(store, x, gy, gx, 1, col, gcol);
 
   const auto objective = [&](std::span<const float> input) {
     std::vector<float> out(conv.out_numel(), 0.0f);
-    conv.forward(store, input, out, 1);
+    conv.forward(store, input, out, 1, col);
     double j = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) j += gy[i] * out[i];
     return j;
@@ -237,8 +240,10 @@ TEST_P(Conv2dParityTest, GemmPathMatchesNaive) {
   // Forward parity.
   std::vector<float> y_naive(gy.size(), 0.0f);
   std::vector<float> y_gemm(gy.size(), 0.0f);
+  std::vector<float> col;
+  std::vector<float> gcol;
   conv.naive_forward(store, x, y_naive, p.batch);
-  conv.forward(store, x, y_gemm, p.batch);
+  conv.forward(store, x, y_gemm, p.batch, col);
   EXPECT_LE(max_abs_diff(y_naive, y_gemm), 1e-4f);
 
   // Backward parity: param grads and input grads.
@@ -248,13 +253,13 @@ TEST_P(Conv2dParityTest, GemmPathMatchesNaive) {
   conv.naive_backward(store, x, gy, gx_naive, p.batch);
   const std::vector<float> grads_naive{store.grads().begin(), store.grads().end()};
   store.zero_grads();
-  conv.backward(store, x, gy, gx_gemm, p.batch);
+  conv.backward(store, x, gy, gx_gemm, p.batch, col, gcol);
   EXPECT_LE(max_abs_diff(grads_naive, store.grads()), 1e-4f);
   EXPECT_LE(max_abs_diff(gx_naive, gx_gemm), 1e-4f);
 
   // gx may be skipped (first layer): param grads must be unaffected.
   store.zero_grads();
-  conv.backward(store, x, gy, /*gx=*/{}, p.batch);
+  conv.backward(store, x, gy, /*gx=*/{}, p.batch, col, gcol);
   EXPECT_LE(max_abs_diff(grads_naive, store.grads()), 1e-4f);
 }
 
@@ -311,38 +316,6 @@ TEST(ReluTest, ForwardAndBackward) {
 
 // ---------------------------------------------------------------- optimizers
 
-TEST(SgdTest, PlainStep) {
-  Sgd opt{0.1, /*momentum=*/0.0};
-  std::vector<float> p{1.0f};
-  const std::vector<float> g{2.0f};
-  opt.step(p, g);
-  EXPECT_NEAR(p[0], 1.0f - 0.1f * 2.0f, 1e-6);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  Sgd opt{0.1, /*momentum=*/0.5};
-  std::vector<float> p{0.0f};
-  const std::vector<float> g{1.0f};
-  opt.step(p, g);  // v=1, p=-0.1
-  opt.step(p, g);  // v=1.5, p=-0.25
-  EXPECT_NEAR(p[0], -0.25f, 1e-6);
-}
-
-TEST(SgdTest, WeightDecayPullsTowardZero) {
-  Sgd opt{0.1, 0.0, /*weight_decay=*/1.0};
-  std::vector<float> p{1.0f};
-  const std::vector<float> g{0.0f};
-  opt.step(p, g);
-  EXPECT_NEAR(p[0], 0.9f, 1e-6);
-}
-
-TEST(SgdTest, SizeMismatchThrows) {
-  Sgd opt{0.1};
-  std::vector<float> p{1.0f, 2.0f};
-  const std::vector<float> g{1.0f};
-  EXPECT_THROW(opt.step(p, g), std::invalid_argument);
-}
-
 TEST(AdamTest, FirstStepHasLearningRateMagnitude) {
   Adam opt{0.01};
   std::vector<float> p{0.0f};
@@ -375,9 +348,18 @@ TEST(AdamTest, ResetClearsState) {
 }
 
 TEST(OptimizerTest, CloneCopiesHyperparameters) {
-  Sgd opt{0.07, 0.8, 0.01};
+  Adam opt{0.07, 0.8, 0.99, 1e-6, 0.01};
   auto clone = opt.clone();
   EXPECT_DOUBLE_EQ(clone->learning_rate(), 0.07);
+  // Identical steps from identical inputs: beta1/beta2/eps/decay came along.
+  std::vector<float> p{1.0f, -2.0f};
+  std::vector<float> q = p;
+  const std::vector<float> g{0.3f, 0.5f};
+  for (int i = 0; i < 3; ++i) {
+    opt.step(p, g);
+    clone->step(q, g);
+  }
+  EXPECT_EQ(p, q);
 }
 
 // ---------------------------------------------------------------- policy

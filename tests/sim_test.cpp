@@ -52,15 +52,6 @@ TEST(TownTest, DeterministicForSeed) {
   EXPECT_EQ(a.edges(), b.edges());
 }
 
-TEST(TownTest, NearestNode) {
-  Rng rng{7};
-  const TownMap map = TownMap::generate({}, rng);
-  for (const std::size_t i : {0u, 5u, 20u}) {
-    if (i >= map.nodes().size()) continue;
-    EXPECT_EQ(map.nearest_node(map.nodes()[i].pos), static_cast<int>(i));
-  }
-}
-
 TEST(TownTest, OnRoadQueries) {
   Rng rng{9};
   const TownMap map = TownMap::generate({}, rng);
