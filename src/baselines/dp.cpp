@@ -34,14 +34,16 @@ void DpStrategy::aggregate(FleetSim& sim, int receiver, int sender,
   (void)sender_comp;
   auto& node = sim.node(receiver);
 
-  // Validation losses of both models on the local hold-out, as two tasks.
+  // Validation losses of both models on the local hold-out, as two tasks
+  // sharing one scoring batch (the hold-out is unfolded once).
   nn::DrivingPolicy peer_model = node.model;  // same layout; set_params overwrites all
   peer_model.set_params(peer_params);
+  const nn::ScoringBatch batch{node.model, node.validation};
   double loss_self = 0.0;
   double loss_peer = 0.0;
   parallel_invoke(
-      sim.pool(), [&] { loss_self = node.model.weighted_loss(node.validation); },
-      [&] { loss_peer = peer_model.weighted_loss(node.validation); });
+      sim.pool(), [&] { loss_self = node.model.weighted_loss(batch); },
+      [&] { loss_peer = peer_model.weighted_loss(batch); });
 
   // Normalized logarithmic weighting: w grows as the model's loss shrinks
   // relative to the other's.

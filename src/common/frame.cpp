@@ -9,24 +9,48 @@ namespace lbchat::frame {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is
+/// the classic bytewise table, and kCrcTables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight table lookups fold eight input bytes
+/// at once. Same polynomial, same result as the bytewise loop.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::uint8_t> data) {
-  for (const std::uint8_t b : data) {
-    crc = kCrcTable[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  const auto& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc;
 }
 
@@ -35,11 +59,6 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
   out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFFu));
   out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFFu));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 /// CRC over (version, type, length-le, payload): protects the header fields
@@ -99,14 +118,14 @@ Decoded decode(std::span<const std::uint8_t> bytes) {
     d.status = FrameStatus::kTooShort;
     return d;
   }
-  if (get_u32(bytes.data()) != kFrameMagic) {
+  if (load_le32(bytes.data()) != kFrameMagic) {
     d.status = FrameStatus::kBadMagic;
     return d;
   }
   const std::uint8_t version = bytes[4];
   const std::uint8_t type = bytes[5];
-  const std::uint32_t length = get_u32(bytes.data() + 6);
-  const std::uint32_t crc = get_u32(bytes.data() + 10);
+  const std::uint32_t length = load_le32(bytes.data() + 6);
+  const std::uint32_t crc = load_le32(bytes.data() + 10);
   if (version != kFrameVersion) {
     d.status = FrameStatus::kBadVersion;
     return d;

@@ -43,6 +43,22 @@ double normalized_coreset_loss(const nn::Int8Policy& model, const coreset::Cores
   return coreset::evaluate_on_coreset(model, c, penalty, pool) / mass;
 }
 
+double normalized_coreset_loss(const nn::DrivingPolicy& model, const coreset::Coreset& c,
+                               const nn::ScoringBatch& batch,
+                               const coreset::PenaltyConfig& penalty) {
+  const double mass = c.total_weight();
+  if (mass <= 0.0) return 0.0;
+  return coreset::evaluate_on_coreset(model, c, batch, penalty) / mass;
+}
+
+double normalized_coreset_loss(const nn::Int8Policy& model, const coreset::Coreset& c,
+                               const nn::ScoringBatch& batch,
+                               const coreset::PenaltyConfig& penalty) {
+  const double mass = c.total_weight();
+  if (mass <= 0.0) return 0.0;
+  return coreset::evaluate_on_coreset(model, c, batch, penalty) / mass;
+}
+
 PhiMapping::PhiMapping(std::vector<double> psis, std::vector<double> losses)
     : psis_(std::move(psis)), losses_(std::move(losses)) {
   if (psis_.size() != losses_.size() || psis_.size() < 2) {
@@ -53,9 +69,17 @@ PhiMapping::PhiMapping(std::vector<double> psis, std::vector<double> losses)
 
 PhiMapping PhiMapping::build(const nn::DrivingPolicy& model, const coreset::Coreset& c,
                              const coreset::PenaltyConfig& penalty, std::span<const double> psis,
-                             std::size_t eval_cap, bool int8_eval, ThreadPool* pool) {
-  LBCHAT_OBS_SPAN("core.phi_build");
+                             std::size_t eval_cap, bool int8_eval) {
   const coreset::Coreset sub = subsample_coreset(c, eval_cap);
+  if (!int8_eval) return build(model, sub, nn::ScoringBatch{model, sub.samples}, penalty, psis);
+  // The int8 panel needs only the snapshot's shape, which every psi shares.
+  return build(model, sub, nn::ScoringBatch{nn::Int8Policy{model}, sub.samples}, penalty, psis);
+}
+
+PhiMapping PhiMapping::build(const nn::DrivingPolicy& model, const coreset::Coreset& sub,
+                             const nn::ScoringBatch& batch, const coreset::PenaltyConfig& penalty,
+                             std::span<const double> psis) {
+  LBCHAT_OBS_SPAN("core.phi_build");
   const std::span<const float> params = model.params();
   // One magnitude ranking serves every psi; each compressed model is written
   // straight into the scratch copy, whose parameters it fully overwrites.
@@ -67,9 +91,9 @@ PhiMapping PhiMapping::build(const nn::DrivingPolicy& model, const coreset::Core
   for (const double psi : xs) {
     nn::write_top_k_dense(params, nn::top_k_for_psi(psi, params.size()), ranking,
                           compressed.params());
-    ys.push_back(int8_eval
-                     ? normalized_coreset_loss(nn::Int8Policy{compressed}, sub, penalty, pool)
-                     : normalized_coreset_loss(compressed, sub, penalty, pool));
+    ys.push_back(batch.int8()
+                     ? normalized_coreset_loss(nn::Int8Policy{compressed}, sub, batch, penalty)
+                     : normalized_coreset_loss(compressed, sub, batch, penalty));
   }
   return PhiMapping{std::move(xs), std::move(ys)};
 }

@@ -45,6 +45,17 @@ namespace lbchat::core {
                                              const coreset::Coreset& c,
                                              const coreset::PenaltyConfig& penalty,
                                              ThreadPool* pool = nullptr);
+/// The same over `batch`, c's samples prepared once for the model's flavour
+/// (nn::ScoringBatch): the form a chat uses to score several models — the
+/// receiver's and every psi of the sender's sweep — on one coreset.
+[[nodiscard]] double normalized_coreset_loss(const nn::DrivingPolicy& model,
+                                             const coreset::Coreset& c,
+                                             const nn::ScoringBatch& batch,
+                                             const coreset::PenaltyConfig& penalty);
+[[nodiscard]] double normalized_coreset_loss(const nn::Int8Policy& model,
+                                             const coreset::Coreset& c,
+                                             const nn::ScoringBatch& batch,
+                                             const coreset::PenaltyConfig& penalty);
 
 /// The psi -> predicted-loss mapping of one vehicle's model on one coreset.
 class PhiMapping {
@@ -58,13 +69,17 @@ class PhiMapping {
   /// Compress `model` at each sample psi, evaluate on (a subsample of) `c`,
   /// and fit the Akima interpolant. With `int8_eval`, each compressed model
   /// is evaluated through an int8 snapshot (the same estimator the chat's
-  /// value scoring uses when the int8 eval knob is on). Each evaluation
-  /// scores its samples on `pool`'s lanes when one is given.
+  /// value scoring uses when the int8 eval knob is on). The subsample is
+  /// unfolded once and shared by every psi.
   static PhiMapping build(const nn::DrivingPolicy& model, const coreset::Coreset& c,
                           const coreset::PenaltyConfig& penalty,
                           std::span<const double> psis = kDefaultPsis,
-                          std::size_t eval_cap = 64, bool int8_eval = false,
-                          ThreadPool* pool = nullptr);
+                          std::size_t eval_cap = 64, bool int8_eval = false);
+  /// The sweep over a coreset `sub` already prepared as `batch`; an int8
+  /// batch evaluates every compressed model through an int8 snapshot.
+  static PhiMapping build(const nn::DrivingPolicy& model, const coreset::Coreset& sub,
+                          const nn::ScoringBatch& batch, const coreset::PenaltyConfig& penalty,
+                          std::span<const double> psis = kDefaultPsis);
 
   /// Construct directly from (psi, loss) pairs — this is what travels to the
   /// peer as "the results" in Algorithm 2 line 12.

@@ -280,19 +280,25 @@ void LbChatStrategy::begin_model_phase(FleetSim& sim, PairSession& s) {
     // The two directions are independent: sending x_s to the receiver needs
     // the receiver's loss on the sender's coreset and the sender's phi
     // mapping, both over that coreset. Each direction is one task writing
-    // only its own fields of `prob` (sweeps inside a task run inline).
+    // only its own fields of `prob`; it unfolds the sender's coreset once
+    // and scores the receiver and every psi of the sweep on that batch.
     const auto direction = [&](const nn::DrivingPolicy& sender,
                                const nn::DrivingPolicy& receiver,
                                const coreset::Coreset& sender_cs, double& receiver_loss,
                                PhiMapping& sender_phi) {
+      nn::ScoringBatch batch;
       {
         LBCHAT_OBS_SPAN("core.value_score");
-        receiver_loss =
-            int8 ? normalized_coreset_loss(nn::Int8Policy{receiver}, sender_cs, cfg.penalty)
-                 : normalized_coreset_loss(receiver, sender_cs, cfg.penalty);
+        if (int8) {
+          const nn::Int8Policy q{receiver};
+          batch = nn::ScoringBatch{q, sender_cs.samples};
+          receiver_loss = normalized_coreset_loss(q, sender_cs, batch, cfg.penalty);
+        } else {
+          batch = nn::ScoringBatch{receiver, sender_cs.samples};
+          receiver_loss = normalized_coreset_loss(receiver, sender_cs, batch, cfg.penalty);
+        }
       }
-      sender_phi = PhiMapping::build(sender, sender_cs, cfg.penalty, PhiMapping::kDefaultPsis,
-                                     opts_.eval_cap, int8);
+      sender_phi = PhiMapping::build(sender, sender_cs, batch, cfg.penalty);
     };
     parallel_invoke(
         sim.pool(),
@@ -370,17 +376,24 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
         2 * opts_.eval_cap);
     nn::DrivingPolicy peer_model = node.model;  // same layout; set_params overwrites all
     peer_model.set_params(peer_params);
-    const auto score = [&](const nn::DrivingPolicy& model) {
-      return sim.config().int8_eval.scores_values()
-                 ? normalized_coreset_loss(nn::Int8Policy{model}, joint, sim.config().penalty)
-                 : normalized_coreset_loss(model, joint, sim.config().penalty);
-    };
-    // Self and peer are scored as two tasks, one slot each.
+    // Self and peer are scored as two tasks, one slot each, on one batch.
     double loss_self = 0.0;
     double loss_peer = 0.0;
-    parallel_invoke(
-        sim.pool(), [&] { loss_self = score(node.model); },
-        [&] { loss_peer = score(peer_model); });
+    const coreset::PenaltyConfig& penalty = sim.config().penalty;
+    if (sim.config().int8_eval.scores_values()) {
+      const nn::Int8Policy q_self{node.model};
+      const nn::Int8Policy q_peer{peer_model};
+      const nn::ScoringBatch batch{q_self, joint.samples};
+      parallel_invoke(
+          sim.pool(), [&] { loss_self = normalized_coreset_loss(q_self, joint, batch, penalty); },
+          [&] { loss_peer = normalized_coreset_loss(q_peer, joint, batch, penalty); });
+    } else {
+      const nn::ScoringBatch batch{node.model, joint.samples};
+      parallel_invoke(
+          sim.pool(),
+          [&] { loss_self = normalized_coreset_loss(node.model, joint, batch, penalty); },
+          [&] { loss_peer = normalized_coreset_loss(peer_model, joint, batch, penalty); });
+    }
     // The logical end of "larger weights to better-performing models": a
     // received model that is clearly worse than the local one (e.g. damaged
     // by compression beyond what the phi mapping predicted) is not merged at

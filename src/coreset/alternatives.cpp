@@ -30,6 +30,16 @@ Coreset whole_dataset_as_coreset(const data::WeightedDataset& dataset) {
   return out;
 }
 
+/// Every dataset sample's loss, scored chunk by chunk (nn::score_samples).
+std::vector<double> dataset_losses(const data::WeightedDataset& dataset,
+                                   const nn::DrivingPolicy& model) {
+  std::vector<const data::Sample*> ptrs(dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) ptrs[i] = &dataset[i];
+  std::vector<double> losses(dataset.size());
+  nn::score_samples(model, ptrs, losses);
+  return losses;
+}
+
 }  // namespace
 
 Coreset build_uniform_coreset(const data::WeightedDataset& dataset, const CoresetConfig& cfg,
@@ -68,10 +78,11 @@ Coreset build_sensitivity_coreset(const data::WeightedDataset& dataset,
   // weighted objective. w_C uses inverse importance so the estimator stays
   // unbiased for f(x; D) at the construction model.
   const double eps = 1e-3;
+  const std::vector<double> losses = dataset_losses(dataset, model);
   std::vector<double> importance(dataset.size());
   double dataset_mass = 0.0;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    importance[i] = std::max(dataset[i].weight, 0.0) * (model.sample_loss(dataset[i]) + eps);
+    importance[i] = std::max(dataset[i].weight, 0.0) * (losses[i] + eps);
     dataset_mass += std::max(dataset[i].weight, 0.0);
   }
   double total_importance = 0.0;
@@ -106,8 +117,7 @@ Coreset build_clustering_coreset(const data::WeightedDataset& dataset,
   if (cfg.target_size >= dataset.size()) return whole_dataset_as_coreset(dataset);
 
   const std::size_t n = dataset.size();
-  std::vector<double> losses(n);
-  for (std::size_t i = 0; i < n; ++i) losses[i] = model.sample_loss(dataset[i]);
+  const std::vector<double> losses = dataset_losses(dataset, model);
 
   // Greedy k-centre in loss space: start from a random sample, repeatedly add
   // the sample farthest from its nearest centre.

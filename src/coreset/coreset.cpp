@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "nn/int8_policy.h"
 
 namespace lbchat::coreset {
@@ -29,15 +28,24 @@ double weight_of(std::span<const Sample> samples, std::span<const double> weight
 }
 
 /// sample_loss of every sample `wanted(i)` selects (the rest stay 0), each
-/// written to its own slot — on the pool's lanes when one is given.
+/// written to its own slot. The selected samples are scored chunk by chunk
+/// (nn::score_samples), on the pool's lanes when one is given.
 template <class Model, class Wanted>
 std::vector<double> sample_losses(const Model& model, std::span<const Sample> samples,
                                   ThreadPool* pool, Wanted wanted) {
+  std::vector<const Sample*> picked;
+  std::vector<std::size_t> slot;
+  picked.reserve(samples.size());
+  slot.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (!wanted(i)) continue;
+    picked.push_back(&samples[i]);
+    slot.push_back(i);
+  }
+  std::vector<double> scored(picked.size());
+  nn::score_samples(model, picked, scored, pool);
   std::vector<double> losses(samples.size(), 0.0);
-  parallel_for(pool, 0, static_cast<std::int64_t>(samples.size()), [&](std::int64_t i) {
-    const auto k = static_cast<std::size_t>(i);
-    if (wanted(k)) losses[k] = model.sample_loss(samples[k]);
-  });
+  for (std::size_t k = 0; k < slot.size(); ++k) losses[slot[k]] = scored[k];
   return losses;
 }
 
@@ -95,14 +103,12 @@ double command_balance_penalty_impl(const Model& model, std::span<const Sample> 
                                      weighted_sample_losses(model, samples, weights));
 }
 
+/// Eq. (6) from per-sample losses (weights already validated; losses of
+/// non-positively weighted samples are never read).
 template <class Model>
-double penalized_loss_impl(const Model& model, std::span<const Sample> samples,
-                           std::span<const double> weights, const PenaltyConfig& penalty,
-                           ThreadPool* pool) {
-  if (!weights.empty() && weights.size() != samples.size()) {
-    throw std::invalid_argument{"penalized_loss: weights size mismatch"};
-  }
-  const std::vector<double> losses = weighted_sample_losses(model, samples, weights, pool);
+double penalized_from_losses(const Model& model, std::span<const Sample> samples,
+                             std::span<const double> weights, const PenaltyConfig& penalty,
+                             std::span<const double> losses) {
   double empirical = 0.0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double w = weight_of(samples, weights, i);
@@ -111,6 +117,30 @@ double penalized_loss_impl(const Model& model, std::span<const Sample> samples,
   }
   return empirical + penalty.lambda1 * model_param_norm(model) +
          penalty.lambda2 * command_balance_from_losses(samples, weights, losses);
+}
+
+template <class Model>
+double penalized_loss_impl(const Model& model, std::span<const Sample> samples,
+                           std::span<const double> weights, const PenaltyConfig& penalty,
+                           ThreadPool* pool) {
+  if (!weights.empty() && weights.size() != samples.size()) {
+    throw std::invalid_argument{"penalized_loss: weights size mismatch"};
+  }
+  return penalized_from_losses(model, samples, weights, penalty,
+                               weighted_sample_losses(model, samples, weights, pool));
+}
+
+/// evaluate_on_coreset over a batch prepared from c's samples: every sample
+/// is scored (the weighting skips the non-positive ones, as above).
+template <class Model>
+double evaluate_prepared(const Model& model, const Coreset& c, const nn::ScoringBatch& batch,
+                         const PenaltyConfig& penalty) {
+  if (batch.size() != c.size() || c.wc.size() != c.size()) {
+    throw std::invalid_argument{"evaluate_on_coreset: batch does not match the coreset"};
+  }
+  std::vector<double> losses(batch.size());
+  model.sample_losses(batch, losses);
+  return penalized_from_losses(model, std::span<const Sample>{c.samples}, c.wc, penalty, losses);
 }
 
 }  // namespace
@@ -330,6 +360,16 @@ double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
 double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
                            const PenaltyConfig& penalty, ThreadPool* pool) {
   return penalized_loss(model, c.samples, c.wc, penalty, pool);
+}
+
+double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
+                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty) {
+  return evaluate_prepared(model, c, batch, penalty);
+}
+
+double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
+                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty) {
+  return evaluate_prepared(model, c, batch, penalty);
 }
 
 Coreset merge_coresets(const Coreset& a, const Coreset& b) {

@@ -11,9 +11,11 @@
 //    size constant under frequent encounters (§III-D fast path).
 //
 // Every per-sample loss sweep takes an optional lane pool (`pool`, null =
-// sequential). Each sample's loss lands in its own slot and every reduction
-// over the slots runs afterwards on the caller in index order, so results
-// are bit-identical at any lane count; RNG draws stay on the caller.
+// sequential) and scores chunk by chunk through the batched forward-only
+// path (nn::score_samples). Each sample's loss lands in its own slot and
+// every reduction over the slots runs afterwards on the caller in index
+// order, so results are bit-identical at any lane count; RNG draws stay on
+// the caller.
 #pragma once
 
 #include <cstddef>
@@ -116,6 +118,13 @@ double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
                            const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
 double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
                            const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
+/// The same over `batch`, c's samples prepared once (nn::ScoringBatch of the
+/// model's flavour), so several models are scored on c without unfolding
+/// its samples again. Bit-identical to the overloads above.
+double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
+                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty = {});
+double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
+                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty = {});
 
 /// Union of two coresets (valid epsilon-coreset of the union of the original
 /// datasets when those are disjoint; paper §III-D).

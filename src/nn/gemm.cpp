@@ -214,22 +214,6 @@ void sgemm_abt_on(KernelPath path, int m, int n, int k, const float* a, const fl
   }
 }
 
-void igemm_abt_on(KernelPath path, int m, int n, int k, const std::int8_t* a,
-                  const std::int8_t* b, std::int32_t* c) {
-  switch (path) {
-    case KernelPath::kScalar:
-      detail::scalar::igemm_abt(m, n, k, a, b, c);
-      return;
-#if defined(__x86_64__) || defined(__i386__)
-    case KernelPath::kAvx2:
-      detail::avx2::igemm_abt(m, n, k, a, b, c);
-      return;
-#endif
-    default:
-      throw std::invalid_argument{"igemm_abt_on: kernel path not compiled into this build"};
-  }
-}
-
 void igemm_abt_u8s8_on(KernelPath path, int m, int n, int k, const std::int8_t* a,
                        const std::int8_t* b, std::int32_t* c) {
   switch (path) {
@@ -262,11 +246,6 @@ void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c) {
 void igemm_abt_u8s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c) {
   igemm_abt_u8s8_on(active_kernel_path(), m, n, k, a, b, c);
-}
-
-void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-               std::int32_t* c) {
-  igemm_abt_on(active_kernel_path(), m, n, k, a, b, c);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@
 // DESIGN.md §15 (scalar sgemm/sgemm_atb bit-exactly when C starts zeroed,
 // everything else within float-reassociation error).
 //
-// igemm_abt is the int8 sibling used by the forward-only quantized eval path:
-// int32 accumulation of int8 products is exact integer arithmetic, so *all*
-// backends must agree with naive_igemm_abt bit-for-bit.
+// igemm_abt_u8s8 is the int8 sibling used by the forward-only quantized eval
+// path: int32 accumulation of int8 products is exact integer arithmetic, so
+// *all* backends must agree with naive_igemm_abt bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -41,19 +41,14 @@ void sgemm_atb(int m, int n, int k, const float* a, const float* b, float* c);
 /// C[M,N] += A · Bᵀ where A is stored [M,K] and B is [N,K].
 void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c);
 
-/// C[M,N] += A[M,K] · B[N,K]ᵀ over int8 operands with int32 accumulation.
-/// Exact for k < 2^16 (|a·b| <= 127*127, summed in int32); every dispatch
-/// path must produce bit-identical results.
-void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-               std::int32_t* c);
-
-/// igemm_abt specialization for A codes in [0, 127] — every activation tensor
-/// the int8 eval path produces (binary BEV codes and post-ReLU quantizations
-/// are non-negative). The precondition lets the AVX2 backend use vpmaddubsw
-/// (unsigned×signed, 32 products per instruction, saturation-free because
-/// pair sums stay ≤ 2·127·127 < 2^15). Results are bit-identical to
-/// igemm_abt/naive_igemm_abt on conforming inputs on every path; feeding
-/// negative A codes is a contract violation and silently wrong on AVX2.
+/// C[M,N] += A[M,K] · B[N,K]ᵀ over int8 operands with int32 accumulation,
+/// for A codes in [0, 127] — every activation tensor the int8 eval path
+/// produces (binary BEV codes and post-ReLU quantizations are non-negative).
+/// The precondition lets the AVX2 backend use vpmaddubsw (unsigned×signed,
+/// 32 products per instruction, saturation-free because pair sums stay
+/// ≤ 2·127·127 < 2^15). Exact for k < 2^16; results are bit-identical to
+/// naive_igemm_abt on conforming inputs on every path; feeding negative A
+/// codes is a contract violation and silently wrong on AVX2.
 void igemm_abt_u8s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c);
 
@@ -72,8 +67,6 @@ void sgemm_atb_on(KernelPath path, int m, int n, int k, const float* a, const fl
                   float* c);
 void sgemm_abt_on(KernelPath path, int m, int n, int k, const float* a, const float* b,
                   float* c);
-void igemm_abt_on(KernelPath path, int m, int n, int k, const std::int8_t* a,
-                  const std::int8_t* b, std::int32_t* c);
 void igemm_abt_u8s8_on(KernelPath path, int m, int n, int k, const std::int8_t* a,
                        const std::int8_t* b, std::int32_t* c);
 
@@ -84,12 +77,13 @@ namespace scalar {
 void sgemm(int m, int n, int k, const float* a, const float* b, float* c);
 void sgemm_atb(int m, int n, int k, const float* a, const float* b, float* c);
 void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c);
+/// Signed int8 dot kernel: the scalar body of igemm_abt_u8s8. The scalar
+/// backend has no unsigned×signed shortcut: on conforming inputs ([0,127] is
+/// the same value signed or unsigned) the plain signed kernel already is the
+/// u8s8 result, so only AVX2 gets its own body.
 void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                std::int32_t* c);
 }  // namespace scalar
-// The scalar backend has no unsigned×signed shortcut: on conforming inputs
-// ([0,127] is the same value signed or unsigned) the plain signed kernel
-// already is the u8s8 result, so only AVX2 gets its own body.
 
 #if defined(__x86_64__) || defined(__i386__)
 /// Hand-written AVX2+FMA microkernels (gemm_avx2.cpp; x86-64 builds only —
@@ -98,8 +92,6 @@ namespace avx2 {
 void sgemm(int m, int n, int k, const float* a, const float* b, float* c);
 void sgemm_atb(int m, int n, int k, const float* a, const float* b, float* c);
 void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c);
-void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-               std::int32_t* c);
 void igemm_abt_u8s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c);
 }  // namespace avx2

@@ -16,6 +16,8 @@
 
 #include <immintrin.h>
 
+#include <cmath>
+
 namespace lbchat::nn::detail::avx2 {
 
 namespace {
@@ -55,7 +57,11 @@ inline __m128i hsum4x8_i32(__m256i v0, __m256i v1, __m256i v2, __m256i v3) {
 
 /// One K-slab update of four C rows against B[K,N]: 4x16 FMA tile, then a
 /// 4x8 tile, then a scalar tail. `a_at(r, kk)` abstracts the A layout so
-/// sgemm (row-major A) and sgemm_atb (A stored [K,M]) share the body.
+/// sgemm (row-major A) and sgemm_atb (A stored [K,M]) share the body. The
+/// tail fuses its multiply-adds too, so every column of C is the same FMA
+/// chain whichever part of the body computes it: a column's value does not
+/// depend on N, which is what lets the scoring path pack several samples'
+/// pixels into one call (DESIGN.md §7).
 template <class AAt>
 inline void fma_rows4(int n, int k0, int k1, AAt a_at, const float* b, float* c0, float* c1,
                       float* c2, float* c3) {
@@ -116,10 +122,10 @@ inline void fma_rows4(int n, int k0, int k1, AAt a_at, const float* b, float* c0
     float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
     for (int kk = k0; kk < k1; ++kk) {
       const float bv = b[static_cast<long>(kk) * n + j];
-      s0 += a_at(0, kk) * bv;
-      s1 += a_at(1, kk) * bv;
-      s2 += a_at(2, kk) * bv;
-      s3 += a_at(3, kk) * bv;
+      s0 = std::fma(a_at(0, kk), bv, s0);
+      s1 = std::fma(a_at(1, kk), bv, s1);
+      s2 = std::fma(a_at(2, kk), bv, s2);
+      s3 = std::fma(a_at(3, kk), bv, s3);
     }
     c0[j] = s0;
     c1[j] = s1;
@@ -141,7 +147,7 @@ inline void fma_row1(int n, int k0, int k1, AAt a_at, const float* b, float* c0)
   }
   for (; j < n; ++j) {
     float s = c0[j];
-    for (int kk = k0; kk < k1; ++kk) s += a_at(0, kk) * b[static_cast<long>(kk) * n + j];
+    for (int kk = k0; kk < k1; ++kk) s = std::fma(a_at(0, kk), b[static_cast<long>(kk) * n + j], s);
     c0[j] = s;
   }
 }
@@ -226,83 +232,13 @@ void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c) {
   }
 }
 
-void igemm_abt(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-               std::int32_t* c) {
-  // madd_epi16 of sign-extended int8 pairs: |a*b| <= 127*127, pair sums fit
-  // int16-pair products in int32 with headroom for k < 2^16 — exact integer
-  // arithmetic, bit-identical to the scalar path by construction. Four B rows
-  // are processed per A-row pass so each sign-extended A slab is reused four
-  // times and the four horizontal sums collapse into one hsum4x8_i32.
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* ai = a + static_cast<long>(i) * k;
-    std::int32_t* ci = c + static_cast<long>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const std::int8_t* b0 = b + static_cast<long>(j) * k;
-      const std::int8_t* b1 = b0 + k;
-      const std::int8_t* b2 = b1 + k;
-      const std::int8_t* b3 = b2 + k;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      int kk = 0;
-      for (; kk + 16 <= k; kk += 16) {
-        const __m256i av = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ai + kk)));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                                            reinterpret_cast<const __m128i*>(b0 + kk)))));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                                            reinterpret_cast<const __m128i*>(b1 + kk)))));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                                            reinterpret_cast<const __m128i*>(b2 + kk)))));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                                            reinterpret_cast<const __m128i*>(b3 + kk)))));
-      }
-      alignas(16) std::int32_t s[4];
-      _mm_store_si128(reinterpret_cast<__m128i*>(s), hsum4x8_i32(acc0, acc1, acc2, acc3));
-      for (; kk < k; ++kk) {
-        const std::int32_t av = ai[kk];
-        s[0] += av * static_cast<std::int32_t>(b0[kk]);
-        s[1] += av * static_cast<std::int32_t>(b1[kk]);
-        s[2] += av * static_cast<std::int32_t>(b2[kk]);
-        s[3] += av * static_cast<std::int32_t>(b3[kk]);
-      }
-      ci[j] += s[0];
-      ci[j + 1] += s[1];
-      ci[j + 2] += s[2];
-      ci[j + 3] += s[3];
-    }
-    for (; j < n; ++j) {
-      const std::int8_t* bj = b + static_cast<long>(j) * k;
-      __m256i acc = _mm256_setzero_si256();
-      int kk = 0;
-      for (; kk + 16 <= k; kk += 16) {
-        const __m256i av = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ai + kk)));
-        const __m256i bv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + kk)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-      }
-      std::int32_t s = hsum8_i32(acc);
-      for (; kk < k; ++kk) {
-        s += static_cast<std::int32_t>(ai[kk]) * static_cast<std::int32_t>(bj[kk]);
-      }
-      ci[j] += s;
-    }
-  }
-}
-
 void igemm_abt_u8s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c) {
   // vpmaddubsw treats A as unsigned — valid because the u8s8 contract pins A
   // codes to [0,127], where the signed and unsigned readings coincide and the
   // int16 pair sums stay below 2·127·127 < 2^15 (no saturation). 32 products
-  // per instruction instead of igemm_abt's 16, same exact int32 result.
+  // per instruction instead of the 16 of a sign-extending madd_epi16 body,
+  // same exact int32 result.
   const __m256i ones = _mm256_set1_epi16(1);
   for (int i = 0; i < m; ++i) {
     const std::int8_t* ai = a + static_cast<long>(i) * k;

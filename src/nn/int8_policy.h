@@ -20,6 +20,9 @@
 // Cost model: quantizing the ~27k parameters is a few microseconds, done
 // once per snapshot; each eval call then replaces float GEMMs with int8
 // ones. The engine constructs one Int8Policy per vehicle per eval sweep.
+// Scoring runs through an int8 ScoringBatch (nn/policy.h) chunk by chunk:
+// conv1's panel comes straight from the BEV cells, and each layer is one
+// integer GEMM over the chunk with per-sample activation scales.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,11 @@ class Int8Policy {
   explicit Int8Policy(const DrivingPolicy& src);
 
   [[nodiscard]] const PolicyConfig& config() const { return cfg_; }
+
+  /// L1 waypoint loss of every sample of an int8 `batch` into `out` — the
+  /// one int8 forward path; the calls below wrap it. Integer accumulation
+  /// is exact and every float step is per sample, so chunking moves no bit.
+  void sample_losses(const ScoringBatch& batch, std::span<double> out) const;
 
   /// Inference on one frame (int8 forward pass).
   [[nodiscard]] WaypointVector predict(const data::BevGrid& bev, data::Command cmd) const;
@@ -68,12 +76,16 @@ class Int8Policy {
     std::vector<float> bias;
   };
   struct Workspace;
+  friend class ScoringBatch;
 
-  void forward_one(data::Command cmd, float xs1, Workspace& ws) const;
-  void qconv_forward(const QConv& qc, const std::int8_t* xq, float x_scale, float* y,
+  /// Forward over the chunk of `batch` starting at sample `first`; leaves
+  /// [count, out_dim] outputs in ws.out.
+  void forward_chunk(const ScoringBatch& batch, std::size_t first, std::size_t count,
                      Workspace& ws) const;
-  void qlinear_forward(const QLinear& ql, std::span<const float> x, float* y,
-                       Workspace& ws) const;
+  /// y [rows, ql.out] from post-ReLU x [rows, ql.in]: each row quantized at
+  /// its own per-tensor scale (one row = one sample's activation tensor).
+  void qlinear_rows(const QLinear& ql, std::span<const float> x, std::size_t rows, float* y,
+                    Workspace& ws) const;
 
   PolicyConfig cfg_;
   QConv conv1_, conv2_;

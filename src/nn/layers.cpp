@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,20 +15,6 @@ namespace {
 void he_init(std::span<float> w, int fan_in, Rng& rng) {
   const double std = std::sqrt(2.0 / static_cast<double>(fan_in));
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, std));
-}
-
-/// Smallest output coordinate whose receptive field starts inside the input:
-/// o*stride - pad + k >= 0, i.e. o >= (pad - k) / stride rounded up.
-inline int first_valid(int pad_minus_k, int stride) {
-  return pad_minus_k > 0 ? (pad_minus_k + stride - 1) / stride : 0;
-}
-
-/// One past the largest output coordinate still inside an input extent of
-/// `limit`: o*stride - pad + k <= limit-1.
-inline int last_valid(int limit, int pad_minus_k, int stride, int out_extent) {
-  const int num = limit - 1 + pad_minus_k;
-  if (num < 0) return 0;
-  return std::min(out_extent, num / stride + 1);
 }
 
 }  // namespace
@@ -131,117 +118,163 @@ Conv2d::Conv2d(ParamStore& store, int in_channels, int out_channels, int in_heig
   w_off = store.allocate(wn);
   b_off = store.allocate(static_cast<std::size_t>(out_ch));
   he_init(store.param(w_off, wn), in_ch * kernel * kernel, init);
-}
 
-void Conv2d::im2col(const float* x, float* col) const {
-  const std::size_t out_plane = static_cast<std::size_t>(out_h) * out_w;
-  const std::size_t in_plane = static_cast<std::size_t>(in_h) * in_w;
-  float* dst = col;
-  for (int ic = 0; ic < in_ch; ++ic) {
-    const float* xp = x + static_cast<std::size_t>(ic) * in_plane;
-    for (int kr = 0; kr < kernel; ++kr) {
-      const int r_lo = first_valid(pad - kr, stride);
-      const int r_hi = last_valid(in_h, pad - kr, stride, out_h);
-      for (int kc = 0; kc < kernel; ++kc) {
-        const int c_lo = first_valid(pad - kc, stride);
-        const int c_hi = last_valid(in_w, pad - kc, stride, out_w);
-        std::fill(dst, dst + out_plane, 0.0f);
-        for (int r = r_lo; r < r_hi; ++r) {
-          const int ri = r * stride - pad + kr;
-          const float* src = xp + static_cast<std::size_t>(ri) * in_w + (c_lo * stride - pad + kc);
-          float* drow = dst + static_cast<std::size_t>(r) * out_w + c_lo;
-          const int span = c_hi - c_lo;
-          if (stride == 1) {
-            for (int c = 0; c < span; ++c) drow[c] = src[c];
-          } else {
-            for (int c = 0; c < span; ++c) drow[c] = src[static_cast<std::size_t>(c) * stride];
-          }
-        }
-        dst += out_plane;
+  // Output row r reads input row r*stride - pad + kr, which lies inside
+  // [0, in_h) exactly for r in [r_lo, r_hi); likewise for columns.
+  const auto band = [this](int k, int extent, int out_extent, int& lo, int& hi) {
+    lo = 0;
+    while (lo < out_extent && lo * stride - pad + k < 0) ++lo;
+    hi = lo;
+    while (hi < out_extent && hi * stride - pad + k < extent) ++hi;
+  };
+  taps_.resize(static_cast<std::size_t>(kernel) * kernel);
+  for (int kr = 0; kr < kernel; ++kr) {
+    for (int kc = 0; kc < kernel; ++kc) {
+      Tap& t = taps_[static_cast<std::size_t>(kr * kernel + kc)];
+      band(kr, in_h, out_h, t.r_lo, t.r_hi);
+      band(kc, in_w, out_w, t.c_lo, t.c_hi);
+      t.src = (t.r_lo * stride - pad + kr) * in_w + (t.c_lo * stride - pad + kc);
+      if (t.r_lo >= t.r_hi || t.c_lo >= t.c_hi) t = Tap{};  // all padding
+    }
+  }
+  // In the padded plane, output pixel (r, c) of tap (kr, kc) reads row
+  // r*stride + kr and column c*stride + kc.
+  const int padded_w = in_w + 2 * pad;
+  padded_taps_.resize(taps_.size() * out_plane());
+  std::int32_t* o = padded_taps_.data();
+  for (int kr = 0; kr < kernel; ++kr) {
+    for (int kc = 0; kc < kernel; ++kc) {
+      for (int r = 0; r < out_h; ++r) {
+        for (int c = 0; c < out_w; ++c) *o++ = (r * stride + kr) * padded_w + c * stride + kc;
       }
     }
   }
+}
+
+namespace {
+
+/// The one unfold loop behind both Conv2d::unfold overloads; `read` maps a
+/// source element to its float value. Each input channel is first copied
+/// into a zero-bordered plane; every column row is then one gather through
+/// the padded offsets, with no bounds test and no strided row walk.
+template <class T, class Read>
+void unfold_planned(const Conv2d& cv, const T* x, std::size_t channel_stride, float* col,
+                    std::size_t col_stride, std::span<const std::int32_t> padded_taps,
+                    Read read) {
+  const auto pad = static_cast<std::size_t>(cv.pad);
+  const auto in_w = static_cast<std::size_t>(cv.in_w);
+  const std::size_t padded_w = in_w + 2 * pad;
+  const std::size_t padded_plane = (static_cast<std::size_t>(cv.in_h) + 2 * pad) * padded_w;
+  thread_local std::vector<float> padded;
+  padded.assign(padded_plane, 0.0f);  // the border stays zero across channels
+  const std::size_t plane = cv.out_plane();
+  const std::size_t taps_n = padded_taps.size() / plane;
+  float* dst = col;
+  for (int ic = 0; ic < cv.in_ch; ++ic) {
+    const T* xp = x + static_cast<std::size_t>(ic) * channel_stride;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(cv.in_h); ++r) {
+      float* prow = padded.data() + (r + pad) * padded_w + pad;
+      for (std::size_t c = 0; c < in_w; ++c) prow[c] = read(xp[r * in_w + c]);
+    }
+    const float* src = padded.data();
+    for (std::size_t t = 0; t < taps_n; ++t) {
+      const std::int32_t* off = padded_taps.data() + t * plane;
+      for (std::size_t p = 0; p < plane; ++p) dst[p] = src[off[p]];
+      dst += col_stride;
+    }
+  }
+}
+
+}  // namespace
+
+void Conv2d::unfold(const float* x, std::size_t channel_stride, float* col,
+                    std::size_t col_stride) const {
+  unfold_planned(*this, x, channel_stride, col, col_stride, padded_taps_,
+                 [](float v) { return v; });
+}
+
+void Conv2d::unfold(const std::uint8_t* cells, float* col, std::size_t col_stride) const {
+  // A table read, not a branch (occupancy is data the predictor cannot
+  // learn) and not an int-to-float convert (a serial dependency per cell).
+  static constexpr float kCellValue[2] = {0.0f, 1.0f};
+  unfold_planned(*this, cells, in_plane(), col, col_stride, padded_taps_,
+                 [](std::uint8_t v) { return kCellValue[v != 0]; });
 }
 
 void Conv2d::col2im(const float* col, float* gx) const {
-  const std::size_t out_plane = static_cast<std::size_t>(out_h) * out_w;
-  const std::size_t in_plane = static_cast<std::size_t>(in_h) * in_w;
-  const float* src_row = col;
+  // The unfold's transpose, through the plan's per-tap rectangles; each gx
+  // element receives its terms in (ic, kr, kc, r, c) order, as the direct
+  // loops would add them.
+  const std::size_t plane = out_plane();
+  const auto row_step = static_cast<std::size_t>(stride) * in_w;
+  const float* src = col;
   for (int ic = 0; ic < in_ch; ++ic) {
-    float* gxp = gx + static_cast<std::size_t>(ic) * in_plane;
-    for (int kr = 0; kr < kernel; ++kr) {
-      const int r_lo = first_valid(pad - kr, stride);
-      const int r_hi = last_valid(in_h, pad - kr, stride, out_h);
-      for (int kc = 0; kc < kernel; ++kc) {
-        const int c_lo = first_valid(pad - kc, stride);
-        const int c_hi = last_valid(in_w, pad - kc, stride, out_w);
-        for (int r = r_lo; r < r_hi; ++r) {
-          const int ri = r * stride - pad + kr;
-          float* dst = gxp + static_cast<std::size_t>(ri) * in_w + (c_lo * stride - pad + kc);
-          const float* srow = src_row + static_cast<std::size_t>(r) * out_w + c_lo;
-          const int span = c_hi - c_lo;
-          if (stride == 1) {
-            for (int c = 0; c < span; ++c) dst[c] += srow[c];
-          } else {
-            for (int c = 0; c < span; ++c) dst[static_cast<std::size_t>(c) * stride] += srow[c];
-          }
+    float* gxp = gx + static_cast<std::size_t>(ic) * in_plane();
+    for (const Tap& t : taps_) {
+      for (int r = t.r_lo; r < t.r_hi; ++r) {
+        float* dst = gxp + t.src + static_cast<std::size_t>(r - t.r_lo) * row_step;
+        const float* srow = src + static_cast<std::size_t>(r) * out_w;
+        for (int c = t.c_lo; c < t.c_hi; ++c) {
+          dst[static_cast<std::size_t>(c - t.c_lo) * stride] += srow[c];
         }
-        src_row += out_plane;
       }
+      src += plane;
     }
   }
+}
+
+void Conv2d::gemm_forward(const ParamStore& store, const float* cols, std::size_t n,
+                          float* y) const {
+  const auto w = store.param(w_off, static_cast<std::size_t>(out_ch) * col_rows());
+  const auto b = store.param(b_off, static_cast<std::size_t>(out_ch));
+  for (int oc = 0; oc < out_ch; ++oc) {
+    std::fill_n(y + static_cast<std::size_t>(oc) * n, n, b[static_cast<std::size_t>(oc)]);
+  }
+  // y [out_ch, n] += W [out_ch, kdim] · cols [kdim, n].
+  sgemm(out_ch, static_cast<int>(n), col_rows(), w.data(), cols, y);
 }
 
 void Conv2d::forward(const ParamStore& store, std::span<const float> x, std::span<float> y,
-                     int batch, std::vector<float>& col_scratch) const {
+                     int batch, std::vector<float>& cols) const {
   LBCHAT_OBS_SPAN("nn.conv2d_fwd");
-  const auto w = store.param(w_off, static_cast<std::size_t>(out_ch) * in_ch * kernel * kernel);
-  const auto b = store.param(b_off, static_cast<std::size_t>(out_ch));
-  const int kdim = col_rows();
-  const std::size_t out_plane = static_cast<std::size_t>(out_h) * out_w;
-  col_scratch.resize(static_cast<std::size_t>(kdim) * out_plane);
+  const std::size_t per_sample = static_cast<std::size_t>(col_rows()) * out_plane();
+  cols.resize(static_cast<std::size_t>(batch) * per_sample);
   for (int n = 0; n < batch; ++n) {
-    const float* xn = x.data() + static_cast<std::size_t>(n) * in_numel();
-    float* yn = y.data() + static_cast<std::size_t>(n) * out_numel();
-    im2col(xn, col_scratch.data());
-    for (int oc = 0; oc < out_ch; ++oc) {
-      float* yp = yn + static_cast<std::size_t>(oc) * out_plane;
-      const float bias = b[static_cast<std::size_t>(oc)];
-      for (std::size_t i = 0; i < out_plane; ++i) yp[i] = bias;
-    }
-    // y_n [out_ch, out_plane] += W [out_ch, kdim] · col [kdim, out_plane].
-    sgemm(out_ch, static_cast<int>(out_plane), kdim, w.data(), col_scratch.data(), yn);
+    float* col = cols.data() + static_cast<std::size_t>(n) * per_sample;
+    unfold(x.data() + static_cast<std::size_t>(n) * in_numel(), in_plane(), col, out_plane());
+    gemm_forward(store, col, out_plane(), y.data() + static_cast<std::size_t>(n) * out_numel());
   }
 }
 
-void Conv2d::backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,
-                      std::span<float> gx, int batch, std::vector<float>& col_scratch,
-                      std::vector<float>& gcol_scratch) const {
+void Conv2d::backward(ParamStore& store, std::span<const float> cols, std::span<const float> gy,
+                      std::span<float> gx, int batch, std::vector<float>& gcol_scratch) const {
   LBCHAT_OBS_SPAN("nn.conv2d_bwd");
   const auto w = store.param(w_off, static_cast<std::size_t>(out_ch) * in_ch * kernel * kernel);
   auto gw = store.grad(w_off, static_cast<std::size_t>(out_ch) * in_ch * kernel * kernel);
   auto gb = store.grad(b_off, static_cast<std::size_t>(out_ch));
   const int kdim = col_rows();
-  const std::size_t out_plane = static_cast<std::size_t>(out_h) * out_w;
+  const std::size_t plane = out_plane();
+  const std::size_t per_sample = static_cast<std::size_t>(kdim) * plane;
+  if (cols.size() < static_cast<std::size_t>(batch) * per_sample) {
+    throw std::invalid_argument{"Conv2d::backward: columns do not cover the batch"};
+  }
   const bool need_gx = !gx.empty();
-  col_scratch.resize(static_cast<std::size_t>(kdim) * out_plane);
-  if (need_gx) gcol_scratch.resize(static_cast<std::size_t>(kdim) * out_plane);
+  if (need_gx) gcol_scratch.resize(per_sample);
   for (int n = 0; n < batch; ++n) {
-    const float* xn = x.data() + static_cast<std::size_t>(n) * in_numel();
+    const float* col = cols.data() + static_cast<std::size_t>(n) * per_sample;
     const float* gyn = gy.data() + static_cast<std::size_t>(n) * out_numel();
-    im2col(xn, col_scratch.data());
     for (int oc = 0; oc < out_ch; ++oc) {
-      const float* gyp = gyn + static_cast<std::size_t>(oc) * out_plane;
+      const float* gyp = gyn + static_cast<std::size_t>(oc) * plane;
       float acc = 0.0f;
-      for (std::size_t i = 0; i < out_plane; ++i) acc += gyp[i];
+      for (std::size_t i = 0; i < plane; ++i) acc += gyp[i];
       gb[static_cast<std::size_t>(oc)] += acc;
     }
     // gW [out_ch, kdim] += gy_n [out_ch, out_plane] · colᵀ.
-    sgemm_abt(out_ch, kdim, static_cast<int>(out_plane), gyn, col_scratch.data(), gw.data());
+    sgemm_abt(out_ch, kdim, static_cast<int>(plane), gyn, col, gw.data());
     if (need_gx) {
       // gcol [kdim, out_plane] = Wᵀ · gy_n, then fold back onto gx_n.
       std::fill(gcol_scratch.begin(), gcol_scratch.end(), 0.0f);
-      sgemm_atb(kdim, static_cast<int>(out_plane), out_ch, w.data(), gyn, gcol_scratch.data());
+      sgemm_atb(kdim, static_cast<int>(plane), out_ch, w.data(), gyn, gcol_scratch.data());
       col2im(gcol_scratch.data(), gx.data() + static_cast<std::size_t>(n) * in_numel());
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -82,6 +83,13 @@ struct Linear {
 };
 
 /// 2-D convolution descriptor (square kernel, zero padding).
+///
+/// Every unfold (im2col) goes through a gather plan built once per geometry
+/// at construction, so no call divides out receptive-field bounds or fills
+/// a whole column plane before overwriting it: per kernel tap and output
+/// pixel, the offset read in the input plane zero-padded by `pad` on every
+/// side, so the gather has no bounds test at all; and one Tap per kernel
+/// tap t = kr*kernel + kc, which the backward's fold walks.
 struct Conv2d {
   int in_ch = 0, out_ch = 0, kernel = 3, stride = 1, pad = 1;
   int in_h = 0, in_w = 0;    ///< expected input spatial size
@@ -99,17 +107,33 @@ struct Conv2d {
   [[nodiscard]] std::size_t in_numel() const {
     return static_cast<std::size_t>(in_ch) * in_h * in_w;
   }
+  [[nodiscard]] std::size_t out_plane() const { return static_cast<std::size_t>(out_h) * out_w; }
+  [[nodiscard]] std::size_t in_plane() const { return static_cast<std::size_t>(in_h) * in_w; }
 
   /// x: [B, in_ch, in_h, in_w], y: [B, out_ch, out_h, out_w].
   ///
-  /// Runs im2col + GEMM using the caller-owned scratch buffers (resized as
-  /// needed, so repeat calls never allocate).
+  /// Unfolds every sample into `cols` ([B][col_rows][out_plane], resized as
+  /// needed, so repeat calls never allocate) and runs one GEMM per sample.
+  /// The columns stay in `cols` for backward().
   void forward(const ParamStore& store, std::span<const float> x, std::span<float> y, int batch,
-               std::vector<float>& col_scratch) const;
-  /// gx (when non-empty) is accumulated (+=), param grads always accumulate.
-  void backward(ParamStore& store, std::span<const float> x, std::span<const float> gy,
-                std::span<float> gx, int batch, std::vector<float>& col_scratch,
-                std::vector<float>& gcol_scratch) const;
+               std::vector<float>& cols) const;
+  /// `cols` must hold the columns forward() left for the same batch; they
+  /// stand in for x, so nothing is unfolded again. gx (when non-empty) is
+  /// accumulated (+=), param grads always accumulate.
+  void backward(ParamStore& store, std::span<const float> cols, std::span<const float> gy,
+                std::span<float> gx, int batch, std::vector<float>& gcol_scratch) const;
+
+  /// y [out_ch, n] = bias + W · cols [col_rows, n]: one GEMM over n unfolded
+  /// pixels — one sample's out_plane, or a whole chunk's side by side.
+  void gemm_forward(const ParamStore& store, const float* cols, std::size_t n, float* y) const;
+
+  /// Unfold one sample through the gather plan: input channel ic starts at
+  /// x + ic*channel_stride, column row r is written at col + r*col_stride.
+  void unfold(const float* x, std::size_t channel_stride, float* col,
+              std::size_t col_stride) const;
+  /// The same unfold straight from a binary raster ([in_ch][in_h][in_w]
+  /// bytes): a nonzero cell reads 1.0f, a zero cell 0.0f.
+  void unfold(const std::uint8_t* cells, float* col, std::size_t col_stride) const;
 
   /// Reference direct-convolution implementations (slow; parity oracle).
   void naive_forward(const ParamStore& store, std::span<const float> x, std::span<float> y,
@@ -121,10 +145,21 @@ struct Conv2d {
   [[nodiscard]] int col_rows() const { return in_ch * kernel * kernel; }
 
  private:
-  /// Unfold one sample [in_ch, in_h, in_w] into col [col_rows, out_h*out_w].
-  void im2col(const float* x, float* col) const;
+  /// Where one kernel tap (kr, kc) reads: the output pixels (r, c) with r in
+  /// [r_lo, r_hi) and c in [c_lo, c_hi) read inside the input, at input-plane
+  /// offset src + (r - r_lo)*stride*in_w + (c - c_lo)*stride; every other
+  /// output pixel reads the zero padding.
+  struct Tap {
+    int r_lo = 0, r_hi = 0, c_lo = 0, c_hi = 0;
+    int src = 0;
+  };
+
   /// Fold col-shaped gradients back onto one sample's gx (accumulating).
   void col2im(const float* col, float* gx) const;
+
+  std::vector<Tap> taps_;
+  /// [kernel*kernel][out_plane] offsets into the zero-padded input plane.
+  std::vector<std::int32_t> padded_taps_;
 };
 
 /// y = max(x, 0), in place.

@@ -21,7 +21,14 @@
 #include "nn/layers.h"
 #include "nn/optim.h"
 
+namespace lbchat {
+class ThreadPool;  // common/thread_pool.h
+}
+
 namespace lbchat::nn {
+
+class DrivingPolicy;
+class Int8Policy;  // nn/int8_policy.h
 
 struct PolicyConfig {
   data::BevSpec bev = data::kDefaultBevSpec;
@@ -36,6 +43,51 @@ struct PolicyConfig {
 /// Per-sample model output: normalized ego-frame waypoints, interleaved x,y.
 using WaypointVector = std::array<float, 2 * data::kNumWaypoints>;
 
+/// Samples per scoring chunk: each conv runs as one GEMM over a chunk's
+/// pixels side by side (N = chunk * out_plane), the fc once per chunk.
+inline constexpr std::size_t kScoringChunk = 16;
+
+/// Samples prepared once for forward-only scoring (DESIGN.md §7): their
+/// conv1 columns, unfolded straight from the binary BEV cells (no raster
+/// pass), plus their commands and target waypoints. Built for one model
+/// flavour — float columns for DrivingPolicy, int8 codes for Int8Policy —
+/// and then shared by every model of that flavour and config scored on the
+/// same samples, so conv1's unfold is paid once per sample, not once per
+/// model. Holds kScoringChunk-sample blocks; callers keep batches small
+/// (a chunk per lane, or a chat's evaluation subsample), never a dataset.
+class ScoringBatch {
+ public:
+  ScoringBatch() = default;
+  ScoringBatch(const DrivingPolicy& model, std::span<const data::Sample> samples);
+  ScoringBatch(const Int8Policy& model, std::span<const data::Sample> samples);
+
+  /// Refill in place from sample pointers, reusing this batch's buffers.
+  void assign(const DrivingPolicy& model, std::span<const data::Sample* const> samples);
+  void assign(const Int8Policy& model, std::span<const data::Sample* const> samples);
+
+  [[nodiscard]] std::size_t size() const { return cmds_.size(); }
+  [[nodiscard]] bool int8() const { return kpad_ > 0; }
+
+ private:
+  friend class DrivingPolicy;
+  friend class Int8Policy;
+
+  /// Commands, targets and config of `samples`; columns are the caller's.
+  void assign_labels(const PolicyConfig& cfg, std::span<const data::Sample* const> samples,
+                     int kpad);
+  /// L1 waypoint loss (mean abs error) of prediction `pred` for sample i.
+  [[nodiscard]] double l1_loss(std::size_t i, const float* pred) const;
+
+  PolicyConfig cfg_;
+  int kpad_ = 0;  ///< int8 panel width (0: float columns)
+  std::vector<data::Command> cmds_;
+  std::vector<WaypointVector> targets_;
+  /// Float: one [col_rows, c*out_plane] block per chunk of c samples.
+  std::vector<float> cols_;
+  /// Int8: [n*out_plane, kpad] channel-last codes (chunks are row ranges).
+  std::vector<std::int8_t> codes_;
+};
+
 class DrivingPolicy {
  public:
   explicit DrivingPolicy(const PolicyConfig& cfg = {}, std::uint64_t init_seed = 42);
@@ -46,6 +98,10 @@ class DrivingPolicy {
   [[nodiscard]] std::span<float> params() { return store_.params(); }
   void set_params(std::span<const float> p);
 
+  /// L1 waypoint loss of every sample of `batch` into `out` (same size) —
+  /// the one forward-only path; the calls below wrap it.
+  void sample_losses(const ScoringBatch& batch, std::span<double> out) const;
+
   /// Inference on one frame.
   [[nodiscard]] WaypointVector predict(const data::BevGrid& bev, data::Command cmd) const;
 
@@ -55,7 +111,11 @@ class DrivingPolicy {
   /// Mean loss over `samples` weighted by `weights` (must match in size, or
   /// weights may be empty for uniform). This is the plain empirical term of
   /// f(x; xi) in Eq. (6); the penalty terms live in coreset::penalized_loss.
+  /// Scored chunk by chunk, so no columns are held for the whole set.
   [[nodiscard]] double weighted_loss(std::span<const data::Sample> samples,
+                                     std::span<const double> weights = {}) const;
+  /// The same over a prepared batch (e.g. one shared by two models).
+  [[nodiscard]] double weighted_loss(const ScoringBatch& batch,
                                      std::span<const double> weights = {}) const;
 
   /// Compute the minibatch gradient into the internal gradient buffer
@@ -74,12 +134,17 @@ class DrivingPolicy {
   /// The int8 forward-only twin (nn/int8_policy.h) snapshots the layer
   /// descriptors and parameter store directly at quantization time.
   friend class Int8Policy;
+  friend class ScoringBatch;
 
   struct Workspace;
-  /// Forward pass over a batch; fills the workspace with all activations.
-  void forward(const float* x, std::span<const data::Command> cmds, int batch,
-               Workspace& ws) const;
-  void rasterize(const data::BevGrid& bev, float* out) const;
+  struct ScoreWorkspace;
+  /// Training forward pass over a batch; fills the workspace with all
+  /// activations and both convs' columns (reused by the backward).
+  void forward(std::span<const data::Sample* const> batch, Workspace& ws) const;
+  /// Scoring forward over the chunk of `batch` starting at sample `first`
+  /// (a multiple of kScoringChunk); leaves [count, out_dim] outputs in ws.out.
+  void forward_chunk(const ScoringBatch& batch, std::size_t first, std::size_t count,
+                     ScoreWorkspace& ws) const;
 
   PolicyConfig cfg_;
   ParamStore store_;
@@ -94,5 +159,15 @@ class DrivingPolicy {
 
 /// Euclidean L2 norm of a parameter vector (the ||x|| regularizer of Eq. (6)).
 [[nodiscard]] double param_l2_norm(std::span<const float> params);
+
+/// Per-sample losses of `samples` under `model` into `out` (same size),
+/// scored chunk by chunk on `pool`'s lanes (null = sequential): each lane
+/// unfolds one chunk at a time into its own scratch batch, so nothing is
+/// held for the whole set. Every loss lands in its own slot and does not
+/// depend on the lane count.
+void score_samples(const DrivingPolicy& model, std::span<const data::Sample* const> samples,
+                   std::span<double> out, ThreadPool* pool = nullptr);
+void score_samples(const Int8Policy& model, std::span<const data::Sample* const> samples,
+                   std::span<double> out, ThreadPool* pool = nullptr);
 
 }  // namespace lbchat::nn

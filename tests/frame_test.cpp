@@ -28,6 +28,30 @@ TEST(FrameTest, Crc32KnownVector) {
   EXPECT_EQ(frame::crc32({}), 0x00000000u);
 }
 
+TEST(FrameTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // The table-driven CRC folds eight bytes per step; the plain bytewise
+  // shift register is the reference. Lengths 0..300 cover the 8-byte body
+  // plus every tail length, offsets 0..7 every start alignment.
+  const auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  Rng rng{0xC3Cull};
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> data{buf.data() + offset, len};
+      ASSERT_EQ(frame::crc32(data), reference(data.data(), len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(FrameTest, EncodeDecodeRoundtrip) {
   const std::vector<std::uint8_t> payload{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42};
   const auto wire = frame::encode(frame::FrameType::kCoreset, payload);

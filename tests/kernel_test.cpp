@@ -10,7 +10,7 @@
 //   scalar sgemm/sgemm_atb   bit-exact vs naive when C starts zeroed
 //   scalar sgemm_abt         float-reassociation error (8-lane reduction)
 //   avx2                     float-reassociation error, <= 1e-4 relative
-//   igemm_abt                bit-exact on EVERY path (int32 accumulation)
+//   igemm_abt_u8s8           bit-exact on EVERY path (int32 accumulation)
 //
 // Layer 2 — dispatch plumbing: availability, parse/name round-trips,
 // set_kernel_path error contract, ScopedKernelPath restore, cache-key
@@ -220,29 +220,6 @@ TEST(KernelParity, ScalarSgemmBitExactVsNaiveOnZeroedC) {
   }
 }
 
-TEST(KernelParity, IgemmBitExactOnEveryPath) {
-  // int32 accumulation of int8 products is exact integer arithmetic: every
-  // backend must agree with the oracle bit-for-bit, prefilled C included.
-  Rng rng{0x18ull};
-  const int shapes[][3] = {{1, 1, 1},  {1, 1, 0},  {0, 2, 3},   {4, 0, 3},
-                           {1, 12, 31}, {4, 16, 64}, {5, 17, 33}, {9, 23, 300}};
-  for (const auto& s : shapes) {
-    const int m = s[0], n = s[1], k = s[2];
-    const auto a = random_s8(static_cast<std::size_t>(m) * k, rng);
-    const auto b = random_s8(static_cast<std::size_t>(n) * k, rng);
-    std::vector<std::int32_t> base(static_cast<std::size_t>(m) * n);
-    for (auto& x : base) x = static_cast<std::int32_t>(rng.next_u64() % 1000) - 500;
-    auto c0 = base;
-    nn::naive_igemm_abt(m, n, k, a.data(), b.data(), c0.data());
-    for (const KernelPath path : available_paths()) {
-      auto c1 = base;
-      nn::igemm_abt_on(path, m, n, k, a.data(), b.data(), c1.data());
-      EXPECT_EQ(c0, c1) << nn::kernel_path_name(path) << " igemm_abt " << m << "x" << n << "x"
-                        << k;
-    }
-  }
-}
-
 TEST(KernelParity, IgemmU8S8BitExactOnConformingInputs) {
   // igemm_abt_u8s8 narrows the contract to A codes in [0,127] (every int8
   // activation tensor: binary BEV input, post-ReLU interiors). On such inputs
@@ -289,9 +266,9 @@ TEST(KernelParity, IgemmU8S8SaturationEdge) {
 }
 
 TEST(KernelParity, IgemmSaturatedOperandsDoNotOverflow) {
-  // Worst case codes: all +/-127 over a long K. 127*127*512 ~= 8.3e6, far
-  // inside int32, and the AVX2 madd-pair path must not wrap int16 either
-  // (its pairwise sums reach 2*127*127 = 32258 < 32767).
+  // Worst conforming codes over a long K: a = 127, b = +/-127, k = 512.
+  // 127*127*512 ~= 8.3e6, far inside int32, and the AVX2 vpmaddubsw pairs
+  // must not wrap int16 either (pairwise sums reach 2*127*127 = 32258).
   const int m = 3, n = 5, k = 512;
   std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k, 127);
   std::vector<std::int8_t> b(static_cast<std::size_t>(n) * k);
@@ -300,7 +277,7 @@ TEST(KernelParity, IgemmSaturatedOperandsDoNotOverflow) {
   nn::naive_igemm_abt(m, n, k, a.data(), b.data(), c0.data());
   for (const KernelPath path : available_paths()) {
     std::vector<std::int32_t> c1(static_cast<std::size_t>(m) * n, 0);
-    nn::igemm_abt_on(path, m, n, k, a.data(), b.data(), c1.data());
+    nn::igemm_abt_u8s8_on(path, m, n, k, a.data(), b.data(), c1.data());
     EXPECT_EQ(c0, c1) << nn::kernel_path_name(path);
   }
 }

@@ -3,11 +3,16 @@
 // the driving policy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/frame.h"
 #include "nn/gemm.h"
+#include "nn/int8_policy.h"
+#include "nn/kernel_dispatch.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
 #include "nn/policy.h"
@@ -139,7 +144,7 @@ TEST(Conv2dTest, GradientMatchesFiniteDifferences) {
   std::vector<float> gcol;
   store.zero_grads();
   conv.forward(store, x, y, 1, col);
-  conv.backward(store, x, gy, gx, 1, col, gcol);
+  conv.backward(store, col, gy, gx, 1, gcol);
 
   const auto objective = [&](std::span<const float> input) {
     std::vector<float> out(conv.out_numel(), 0.0f);
@@ -253,13 +258,13 @@ TEST_P(Conv2dParityTest, GemmPathMatchesNaive) {
   conv.naive_backward(store, x, gy, gx_naive, p.batch);
   const std::vector<float> grads_naive{store.grads().begin(), store.grads().end()};
   store.zero_grads();
-  conv.backward(store, x, gy, gx_gemm, p.batch, col, gcol);
+  conv.backward(store, col, gy, gx_gemm, p.batch, gcol);
   EXPECT_LE(max_abs_diff(grads_naive, store.grads()), 1e-4f);
   EXPECT_LE(max_abs_diff(gx_naive, gx_gemm), 1e-4f);
 
   // gx may be skipped (first layer): param grads must be unaffected.
   store.zero_grads();
-  conv.backward(store, x, gy, /*gx=*/{}, p.batch, col, gcol);
+  conv.backward(store, col, gy, /*gx=*/{}, p.batch, gcol);
   EXPECT_LE(max_abs_diff(grads_naive, store.grads()), 1e-4f);
 }
 
@@ -364,9 +369,10 @@ TEST(OptimizerTest, CloneCopiesHyperparameters) {
 
 // ---------------------------------------------------------------- policy
 
-data::Sample make_sample(Rng& rng, data::Command cmd) {
+data::Sample make_sample(Rng& rng, data::Command cmd,
+                         const data::BevSpec& spec = data::kDefaultBevSpec) {
   data::Sample s;
-  s.bev = data::BevGrid{data::kDefaultBevSpec};
+  s.bev = data::BevGrid{spec};
   for (auto& c : s.bev.cells) c = rng.chance(0.2) ? 1 : 0;
   s.command = cmd;
   for (auto& w : s.waypoints) w = static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -485,6 +491,303 @@ TEST(PolicyTest, ComputeBatchGradientDoesNotChangeParams) {
 TEST(PolicyTest, ParamL2Norm) {
   EXPECT_DOUBLE_EQ(param_l2_norm(std::vector<float>{3.0f, 4.0f}), 5.0);
   EXPECT_DOUBLE_EQ(param_l2_norm(std::vector<float>{}), 0.0);
+}
+
+// ------------------------------------------------- batched scoring parity
+
+/// Direct im2col reference: the receptive-field loops the gather plan
+/// replaces, one sample [in_ch, in_h, in_w] into [col_rows, out_plane].
+std::vector<float> reference_im2col(const Conv2d& cv, const float* x) {
+  std::vector<float> col(static_cast<std::size_t>(cv.col_rows()) * cv.out_plane(), 0.0f);
+  std::size_t row = 0;
+  for (int ic = 0; ic < cv.in_ch; ++ic) {
+    for (int kr = 0; kr < cv.kernel; ++kr) {
+      for (int kc = 0; kc < cv.kernel; ++kc, ++row) {
+        for (int r = 0; r < cv.out_h; ++r) {
+          for (int c = 0; c < cv.out_w; ++c) {
+            const int ri = r * cv.stride - cv.pad + kr;
+            const int ci = c * cv.stride - cv.pad + kc;
+            if (ri < 0 || ri >= cv.in_h || ci < 0 || ci >= cv.in_w) continue;
+            col[row * cv.out_plane() + static_cast<std::size_t>(r) * cv.out_w + c] =
+                x[(static_cast<std::size_t>(ic) * cv.in_h + ri) * cv.in_w + ci];
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+TEST(UnfoldPlanTest, MatchesReferenceLoops) {
+  // The policy's conv1 and conv2 geometries, plus a stride-1 one.
+  const int shapes[][7] = {{4, 8, 16, 16, 3, 2, 1}, {8, 16, 8, 8, 3, 2, 1}, {3, 4, 7, 6, 3, 1, 1}};
+  for (const auto& g : shapes) {
+    ParamStore store;
+    Rng init{401};
+    const Conv2d cv{store, g[0], g[1], g[2], g[3], g[4], g[5], g[6], init};
+    Rng data{409};
+    const auto x = random_vec(cv.in_numel(), data);
+    const auto want = reference_im2col(cv, x.data());
+    std::vector<float> got(want.size(), -1.0f);
+    cv.unfold(x.data(), cv.in_plane(), got.data(), cv.out_plane());
+    EXPECT_EQ(got, want) << "float unfold, in_ch " << g[0] << " stride " << g[5];
+
+    // The binary-raster overload reads nonzero cells as 1.0f.
+    std::vector<std::uint8_t> cells(cv.in_numel());
+    std::vector<float> raster(cv.in_numel());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      cells[i] = data.chance(0.3) ? static_cast<std::uint8_t>(1 + data.uniform_index(3)) : 0;
+      raster[i] = cells[i] != 0 ? 1.0f : 0.0f;
+    }
+    std::vector<float> from_cells(want.size(), -1.0f);
+    cv.unfold(cells.data(), from_cells.data(), cv.out_plane());
+    EXPECT_EQ(from_cells, reference_im2col(cv, raster.data())) << "cell unfold";
+  }
+}
+
+std::vector<data::Sample> scoring_samples(std::size_t n, Rng& rng,
+                                          const data::BevSpec& spec = data::kDefaultBevSpec) {
+  std::vector<data::Sample> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(make_sample(rng, static_cast<data::Command>(i % data::kNumCommands), spec));
+  }
+  return out;
+}
+
+std::vector<KernelPath> runnable_paths() {
+  std::vector<KernelPath> out;
+  for (const KernelPath p : {KernelPath::kScalar, KernelPath::kAvx2}) {
+    if (kernel_path_available(p)) out.push_back(p);
+  }
+  return out;
+}
+
+template <class Model>
+void expect_batched_equals_one_sample(const Model& model, std::span<const data::Sample> samples,
+                                      ThreadPool& pool, const char* what) {
+  std::vector<double> batched(samples.size());
+  model.sample_losses(ScoringBatch{model, samples}, batched);
+  std::vector<const data::Sample*> ptrs;
+  for (const auto& s : samples) ptrs.push_back(&s);
+  std::vector<double> pooled(samples.size());
+  score_samples(model, ptrs, pooled, &pool);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double one = model.sample_loss(samples[i]);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]), std::bit_cast<std::uint64_t>(one))
+        << what << " n=" << samples.size() << " sample " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled[i]), std::bit_cast<std::uint64_t>(one))
+        << what << " pooled n=" << samples.size() << " sample " << i;
+  }
+}
+
+TEST(ScoringParityTest, BatchedLossesEqualOneSampleCalls) {
+  // Packing a chunk into one GEMM per layer moves no bit: every sample's
+  // loss equals its one-sample call on each kernel path, at every batch
+  // size around the chunk edges, for every command, fp32 and int8. The 8x8
+  // raster gives conv planes of 16 and 4 pixels, so one-sample GEMMs end in
+  // the AVX2 kernel's scalar tail while chunk GEMMs run full tiles.
+  ThreadPool pool{3};
+  for (const data::BevSpec spec : {data::kDefaultBevSpec, data::BevSpec{4, 8, 8, 4.0}}) {
+    PolicyConfig cfg;
+    cfg.bev = spec;
+    const DrivingPolicy model{cfg, 31};
+    const Int8Policy q{model};
+    Rng rng{37};
+    const std::vector<data::Sample> all = scoring_samples(300, rng, spec);
+    for (const KernelPath path : runnable_paths()) {
+      const ScopedKernelPath scope{path};
+      for (const std::size_t n : {std::size_t{1}, std::size_t{7}, kScoringChunk - 1,
+                                  kScoringChunk, kScoringChunk + 1, std::size_t{300}}) {
+        const std::span<const data::Sample> samples{all.data(), n};
+        expect_batched_equals_one_sample(model, samples, pool, "fp32");
+        expect_batched_equals_one_sample(q, samples, pool, "int8");
+      }
+    }
+  }
+}
+
+TEST(ScoringParityTest, SharedBatchScoresEveryModelAsItsOwnBatch) {
+  // One batch serves any model of the same config and flavour, and rejects
+  // the other flavour.
+  const DrivingPolicy a{{}, 41};
+  const DrivingPolicy b{{}, 43};
+  Rng rng{47};
+  const std::vector<data::Sample> samples = scoring_samples(40, rng);
+  const ScoringBatch shared{a, samples};
+  std::vector<double> via_shared(samples.size());
+  std::vector<double> via_own(samples.size());
+  b.sample_losses(shared, via_shared);
+  b.sample_losses(ScoringBatch{b, samples}, via_own);
+  EXPECT_EQ(via_shared, via_own);
+  EXPECT_EQ(b.weighted_loss(shared), b.weighted_loss(samples));
+  EXPECT_THROW(Int8Policy{a}.sample_losses(shared, via_own), std::invalid_argument);
+  EXPECT_THROW(a.sample_losses(ScoringBatch{Int8Policy{a}, samples}, via_own),
+               std::invalid_argument);
+}
+
+/// DrivingPolicy rebuilt from the public layers (same shapes, same
+/// allocation order, so the same parameter offsets), running the per-sample
+/// forward the scoring chunks must reproduce: rasterize, then one GEMM per
+/// sample and layer.
+struct ReferencePolicy {
+  PolicyConfig cfg;
+  ParamStore store;
+  Conv2d conv1, conv2;
+  Linear fc;
+  std::vector<Linear> hidden, out;
+  // Activations of the last forward().
+  std::vector<float> x, a1, a2, h, bh, y;
+
+  explicit ReferencePolicy(const DrivingPolicy& policy) : cfg(policy.config()) {
+    Rng init{1};
+    conv1 = Conv2d{store, cfg.bev.channels, cfg.conv1_channels, cfg.bev.height, cfg.bev.width,
+                   3, 2, 1, init};
+    conv2 = Conv2d{store, cfg.conv1_channels, cfg.conv2_channels, conv1.out_h, conv1.out_w,
+                   3, 2, 1, init};
+    fc = Linear{store, static_cast<int>(conv2.out_numel()), cfg.fc_dim, init};
+    for (int b = 0; b < data::kNumCommands; ++b) {
+      hidden.emplace_back(store, cfg.fc_dim, cfg.branch_hidden, init);
+      out.emplace_back(store, cfg.branch_hidden, 2 * data::kNumWaypoints, init);
+    }
+    EXPECT_EQ(store.size(), policy.param_count());
+    std::copy(policy.params().begin(), policy.params().end(), store.params().begin());
+  }
+
+  void forward(std::span<const data::Sample* const> batch) {
+    const int B = static_cast<int>(batch.size());
+    const auto n = batch.size();
+    const int out_dim = 2 * data::kNumWaypoints;
+    x.assign(n * conv1.in_numel(), 0.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < conv1.in_numel(); ++k) {
+        x[i * conv1.in_numel() + k] = batch[i]->bev.cells[k] != 0 ? 1.0f : 0.0f;
+      }
+    }
+    a1.assign(n * conv1.out_numel(), 0.0f);
+    a2.assign(n * conv2.out_numel(), 0.0f);
+    h.assign(n * cfg.fc_dim, 0.0f);
+    bh.assign(n * cfg.branch_hidden, 0.0f);
+    y.assign(n * out_dim, 0.0f);
+    std::vector<float> scratch;
+    conv1.forward(store, x, a1, B, scratch);
+    relu_forward(a1);
+    conv2.forward(store, a1, a2, B, scratch);
+    relu_forward(a2);
+    fc.forward(store, a2, h, B);
+    relu_forward(h);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto c = static_cast<std::size_t>(batch[i]->command);
+      const auto bh_i = std::span<float>{bh}.subspan(i * cfg.branch_hidden, cfg.branch_hidden);
+      hidden[c].forward(store, std::span<const float>{h}.subspan(i * cfg.fc_dim, cfg.fc_dim),
+                        bh_i, 1);
+      relu_forward(bh_i);
+      out[c].forward(store, bh_i, std::span<float>{y}.subspan(i * out_dim, out_dim), 1);
+    }
+  }
+};
+
+TEST(ScoringParityTest, MatchesPerSampleLayerForward) {
+  // The chunked path against the per-sample pipeline it replaced, sample by
+  // sample and bit for bit, on each kernel path.
+  for (const KernelPath path : runnable_paths()) {
+    const ScopedKernelPath scope{path};
+    const DrivingPolicy policy{{}, 61};
+    ReferencePolicy ref{policy};
+    Rng rng{67};
+    const std::vector<data::Sample> samples = scoring_samples(2 * kScoringChunk + 3, rng);
+    std::vector<double> losses(samples.size());
+    policy.sample_losses(ScoringBatch{policy, samples}, losses);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const data::Sample* one[1] = {&samples[i]};
+      ref.forward(one);
+      double want = 0.0;
+      for (std::size_t k = 0; k < ref.y.size(); ++k) {
+        want += std::abs(static_cast<double>(ref.y[k]) -
+                         static_cast<double>(samples[i].waypoints[k]));
+      }
+      want /= static_cast<double>(ref.y.size());
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(losses[i]), std::bit_cast<std::uint64_t>(want))
+          << kernel_path_name(path) << " sample " << i;
+    }
+  }
+}
+
+TEST(ColumnReuseTest, BatchGradientMatchesFreshlyUnfoldedColumns) {
+  // The training backward reads the columns its forward left behind. The
+  // reference backward, with every conv's columns unfolded again by the
+  // direct loops, must give bit-identical grads.
+  for (const KernelPath path : runnable_paths()) {
+    const ScopedKernelPath scope{path};
+    DrivingPolicy policy{{}, 53};
+    Rng rng{59};
+    const std::vector<data::Sample> samples = scoring_samples(9, rng);
+    std::vector<const data::Sample*> batch;
+    for (const auto& s : samples) batch.push_back(&s);
+    const double loss = policy.compute_batch_gradient(batch);
+
+    ReferencePolicy ref{policy};
+    ref.forward(batch);
+    const PolicyConfig& cfg = ref.cfg;
+    ParamStore& store = ref.store;
+    const int B = static_cast<int>(batch.size());
+    const auto n = batch.size();
+    const int out_dim = 2 * data::kNumWaypoints;
+    double ref_loss = 0.0;
+    std::vector<float> g_y(ref.y.size());
+    const float gscale = 1.0f / (static_cast<float>(B) * static_cast<float>(out_dim));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int k = 0; k < out_dim; ++k) {
+        const float diff =
+            ref.y[i * out_dim + k] - batch[i]->waypoints[static_cast<std::size_t>(k)];
+        ref_loss += std::abs(static_cast<double>(diff));
+        g_y[i * out_dim + k] = (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f)) * gscale;
+      }
+    }
+    ref_loss /= static_cast<double>(B) * out_dim;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(ref_loss));
+
+    store.zero_grads();
+    std::vector<float> g_bh(ref.bh.size(), 0.0f), g_h(ref.h.size(), 0.0f);
+    std::vector<float> g_a2(ref.a2.size(), 0.0f), g_a1(ref.a1.size(), 0.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto c = static_cast<std::size_t>(batch[i]->command);
+      const auto bh_i = std::span<const float>{ref.bh}.subspan(i * cfg.branch_hidden,
+                                                               cfg.branch_hidden);
+      const auto g_bh_i = std::span<float>{g_bh}.subspan(i * cfg.branch_hidden,
+                                                         cfg.branch_hidden);
+      ref.out[c].backward(store, bh_i,
+                          std::span<const float>{g_y}.subspan(i * out_dim, out_dim), g_bh_i, 1);
+      relu_backward(bh_i, g_bh_i);
+      ref.hidden[c].backward(
+          store, std::span<const float>{ref.h}.subspan(i * cfg.fc_dim, cfg.fc_dim), g_bh_i,
+          std::span<float>{g_h}.subspan(i * cfg.fc_dim, cfg.fc_dim), 1);
+    }
+    relu_backward(ref.h, g_h);
+    ref.fc.backward(store, ref.a2, g_h, g_a2, B);
+    relu_backward(ref.a2, g_a2);
+    // Fresh columns from the direct loops, not from any forward.
+    const auto fresh_cols = [n](const Conv2d& cv, const std::vector<float>& in) {
+      std::vector<float> cols;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto c = reference_im2col(cv, in.data() + i * cv.in_numel());
+        cols.insert(cols.end(), c.begin(), c.end());
+      }
+      return cols;
+    };
+    std::vector<float> gcol;
+    ref.conv2.backward(store, fresh_cols(ref.conv2, ref.a1), g_a2, g_a1, B, gcol);
+    relu_backward(ref.a1, g_a1);
+    ref.conv1.backward(store, fresh_cols(ref.conv1, ref.x), g_a1, /*gx=*/{}, B, gcol);
+
+    const auto got = policy.grads();
+    const auto want = store.grads();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+          << kernel_path_name(path) << " grad " << i;
+    }
+  }
 }
 
 }  // namespace
