@@ -29,21 +29,16 @@ coreset::Coreset subsample_coreset(const coreset::Coreset& c, std::size_t max_n)
   return out;
 }
 
-double normalized_coreset_loss(const nn::DrivingPolicy& model, const coreset::Coreset& c,
+template <nn::ScoringModel Model>
+double normalized_coreset_loss(const Model& model, const coreset::Coreset& c,
                                const coreset::PenaltyConfig& penalty, ThreadPool* pool) {
   const double mass = c.total_weight();
   if (mass <= 0.0) return 0.0;
   return coreset::evaluate_on_coreset(model, c, penalty, pool) / mass;
 }
 
-double normalized_coreset_loss(const nn::Int8Policy& model, const coreset::Coreset& c,
-                               const coreset::PenaltyConfig& penalty, ThreadPool* pool) {
-  const double mass = c.total_weight();
-  if (mass <= 0.0) return 0.0;
-  return coreset::evaluate_on_coreset(model, c, penalty, pool) / mass;
-}
-
-double normalized_coreset_loss(const nn::DrivingPolicy& model, const coreset::Coreset& c,
+template <nn::ScoringModel Model>
+double normalized_coreset_loss(const Model& model, const coreset::Coreset& c,
                                const nn::ScoringBatch& batch,
                                const coreset::PenaltyConfig& penalty) {
   const double mass = c.total_weight();
@@ -51,13 +46,14 @@ double normalized_coreset_loss(const nn::DrivingPolicy& model, const coreset::Co
   return coreset::evaluate_on_coreset(model, c, batch, penalty) / mass;
 }
 
-double normalized_coreset_loss(const nn::Int8Policy& model, const coreset::Coreset& c,
-                               const nn::ScoringBatch& batch,
-                               const coreset::PenaltyConfig& penalty) {
-  const double mass = c.total_weight();
-  if (mass <= 0.0) return 0.0;
-  return coreset::evaluate_on_coreset(model, c, batch, penalty) / mass;
-}
+template double normalized_coreset_loss(const nn::DrivingPolicy&, const coreset::Coreset&,
+                                        const coreset::PenaltyConfig&, ThreadPool*);
+template double normalized_coreset_loss(const nn::Int8Policy&, const coreset::Coreset&,
+                                        const coreset::PenaltyConfig&, ThreadPool*);
+template double normalized_coreset_loss(const nn::DrivingPolicy&, const coreset::Coreset&,
+                                        const nn::ScoringBatch&, const coreset::PenaltyConfig&);
+template double normalized_coreset_loss(const nn::Int8Policy&, const coreset::Coreset&,
+                                        const nn::ScoringBatch&, const coreset::PenaltyConfig&);
 
 PhiMapping::PhiMapping(std::vector<double> psis, std::vector<double> losses)
     : psis_(std::move(psis)), losses_(std::move(losses)) {

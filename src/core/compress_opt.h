@@ -13,6 +13,11 @@
 //     gain_i(psi_j) = relu( f(x_i; C_j) - phi_j(psi_j) ),  gain_i(0) = 0,
 // i.e. positive exactly when the peer's (compressed) model still beats v_i's
 // model on the peer's own coreset, shrinking as compression degrades it.
+//
+// Every loss here is scored by an nn::ScoringModel: the float policy, or an
+// int8 snapshot of it when ScenarioConfig::int8_eval is on (DESIGN.md §15).
+// normalized_coreset_loss is one template per input form; the caller picks
+// the model object, and the reduction is the same for both.
 #pragma once
 
 #include <optional>
@@ -33,27 +38,18 @@ namespace lbchat::core {
 
 /// Normalized (per unit weight) penalized loss of a model on a coreset —
 /// the loss scale used for value assessment, so magnitudes are comparable
-/// across coresets of different mass. Samples are scored on `pool`'s lanes
-/// when one is given (bit-identical to the sequential sweep).
-[[nodiscard]] double normalized_coreset_loss(const nn::DrivingPolicy& model,
-                                             const coreset::Coreset& c,
-                                             const coreset::PenaltyConfig& penalty,
-                                             ThreadPool* pool = nullptr);
-/// Int8 twin (DESIGN.md §15): value scoring through a quantized snapshot of
-/// the model, used when ScenarioConfig::int8_eval.scores_values() is on.
-[[nodiscard]] double normalized_coreset_loss(const nn::Int8Policy& model,
-                                             const coreset::Coreset& c,
+/// across coresets of different mass. `model` is the float policy or an int8
+/// snapshot of it (nn::ScoringModel, DESIGN.md §15). Samples are scored on
+/// `pool`'s lanes when one is given (bit-identical to the sequential sweep).
+template <nn::ScoringModel Model>
+[[nodiscard]] double normalized_coreset_loss(const Model& model, const coreset::Coreset& c,
                                              const coreset::PenaltyConfig& penalty,
                                              ThreadPool* pool = nullptr);
 /// The same over `batch`, c's samples prepared once for the model's flavour
 /// (nn::ScoringBatch): the form a chat uses to score several models — the
 /// receiver's and every psi of the sender's sweep — on one coreset.
-[[nodiscard]] double normalized_coreset_loss(const nn::DrivingPolicy& model,
-                                             const coreset::Coreset& c,
-                                             const nn::ScoringBatch& batch,
-                                             const coreset::PenaltyConfig& penalty);
-[[nodiscard]] double normalized_coreset_loss(const nn::Int8Policy& model,
-                                             const coreset::Coreset& c,
+template <nn::ScoringModel Model>
+[[nodiscard]] double normalized_coreset_loss(const Model& model, const coreset::Coreset& c,
                                              const nn::ScoringBatch& batch,
                                              const coreset::PenaltyConfig& penalty);
 

@@ -276,7 +276,7 @@ void LbChatStrategy::begin_model_phase(FleetSim& sim, PairSession& s) {
     // Value scoring optionally runs through int8 snapshots (DESIGN.md §15):
     // chat handshakes only need inference-grade estimates of Eq. (7)'s loss
     // terms, and these evaluations dominate handshake compute at scale.
-    const bool int8 = cfg.int8_eval.scores_values();
+    const bool int8 = cfg.int8_eval.enabled;
     // The two directions are independent: sending x_s to the receiver needs
     // the receiver's loss on the sender's coreset and the sender's phi
     // mapping, both over that coreset. Each direction is one task writing
@@ -287,15 +287,16 @@ void LbChatStrategy::begin_model_phase(FleetSim& sim, PairSession& s) {
                                const coreset::Coreset& sender_cs, double& receiver_loss,
                                PhiMapping& sender_phi) {
       nn::ScoringBatch batch;
+      const auto score = [&](const auto& model) {
+        batch = nn::ScoringBatch{model, sender_cs.samples};
+        receiver_loss = normalized_coreset_loss(model, sender_cs, batch, cfg.penalty);
+      };
       {
         LBCHAT_OBS_SPAN("core.value_score");
         if (int8) {
-          const nn::Int8Policy q{receiver};
-          batch = nn::ScoringBatch{q, sender_cs.samples};
-          receiver_loss = normalized_coreset_loss(q, sender_cs, batch, cfg.penalty);
+          score(nn::Int8Policy{receiver});
         } else {
-          batch = nn::ScoringBatch{receiver, sender_cs.samples};
-          receiver_loss = normalized_coreset_loss(receiver, sender_cs, batch, cfg.penalty);
+          score(receiver);
         }
       }
       sender_phi = PhiMapping::build(sender, sender_cs, batch, cfg.penalty);
@@ -380,19 +381,16 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
     double loss_self = 0.0;
     double loss_peer = 0.0;
     const coreset::PenaltyConfig& penalty = sim.config().penalty;
-    if (sim.config().int8_eval.scores_values()) {
-      const nn::Int8Policy q_self{node.model};
-      const nn::Int8Policy q_peer{peer_model};
-      const nn::ScoringBatch batch{q_self, joint.samples};
+    const auto score = [&](const auto& self, const auto& peer) {
+      const nn::ScoringBatch batch{self, joint.samples};
       parallel_invoke(
-          sim.pool(), [&] { loss_self = normalized_coreset_loss(q_self, joint, batch, penalty); },
-          [&] { loss_peer = normalized_coreset_loss(q_peer, joint, batch, penalty); });
+          sim.pool(), [&] { loss_self = normalized_coreset_loss(self, joint, batch, penalty); },
+          [&] { loss_peer = normalized_coreset_loss(peer, joint, batch, penalty); });
+    };
+    if (sim.config().int8_eval.enabled) {
+      score(nn::Int8Policy{node.model}, nn::Int8Policy{peer_model});
     } else {
-      const nn::ScoringBatch batch{node.model, joint.samples};
-      parallel_invoke(
-          sim.pool(),
-          [&] { loss_self = normalized_coreset_loss(node.model, joint, batch, penalty); },
-          [&] { loss_peer = normalized_coreset_loss(peer_model, joint, batch, penalty); });
+      score(node.model, peer_model);
     }
     // The logical end of "larger weights to better-performing models": a
     // received model that is clearly worse than the local one (e.g. damaged

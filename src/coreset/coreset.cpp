@@ -15,13 +15,6 @@ using data::WeightedDataset;
 
 namespace {
 
-/// ||x|| of Eq. (6) for either model flavour: float parameters directly, or
-/// the dequantized norm the int8 snapshot actually represents.
-double model_param_norm(const nn::DrivingPolicy& model) {
-  return nn::param_l2_norm(model.params());
-}
-double model_param_norm(const nn::Int8Policy& model) { return model.param_l2_norm(); }
-
 /// w(d) of sample i: the explicit weight when given, else the sample's own.
 double weight_of(std::span<const Sample> samples, std::span<const double> weights, std::size_t i) {
   return weights.empty() ? samples[i].weight : weights[i];
@@ -88,21 +81,6 @@ double command_balance_from_losses(std::span<const Sample> samples,
   return max_h - entropy(per_command);
 }
 
-/// Shared bodies: the float and int8 policies expose the same sample_loss
-/// surface, so the Eq. (6) reductions are written once and instantiated for
-/// both (identical summation order — the int8 overloads differ only in what
-/// sample_loss computes).
-template <class Model>
-double command_balance_penalty_impl(const Model& model, std::span<const Sample> samples,
-                                    std::span<const double> weights) {
-  if (samples.empty()) return 0.0;
-  if (!weights.empty() && weights.size() != samples.size()) {
-    throw std::invalid_argument{"command_balance_penalty: weights size mismatch"};
-  }
-  return command_balance_from_losses(samples, weights,
-                                     weighted_sample_losses(model, samples, weights));
-}
-
 /// Eq. (6) from per-sample losses (weights already validated; losses of
 /// non-positively weighted samples are never read).
 template <class Model>
@@ -115,56 +93,33 @@ double penalized_from_losses(const Model& model, std::span<const Sample> samples
     if (w <= 0.0) continue;
     empirical += w * losses[i];
   }
-  return empirical + penalty.lambda1 * model_param_norm(model) +
+  // ||x||: an int8 snapshot reports the norm of its dequantized weights.
+  return empirical + penalty.lambda1 * model.param_l2_norm() +
          penalty.lambda2 * command_balance_from_losses(samples, weights, losses);
 }
 
-template <class Model>
-double penalized_loss_impl(const Model& model, std::span<const Sample> samples,
-                           std::span<const double> weights, const PenaltyConfig& penalty,
-                           ThreadPool* pool) {
+}  // namespace
+
+template <nn::ScoringModel Model>
+double command_balance_penalty(const Model& model, std::span<const Sample> samples,
+                               std::span<const double> weights) {
+  if (samples.empty()) return 0.0;
+  if (!weights.empty() && weights.size() != samples.size()) {
+    throw std::invalid_argument{"command_balance_penalty: weights size mismatch"};
+  }
+  return command_balance_from_losses(samples, weights,
+                                     weighted_sample_losses(model, samples, weights));
+}
+
+template <nn::ScoringModel Model>
+double penalized_loss(const Model& model, std::span<const Sample> samples,
+                      std::span<const double> weights, const PenaltyConfig& penalty,
+                      ThreadPool* pool) {
   if (!weights.empty() && weights.size() != samples.size()) {
     throw std::invalid_argument{"penalized_loss: weights size mismatch"};
   }
   return penalized_from_losses(model, samples, weights, penalty,
                                weighted_sample_losses(model, samples, weights, pool));
-}
-
-/// evaluate_on_coreset over a batch prepared from c's samples: every sample
-/// is scored (the weighting skips the non-positive ones, as above).
-template <class Model>
-double evaluate_prepared(const Model& model, const Coreset& c, const nn::ScoringBatch& batch,
-                         const PenaltyConfig& penalty) {
-  if (batch.size() != c.size() || c.wc.size() != c.size()) {
-    throw std::invalid_argument{"evaluate_on_coreset: batch does not match the coreset"};
-  }
-  std::vector<double> losses(batch.size());
-  model.sample_losses(batch, losses);
-  return penalized_from_losses(model, std::span<const Sample>{c.samples}, c.wc, penalty, losses);
-}
-
-}  // namespace
-
-double command_balance_penalty(const nn::DrivingPolicy& model, std::span<const Sample> samples,
-                               std::span<const double> weights) {
-  return command_balance_penalty_impl(model, samples, weights);
-}
-
-double command_balance_penalty(const nn::Int8Policy& model, std::span<const Sample> samples,
-                               std::span<const double> weights) {
-  return command_balance_penalty_impl(model, samples, weights);
-}
-
-double penalized_loss(const nn::DrivingPolicy& model, std::span<const Sample> samples,
-                      std::span<const double> weights, const PenaltyConfig& penalty,
-                      ThreadPool* pool) {
-  return penalized_loss_impl(model, samples, weights, penalty, pool);
-}
-
-double penalized_loss(const nn::Int8Policy& model, std::span<const Sample> samples,
-                      std::span<const double> weights, const PenaltyConfig& penalty,
-                      ThreadPool* pool) {
-  return penalized_loss_impl(model, samples, weights, penalty, pool);
 }
 
 double Coreset::total_weight() const {
@@ -352,25 +307,41 @@ Coreset build_layered_coreset(const WeightedDataset& dataset, const nn::DrivingP
                         cfg.target_size, dataset.spec(), rng);
 }
 
-double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const PenaltyConfig& penalty, ThreadPool* pool) {
+template <nn::ScoringModel Model>
+double evaluate_on_coreset(const Model& model, const Coreset& c, const PenaltyConfig& penalty,
+                           ThreadPool* pool) {
   return penalized_loss(model, c.samples, c.wc, penalty, pool);
 }
 
-double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const PenaltyConfig& penalty, ThreadPool* pool) {
-  return penalized_loss(model, c.samples, c.wc, penalty, pool);
+/// Every sample of the prepared batch is scored (the weighting skips the
+/// non-positive ones, as above).
+template <nn::ScoringModel Model>
+double evaluate_on_coreset(const Model& model, const Coreset& c, const nn::ScoringBatch& batch,
+                           const PenaltyConfig& penalty) {
+  if (batch.size() != c.size() || c.wc.size() != c.size()) {
+    throw std::invalid_argument{"evaluate_on_coreset: batch does not match the coreset"};
+  }
+  std::vector<double> losses(batch.size());
+  model.sample_losses(batch, losses);
+  return penalized_from_losses(model, std::span<const Sample>{c.samples}, c.wc, penalty, losses);
 }
 
-double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty) {
-  return evaluate_prepared(model, c, batch, penalty);
-}
-
-double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty) {
-  return evaluate_prepared(model, c, batch, penalty);
-}
+template double command_balance_penalty(const nn::DrivingPolicy&, std::span<const Sample>,
+                                        std::span<const double>);
+template double command_balance_penalty(const nn::Int8Policy&, std::span<const Sample>,
+                                        std::span<const double>);
+template double penalized_loss(const nn::DrivingPolicy&, std::span<const Sample>,
+                               std::span<const double>, const PenaltyConfig&, ThreadPool*);
+template double penalized_loss(const nn::Int8Policy&, std::span<const Sample>,
+                               std::span<const double>, const PenaltyConfig&, ThreadPool*);
+template double evaluate_on_coreset(const nn::DrivingPolicy&, const Coreset&,
+                                    const PenaltyConfig&, ThreadPool*);
+template double evaluate_on_coreset(const nn::Int8Policy&, const Coreset&, const PenaltyConfig&,
+                                    ThreadPool*);
+template double evaluate_on_coreset(const nn::DrivingPolicy&, const Coreset&,
+                                    const nn::ScoringBatch&, const PenaltyConfig&);
+template double evaluate_on_coreset(const nn::Int8Policy&, const Coreset&,
+                                    const nn::ScoringBatch&, const PenaltyConfig&);
 
 Coreset merge_coresets(const Coreset& a, const Coreset& b) {
   if (!a.empty() && !b.empty() && !(a.spec == b.spec)) {

@@ -16,6 +16,11 @@
 // every reduction over the slots runs afterwards on the caller in index
 // order, so results are bit-identical at any lane count; RNG draws stay on
 // the caller.
+//
+// The Eq. (6) evaluations are one template each over nn::ScoringModel: the
+// float policy, or an int8 snapshot of it (DESIGN.md §15), whose ||x|| term
+// is the dequantized parameter norm. The caller picks the model object; the
+// reductions and their summation order are the same for both.
 #pragma once
 
 #include <cstddef>
@@ -29,10 +34,6 @@
 
 namespace lbchat {
 class ThreadPool;  // common/thread_pool.h
-}
-
-namespace lbchat::nn {
-class Int8Policy;  // nn/int8_policy.h — forward-only quantized eval twin
 }
 
 namespace lbchat::coreset {
@@ -49,22 +50,15 @@ struct PenaltyConfig {
 /// the desired (unbiased) state and have *maximal* entropy, so the quantity
 /// actually minimized is the entropy gap log(#commands) - H(normalized
 /// per-command losses), which is >= 0 and zero exactly at balance.
-double command_balance_penalty(const nn::DrivingPolicy& model,
-                               std::span<const data::Sample> samples,
-                               std::span<const double> weights = {});
-double command_balance_penalty(const nn::Int8Policy& model,
-                               std::span<const data::Sample> samples,
+template <nn::ScoringModel Model>
+double command_balance_penalty(const Model& model, std::span<const data::Sample> samples,
                                std::span<const double> weights = {});
 
 /// Full penalized loss f(x; xi) of Eq. (6) over weighted samples. `weights`
 /// empty means "use each sample's own w(d)". Note this is a weighted *sum*
 /// (Eq. (2)/(4)), not a mean, so f(x; C) approximates f(x; D) in magnitude.
-double penalized_loss(const nn::DrivingPolicy& model, std::span<const data::Sample> samples,
-                      std::span<const double> weights = {}, const PenaltyConfig& penalty = {},
-                      ThreadPool* pool = nullptr);
-/// Int8 twin (DESIGN.md §15): same reductions over the quantized model's
-/// sample losses; the ||x|| term uses the dequantized parameter norm.
-double penalized_loss(const nn::Int8Policy& model, std::span<const data::Sample> samples,
+template <nn::ScoringModel Model>
+double penalized_loss(const Model& model, std::span<const data::Sample> samples,
                       std::span<const double> weights = {}, const PenaltyConfig& penalty = {},
                       ThreadPool* pool = nullptr);
 
@@ -114,17 +108,15 @@ Coreset build_layered_coreset(const data::WeightedDataset& dataset,
                               ThreadPool* pool = nullptr);
 
 /// f(x; C) of Eq. (4)/(6): penalized weighted-sum loss on the coreset.
-double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
-double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const PenaltyConfig& penalty = {}, ThreadPool* pool = nullptr);
+template <nn::ScoringModel Model>
+double evaluate_on_coreset(const Model& model, const Coreset& c, const PenaltyConfig& penalty = {},
+                           ThreadPool* pool = nullptr);
 /// The same over `batch`, c's samples prepared once (nn::ScoringBatch of the
 /// model's flavour), so several models are scored on c without unfolding
-/// its samples again. Bit-identical to the overloads above.
-double evaluate_on_coreset(const nn::DrivingPolicy& model, const Coreset& c,
-                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty = {});
-double evaluate_on_coreset(const nn::Int8Policy& model, const Coreset& c,
-                           const nn::ScoringBatch& batch, const PenaltyConfig& penalty = {});
+/// its samples again. Bit-identical to the form above.
+template <nn::ScoringModel Model>
+double evaluate_on_coreset(const Model& model, const Coreset& c, const nn::ScoringBatch& batch,
+                           const PenaltyConfig& penalty = {});
 
 /// Union of two coresets (valid epsilon-coreset of the union of the original
 /// datasets when those are disjoint; paper §III-D).

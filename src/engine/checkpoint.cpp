@@ -146,11 +146,14 @@ void write_config(ByteWriter& w, const ScenarioConfig& c) {
   // Int8-eval block (same conditional-tail pattern, marker 0x18): written
   // only when the quantized eval path is on, so default-config checkpoints
   // keep their pre-existing bytes. A resume must replay the same eval
-  // numerics, hence the knob fingerprints whenever it is live.
+  // numerics, hence the knob fingerprints whenever it is live. The two 1s
+  // are the former value-scoring and eval-loss switches, both always on
+  // now; they stay so enabled-config fingerprints and checkpoints keep
+  // their bytes.
   if (c.int8_eval.enabled) {
     w.write_u8(0x18);
-    w.write_u8(c.int8_eval.value_scoring ? 1 : 0);
-    w.write_u8(c.int8_eval.eval_loss ? 1 : 0);
+    w.write_u8(1);
+    w.write_u8(1);
   }
 }
 

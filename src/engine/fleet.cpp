@@ -492,45 +492,34 @@ double FleetSim::default_local_train(int v) {
   return n.model.train_batch(batch, *n.opt);
 }
 
-double FleetSim::mean_eval_loss() const {
+std::vector<double> FleetSim::vehicle_eval_losses() const {
   LBCHAT_OBS_SPAN("engine.mean_eval_loss");
-  if (eval_set_.empty() || nodes_.empty()) return 0.0;
-  // Per-vehicle losses land in an index-addressed slot and are reduced
-  // sequentially afterwards, so the sum is bit-identical for any lane count.
-  const bool int8 = cfg_.int8_eval.scores_eval_loss();
+  // Per-vehicle losses land in index-addressed slots; every reduction over
+  // them runs sequentially afterwards, so it is bit-identical at any lane
+  // count.
   std::vector<double> losses(nodes_.size(), 0.0);
   for_each_vehicle([&](std::int64_t v) {
     const nn::DrivingPolicy& model = nodes_[static_cast<std::size_t>(v)]->model;
-    losses[static_cast<std::size_t>(v)] = int8
+    losses[static_cast<std::size_t>(v)] = cfg_.int8_eval.enabled
                                               ? nn::Int8Policy{model}.weighted_loss(eval_set_)
                                               : model.weighted_loss(eval_set_);
   });
-  double sum = 0.0;
-  for (const double l : losses) sum += l;
-  return sum / static_cast<double>(nodes_.size());
+  return losses;
+}
+
+double FleetSim::mean_eval_loss() const {
+  if (eval_set_.empty() || nodes_.empty()) return 0.0;
+  return mean(vehicle_eval_losses());
 }
 
 void FleetSim::eval_and_record(RunMetrics& metrics, double t) {
-  LBCHAT_OBS_SPAN("engine.mean_eval_loss");
   if (eval_set_.empty() || nodes_.empty()) {
     metrics.loss_curve.add(t, 0.0);
     return;
   }
-  // Same computation and reduction order as mean_eval_loss(): per-vehicle
-  // losses land in index-addressed slots, then one sequential sum — so the
-  // recorded curve stays bit-identical to the pre-observability engine.
-  const bool int8 = cfg_.int8_eval.scores_eval_loss();
-  std::vector<double> losses(nodes_.size(), 0.0);
-  for_each_vehicle([&](std::int64_t v) {
-    const nn::DrivingPolicy& model = nodes_[static_cast<std::size_t>(v)]->model;
-    losses[static_cast<std::size_t>(v)] = int8
-                                              ? nn::Int8Policy{model}.weighted_loss(eval_set_)
-                                              : model.weighted_loss(eval_set_);
-  });
-  double sum = 0.0;
-  for (const double l : losses) sum += l;
-  const double mean = sum / static_cast<double>(nodes_.size());
-  metrics.loss_curve.add(t, mean);
+  const std::vector<double> losses = vehicle_eval_losses();
+  const double fleet_loss = mean(losses);
+  metrics.loss_curve.add(t, fleet_loss);
   if (adversary_.active()) {
     // Cohort split from the same per-vehicle losses (sequential reduction,
     // same order). Degenerate cohorts record 0 to keep the series aligned.
@@ -554,7 +543,7 @@ void FleetSim::eval_and_record(RunMetrics& metrics, double t) {
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     metrics.per_vehicle_loss[v].add(t, losses[v]);
   }
-  if (events_on_) events_.emit(obs::Event{t, obs::EventKind::kEval, -1, -1, mean});
+  if (events_on_) events_.emit(obs::Event{t, obs::EventKind::kEval, -1, -1, fleet_loss});
 }
 
 obs::Snapshot FleetSim::metrics_snapshot() const {

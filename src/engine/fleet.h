@@ -326,8 +326,12 @@ class FleetSim {
 
  private:
   void collect_phase();
+  /// Held-out loss of every vehicle's model (int8 snapshots when
+  /// int8_eval is on), one slot per vehicle: the one eval sweep that
+  /// mean_eval_loss() and eval_and_record() both reduce.
+  [[nodiscard]] std::vector<double> vehicle_eval_losses() const;
   /// Evaluate the fleet at sim time `t` and record the mean + per-vehicle
-  /// losses into `metrics` (same reduction order as mean_eval_loss()).
+  /// losses into `metrics` (the mean is mean_eval_loss()'s, bit for bit).
   void eval_and_record(RunMetrics& metrics, double t);
   void tick_sessions(double dt);
   void reap_sessions();

@@ -15,22 +15,19 @@
 namespace lbchat::engine {
 
 /// Opt-in int8 forward-only inference for the evaluation-side model calls
-/// (DESIGN.md §15): coreset value scoring inside LbChat handshakes and the
-/// engine's mean_eval_loss sweeps. Off by default and bit-inert when off —
-/// default-configured runs hash, checkpoint, and evaluate exactly as before.
-/// When enabled, loss trajectories change (quantized eval numerics), so the
-/// knob joins the scenario fingerprint and the checkpoint config fingerprint
-/// via a conditional tail like the adversary block.
+/// (DESIGN.md §15): with `enabled`, every scoring call site — LbChat's value
+/// scoring (Eq. (7)/(8) losses and the phi-mapping samples) and the engine's
+/// per-vehicle eval sweep — scores an int8 snapshot instead of the float
+/// model, through the same scoring templates. Off by default and bit-inert
+/// when off: default-configured runs hash, checkpoint, and evaluate exactly
+/// as before. When enabled, loss trajectories change (quantized eval
+/// numerics), so the knob joins the scenario fingerprint and the checkpoint
+/// config fingerprint via a conditional tail like the adversary block.
 struct Int8EvalConfig {
   bool enabled = false;
-  /// Quantize the models evaluated during chat value scoring (Eq. (7)/(8)
-  /// losses and the phi-mapping samples).
-  bool value_scoring = true;
-  /// Quantize the per-vehicle models in mean_eval_loss / eval_and_record.
-  bool eval_loss = true;
 
-  [[nodiscard]] bool scores_values() const { return enabled && value_scoring; }
-  [[nodiscard]] bool scores_eval_loss() const { return enabled && eval_loss; }
+  /// The same as `enabled`; the spelling bench/e2e reads.
+  [[nodiscard]] bool scores_values() const { return enabled; }
 
   friend constexpr bool operator==(const Int8EvalConfig&, const Int8EvalConfig&) = default;
 };

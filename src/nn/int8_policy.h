@@ -23,6 +23,11 @@
 // Scoring runs through an int8 ScoringBatch (nn/policy.h) chunk by chunk:
 // conv1's panel comes straight from the BEV cells, and each layer is one
 // integer GEMM over the chunk with per-sample activation scales.
+//
+// Int8Policy is one of the two nn::ScoringModel types: score_samples,
+// coreset::penalized_loss and its kin, and core::normalized_coreset_loss
+// are single templates instantiated for it and for DrivingPolicy, so a call
+// site picks int8 by passing a snapshot instead of the float model.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +63,7 @@ class Int8Policy {
                                      std::span<const double> weights = {}) const;
 
   /// L2 norm of the *dequantized* parameter vector — the ||x|| the quantized
-  /// model actually represents, used by the int8 penalized_loss overloads.
+  /// model actually represents, the Eq. (6) norm term when it is scored.
   [[nodiscard]] double param_l2_norm() const { return param_l2_; }
 
  private:

@@ -306,9 +306,13 @@ std::vector<double> positive_weight_losses(const Model& model,
   return losses;
 }
 
-template <class Model>
-void score_chunks(const Model& model, std::span<const data::Sample* const> samples,
-                  std::span<double> out, ThreadPool* pool) {
+}  // namespace
+
+// Both flavours share the chunked sweep; the int8 forward pass lives in
+// int8_policy.cpp.
+template <ScoringModel Model>
+void score_samples(const Model& model, std::span<const data::Sample* const> samples,
+                   std::span<double> out, ThreadPool* pool) {
   if (out.size() != samples.size()) throw std::invalid_argument{"score_samples: size mismatch"};
   const auto chunks =
       static_cast<std::int64_t>((samples.size() + kScoringChunk - 1) / kScoringChunk);
@@ -320,8 +324,10 @@ void score_chunks(const Model& model, std::span<const data::Sample* const> sampl
     model.sample_losses(batch, out.subspan(first, count));
   });
 }
-
-}  // namespace
+template void score_samples(const DrivingPolicy&, std::span<const data::Sample* const>,
+                            std::span<double>, ThreadPool*);
+template void score_samples(const Int8Policy&, std::span<const data::Sample* const>,
+                            std::span<double>, ThreadPool*);
 
 double DrivingPolicy::weighted_loss(std::span<const data::Sample> samples,
                                     std::span<const double> weights) const {
@@ -336,18 +342,6 @@ double DrivingPolicy::weighted_loss(const ScoringBatch& batch,
   std::vector<double> losses(batch.size());
   sample_losses(batch, losses);
   return weighted_mean_loss(losses, weights);
-}
-
-void score_samples(const DrivingPolicy& model, std::span<const data::Sample* const> samples,
-                   std::span<double> out, ThreadPool* pool) {
-  score_chunks(model, samples, out, pool);
-}
-
-// The int8 twin shares the chunked sweeps above; its forward pass lives in
-// int8_policy.cpp.
-void score_samples(const Int8Policy& model, std::span<const data::Sample* const> samples,
-                   std::span<double> out, ThreadPool* pool) {
-  score_chunks(model, samples, out, pool);
 }
 
 double Int8Policy::weighted_loss(std::span<const data::Sample> samples,
@@ -426,5 +420,7 @@ double param_l2_norm(std::span<const float> params) {
   for (const float v : params) s += static_cast<double>(v) * v;
   return std::sqrt(s);
 }
+
+double DrivingPolicy::param_l2_norm() const { return nn::param_l2_norm(params()); }
 
 }  // namespace lbchat::nn

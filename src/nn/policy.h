@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -97,6 +98,8 @@ class DrivingPolicy {
   [[nodiscard]] std::span<const float> params() const { return store_.params(); }
   [[nodiscard]] std::span<float> params() { return store_.params(); }
   void set_params(std::span<const float> p);
+  /// ||x||, the L2 norm of the parameters (Eq. (6)'s structural risk).
+  [[nodiscard]] double param_l2_norm() const;
 
   /// L1 waypoint loss of every sample of `batch` into `out` (same size) —
   /// the one forward-only path; the calls below wrap it.
@@ -160,14 +163,20 @@ class DrivingPolicy {
 /// Euclidean L2 norm of a parameter vector (the ||x|| regularizer of Eq. (6)).
 [[nodiscard]] double param_l2_norm(std::span<const float> params);
 
+/// The model flavours that score samples: the float policy and its int8
+/// snapshot (nn/int8_policy.h). Every scoring template — score_samples
+/// below, coreset::penalized_loss and its kin, core::normalized_coreset_loss
+/// — is written once and instantiated for exactly these two.
+template <class Model>
+concept ScoringModel = std::same_as<Model, DrivingPolicy> || std::same_as<Model, Int8Policy>;
+
 /// Per-sample losses of `samples` under `model` into `out` (same size),
 /// scored chunk by chunk on `pool`'s lanes (null = sequential): each lane
 /// unfolds one chunk at a time into its own scratch batch, so nothing is
 /// held for the whole set. Every loss lands in its own slot and does not
 /// depend on the lane count.
-void score_samples(const DrivingPolicy& model, std::span<const data::Sample* const> samples,
-                   std::span<double> out, ThreadPool* pool = nullptr);
-void score_samples(const Int8Policy& model, std::span<const data::Sample* const> samples,
+template <ScoringModel Model>
+void score_samples(const Model& model, std::span<const data::Sample* const> samples,
                    std::span<double> out, ThreadPool* pool = nullptr);
 
 }  // namespace lbchat::nn

@@ -11,6 +11,9 @@
 namespace lbchat::svc {
 namespace {
 
+/// JSON numbers are doubles: above 2^53 they no longer name one integer.
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
 // One key being applied: its value, where it lands, and the typed reads the
 // setters share. `key` names the key in error messages — a nested "faults"
 // member by its bare name.
@@ -27,6 +30,8 @@ struct Apply {
   }
   bool number(double& out) const {
     if (!v.is_number()) return fail("\"" + key + "\" must be a number");
+    // A literal beyond DBL_MAX parses to inf: no key takes an infinity.
+    if (!std::isfinite(v.as_number())) return fail("\"" + key + "\" must be finite");
     out = v.as_number();
     return true;
   }
@@ -52,9 +57,12 @@ struct Apply {
   bool object() const {
     return v.is_object() || fail("\"" + key + "\" must be an object");
   }
-  /// A count read as `x` (already type-checked): >= 1, truncated to size_t.
+  /// A count read as `x` (already type-checked): a whole number in
+  /// [1, 2^53], never truncated.
   bool count(double x, std::size_t& out) const {
-    if (x < 1.0) return fail("\"" + key + "\" must be >= 1");
+    if (!(x >= 1.0 && x <= kMaxExactInteger) || x != std::floor(x)) {
+      return fail("\"" + key + "\" must be an integer in [1, 2^53]");
+    }
     out = static_cast<std::size_t>(x);
     return true;
   }
@@ -102,11 +110,9 @@ constexpr KeyEntry kKeys[] = {
      }},
     {"seed",
      [](const Apply& a) {
-       // JSON numbers are doubles: above 2^53 they no longer name one seed.
-       constexpr double kMaxExactSeed = 9007199254740992.0;  // 2^53
        double x = 0.0;
        if (!a.number(x)) return false;
-       if (!(x >= 0.0 && x <= kMaxExactSeed) || x != std::floor(x)) {
+       if (!(x >= 0.0 && x <= kMaxExactInteger) || x != std::floor(x)) {
          return a.fail("\"seed\" must be an integer in [0, 2^53]");
        }
        a.spec.cfg.seed = static_cast<std::uint64_t>(x);

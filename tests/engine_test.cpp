@@ -164,6 +164,32 @@ TEST(FleetSimTest, BitDeterministicAcrossThreadCounts) {
   EXPECT_EQ(ms.transfers.bytes_delivered, mp.transfers.bytes_delivered);
 }
 
+TEST(FleetSimTest, MeanEvalLossMatchesRecordedCurve) {
+  // mean_eval_loss() and the recorded loss curve reduce one per-vehicle
+  // sweep: at an eval point they agree bit for bit, float or int8, at any
+  // lane count (3 lanes split the 4 vehicles unevenly).
+  for (const bool int8 : {false, true}) {
+    for (const int lanes : {1, 3}) {
+      SCOPED_TRACE(testing::Message() << "int8=" << int8 << " lanes=" << lanes);
+      auto cfg = tiny_scenario();
+      cfg.int8_eval.enabled = int8;
+      cfg.num_threads = lanes;
+      FleetSim sim{cfg, std::make_unique<LocalOnlyStrategy>()};
+      sim.prepare();  // records t = 0
+      const double initial = sim.mean_eval_loss();
+      sim.run_until(45.0);
+      const double trained = sim.mean_eval_loss();
+      // The last eval point was t = 30, so finalize() records t = 60 with
+      // the models as they stand now.
+      const RunMetrics m = sim.finalize();
+      ASSERT_EQ(m.loss_curve.size(), 3u);
+      EXPECT_EQ(m.loss_curve.values.front(), initial);
+      EXPECT_EQ(m.loss_curve.values.back(), trained);
+      EXPECT_NE(initial, trained);
+    }
+  }
+}
+
 TEST(FleetSimTest, ScriptedTransferCompletes) {
   auto cfg = tiny_scenario();
   cfg.duration_s = 120.0;

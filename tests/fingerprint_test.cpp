@@ -130,7 +130,6 @@ TEST(ScenarioFingerprintTest, MovesExactlyWithConfigFingerprint) {
       {"adversary.poison_scale", [](Cfg& c) { c.adversary.poison_scale = 99.0; }},
       {"hetero.straggler_rate", [](Cfg& c) { c.hetero.straggler_rate = 0.9; }},
       {"hetero.dataset_keep_min", [](Cfg& c) { c.hetero.dataset_keep_min = 0.9; }},
-      {"int8_eval.value_scoring", [](Cfg& c) { c.int8_eval.value_scoring = false; }},
   };
 
   const engine::ScenarioConfig base;
@@ -198,14 +197,9 @@ TEST(ScenarioFingerprintTest, NonDefaultOptionsSplitKeys) {
 
 TEST(ScenarioFingerprintTest, DisabledInt8EvalKeepsLegacyKeys) {
   // Same conditional-tail contract as the robustness layer: the Int8EvalConfig
-  // member's existence must not move any historical key, and its sub-knobs
-  // are dead while enabled == false.
+  // member's existence must not move any historical key.
   const engine::ScenarioConfig base;
   EXPECT_EQ(scenario_fingerprint(base, "LbChat"), 0xEA6C4D563455561Eull);
-  engine::ScenarioConfig c = base;
-  c.int8_eval.value_scoring = false;  // ignored while !enabled
-  c.int8_eval.eval_loss = false;
-  EXPECT_EQ(scenario_fingerprint(c, "LbChat"), scenario_fingerprint(base, "LbChat"));
 }
 
 TEST(ScenarioFingerprintTest, EnabledInt8EvalSplitsKeys) {
@@ -214,15 +208,8 @@ TEST(ScenarioFingerprintTest, EnabledInt8EvalSplitsKeys) {
   on.int8_eval.enabled = true;
   const std::uint64_t fp_on = scenario_fingerprint(on, "LbChat");
   EXPECT_NE(fp_on, scenario_fingerprint(base, "LbChat"));
-
-  // The sub-knobs are live once enabled — each changes the measurement, so
-  // each must change the key.
-  engine::ScenarioConfig c = on;
-  c.int8_eval.value_scoring = false;
-  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp_on);
-  c = on;
-  c.int8_eval.eval_loss = false;
-  EXPECT_NE(scenario_fingerprint(c, "LbChat"), fp_on);
+  // The 0x18 tail's bytes are pinned: int8 results stay keyed as before.
+  EXPECT_EQ(fp_on, 0x63113181695A7029ull);
 }
 
 TEST(ScenarioFingerprintTest, KernelPathDoesNotEnterScenarioFingerprint) {

@@ -436,8 +436,6 @@ TEST(Int8EvalKnob, OffIsBitInert) {
   const engine::ScenarioConfig base = tiny_cfg(47);
   engine::ScenarioConfig off = base;
   off.int8_eval.enabled = false;
-  off.int8_eval.value_scoring = false;  // sub-knobs are dead while disabled
-  off.int8_eval.eval_loss = false;
 
   EXPECT_EQ(scenario_fingerprint(base, "LbChat"), scenario_fingerprint(off, "LbChat"));
 
@@ -472,13 +470,6 @@ TEST(Int8EvalKnob, OnSplitsFingerprintAndChangesLosses) {
   on.int8_eval.enabled = true;
 
   EXPECT_NE(scenario_fingerprint(on, "LbChat"), scenario_fingerprint(base, "LbChat"));
-  // Sub-knobs are live once enabled.
-  engine::ScenarioConfig values_off = on;
-  values_off.int8_eval.value_scoring = false;
-  EXPECT_NE(scenario_fingerprint(values_off, "LbChat"), scenario_fingerprint(on, "LbChat"));
-  engine::ScenarioConfig loss_off = on;
-  loss_off.int8_eval.eval_loss = false;
-  EXPECT_NE(scenario_fingerprint(loss_off, "LbChat"), scenario_fingerprint(on, "LbChat"));
 
   const auto m_on = make_sim(on).run();
   const auto m_base = make_sim(base).run();

@@ -200,6 +200,45 @@ TEST(JobSpecTest, SeedMustBeAnExactInteger) {
   }
 }
 
+TEST(JobSpecTest, NumbersMustBeFiniteAndCountsWhole) {
+  // A literal beyond DBL_MAX parses to inf: every number key rejects it
+  // (an infinite horizon would never end). Byte counts are whole numbers in
+  // [1, 2^53], never truncated.
+  const auto parse = [](const std::string& extra, JobSpec& spec, std::string& err) {
+    return parse_job_spec(R"({"vehicles":4,)" + extra + "}", spec, err);
+  };
+  JobSpec spec;
+  std::string err;
+  for (const char* key : {"duration", "collect_duration", "collect_fps", "radio_range",
+                          "learning_rate", "byzantine_frac", "preempt_at"}) {
+    for (const char* inf : {"1e400", "-1e400"}) {
+      err.clear();
+      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + inf, spec, err)) << key << inf;
+      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be finite") << key << inf;
+    }
+  }
+  EXPECT_FALSE(parse(R"("faults":{"burst_radius_m":1e400})", spec, err));
+  EXPECT_EQ(err, "\"burst_radius_m\" must be finite");
+  EXPECT_FALSE(parse(R"("strategy_options":{"divergence_bound":1e400})", spec, err));
+
+  ASSERT_TRUE(parse(R"("model_bytes":9007199254740992,"coreset_bytes_per_sample":1)", spec,
+                    err))
+      << err;
+  EXPECT_EQ(spec.cfg.wire.model_bytes, 9007199254740992u);
+  EXPECT_EQ(spec.cfg.wire.coreset_bytes_per_sample, 1u);
+  for (const char* key : {"model_bytes", "coreset_bytes_per_sample"}) {
+    for (const char* bad : {"1.5", "0", "-3", "9007199254740994", "1e300"}) {
+      err.clear();
+      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be an integer in [1, 2^53]")
+          << key << bad;
+    }
+    err.clear();
+    EXPECT_FALSE(parse("\"" + std::string{key} + "\":1e400", spec, err)) << key;
+    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be finite") << key;
+  }
+}
+
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
   // "strategy" is the registry-keyed spelling; "approach" stays accepted for
   // pre-registry specs. Options are validated against the registry schema.
