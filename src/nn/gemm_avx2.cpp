@@ -4,9 +4,10 @@
 // reported true at runtime, so the rest of the binary stays baseline x86-64.
 //
 // Shapes in this codebase are small-to-medium (conv im2col panels, 27k-param
-// policy layers), so the kernels favour simplicity over packing: 4x16 FMA
-// register tiles for the B-row-major variants, 4-way independent dot
-// accumulators for the Bᵀ variant, and scalar tails for ragged edges. Each
+// policy layers), so the kernels stay simple: 4x16 FMA register tiles for the
+// B-row-major variants; for the Bᵀ variant, 4-way independent dot
+// accumulators, run 8x8 outputs at a time from a packed 8-row Aᵀ panel so no
+// output pays its own horizontal sum; scalar tails for ragged edges. Each
 // kernel fixes its own summation order, so results are reproducible run-to-run
 // and machine-to-machine for this path — they differ from the scalar path only
 // by float reassociation (the §15 tolerance contract).
@@ -17,6 +18,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <vector>
 
 namespace lbchat::nn::detail::avx2 {
 
@@ -175,6 +177,103 @@ inline float dot_avx2(int k, const float* x, const float* y) {
   return s;
 }
 
+/// In-place 8x8 transpose: on return r[i] holds lane i of every input row.
+/// Pure data movement, so no value changes.
+inline void transpose8(__m256 (&r)[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/// Pack rows a[0..8) (row stride k, k % 8 == 0) into the Aᵀ panel
+/// panel[kk*8 + r] = a[r*k + kk]: one 8-row vector per kk.
+inline void pack_panel8(int k, const float* a, float* panel) {
+  for (int kk = 0; kk < k; kk += 8) {
+    __m256 r[8];
+    for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(a + static_cast<long>(i) * k + kk);
+    transpose8(r);
+    for (int i = 0; i < 8; ++i) _mm256_storeu_ps(panel + static_cast<long>(kk + i) * 8, r[i]);
+  }
+}
+
+/// C[0..8, 0..8) += A·Bᵀ for the 8 rows packed in `panel` and B rows
+/// b[0..8) (row stride k, k % 8 == 0), bit for bit what dot_avx2 gives each
+/// output. dot_avx2 sums term kk into slot q = kk % 32 (its accumulator q/8,
+/// lane q%8) while kk lies in the 32-wide body, and into slot kk % 8 after
+/// it; here each slot's FMA chain runs with the 8 rows in the vector lanes
+/// and 8 columns side by side. The slots then fold as dot_avx2 folds them —
+/// accumulators (0+1)+(2+3), then hsum8's lane tree — and the finished tile
+/// is transposed and added into the C rows.
+inline void abt_tile8x8(int k, const float* panel, const float* b, float* c, int ldc) {
+  alignas(32) float slots[32][8][8];  // [slot][column][row]
+  const int body = k / 32 * 32;
+  for (int q = 0; q < (body > 0 ? 32 : 8); ++q) {
+    __m256 acc[8];
+    for (int j = 0; j < 8; ++j) acc[j] = _mm256_setzero_ps();
+    const auto step = [&](int kk) {
+      const __m256 av = _mm256_loadu_ps(panel + static_cast<long>(kk) * 8);
+      for (int j = 0; j < 8; ++j) {
+        acc[j] = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + static_cast<long>(j) * k + kk),
+                                 acc[j]);
+      }
+    };
+    for (int kk = q; kk < body; kk += 32) step(kk);
+    if (q < 8) {
+      for (int kk = body + q; kk < k; kk += 8) step(kk);
+    }
+    for (int j = 0; j < 8; ++j) _mm256_store_ps(slots[q][j], acc[j]);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  // dot_avx2's lane l after (acc0 + acc1) + (acc2 + acc3). Below K = 32 its
+  // accumulators 1-3 stay zero, and (x + 0) + (0 + 0) equals x + 0 bit for
+  // bit: x + 0 is never -0, and adding +0 to anything else is exact.
+  const auto lane = [&](int l, int j) {
+    const __m256 s0 = _mm256_load_ps(slots[l][j]);
+    if (body == 0) return _mm256_add_ps(s0, zero);
+    return _mm256_add_ps(_mm256_add_ps(s0, _mm256_load_ps(slots[8 + l][j])),
+                         _mm256_add_ps(_mm256_load_ps(slots[16 + l][j]),
+                                       _mm256_load_ps(slots[24 + l][j])));
+  };
+  __m256 out[8];
+  for (int j = 0; j < 8; ++j) {
+    __m256 t[8];
+    for (int l = 0; l < 8; ++l) t[l] = lane(l, j);
+    out[j] = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(t[0], t[4]), _mm256_add_ps(t[1], t[5])),
+                           _mm256_add_ps(_mm256_add_ps(t[2], t[6]), _mm256_add_ps(t[3], t[7])));
+  }
+  transpose8(out);
+  for (int i = 0; i < 8; ++i) {
+    float* ci = c + static_cast<long>(i) * ldc;
+    _mm256_storeu_ps(ci, _mm256_add_ps(_mm256_loadu_ps(ci), out[i]));
+  }
+}
+
+/// Row i of C += A·Bᵀ for columns [j0, n), one dot_avx2 per output.
+inline void abt_row_dots(int n, int k, int j0, const float* ai, const float* b, float* ci) {
+  for (int j = j0; j < n; ++j) ci[j] += dot_avx2(k, ai, b + static_cast<long>(j) * k);
+}
+
 }  // namespace
 
 void sgemm(int m, int n, int k, const float* a, const float* b, float* c) {
@@ -215,20 +314,28 @@ void sgemm_atb(int m, int n, int k, const float* a, const float* b, float* c) {
 }
 
 void sgemm_abt(int m, int n, int k, const float* a, const float* b, float* c) {
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<long>(i) * k;
-    float* ci = c + static_cast<long>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* bj = b + static_cast<long>(j) * k;
-      ci[j] += dot_avx2(k, ai, bj);
-      ci[j + 1] += dot_avx2(k, ai, bj + k);
-      ci[j + 2] += dot_avx2(k, ai, bj + 2 * static_cast<long>(k));
-      ci[j + 3] += dot_avx2(k, ai, bj + 3 * static_cast<long>(k));
+  // Full 8x8 tiles when K has no scalar tail; ragged rows and columns, and
+  // every output when k % 8 != 0, keep the per-output dot. Either way each
+  // output is the same value, so a row does not depend on M.
+  int i = 0;
+  if (k % 8 == 0 && m >= 8 && n >= 8) {
+    thread_local std::vector<float> panel;  // one 8xK Aᵀ panel per thread
+    panel.resize(static_cast<std::size_t>(k) * 8);
+    const int n8 = n / 8 * 8;
+    for (; i + 8 <= m; i += 8) {
+      const float* ai = a + static_cast<long>(i) * k;
+      float* ci = c + static_cast<long>(i) * n;
+      pack_panel8(k, ai, panel.data());
+      for (int j = 0; j < n8; j += 8) {
+        abt_tile8x8(k, panel.data(), b + static_cast<long>(j) * k, ci + j, n);
+      }
+      for (int r = 0; r < 8; ++r) {
+        abt_row_dots(n, k, n8, ai + static_cast<long>(r) * k, b, ci + static_cast<long>(r) * n);
+      }
     }
-    for (; j < n; ++j) {
-      ci[j] += dot_avx2(k, ai, b + static_cast<long>(j) * k);
-    }
+  }
+  for (; i < m; ++i) {
+    abt_row_dots(n, k, 0, a + static_cast<long>(i) * k, b, c + static_cast<long>(i) * n);
   }
 }
 

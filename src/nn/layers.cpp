@@ -369,9 +369,10 @@ void relu_forward(std::span<float> x) {
 }
 
 void relu_backward(std::span<const float> y, std::span<float> gy) {
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] <= 0.0f) gy[i] = 0.0f;
-  }
+  // A select, not a branch: which units are dead is data the predictor
+  // cannot learn, and the select vectorizes. Same predicate, so a NaN y
+  // keeps its gradient and a -0 y zeroes it, as the branch did.
+  for (std::size_t i = 0; i < y.size(); ++i) gy[i] = y[i] <= 0.0f ? 0.0f : gy[i];
 }
 
 }  // namespace lbchat::nn

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/bytes.h"
+#include "nn/kernel_dispatch.h"
 
 namespace lbchat::nn {
 
@@ -15,18 +16,34 @@ void Adam::step(std::span<float> params, std::span<const float> grads) {
     t_ = 0;
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   const auto b1 = static_cast<float>(beta1_);
   const auto b2 = static_cast<float>(beta2_);
-  for (std::size_t i = 0; i < params.size(); ++i) {
+  const detail::AdamCoeffs c{b1,
+                             b2,
+                             1.0f - b1,
+                             1.0f - b2,
+                             1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                             1.0 - std::pow(beta2_, static_cast<double>(t_)),
+                             lr_,
+                             eps_,
+                             weight_decay_};
+  std::size_t i = 0;
+#if defined(__x86_64__) || defined(__i386__)
+  // The vector body is bit-identical to this loop, so the path only moves
+  // time; the loop finishes the n % 4 tail either way.
+  if (active_kernel_path() == KernelPath::kAvx2) {
+    i = detail::avx2::adam_update(c, params.size(), params.data(), grads.data(), m_.data(),
+                                  v_.data());
+  }
+#endif
+  for (; i < params.size(); ++i) {
     const float g = grads[i];
-    m_[i] = b1 * m_[i] + (1.0f - b1) * g;
-    v_[i] = b2 * v_[i] + (1.0f - b2) * g * g;
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    params[i] -= static_cast<float>(lr_ * (mhat / (std::sqrt(vhat) + eps_) +
-                                           weight_decay_ * params[i]));
+    m_[i] = c.b1 * m_[i] + c.one_minus_b1 * g;
+    v_[i] = c.b2 * v_[i] + c.one_minus_b2 * g * g;
+    const double mhat = m_[i] / c.bc1;
+    const double vhat = v_[i] / c.bc2;
+    params[i] -= static_cast<float>(c.lr * (mhat / (std::sqrt(vhat) + c.eps) +
+                                            c.weight_decay * params[i]));
   }
 }
 

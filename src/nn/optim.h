@@ -1,6 +1,7 @@
 // First-order optimizers operating on flat parameter/gradient arrays.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -69,5 +70,26 @@ class Adam final : public Optimizer {
   std::vector<float> m_, v_;
   long t_ = 0;
 };
+
+namespace detail {
+
+/// One Adam step's coefficients: the moment decays in float, the bias
+/// corrections and update terms in double, as the scalar loop uses them.
+struct AdamCoeffs {
+  float b1, b2, one_minus_b1, one_minus_b2;
+  double bc1, bc2, lr, eps, weight_decay;
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+namespace avx2 {
+/// The 4-wide Adam body (optim_avx2.cpp; call only when the AVX2 path is
+/// available): updates elements [0, n - n % 4) bit for bit as the scalar
+/// loop would and returns how many it updated.
+std::size_t adam_update(const AdamCoeffs& c, std::size_t n, float* params, const float* grads,
+                        float* m, float* v);
+}  // namespace avx2
+#endif
+
+}  // namespace detail
 
 }  // namespace lbchat::nn

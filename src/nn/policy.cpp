@@ -1,6 +1,7 @@
 #include "nn/policy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,16 +14,58 @@ namespace lbchat::nn {
 using data::Command;
 using data::kNumCommands;
 
+namespace {
+
+/// Where each command's rows start once grouped; the last entry is n.
+using CommandGroups = std::array<std::size_t, kNumCommands + 1>;
+
+/// Stable counting sort of rows [0, n) by command: `order` lists them
+/// group by group, ascending within a group, and command c's rows are
+/// order[begin[c], begin[c + 1]).
+template <class CmdOf>
+void group_by_command(std::size_t n, CmdOf cmd_of, std::vector<std::size_t>& order,
+                      CommandGroups& begin) {
+  begin.fill(0);
+  for (std::size_t i = 0; i < n; ++i) ++begin[static_cast<std::size_t>(cmd_of(i)) + 1];
+  for (std::size_t c = 0; c < kNumCommands; ++c) begin[c + 1] += begin[c];
+  CommandGroups next = begin;
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[next[static_cast<std::size_t>(cmd_of(i))]++] = i;
+}
+
+/// dst row r = src row order[r], rows of `width` floats.
+void gather_rows(const float* src, std::span<const std::size_t> order, std::size_t width,
+                 float* dst) {
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    std::copy_n(src + order[r] * width, width, dst + r * width);
+  }
+}
+
+/// dst row order[r] = src row r: gather_rows' inverse.
+void scatter_rows(const float* src, std::span<const std::size_t> order, std::size_t width,
+                  float* dst) {
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    std::copy_n(src + r * width, width, dst + order[r] * width);
+  }
+}
+
+}  // namespace
+
 struct DrivingPolicy::Workspace {
   int batch = 0;
-  std::vector<Command> cmds;
   std::vector<float> a1;       // conv1 post-ReLU
   std::vector<float> a2;       // conv2 post-ReLU (== flattened input to fc)
   std::vector<float> h;        // fc post-ReLU [B, fc_dim]
-  std::vector<float> bh;       // branch hidden post-ReLU [B, branch_hidden]
   std::vector<float> out;      // [B, out_dim]
+  // The branch heads run once per command group (group_by_command); the
+  // head tensors below hold their rows in that grouped order.
+  std::vector<std::size_t> order;
+  CommandGroups group_begin{};
+  std::vector<float> hg;       // h rows, grouped [B, fc_dim]
+  std::vector<float> bh;       // branch hidden post-ReLU, grouped [B, branch_hidden]
+  std::vector<float> og;       // head outputs, grouped [B, out_dim]
   // gradients (same shapes)
-  std::vector<float> g_out, g_bh, g_h, g_a2, g_a1;
+  std::vector<float> g_out, g_og, g_bh, g_hg, g_h, g_a2, g_a1;
   // Each conv's columns as its forward left them ([B][col_rows][out_plane]);
   // the backward reads them in place of the inputs. Resized to the need
   // once, then reused — no per-call allocation on the training hot path.
@@ -37,9 +80,10 @@ struct DrivingPolicy::ScoreWorkspace {
   std::vector<float> flat;  // conv2 output regrouped per sample [c, out_numel]
   std::vector<float> h;     // [c, fc_dim]
   std::vector<float> out;   // [c, out_dim]
-  // One command group's rows, gathered contiguous for the branch heads.
-  std::vector<std::size_t> rows;
-  std::vector<float> hg, bhg, og;
+  // The chunk's rows grouped by command for the branch heads.
+  std::vector<std::size_t> order;
+  CommandGroups group_begin{};
+  std::vector<float> hg, bh, og;
 };
 
 DrivingPolicy::DrivingPolicy(const PolicyConfig& cfg, std::uint64_t init_seed) : cfg_(cfg) {
@@ -111,12 +155,9 @@ void DrivingPolicy::forward(std::span<const data::Sample* const> batch, Workspac
   const int B = static_cast<int>(batch.size());
   const auto n = static_cast<std::size_t>(B);
   ws.batch = B;
-  ws.cmds.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ws.cmds[i] = batch[i]->command;
   ws.a1.assign(n * conv1_.out_numel(), 0.0f);
   ws.a2.assign(n * conv2_.out_numel(), 0.0f);
   ws.h.assign(n * static_cast<std::size_t>(cfg_.fc_dim), 0.0f);
-  ws.bh.assign(n * static_cast<std::size_t>(cfg_.branch_hidden), 0.0f);
   ws.out.assign(n * static_cast<std::size_t>(out_dim), 0.0f);
 
   // conv1 unfolds straight from the BEV cells; its columns stay in ws.col1
@@ -137,18 +178,37 @@ void DrivingPolicy::forward(std::span<const data::Sample* const> batch, Workspac
   relu_forward(ws.a2);
   fc_.forward(store_, ws.a2, ws.h, B);
   relu_forward(ws.h);
+
   // Branch routing: each sample goes through the head of its command.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& br = branches_[static_cast<std::size_t>(ws.cmds[i])];
-    const auto h_n = std::span<const float>{ws.h}.subspan(
-        i * cfg_.fc_dim, static_cast<std::size_t>(cfg_.fc_dim));
-    const auto bh_n = std::span<float>{ws.bh}.subspan(
-        i * cfg_.branch_hidden, static_cast<std::size_t>(cfg_.branch_hidden));
-    const auto out_n = std::span<float>{ws.out}.subspan(i * out_dim,
-                                                        static_cast<std::size_t>(out_dim));
-    br.hidden.forward(store_, h_n, bh_n, 1);
-    relu_forward(bh_n);
-    br.out.forward(store_, bh_n, out_n, 1);
+  const auto fc_dim = static_cast<std::size_t>(cfg_.fc_dim);
+  group_by_command(n, [&](std::size_t i) { return batch[i]->command; }, ws.order,
+                   ws.group_begin);
+  ws.hg.resize(n * fc_dim);
+  ws.bh.resize(n * static_cast<std::size_t>(cfg_.branch_hidden));
+  ws.og.resize(ws.out.size());
+  gather_rows(ws.h.data(), ws.order, fc_dim, ws.hg.data());
+  heads_forward(ws.group_begin, ws.hg, ws.bh, ws.og);
+  scatter_rows(ws.og.data(), ws.order, static_cast<std::size_t>(out_dim), ws.out.data());
+}
+
+void DrivingPolicy::heads_forward(std::span<const std::size_t> group_begin,
+                                  std::span<const float> hg, std::span<float> bh,
+                                  std::span<float> og) const {
+  // A head's rows do not depend on how many share the call (sgemm_abt
+  // gives each output its own dot), so this equals a one-sample pass per
+  // sample.
+  const auto fc_dim = static_cast<std::size_t>(cfg_.fc_dim);
+  const auto hidden = static_cast<std::size_t>(cfg_.branch_hidden);
+  const std::size_t out_dim = 2 * data::kNumWaypoints;
+  for (std::size_t cmd = 0; cmd < branches_.size(); ++cmd) {
+    const std::size_t first = group_begin[cmd];
+    const std::size_t g = group_begin[cmd + 1] - first;
+    if (g == 0) continue;
+    const Branch& br = branches_[cmd];
+    const auto bh_g = bh.subspan(first * hidden, g * hidden);
+    br.hidden.forward(store_, hg.subspan(first * fc_dim, g * fc_dim), bh_g, static_cast<int>(g));
+    relu_forward(bh_g);
+    br.out.forward(store_, bh_g, og.subspan(first * out_dim, g * out_dim), static_cast<int>(g));
   }
 }
 
@@ -193,29 +253,15 @@ void DrivingPolicy::forward_chunk(const ScoringBatch& batch, std::size_t first, 
 
   // Branch heads, one GEMM pair per command group.
   const std::size_t out_dim = 2 * data::kNumWaypoints;
-  const auto hidden = static_cast<std::size_t>(cfg_.branch_hidden);
+  group_by_command(count, [&](std::size_t i) { return batch.cmds_[first + i]; }, ws.order,
+                   ws.group_begin);
+  ws.hg.resize(count * fc_dim);
+  ws.bh.resize(count * static_cast<std::size_t>(cfg_.branch_hidden));
+  ws.og.resize(count * out_dim);
   ws.out.resize(count * out_dim);
-  for (std::size_t cmd = 0; cmd < branches_.size(); ++cmd) {
-    ws.rows.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (static_cast<std::size_t>(batch.cmds_[first + i]) == cmd) ws.rows.push_back(i);
-    }
-    if (ws.rows.empty()) continue;
-    const std::size_t g = ws.rows.size();
-    ws.hg.resize(g * fc_dim);
-    ws.bhg.resize(g * hidden);
-    ws.og.resize(g * out_dim);
-    for (std::size_t k = 0; k < g; ++k) {
-      std::copy_n(ws.h.data() + ws.rows[k] * fc_dim, fc_dim, ws.hg.data() + k * fc_dim);
-    }
-    const Branch& br = branches_[cmd];
-    br.hidden.forward(store_, ws.hg, ws.bhg, static_cast<int>(g));
-    relu_forward(ws.bhg);
-    br.out.forward(store_, ws.bhg, ws.og, static_cast<int>(g));
-    for (std::size_t k = 0; k < g; ++k) {
-      std::copy_n(ws.og.data() + k * out_dim, out_dim, ws.out.data() + ws.rows[k] * out_dim);
-    }
-  }
+  gather_rows(ws.h.data(), ws.order, fc_dim, ws.hg.data());
+  heads_forward(ws.group_begin, ws.hg, ws.bh, ws.og);
+  scatter_rows(ws.og.data(), ws.order, out_dim, ws.out.data());
 }
 
 double ScoringBatch::l1_loss(std::size_t i, const float* pred) const {
@@ -381,31 +427,37 @@ double DrivingPolicy::compute_batch_gradient(std::span<const data::Sample* const
   }
   loss /= static_cast<double>(B) * out_dim;
 
-  // Backward.
+  // Backward. The heads run per command group, in the forward's grouped
+  // row order. Each weight-gradient element takes its samples' terms in
+  // ascending sample order, one rounding each, exactly as one-sample calls
+  // would add them, and each input-gradient row is its own sum; so the
+  // grouped calls change no bit.
   store_.zero_grads();
+  const auto fc_dim = static_cast<std::size_t>(cfg_.fc_dim);
+  const auto hidden = static_cast<std::size_t>(cfg_.branch_hidden);
+  const auto od = static_cast<std::size_t>(out_dim);
+  ws.g_og.resize(ws.g_out.size());
+  gather_rows(ws.g_out.data(), ws.order, od, ws.g_og.data());
   ws.g_bh.assign(ws.bh.size(), 0.0f);
-  ws.g_h.assign(ws.h.size(), 0.0f);
+  ws.g_hg.assign(ws.hg.size(), 0.0f);
+  for (std::size_t cmd = 0; cmd < branches_.size(); ++cmd) {
+    const std::size_t first = ws.group_begin[cmd];
+    const std::size_t g = ws.group_begin[cmd + 1] - first;
+    if (g == 0) continue;
+    const Branch& br = branches_[cmd];
+    const auto bh_g = std::span<const float>{ws.bh}.subspan(first * hidden, g * hidden);
+    const auto g_bh_g = std::span<float>{ws.g_bh}.subspan(first * hidden, g * hidden);
+    br.out.backward(store_, bh_g, std::span<const float>{ws.g_og}.subspan(first * od, g * od),
+                    g_bh_g, static_cast<int>(g));
+    relu_backward(bh_g, g_bh_g);
+    br.hidden.backward(store_, std::span<const float>{ws.hg}.subspan(first * fc_dim, g * fc_dim),
+                       g_bh_g, std::span<float>{ws.g_hg}.subspan(first * fc_dim, g * fc_dim),
+                       static_cast<int>(g));
+  }
+  ws.g_h.resize(ws.h.size());
+  scatter_rows(ws.g_hg.data(), ws.order, fc_dim, ws.g_h.data());
   ws.g_a2.assign(ws.a2.size(), 0.0f);
   ws.g_a1.assign(ws.a1.size(), 0.0f);
-
-  for (int n = 0; n < B; ++n) {
-    const auto& br = branches_[static_cast<std::size_t>(ws.cmds[static_cast<std::size_t>(n)])];
-    const auto bh_n = std::span<const float>{ws.bh}.subspan(
-        static_cast<std::size_t>(n) * cfg_.branch_hidden,
-        static_cast<std::size_t>(cfg_.branch_hidden));
-    const auto h_n = std::span<const float>{ws.h}.subspan(
-        static_cast<std::size_t>(n) * cfg_.fc_dim, static_cast<std::size_t>(cfg_.fc_dim));
-    const auto g_out_n = std::span<const float>{ws.g_out}.subspan(
-        static_cast<std::size_t>(n) * out_dim, static_cast<std::size_t>(out_dim));
-    const auto g_bh_n = std::span<float>{ws.g_bh}.subspan(
-        static_cast<std::size_t>(n) * cfg_.branch_hidden,
-        static_cast<std::size_t>(cfg_.branch_hidden));
-    const auto g_h_n = std::span<float>{ws.g_h}.subspan(
-        static_cast<std::size_t>(n) * cfg_.fc_dim, static_cast<std::size_t>(cfg_.fc_dim));
-    br.out.backward(store_, bh_n, g_out_n, g_bh_n, 1);
-    relu_backward(bh_n, g_bh_n);
-    br.hidden.backward(store_, h_n, g_bh_n, g_h_n, 1);
-  }
   relu_backward(ws.h, ws.g_h);
   fc_.backward(store_, ws.a2, ws.g_h, ws.g_a2, B);
   relu_backward(ws.a2, ws.g_a2);

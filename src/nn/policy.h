@@ -148,6 +148,12 @@ class DrivingPolicy {
   /// (a multiple of kScoringChunk); leaves [count, out_dim] outputs in ws.out.
   void forward_chunk(const ScoringBatch& batch, std::size_t first, std::size_t count,
                      ScoreWorkspace& ws) const;
+  /// The branch heads over rows grouped by command, one GEMM pair per
+  /// group: command c owns rows [group_begin[c], group_begin[c + 1]).
+  /// hg [n, fc_dim] in; bh [n, branch_hidden] (post-ReLU) and og [n, out]
+  /// out.
+  void heads_forward(std::span<const std::size_t> group_begin, std::span<const float> hg,
+                     std::span<float> bh, std::span<float> og) const;
 
   PolicyConfig cfg_;
   ParamStore store_;

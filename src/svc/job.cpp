@@ -57,6 +57,16 @@ struct Apply {
   bool object() const {
     return v.is_object() || fail("\"" + key + "\" must be an object");
   }
+  /// A number strictly above zero (a horizon: zero would end at once).
+  bool positive(double& out) const {
+    if (!number(out)) return false;
+    return out > 0.0 || fail("\"" + key + "\" must be > 0");
+  }
+  /// A share of the fleet, in [0, 1].
+  bool fraction(double& out) const {
+    if (!number(out)) return false;
+    return (out >= 0.0 && out <= 1.0) || fail("\"" + key + "\" must be in [0, 1]");
+  }
   /// A count read as `x` (already type-checked): a whole number in
   /// [1, 2^53], never truncated.
   bool count(double x, std::size_t& out) const {
@@ -101,7 +111,8 @@ constexpr KeyEntry kKeys[] = {
     // Metro scaling applies in JobSpecBuilder::finish, after every key.
     {"num_vehicles", [](const Apply& a) { return a.integer(a.metro_vehicles); }},
     {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); }},
-    {"collect_duration", [](const Apply& a) { return a.number(a.spec.cfg.collect_duration_s); }},
+    {"collect_duration",
+     [](const Apply& a) { return a.positive(a.spec.cfg.collect_duration_s); }},
     {"collect_fps", [](const Apply& a) { return a.number(a.spec.cfg.collect_fps); }},
     {"coreset",
      [](const Apply& a) {
@@ -122,19 +133,24 @@ constexpr KeyEntry kKeys[] = {
     {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
     {"eval_interval", [](const Apply& a) { return a.number(a.spec.cfg.eval_interval_s); }},
     {"train_interval", [](const Apply& a) { return a.number(a.spec.cfg.train_interval_s); }},
-    {"batch_size", [](const Apply& a) { return a.integer(a.spec.cfg.batch_size); }},
+    {"batch_size",
+     [](const Apply& a) {
+       // 0 would train nothing, and a negative size wraps to a huge size_t.
+       if (!a.integer(a.spec.cfg.batch_size)) return false;
+       return a.spec.cfg.batch_size >= 1 || a.fail("\"batch_size\" must be >= 1");
+     }},
     {"learning_rate", [](const Apply& a) { return a.number(a.spec.cfg.learning_rate); }},
     {"time_budget", [](const Apply& a) { return a.number(a.spec.cfg.time_budget_s); }},
     {"pair_cooldown", [](const Apply& a) { return a.number(a.spec.cfg.pair_cooldown_s); }},
     {"session_timeout", [](const Apply& a) { return a.number(a.spec.cfg.session_timeout_s); }},
     {"byzantine_frac",
-     [](const Apply& a) { return a.number(a.spec.cfg.adversary.byzantine_frac); }},
+     [](const Apply& a) { return a.fraction(a.spec.cfg.adversary.byzantine_frac); }},
     {"straggler_frac",
      [](const Apply& a) {
        // One knob drives the whole heterogeneity profile: the same fraction
        // of compute stragglers and slow radios, plus moderate dataset skew.
        double frac = 0.0;
-       if (!a.number(frac)) return false;
+       if (!a.fraction(frac)) return false;
        engine::HeteroConfig& h = a.spec.cfg.hetero;
        h.straggler_frac = frac;
        h.slow_radio_frac = frac;

@@ -11,6 +11,8 @@
 //   scalar sgemm_abt         float-reassociation error (8-lane reduction)
 //   avx2                     float-reassociation error, <= 1e-4 relative
 //   igemm_abt_u8s8           bit-exact on EVERY path (int32 accumulation)
+//   sgemm_abt rows           bit-exact vs the same row alone (m = 1), every
+//                            path: AVX2's 8x8 tiles keep the per-output dot
 //
 // Layer 2 — dispatch plumbing: availability, parse/name round-trips,
 // set_kernel_path error contract, ScopedKernelPath restore, cache-key
@@ -30,6 +32,7 @@
 // ASan/UBSan pass (.github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -182,6 +185,48 @@ TEST(KernelParity, RandomRaggedFuzz) {
       nn::sgemm_on(path, m, n, k, a.data(), b.data(), c1.data());
       expect_close(c1, c0, 1e-4f, std::max(1.0f, static_cast<float>(k)), "sgemm(fuzz)", m, n,
                    k);
+    }
+  }
+}
+
+TEST(KernelParity, AbtRowsDoNotDependOnM) {
+  // Every row of a full sgemm_abt call equals, bit for bit, the same row
+  // computed alone (m = 1), on every path: the AVX2 8x8 tiles must give
+  // each output exactly its per-output dot. The shapes cover full tiles with
+  // ragged rows and columns, K below 32 (one live accumulator), K >= 32
+  // (all four), K % 8 != 0 (per-output dots only) and k = 0.
+  const int fixed[][3] = {{8, 8, 0},   {8, 8, 8},    {16, 72, 16}, {8, 36, 64},
+                          {32, 64, 256}, {9, 17, 40}, {15, 9, 33},  {8, 8, 96},
+                          {24, 31, 8}, {17, 8, 24}};
+  Rng shapes{0x7A11ull};
+  std::vector<std::array<int, 3>> all;
+  for (const auto& s : fixed) all.push_back({s[0], s[1], s[2]});
+  for (int iter = 0; iter < 64; ++iter) {
+    const int m = 1 + static_cast<int>(shapes.next_u64() % 26);
+    const int n = 1 + static_cast<int>(shapes.next_u64() % 40);
+    // Half the K draws are multiples of 8 so the tiles run.
+    const int k = iter % 2 == 0 ? 8 * static_cast<int>(shapes.next_u64() % 20)
+                                : static_cast<int>(shapes.next_u64() % 150);
+    all.push_back({m, n, k});
+  }
+  for (const KernelPath path : available_paths()) {
+    for (const auto& [m, n, k] : all) {
+      Rng rng{0xD07ull + static_cast<std::uint64_t>(m * 1000 + n) * 131 +
+              static_cast<std::uint64_t>(k)};
+      const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+      const auto b = random_vec(static_cast<std::size_t>(n) * k, rng);
+      auto c = random_vec(static_cast<std::size_t>(m) * n, rng);
+      c[0] = -0.0f;  // a -0 start meets a +0 sum at k = 0
+      auto rows = c;
+      nn::sgemm_abt_on(path, m, n, k, a.data(), b.data(), c.data());
+      for (int i = 0; i < m; ++i) {
+        nn::sgemm_abt_on(path, 1, n, k, a.data() + static_cast<std::size_t>(i) * k, b.data(),
+                         rows.data() + static_cast<std::size_t>(i) * n);
+      }
+      for (std::size_t e = 0; e < c.size(); ++e) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(c[e]), std::bit_cast<std::uint32_t>(rows[e]))
+            << nn::kernel_path_name(path) << " " << m << "x" << n << "x" << k << " at " << e;
+      }
     }
   }
 }

@@ -6,8 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/thread_pool.h"
 #include "data/frame.h"
 #include "nn/gemm.h"
@@ -319,6 +322,32 @@ TEST(ReluTest, ForwardAndBackward) {
   EXPECT_FLOAT_EQ(gy[2], 5.0f);
 }
 
+TEST(ReluTest, BackwardSelectMatchesBranchOnNaNAndSignedZeros) {
+  // relu_backward is a select with the branch's predicate (y <= 0): a NaN y
+  // keeps its gradient, a -0 or +0 y zeroes it. Long enough that the
+  // vector body and its tail both run.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> ys{nan, -nan, 0.0f, -0.0f, -1.0f, 1.0f, inf, -inf, tiny, -tiny, 3.5f};
+  const std::vector<float> gs{2.0f, -0.0f, nan, -3.0f, 0.0f, inf, -1.5f, 7.0f, -nan, 1e-30f};
+  std::vector<float> y, gy;
+  for (std::size_t i = 0; i < 67; ++i) {
+    y.push_back(ys[i % ys.size()]);
+    gy.push_back(gs[(i * 7) % gs.size()]);
+  }
+  std::vector<float> want = gy;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (y[i] <= 0.0f) want[i] = 0.0f;
+  }
+  relu_backward(y, gy);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(gy[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << " y=" << y[i];
+  }
+}
+
+// ---------------------------------------------------------------- optimizers
 // ---------------------------------------------------------------- optimizers
 
 TEST(AdamTest, FirstStepHasLearningRateMagnitude) {
@@ -365,6 +394,60 @@ TEST(OptimizerTest, CloneCopiesHyperparameters) {
     clone->step(q, g);
   }
   EXPECT_EQ(p, q);
+}
+
+std::vector<KernelPath> runnable_paths() {
+  std::vector<KernelPath> out;
+  for (const KernelPath p : {KernelPath::kScalar, KernelPath::kAvx2}) {
+    if (kernel_path_available(p)) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(AdamParity, VectorBodyMatchesScalarLoop) {
+  // Adam::step on every path against the scalar loop, bit for bit: 50 steps
+  // with weight decay, for sizes covering n % 4 in {0, 1, 2, 3} (the vector
+  // body plus each tail length), with zero, tiny and large gradients.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{6}, std::size_t{7}, std::size_t{64},
+                              std::size_t{129}, std::size_t{27288}}) {
+    Rng rng{0xADA0ull + n};
+    std::vector<std::vector<float>> grads(50);
+    for (auto& g : grads) {
+      g = random_vec(n, rng);
+      for (std::size_t i = 0; i < n; i += 5) g[i] *= 1e-30f;
+      for (std::size_t i = 1; i < n; i += 7) g[i] = 0.0f;
+      for (std::size_t i = 2; i < n; i += 11) g[i] *= 1e6f;
+    }
+    const std::vector<float> init = random_vec(n, rng);
+    const auto run = [&](KernelPath path, std::vector<std::uint8_t>& state) {
+      const ScopedKernelPath scope{path};
+      Adam opt{1e-3, 0.9, 0.999, 1e-8, 0.01};
+      std::vector<float> p = init;
+      std::vector<std::vector<float>> trace;
+      for (const auto& g : grads) {
+        opt.step(p, g);
+        trace.push_back(p);
+      }
+      ByteWriter w;
+      opt.save_state(w);
+      state = w.bytes();
+      return trace;
+    };
+    std::vector<std::uint8_t> want_state;
+    const auto want = run(KernelPath::kScalar, want_state);
+    for (const KernelPath path : runnable_paths()) {
+      std::vector<std::uint8_t> got_state;
+      const auto got = run(path, got_state);
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[t][i]),
+                    std::bit_cast<std::uint32_t>(want[t][i]))
+              << kernel_path_name(path) << " n=" << n << " step " << t << " param " << i;
+        }
+      }
+      EXPECT_EQ(got_state, want_state) << kernel_path_name(path) << " n=" << n;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- policy
@@ -555,14 +638,6 @@ std::vector<data::Sample> scoring_samples(std::size_t n, Rng& rng,
   return out;
 }
 
-std::vector<KernelPath> runnable_paths() {
-  std::vector<KernelPath> out;
-  for (const KernelPath p : {KernelPath::kScalar, KernelPath::kAvx2}) {
-    if (kernel_path_available(p)) out.push_back(p);
-  }
-  return out;
-}
-
 template <class Model>
 void expect_batched_equals_one_sample(const Model& model, std::span<const data::Sample> samples,
                                       ThreadPool& pool, const char* what) {
@@ -713,6 +788,83 @@ TEST(ScoringParityTest, MatchesPerSampleLayerForward) {
   }
 }
 
+/// The training gradient rebuilt from the public layers: the reference
+/// forward, then the per-sample head loop (one-sample Linear calls), then
+/// the trunk's backward with every conv's columns unfolded again by the
+/// direct loops. Leaves the grads in ref.store and returns the batch loss.
+double reference_gradient(ReferencePolicy& ref, std::span<const data::Sample* const> batch) {
+  ref.forward(batch);
+  const PolicyConfig& cfg = ref.cfg;
+  ParamStore& store = ref.store;
+  const int B = static_cast<int>(batch.size());
+  const auto n = batch.size();
+  const int out_dim = 2 * data::kNumWaypoints;
+  double loss = 0.0;
+  std::vector<float> g_y(ref.y.size());
+  const float gscale = 1.0f / (static_cast<float>(B) * static_cast<float>(out_dim));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int k = 0; k < out_dim; ++k) {
+      const float diff =
+          ref.y[i * out_dim + k] - batch[i]->waypoints[static_cast<std::size_t>(k)];
+      loss += std::abs(static_cast<double>(diff));
+      g_y[i * out_dim + k] = (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f)) * gscale;
+    }
+  }
+  loss /= static_cast<double>(B) * out_dim;
+
+  store.zero_grads();
+  std::vector<float> g_bh(ref.bh.size(), 0.0f), g_h(ref.h.size(), 0.0f);
+  std::vector<float> g_a2(ref.a2.size(), 0.0f), g_a1(ref.a1.size(), 0.0f);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<std::size_t>(batch[i]->command);
+    const auto bh_i = std::span<const float>{ref.bh}.subspan(i * cfg.branch_hidden,
+                                                             cfg.branch_hidden);
+    const auto g_bh_i = std::span<float>{g_bh}.subspan(i * cfg.branch_hidden,
+                                                       cfg.branch_hidden);
+    ref.out[c].backward(store, bh_i,
+                        std::span<const float>{g_y}.subspan(i * out_dim, out_dim), g_bh_i, 1);
+    relu_backward(bh_i, g_bh_i);
+    ref.hidden[c].backward(
+        store, std::span<const float>{ref.h}.subspan(i * cfg.fc_dim, cfg.fc_dim), g_bh_i,
+        std::span<float>{g_h}.subspan(i * cfg.fc_dim, cfg.fc_dim), 1);
+  }
+  relu_backward(ref.h, g_h);
+  ref.fc.backward(store, ref.a2, g_h, g_a2, B);
+  relu_backward(ref.a2, g_a2);
+  // Fresh columns from the direct loops, not from any forward.
+  const auto fresh_cols = [n](const Conv2d& cv, const std::vector<float>& in) {
+    std::vector<float> cols;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto c = reference_im2col(cv, in.data() + i * cv.in_numel());
+      cols.insert(cols.end(), c.begin(), c.end());
+    }
+    return cols;
+  };
+  std::vector<float> gcol;
+  ref.conv2.backward(store, fresh_cols(ref.conv2, ref.a1), g_a2, g_a1, B, gcol);
+  relu_backward(ref.a1, g_a1);
+  ref.conv1.backward(store, fresh_cols(ref.conv1, ref.x), g_a1, /*gx=*/{}, B, gcol);
+  return loss;
+}
+
+/// compute_batch_gradient against reference_gradient, loss and every
+/// gradient element bit for bit.
+void expect_gradient_matches_reference(DrivingPolicy& policy,
+                                       std::span<const data::Sample* const> batch,
+                                       const std::string& what) {
+  const double loss = policy.compute_batch_gradient(batch);
+  ReferencePolicy ref{policy};
+  const double ref_loss = reference_gradient(ref, batch);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(ref_loss)) << what;
+  const auto got = policy.grads();
+  const auto want = ref.store.grads();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << what << " grad " << i;
+  }
+}
+
 TEST(ColumnReuseTest, BatchGradientMatchesFreshlyUnfoldedColumns) {
   // The training backward reads the columns its forward left behind. The
   // reference backward, with every conv's columns unfolded again by the
@@ -724,68 +876,31 @@ TEST(ColumnReuseTest, BatchGradientMatchesFreshlyUnfoldedColumns) {
     const std::vector<data::Sample> samples = scoring_samples(9, rng);
     std::vector<const data::Sample*> batch;
     for (const auto& s : samples) batch.push_back(&s);
-    const double loss = policy.compute_batch_gradient(batch);
+    expect_gradient_matches_reference(policy, batch, std::string{kernel_path_name(path)});
+  }
+}
 
-    ReferencePolicy ref{policy};
-    ref.forward(batch);
-    const PolicyConfig& cfg = ref.cfg;
-    ParamStore& store = ref.store;
-    const int B = static_cast<int>(batch.size());
-    const auto n = batch.size();
-    const int out_dim = 2 * data::kNumWaypoints;
-    double ref_loss = 0.0;
-    std::vector<float> g_y(ref.y.size());
-    const float gscale = 1.0f / (static_cast<float>(B) * static_cast<float>(out_dim));
-    for (std::size_t i = 0; i < n; ++i) {
-      for (int k = 0; k < out_dim; ++k) {
-        const float diff =
-            ref.y[i * out_dim + k] - batch[i]->waypoints[static_cast<std::size_t>(k)];
-        ref_loss += std::abs(static_cast<double>(diff));
-        g_y[i * out_dim + k] = (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f)) * gscale;
+TEST(TrainingParity, GroupedHeadsMatchPerSampleLoop) {
+  // The branch heads run once per command group; the per-sample loop of
+  // one-sample layer calls they replace must give the same loss and grads
+  // bit for bit, on each path, at batch 1, 5 and 32. The commands come in
+  // shuffled order and one command has no sample at all.
+  for (const KernelPath path : runnable_paths()) {
+    const ScopedKernelPath scope{path};
+    for (const std::size_t b : {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
+      DrivingPolicy policy{{}, 71 + b};
+      Rng rng{73 + b};
+      std::vector<data::Sample> samples;
+      for (std::size_t i = 0; i < b; ++i) {
+        // Commands 0, 1 and 3 only, in a data-dependent order.
+        const auto pick = rng.uniform_index(3);
+        const auto cmd = static_cast<data::Command>(pick == 2 ? 3 : pick);
+        samples.push_back(make_sample(rng, cmd, data::kDefaultBevSpec));
       }
-    }
-    ref_loss /= static_cast<double>(B) * out_dim;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(ref_loss));
-
-    store.zero_grads();
-    std::vector<float> g_bh(ref.bh.size(), 0.0f), g_h(ref.h.size(), 0.0f);
-    std::vector<float> g_a2(ref.a2.size(), 0.0f), g_a1(ref.a1.size(), 0.0f);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto c = static_cast<std::size_t>(batch[i]->command);
-      const auto bh_i = std::span<const float>{ref.bh}.subspan(i * cfg.branch_hidden,
-                                                               cfg.branch_hidden);
-      const auto g_bh_i = std::span<float>{g_bh}.subspan(i * cfg.branch_hidden,
-                                                         cfg.branch_hidden);
-      ref.out[c].backward(store, bh_i,
-                          std::span<const float>{g_y}.subspan(i * out_dim, out_dim), g_bh_i, 1);
-      relu_backward(bh_i, g_bh_i);
-      ref.hidden[c].backward(
-          store, std::span<const float>{ref.h}.subspan(i * cfg.fc_dim, cfg.fc_dim), g_bh_i,
-          std::span<float>{g_h}.subspan(i * cfg.fc_dim, cfg.fc_dim), 1);
-    }
-    relu_backward(ref.h, g_h);
-    ref.fc.backward(store, ref.a2, g_h, g_a2, B);
-    relu_backward(ref.a2, g_a2);
-    // Fresh columns from the direct loops, not from any forward.
-    const auto fresh_cols = [n](const Conv2d& cv, const std::vector<float>& in) {
-      std::vector<float> cols;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto c = reference_im2col(cv, in.data() + i * cv.in_numel());
-        cols.insert(cols.end(), c.begin(), c.end());
-      }
-      return cols;
-    };
-    std::vector<float> gcol;
-    ref.conv2.backward(store, fresh_cols(ref.conv2, ref.a1), g_a2, g_a1, B, gcol);
-    relu_backward(ref.a1, g_a1);
-    ref.conv1.backward(store, fresh_cols(ref.conv1, ref.x), g_a1, /*gx=*/{}, B, gcol);
-
-    const auto got = policy.grads();
-    const auto want = store.grads();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
-          << kernel_path_name(path) << " grad " << i;
+      std::vector<const data::Sample*> batch;
+      for (const auto& s : samples) batch.push_back(&s);
+      expect_gradient_matches_reference(
+          policy, batch, std::string{kernel_path_name(path)} + " batch " + std::to_string(b));
     }
   }
 }

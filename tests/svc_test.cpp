@@ -239,6 +239,40 @@ TEST(JobSpecTest, NumbersMustBeFiniteAndCountsWhole) {
   }
 }
 
+TEST(JobSpecTest, HorizonsFractionsAndBatchSizeAreRangeChecked) {
+  // A zero collection phase, a fleet share outside [0, 1] and a batch below
+  // one are spec errors, not an abort at run time or a run that silently
+  // trains nothing.
+  const auto parse = [](const std::string& extra, JobSpec& spec, std::string& err) {
+    return parse_job_spec(R"({"vehicles":4,"duration":40,)" + extra + "}", spec, err);
+  };
+  JobSpec spec;
+  std::string err;
+  for (const char* bad : {"0", "-5"}) {
+    err.clear();
+    EXPECT_FALSE(parse(R"("collect_duration":)" + std::string{bad}, spec, err)) << bad;
+    EXPECT_EQ(err, "\"collect_duration\" must be > 0") << bad;
+  }
+  for (const char* key : {"byzantine_frac", "straggler_frac"}) {
+    for (const char* bad : {"1.5", "-0.1", "1.0000001"}) {
+      err.clear();
+      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be in [0, 1]") << key << bad;
+    }
+    for (const char* good : {"0", "1", "0.5"}) {
+      EXPECT_TRUE(parse("\"" + std::string{key} + "\":" + good, spec, err)) << key << err;
+    }
+  }
+  for (const char* bad : {"0", "-1", "-2147483648"}) {
+    err.clear();
+    EXPECT_FALSE(parse(R"("batch_size":)" + std::string{bad}, spec, err)) << bad;
+    EXPECT_EQ(err, "\"batch_size\" must be >= 1") << bad;
+  }
+  ASSERT_TRUE(parse(R"("collect_duration":0.5,"batch_size":1)", spec, err)) << err;
+  EXPECT_DOUBLE_EQ(spec.cfg.collect_duration_s, 0.5);
+  EXPECT_EQ(spec.cfg.batch_size, 1);
+}
+
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
   // "strategy" is the registry-keyed spelling; "approach" stays accepted for
   // pre-registry specs. Options are validated against the registry schema.
