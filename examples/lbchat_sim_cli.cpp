@@ -1,13 +1,13 @@
 // lbchat_sim_cli: run any approach/configuration from the command line and
 // print the metrics the paper reports — loss curve, receiving rate, and
-// (optionally) driving success rates. `lbchat_sim_cli --help` lists the flags.
+// (optionally) driving success rates. `lbchat_sim_cli --help` lists the flags;
+// the JobSpec ones come from the key table in src/svc/job.cpp.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,43 +26,31 @@
 
 namespace {
 
-// These flags read their value through the JobSpec key table entry of the
-// same name (flag --a-b is key a_b), so a flag and its fleet-service key share
-// one type check, range check and fan-out. --strategy-opt K=V is the
-// "strategy_options" member K.
-constexpr const char* kSpecFlags[] = {
-    "--strategy",         "--approach", "--vehicles", "--num-vehicles", "--duration",
-    "--collect-duration", "--coreset",  "--seed",     "--threads",      "--byzantine-frac",
-    "--straggler-frac",
-};
-
-bool is_spec_flag(const char* arg) {
-  return std::any_of(std::begin(kSpecFlags), std::end(kSpecFlags),
-                     [arg](const char* flag) { return std::strcmp(arg, flag) == 0; });
+/// The flag that sets JobSpec key `key`: --a-b for a_b.
+std::string flag_of(std::string_view key) {
+  std::string flag = "--" + std::string{key};
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: lbchat_sim_cli [--strategy NAME] [--strategy-opt KEY=VALUE]...\n"
-               "                      [--list-strategies]\n"
-               "                      [--vehicles N] [--duration S]\n"
-               "                      [--num-vehicles N] [--collect-duration S]\n"
-               "                      [--coreset N] [--seed N] [--threads N]\n"
-               "                      [--no-wireless-loss] [--eval]\n"
-               "                      [--kernel auto|scalar|avx2] [--int8-eval]\n"
-               "                      [--byzantine-frac F] [--straggler-frac F]\n"
-               "                      [--trace-out FILE] [--events-out FILE]\n"
-               "                      [--metrics-out FILE] [--report-out FILE]\n"
-               "                      [--checkpoint-out FILE] [--resume-from FILE]\n"
-               "                      [--checkpoint-every S]\n"
-               "  --strategy NAME   registry name (--approach is a legacy alias)\n"
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: lbchat_sim_cli [FLAG]...\n"
+               "JobSpec keys (flag --a-b sets key a_b, with the fleet service's checks):\n");
+  for (const auto& k : lbchat::svc::cli_keys()) {
+    const std::string flag = flag_of(k.key) + " " + std::string{k.flag.value};
+    std::fprintf(out, "  %-20s %s\n", flag.c_str(), std::string{k.flag.help}.c_str());
+  }
+  std::fprintf(out,
                "  --strategy-opt KEY=VALUE  set a per-strategy tunable (repeatable;\n"
-               "                    keys must exist in the strategy's schema)\n"
+               "                    keys and ranges are the strategy's schema)\n"
+               "Run flags:\n"
                "  --list-strategies print every registered strategy with its\n"
                "                    option schema, then exit\n"
-               "  --threads N       worker lanes for per-vehicle training/eval\n"
-               "                    (0 = all hardware threads, 1 = sequential;\n"
-               "                    results are bit-identical for any value)\n"
+               "  --help, -h        print this text, then exit\n"
+               "  --no-wireless-loss  disable the distance-loss lookup table\n"
+               "  --eval            drive vehicle 0's final model through the\n"
+               "                    online evaluation tasks\n"
                "  --kernel NAME     GEMM backend: auto (default; best available),\n"
                "                    scalar (bit-reproduces committed goldens),\n"
                "                    avx2; errors if NAME is unavailable on this\n"
@@ -71,15 +59,6 @@ void usage() {
                "  --int8-eval       score coreset values and eval losses with the\n"
                "                    int8-quantized forward path (training stays\n"
                "                    fp32); changes run numerics + fingerprint\n"
-               "  --num-vehicles N  metro scaling: grow the fleet to N while the\n"
-               "                    town tiles to keep vehicle density constant\n"
-               "                    (--vehicles changes the count on a fixed map)\n"
-               "  --collect-duration S  length of the data-collection phase\n"
-               "  --byzantine-frac F  seed F*N Byzantine vehicles (sign-flipped\n"
-               "                    models, inflated coreset weights, lying\n"
-               "                    assist info; frames stay CRC-valid)\n"
-               "  --straggler-frac F  heterogeneous fleet: F*N compute\n"
-               "                    stragglers, F*N slow radios, dataset skew\n"
                "  --trace-out F     Chrome trace-event JSON (open in Perfetto);\n"
                "                    enables sim-event + wall-clock span tracing\n"
                "  --events-out F    sim-time event log, one JSON object per line\n"
@@ -114,6 +93,7 @@ int main(int argc, char** argv) {
   cfg.num_vehicles = 8;
   cfg.duration_s = 900.0;
   svc::JobSpecBuilder builder{spec};
+  const std::vector<svc::CliKey> spec_flags = svc::cli_keys();
   std::string error;
   bool run_eval = false;
   std::string trace_out;
@@ -128,12 +108,23 @@ int main(int argc, char** argv) {
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", flag);
-        usage();
+        usage(stderr);
         std::exit(2);
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--strategy-opt") == 0) {
+    const auto spec_flag =
+        std::find_if(spec_flags.begin(), spec_flags.end(),
+                     [&](const svc::CliKey& k) { return flag_of(k.key) == argv[i]; });
+    if (spec_flag != spec_flags.end()) {
+      if (!builder.set_text(spec_flag->key, need_value(argv[i]), error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+      }
+    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      usage(stdout);
+      return 0;
+    } else if (std::strcmp(argv[i], "--strategy-opt") == 0) {
       const std::string kv = need_value("--strategy-opt");
       const std::size_t eq = kv.find('=');
       if (eq == 0 || eq == std::string::npos) {
@@ -153,13 +144,6 @@ int main(int argc, char** argv) {
         }
       }
       return 0;
-    } else if (is_spec_flag(argv[i])) {
-      std::string key{argv[i] + 2};
-      std::replace(key.begin(), key.end(), '-', '_');
-      if (!builder.set_text(key, need_value(argv[i]), error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       const std::string name = need_value("--kernel");
       if (name != "auto") {
@@ -203,7 +187,7 @@ int main(int argc, char** argv) {
       checkpoint_every = value->as_number();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage();
+      usage(stderr);
       return 2;
     }
   }
@@ -217,7 +201,7 @@ int main(int argc, char** argv) {
     strategy = baselines::registry().make(spec.approach_name, spec.options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
-    usage();
+    usage(stderr);
     return 2;
   }
   if (!builder.finish(error)) {

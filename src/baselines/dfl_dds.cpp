@@ -92,12 +92,14 @@ void DflDdsStrategy::aggregate(FleetSim& sim, int receiver, int sender,
 
 void DflDdsStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
   (void)sim;
+  echo_tunables(Save{w}, opts_);
   w.write_u32(static_cast<std::uint32_t>(compositions_.size()));
   for (const auto& row : compositions_) w.write_f64_vec(row);
   w.write_f64(next_round_s_);
 }
 
 void DflDdsStrategy::load_state(FleetSim& sim, ByteReader& r) {
+  echo_tunables(Load{r}, opts_);
   const auto n = r.read_u32();
   if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
     throw std::runtime_error{"DFL-DDS::load_state: vehicle count mismatch"};

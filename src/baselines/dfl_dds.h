@@ -10,9 +10,11 @@
 // over the mixing coefficient, the spirit of the original's KL-based tuning.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "baselines/gossip_base.h"
+#include "common/tunable.h"
 
 namespace lbchat::baselines {
 
@@ -20,6 +22,17 @@ struct DflDdsOptions {
   double alpha_min = 0.1;  ///< search range for the peer mixing weight
   double alpha_max = 0.6;
   int alpha_steps = 11;
+
+  static constexpr auto tunables() {
+    return std::array{
+        tunable<&DflDdsOptions::alpha_min>("alpha_min", within(0.0, 1.0),
+                                           "mixing-weight search range lower bound"),
+        tunable<&DflDdsOptions::alpha_max>("alpha_max", within(0.0, 1.0),
+                                           "mixing-weight search range upper bound"),
+        tunable<&DflDdsOptions::alpha_steps>("alpha_steps", at_least(1.0),
+                                             "line-search resolution"),
+    };
+  }
 };
 
 class DflDdsStrategy final : public GossipBaseStrategy {
@@ -34,7 +47,8 @@ class DflDdsStrategy final : public GossipBaseStrategy {
     return compositions_[static_cast<std::size_t>(v)];
   }
 
-  // Checkpoint hooks: composition vectors + the round schedule.
+  // Checkpoint hooks: the tunables' echo, composition vectors and the round
+  // schedule.
   void save_state(const engine::FleetSim& sim, ByteWriter& w) const override;
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
 

@@ -86,8 +86,7 @@ void DynThreshStrategy::aggregate(FleetSim& sim, int receiver, int sender,
 
 void DynThreshStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
   (void)sim;
-  w.write_f64(opts_.divergence_bound);
-  w.write_f64(opts_.pair_weight);
+  echo_tunables(Save{w}, opts_);
   w.write_u32(static_cast<std::uint32_t>(refs_.size()));
   for (const auto& ref : refs_) w.write_f32_vec(ref);
   w.write_f64_vec(div_);
@@ -96,9 +95,7 @@ void DynThreshStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
 }
 
 void DynThreshStrategy::load_state(FleetSim& sim, ByteReader& r) {
-  if (r.read_f64() != opts_.divergence_bound || r.read_f64() != opts_.pair_weight) {
-    throw std::runtime_error{"DynThresh::load_state: options mismatch"};
-  }
+  echo_tunables(Load{r}, opts_);
   const auto n = r.read_u32();
   if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
     throw std::runtime_error{"DynThresh::load_state: vehicle count mismatch"};

@@ -17,9 +17,11 @@
 // relative to the fixed-cadence baselines at comparable final loss.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "baselines/gossip_base.h"
+#include "common/tunable.h"
 
 namespace lbchat::baselines {
 
@@ -32,8 +34,17 @@ struct DynThreshOptions {
   /// loss; a much smaller bound degenerates to DP's every-contact cadence, a
   /// much larger one to silent local training.
   double divergence_bound = 1.5e-2;
-  /// Blend weight on the delivered peer model at a resync.
   double pair_weight = 0.5;
+
+  static constexpr auto tunables() {
+    return std::array{
+        tunable<&DynThreshOptions::divergence_bound>(
+            "divergence_bound", at_least(0.0),
+            "RMS divergence from reference that triggers a chat"),
+        tunable<&DynThreshOptions::pair_weight>("pair_weight", within(0.0, 1.0),
+                                                "blend weight on the delivered peer model"),
+    };
+  }
 };
 
 class DynThreshStrategy final : public GossipBaseStrategy {
@@ -45,9 +56,8 @@ class DynThreshStrategy final : public GossipBaseStrategy {
   void local_train(engine::FleetSim& sim, int v) override;
   void on_tick(engine::FleetSim& sim) override;
 
-  // Checkpoint hooks: reference models + the divergence cache, plus an echo
-  // of the options so a checkpoint cannot silently resume under a different
-  // bound (the divergence decisions would diverge from the saved run).
+  // Checkpoint hooks: the tunables' echo, reference models and the
+  // divergence cache.
   void save_state(const engine::FleetSim& sim, ByteWriter& w) const override;
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
 

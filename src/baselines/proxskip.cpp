@@ -85,12 +85,14 @@ void ProxSkipStrategy::synchronize(FleetSim& sim) {
 
 void ProxSkipStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
   (void)sim;
+  echo_tunables(Save{w}, opts_);
   w.write_u32(static_cast<std::uint32_t>(variates_.size()));
   for (const auto& h : variates_) w.write_f32_vec(h);
   w.write_i32(trained_since_round_.load());
 }
 
 void ProxSkipStrategy::load_state(FleetSim& sim, ByteReader& r) {
+  echo_tunables(Load{r}, opts_);
   const auto n = r.read_u32();
   if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
     throw std::runtime_error{"ProxSkip::load_state: vehicle count mismatch"};

@@ -15,16 +15,27 @@
 // prox/averaging — is reproduced faithfully.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <vector>
 
+#include "common/tunable.h"
 #include "engine/fleet.h"
 
 namespace lbchat::baselines {
 
 struct ProxSkipOptions {
-  double comm_probability = 0.2;  ///< p: probability a round synchronizes
-  double variate_scale = 0.0;     ///< control-variate strength (0 = off)
+  double comm_probability = 0.2;  ///< p
+  double variate_scale = 0.0;
+
+  static constexpr auto tunables() {
+    return std::array{
+        tunable<&ProxSkipOptions::comm_probability>("comm_probability", within(0.0, 1.0),
+                                                    "probability a round synchronizes"),
+        tunable<&ProxSkipOptions::variate_scale>("variate_scale", at_least(0.0),
+                                                 "control-variate strength (0 = off)"),
+    };
+  }
 };
 
 class ProxSkipStrategy final : public engine::Strategy {
@@ -36,7 +47,8 @@ class ProxSkipStrategy final : public engine::Strategy {
   void local_train(engine::FleetSim& sim, int v) override;
   void on_tick(engine::FleetSim& sim) override;
 
-  // Checkpoint hooks: control variates + the round-progress counter.
+  // Checkpoint hooks: the tunables' echo, control variates and the
+  // round-progress counter.
   void save_state(const engine::FleetSim& sim, ByteWriter& w) const override;
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
 

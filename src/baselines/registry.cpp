@@ -1,6 +1,7 @@
 #include "baselines/registry.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +14,28 @@
 #include "core/lbchat.h"
 
 namespace lbchat::baselines {
+namespace {
+
+/// The entry of `kv` in `strategy`'s schema. Throws std::invalid_argument on
+/// an unknown key or a value outside the option's range.
+const OptionSpec& checked_option(const std::string& strategy,
+                                 const std::vector<OptionSpec>& schema,
+                                 const StrategyOptions::Kv& kv) {
+  const auto it = std::find_if(schema.begin(), schema.end(),
+                               [&](const OptionSpec& s) { return s.name == kv.key; });
+  if (it == schema.end()) {
+    throw std::invalid_argument{"strategy '" + strategy + "' has no option '" + kv.key + "'"};
+  }
+  if (!it->range.contains(kv.value)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", kv.value);
+    throw std::invalid_argument{"strategy '" + strategy + "' option '" + kv.key + "' must be " +
+                                it->range.describe() + ", got " + got};
+  }
+  return *it;
+}
+
+}  // namespace
 
 void StrategyOptions::set(std::string_view key, double value) {
   const auto it = std::lower_bound(
@@ -77,14 +100,7 @@ const StrategyRegistry::Entry& StrategyRegistry::entry(std::string_view name) co
 std::unique_ptr<engine::Strategy> StrategyRegistry::make(
     std::string_view name, const StrategyOptions& options) const {
   const Entry& e = entry(name);
-  for (const auto& kv : options.entries()) {
-    const bool known = std::any_of(e.schema.begin(), e.schema.end(),
-                                   [&](const OptionSpec& s) { return s.name == kv.key; });
-    if (!known) {
-      throw std::invalid_argument{"strategy '" + e.name + "' has no option '" + kv.key +
-                                  "'"};
-    }
-  }
+  for (const auto& kv : options.entries()) (void)checked_option(e.name, e.schema, kv);
   return e.factory(options);
 }
 
@@ -109,15 +125,9 @@ std::vector<StrategyOptionKv> StrategyRegistry::fingerprint_options(
   const Entry& e = entry(name);
   std::vector<StrategyOptionKv> out;
   for (const auto& kv : options.entries()) {
-    const auto it = std::find_if(e.schema.begin(), e.schema.end(),
-                                 [&](const OptionSpec& s) { return s.name == kv.key; });
-    if (it == e.schema.end()) {
-      throw std::invalid_argument{"strategy '" + e.name + "' has no option '" + kv.key +
-                                  "'"};
-    }
     // Defaults are dropped so an explicitly-default run keys identically to
     // one that never mentioned the option (fingerprint tail contract).
-    if (kv.value != it->default_value) {
+    if (kv.value != checked_option(e.name, e.schema, kv).default_value) {
       out.push_back(StrategyOptionKv{kv.key, kv.value});
     }
   }
@@ -126,82 +136,53 @@ std::vector<StrategyOptionKv> StrategyRegistry::fingerprint_options(
 
 namespace {
 
+/// Registers strategy `S`, built from an `Opts` whose declared tunables are
+/// the schema; the defaults come from a default-constructed `Opts`.
+template <class S, class Opts>
+void register_tuned(StrategyRegistry& reg, std::string name) {
+  std::vector<OptionSpec> schema;
+  for (const auto& t : Opts::tunables()) {
+    schema.push_back({t.name, t.get(Opts{}), t.description, t.range});
+  }
+  reg.register_strategy(
+      std::move(name),
+      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
+        Opts opts;
+        for (const auto& t : Opts::tunables()) t.set(opts, o.get_or(t.name, t.get(opts)));
+        return std::make_unique<S>(opts);
+      },
+      std::move(schema));
+}
+
+/// The factory of a strategy without tunables.
+template <class S>
+std::unique_ptr<engine::Strategy> untuned(const StrategyOptions&) {
+  return std::make_unique<S>();
+}
+
+/// An LbChat ablation: the defaults with one mechanism switched off.
+StrategyRegistry::Factory lbchat_without(bool core::LbChatOptions::*mechanism) {
+  return [mechanism](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
+    core::LbChatOptions opts;
+    opts.*mechanism = false;
+    return std::make_unique<core::LbChatStrategy>(opts);
+  };
+}
+
 StrategyRegistry build_registry() {
   StrategyRegistry reg;
-  reg.register_strategy(
-      "ProxSkip",
-      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
-        ProxSkipOptions opts;
-        opts.comm_probability = o.get_or("comm_probability", opts.comm_probability);
-        opts.variate_scale = o.get_or("variate_scale", opts.variate_scale);
-        return std::make_unique<ProxSkipStrategy>(opts);
-      },
-      {{"comm_probability", 0.2, "probability a round synchronizes"},
-       {"variate_scale", 0.0, "control-variate strength (0 = off)"}});
-  reg.register_strategy("RSU-L", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
-    return std::make_unique<RsuStrategy>();
-  });
-  reg.register_strategy(
-      "DFL-DDS",
-      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
-        DflDdsOptions opts;
-        opts.alpha_min = o.get_or("alpha_min", opts.alpha_min);
-        opts.alpha_max = o.get_or("alpha_max", opts.alpha_max);
-        opts.alpha_steps =
-            static_cast<int>(o.get_or("alpha_steps", static_cast<double>(opts.alpha_steps)));
-        return std::make_unique<DflDdsStrategy>(opts);
-      },
-      {{"alpha_min", 0.1, "mixing-weight search range lower bound"},
-       {"alpha_max", 0.6, "mixing-weight search range upper bound"},
-       {"alpha_steps", 11.0, "line-search resolution"}});
-  reg.register_strategy("DP", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
-    return std::make_unique<DpStrategy>();
-  });
-  reg.register_strategy(
-      "LbChat",
-      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
-        core::LbChatOptions opts;
-        opts.eval_cap =
-            static_cast<std::size_t>(o.get_or("eval_cap", static_cast<double>(opts.eval_cap)));
-        return std::make_unique<core::LbChatStrategy>(opts);
-      },
-      {{"eval_cap", 64.0, "in-chat coreset evaluation cap"}});
-  reg.register_strategy("SCO", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
-    core::LbChatOptions opts;
-    opts.share_model = false;
-    return std::make_unique<core::LbChatStrategy>(opts);
-  });
-  reg.register_strategy(
-      "LbChat(equal-comp)",
-      [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
-        core::LbChatOptions opts;
-        opts.adaptive_compression = false;
-        return std::make_unique<core::LbChatStrategy>(opts);
-      });
-  reg.register_strategy(
-      "LbChat(avg-agg)", [](const StrategyOptions&) -> std::unique_ptr<engine::Strategy> {
-        core::LbChatOptions opts;
-        opts.coreset_weighted_aggregation = false;
-        return std::make_unique<core::LbChatStrategy>(opts);
-      });
-  reg.register_strategy(
-      "DynThresh",
-      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
-        DynThreshOptions opts;
-        opts.divergence_bound = o.get_or("divergence_bound", opts.divergence_bound);
-        opts.pair_weight = o.get_or("pair_weight", opts.pair_weight);
-        return std::make_unique<DynThreshStrategy>(opts);
-      },
-      {{"divergence_bound", 1.5e-2, "RMS divergence from reference that triggers a chat"},
-       {"pair_weight", 0.5, "blend weight on the delivered peer model"}});
-  reg.register_strategy(
-      "SimGossip",
-      [](const StrategyOptions& o) -> std::unique_ptr<engine::Strategy> {
-        SimGossipOptions opts;
-        opts.temperature = o.get_or("temperature", opts.temperature);
-        return std::make_unique<SimGossipStrategy>(opts);
-      },
-      {{"temperature", 0.1, "softness of the similarity-to-weight map"}});
+  register_tuned<ProxSkipStrategy, ProxSkipOptions>(reg, "ProxSkip");
+  reg.register_strategy("RSU-L", untuned<RsuStrategy>);
+  register_tuned<DflDdsStrategy, DflDdsOptions>(reg, "DFL-DDS");
+  reg.register_strategy("DP", untuned<DpStrategy>);
+  register_tuned<core::LbChatStrategy, core::LbChatOptions>(reg, "LbChat");
+  reg.register_strategy("SCO", lbchat_without(&core::LbChatOptions::share_model));
+  reg.register_strategy("LbChat(equal-comp)",
+                        lbchat_without(&core::LbChatOptions::adaptive_compression));
+  reg.register_strategy("LbChat(avg-agg)",
+                        lbchat_without(&core::LbChatOptions::coreset_weighted_aggregation));
+  register_tuned<DynThreshStrategy, DynThreshOptions>(reg, "DynThresh");
+  register_tuned<SimGossipStrategy, SimGossipOptions>(reg, "SimGossip");
   return reg;
 }
 

@@ -19,15 +19,18 @@
 #include <vector>
 
 #include "common/fingerprint.h"
+#include "common/tunable.h"
 #include "engine/fleet.h"
 
 namespace lbchat::baselines {
 
-/// One tunable a strategy exposes through the registry.
+/// One tunable a strategy exposes through the registry. The built-ins take
+/// theirs from their options struct's tunables() (common/tunable.h).
 struct OptionSpec {
   std::string name;
   double default_value = 0.0;
   std::string description;
+  TunableRange range{};
 };
 
 /// A flat key -> value bag of per-strategy tunables, kept sorted by key so
@@ -67,7 +70,8 @@ class StrategyRegistry {
                          std::vector<OptionSpec> schema = {});
 
   /// Construct a strategy by name. Throws std::invalid_argument on an
-  /// unknown name or an option key absent from the strategy's schema.
+  /// unknown name, an option key absent from the strategy's schema, or a
+  /// value outside the option's range.
   [[nodiscard]] std::unique_ptr<engine::Strategy> make(
       std::string_view name, const StrategyOptions& options = {}) const;
 

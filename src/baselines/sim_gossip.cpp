@@ -29,8 +29,7 @@ void SimGossipStrategy::on_tick(FleetSim& sim) {
 }
 
 double SimGossipStrategy::weight_for_similarity(double cosine) const {
-  const double t = std::max(opts_.temperature, 1e-6);
-  return 1.0 / (1.0 + std::exp((1.0 - cosine) / t));
+  return 1.0 / (1.0 + std::exp((1.0 - cosine) / opts_.temperature));
 }
 
 void SimGossipStrategy::aggregate(FleetSim& sim, int receiver, int sender,
@@ -63,12 +62,12 @@ void SimGossipStrategy::aggregate(FleetSim& sim, int receiver, int sender,
 
 void SimGossipStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
   (void)sim;
-  Save{w}.exact(opts_.temperature, "SimGossip::load_state: options");
+  echo_tunables(Save{w}, opts_);
 }
 
 void SimGossipStrategy::load_state(FleetSim& sim, ByteReader& r) {
   (void)sim;
-  Load{r}.exact(opts_.temperature, "SimGossip::load_state: options");
+  echo_tunables(Load{r}, opts_);
 }
 
 }  // namespace lbchat::baselines

@@ -16,7 +16,10 @@
 // them so a resume under a different temperature is rejected.
 #pragma once
 
+#include <array>
+
 #include "baselines/gossip_base.h"
+#include "common/tunable.h"
 
 namespace lbchat::baselines {
 
@@ -25,6 +28,11 @@ struct SimGossipOptions {
   /// (slightly dissimilar peers get nearly no weight); large ones approach
   /// plain 50/50 averaging.
   double temperature = 0.1;
+
+  static constexpr auto tunables() {
+    return std::array{tunable<&SimGossipOptions::temperature>(
+        "temperature", above(0.0), "softness of the similarity-to-weight map")};
+  }
 };
 
 class SimGossipStrategy final : public GossipBaseStrategy {

@@ -412,6 +412,7 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
 
 void LbChatStrategy::save_state(const engine::FleetSim& sim, ByteWriter& w) const {
   (void)sim;
+  echo_tunables(Save{w}, opts_);
   w.write_u32(static_cast<std::uint32_t>(vehicles_.size()));
   for (const VehicleState& st : vehicles_) {
     coreset::write_coreset(w, st.cs);
@@ -420,6 +421,7 @@ void LbChatStrategy::save_state(const engine::FleetSim& sim, ByteWriter& w) cons
 }
 
 void LbChatStrategy::load_state(engine::FleetSim& sim, ByteReader& r) {
+  echo_tunables(Load{r}, opts_);
   const auto n = r.read_u32();
   if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
     throw std::runtime_error{"LbChat::load_state: vehicle count mismatch"};

@@ -17,9 +17,11 @@
 //   * coreset_weighted_aggregation = false -> Table VI: plain averaging.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
+#include "common/tunable.h"
 #include "core/compress_opt.h"
 #include "coreset/alternatives.h"
 #include "coreset/coreset.h"
@@ -32,11 +34,16 @@ struct LbChatOptions {
   bool adaptive_compression = true;
   bool coreset_weighted_aggregation = true;
   /// Evaluation cap for in-chat coreset evaluations (computational shortcut;
-  /// mass-preserving subsample, see subsample_coreset).
+  /// mass-preserving subsample, see subsample_coreset; 0 = uncapped).
   std::size_t eval_cap = 64;
   /// Coreset construction strategy (paper §V: alternative constructions can
   /// be adapted in LbChat unchanged). Algorithm 1 by default.
   coreset::CoresetMethod coreset_method = coreset::CoresetMethod::kLayered;
+
+  static constexpr auto tunables() {
+    return std::array{tunable<&LbChatOptions::eval_cap>("eval_cap", at_least(0.0),
+                                                        "in-chat coreset evaluation cap")};
+  }
 };
 
 class LbChatStrategy final : public engine::Strategy {
@@ -51,7 +58,8 @@ class LbChatStrategy final : public engine::Strategy {
   void on_session_idle(engine::FleetSim& sim, engine::PairSession& s) override;
   void on_session_aborted(engine::FleetSim& sim, engine::PairSession& s) override;
 
-  // Checkpoint hooks: per-vehicle coreset stores + per-session chat scratch.
+  // Checkpoint hooks: the tunables' echo, per-vehicle coreset stores and
+  // per-session chat scratch.
   void save_state(const engine::FleetSim& sim, ByteWriter& w) const override;
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
   void save_session_state(const engine::FleetSim& sim, const engine::PairSession& s,

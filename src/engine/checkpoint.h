@@ -35,7 +35,9 @@ struct ScenarioConfig;
 /// Bumped on any incompatible change to the checkpoint payload layout.
 /// v2: one tick semantics — kCore drops the net/infra RNG streams, and every
 /// session carries its own RNG stream and no RSU position.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// v3: every tuned strategy's state blob starts with its tunables' echo
+/// (common/tunable.h), so ProxSkip, DFL-DDS and the LbChat family grew one.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Section tags of the checkpoint body (u8 on the wire). Every section is
 /// length-prefixed, so tooling can walk the structure without the config.

@@ -81,17 +81,22 @@ struct Apply {
 struct KeyEntry {
   std::string_view key;
   bool (*set)(const Apply&);
+  /// Set on the keys lbchat_sim_cli also takes as flags: --a-b is key a_b.
+  CliFlag cli{};
 };
 
 const KeyEntry* find_key(std::string_view key);
 
-// Every JobSpec key, once: each setter does its key's type and range checks.
+// Every JobSpec key, once: each setter does its key's type and range checks,
+// and a CLI-marked key carries its flag's usage line.
 // "faults" members are looked up here under a "faults." prefix, which no
 // top-level key can reach.
 constexpr KeyEntry kKeys[] = {
     // "approach" is the pre-registry spelling; both name the registry key.
-    {"strategy", [](const Apply& a) { return a.text(a.spec.approach_name); }},
-    {"approach", [](const Apply& a) { return a.text(a.spec.approach_name); }},
+    {"strategy", [](const Apply& a) { return a.text(a.spec.approach_name); },
+     {"NAME", "registry name (--list-strategies lists them)"}},
+    {"approach", [](const Apply& a) { return a.text(a.spec.approach_name); },
+     {"NAME", "legacy alias of --strategy"}},
     {"strategy_options",
      [](const Apply& a) {
        if (!a.object()) return false;
@@ -107,18 +112,23 @@ constexpr KeyEntry kKeys[] = {
     {"priority", [](const Apply& a) { return a.integer(a.spec.priority); }},
     {"events", [](const Apply& a) { return a.boolean(a.spec.events); }},
     {"preempt_at", [](const Apply& a) { return a.number(a.spec.preempt_at); }},
-    {"vehicles", [](const Apply& a) { return a.integer(a.spec.cfg.num_vehicles); }},
+    {"vehicles", [](const Apply& a) { return a.integer(a.spec.cfg.num_vehicles); },
+     {"N", "fleet size on a fixed map"}},
     // Metro scaling applies in JobSpecBuilder::finish, after every key.
-    {"num_vehicles", [](const Apply& a) { return a.integer(a.metro_vehicles); }},
-    {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); }},
+    {"num_vehicles", [](const Apply& a) { return a.integer(a.metro_vehicles); },
+     {"N", "metro scaling: N vehicles, town tiled to keep their density"}},
+    {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); },
+     {"S", "simulated seconds of collaborative training"}},
     {"collect_duration",
-     [](const Apply& a) { return a.positive(a.spec.cfg.collect_duration_s); }},
+     [](const Apply& a) { return a.positive(a.spec.cfg.collect_duration_s); },
+     {"S", "length of the data-collection phase"}},
     {"collect_fps", [](const Apply& a) { return a.number(a.spec.cfg.collect_fps); }},
     {"coreset",
      [](const Apply& a) {
        int n = 0;
        return a.integer(n) && a.count(n, a.spec.cfg.coreset_size);
-     }},
+     },
+     {"N", "coreset size per vehicle"}},
     {"seed",
      [](const Apply& a) {
        double x = 0.0;
@@ -128,8 +138,10 @@ constexpr KeyEntry kKeys[] = {
        }
        a.spec.cfg.seed = static_cast<std::uint64_t>(x);
        return true;
-     }},
-    {"threads", [](const Apply& a) { return a.integer(a.spec.cfg.num_threads); }},
+     },
+     {"N", "scenario seed"}},
+    {"threads", [](const Apply& a) { return a.integer(a.spec.cfg.num_threads); },
+     {"N", "worker lanes, 0 = all cores (bit-identical for any N)"}},
     {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
     {"eval_interval", [](const Apply& a) { return a.number(a.spec.cfg.eval_interval_s); }},
     {"train_interval", [](const Apply& a) { return a.number(a.spec.cfg.train_interval_s); }},
@@ -144,7 +156,8 @@ constexpr KeyEntry kKeys[] = {
     {"pair_cooldown", [](const Apply& a) { return a.number(a.spec.cfg.pair_cooldown_s); }},
     {"session_timeout", [](const Apply& a) { return a.number(a.spec.cfg.session_timeout_s); }},
     {"byzantine_frac",
-     [](const Apply& a) { return a.fraction(a.spec.cfg.adversary.byzantine_frac); }},
+     [](const Apply& a) { return a.fraction(a.spec.cfg.adversary.byzantine_frac); },
+     {"F", "F*N Byzantine vehicles: poisoned payloads in CRC-valid frames"}},
     {"straggler_frac",
      [](const Apply& a) {
        // One knob drives the whole heterogeneity profile: the same fraction
@@ -156,7 +169,8 @@ constexpr KeyEntry kKeys[] = {
        h.slow_radio_frac = frac;
        h.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
        return true;
-     }},
+     },
+     {"F", "F*N compute stragglers and F*N slow radios, plus dataset skew"}},
     {"background_cars",
      [](const Apply& a) { return a.integer(a.spec.cfg.world.num_background_cars); }},
     {"pedestrians", [](const Apply& a) { return a.integer(a.spec.cfg.world.num_pedestrians); }},
@@ -214,6 +228,14 @@ const KeyEntry* find_key(std::string_view key) {
 }
 
 }  // namespace
+
+std::vector<CliKey> cli_keys() {
+  std::vector<CliKey> out;
+  for (const KeyEntry& e : kKeys) {
+    if (!e.cli.value.empty()) out.push_back({e.key, e.cli});
+  }
+  return out;
+}
 
 bool JobSpecBuilder::set(std::string_view key, const JsonValue& value, std::string& error) {
   const KeyEntry* e = key.find('.') == std::string_view::npos ? find_key(key) : nullptr;

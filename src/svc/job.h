@@ -1,6 +1,6 @@
 // Job specs for the fleet service: a JSON object naming a strategy and a
 // scenario configuration. Every key goes through one table (job.cpp), which
-// lbchat_sim_cli's scenario flags share: flag --a-b is key a_b.
+// lbchat_sim_cli's spec flags share: flag --a-b is the CLI-marked key a_b.
 //
 //   {"strategy":"DynThresh","vehicles":8,"duration":900,"seed":3,
 //    "strategy_options":{"divergence_bound":2e-4},
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "baselines/registry.h"
 #include "engine/scenario.h"
@@ -68,6 +69,18 @@ class JobSpecBuilder {
   JobSpec& spec_;
   int metro_vehicles_ = 0;
 };
+
+/// The usage line of a key lbchat_sim_cli also takes as a flag.
+struct CliFlag {
+  std::string_view value;  ///< placeholder for the flag's value, "N"
+  std::string_view help;   ///< one line
+};
+struct CliKey {
+  std::string_view key;  ///< flag --a-b sets key a_b
+  CliFlag flag;
+};
+/// The CLI-marked keys, in key-table order.
+[[nodiscard]] std::vector<CliKey> cli_keys();
 
 /// Parse a job-spec JSON object. Returns false and fills `error` on malformed
 /// JSON, unknown keys, wrong types, or out-of-range values; `out` is

@@ -554,35 +554,48 @@ TEST(CheckpointReject, StrategyMismatch) {
   EXPECT_EQ(other.restore(r), CkptStatus::kStrategyMismatch);
 }
 
-TEST(CheckpointReject, StrategyOptionsMismatch) {
-  // The new strategies echo their options into the strategy section; a
-  // checkpoint must not silently resume under a different tuning (the gating
-  // decisions would diverge from the saved run's history).
+/// A checkpoint of `name` at its defaults must not resume under `key`=`value`
+/// (the run would diverge from the saved history), but resumes at defaults.
+void expect_retune_refused(const char* name, const char* key, double value) {
   const auto cfg = tiny_cfg(2, false);
-  for (const char* name : {"DynThresh", "SimGossip"}) {
-    auto sim = make_sim(cfg, name);
-    sim.prepare();
-    sim.run_until(5.0);
-    const auto bytes = checkpoint_of(sim);
+  auto sim = make_sim(cfg, name);
+  sim.prepare();
+  sim.run_until(5.0);
+  const auto bytes = checkpoint_of(sim);
 
-    baselines::StrategyOptions retuned;
-    retuned.set(std::strcmp(name, "DynThresh") == 0 ? "divergence_bound" : "temperature",
-                0.123);
-    auto other = make_sim(cfg, name, retuned);
-    ByteReader r{bytes};
-    EXPECT_EQ(other.restore(r), CkptStatus::kMalformed) << name;
+  baselines::StrategyOptions retuned;
+  retuned.set(key, value);
+  auto other = make_sim(cfg, name, retuned);
+  ByteReader r{bytes};
+  EXPECT_EQ(other.restore(r), CkptStatus::kMalformed) << name;
 
-    // Same options restore fine.
-    auto same = make_sim(cfg, name);
-    ByteReader r2{bytes};
-    EXPECT_EQ(same.restore(r2), CkptStatus::kOk) << name;
-  }
+  auto same = make_sim(cfg, name);
+  ByteReader r2{bytes};
+  EXPECT_EQ(same.restore(r2), CkptStatus::kOk) << name;
+}
+
+// Every tuned strategy's state blob starts with its tunables' echo.
+TEST(CheckpointReject, StrategyOptionsMismatch) {
+  expect_retune_refused("DynThresh", "divergence_bound", 0.123);
+  expect_retune_refused("DynThresh", "pair_weight", 0.3);
+  expect_retune_refused("SimGossip", "temperature", 0.123);
+}
+TEST(CheckpointReject, StrategyOptionsMismatchLbChat) {
+  expect_retune_refused("LbChat", "eval_cap", 8);
+}
+TEST(CheckpointReject, StrategyOptionsMismatchProxSkip) {
+  expect_retune_refused("ProxSkip", "comm_probability", 0.5);
+  expect_retune_refused("ProxSkip", "variate_scale", 0.05);
+}
+TEST(CheckpointReject, StrategyOptionsMismatchDflDds) {
+  expect_retune_refused("DFL-DDS", "alpha_steps", 3);
 }
 
 TEST(CheckpointReject, BadVersion) {
-  // A future layout, and version 1 (the layout with the shared net/infra RNG
-  // streams and RSU session positions).
-  for (const std::uint32_t version : {engine::kCheckpointVersion + 1, std::uint32_t{1}}) {
+  // A future layout, version 1 (the layout with the shared net/infra RNG
+  // streams and RSU session positions) and version 2 (no tunables' echo).
+  for (const std::uint32_t version :
+       {engine::kCheckpointVersion + 1, std::uint32_t{1}, std::uint32_t{2}}) {
     ByteWriter body;
     body.write_u32(version);
     const auto bytes = frame::encode(frame::FrameType::kCheckpoint, body.bytes());
@@ -686,15 +699,15 @@ TEST_P(CheckpointPins, CrcAndSizeAreStable) {
 INSTANTIATE_TEST_SUITE_P(
     Registry, CheckpointPins,
     ::testing::Values(
-        CkptPin{"ProxSkip", "ProxSkip", false, false, 0xfdc78e2cu, 1771115},
-        CkptPin{"RsuL", "RSU-L", false, false, 0xdd5c6633u, 1662124},
-        CkptPin{"DynThresh", "DynThresh", false, false, 0xc184a670u, 1771172},
-        CkptPin{"SimGossip", "SimGossip", false, false, 0xac4d2475u, 1553047},
-        CkptPin{"Sco", "SCO", false, false, 0xcce96c77u, 1357874},
-        CkptPin{"LbChatEqualComp", "LbChat(equal-comp)", false, false, 0x6ccc76eeu, 1467859},
-        CkptPin{"LbChatAvgAgg", "LbChat(avg-agg)", false, false, 0x5f88907du, 1361054},
-        CkptPin{"LbChatInt8", "LbChat", true, false, 0xbb830f74u, 1361045},
-        CkptPin{"LbChatEvents", "LbChat", false, true, 0xc1566028u, 1362340}),
+        CkptPin{"ProxSkip", "ProxSkip", false, false, 0xf88a335au, 1771131},
+        CkptPin{"RsuL", "RSU-L", false, false, 0x7ae502a0u, 1662124},
+        CkptPin{"DynThresh", "DynThresh", false, false, 0x827562c7u, 1771172},
+        CkptPin{"SimGossip", "SimGossip", false, false, 0xe80f5a19u, 1553047},
+        CkptPin{"Sco", "SCO", false, false, 0x1efac283u, 1357882},
+        CkptPin{"LbChatEqualComp", "LbChat(equal-comp)", false, false, 0x2d5f2435u, 1467867},
+        CkptPin{"LbChatAvgAgg", "LbChat(avg-agg)", false, false, 0xe1886ee9u, 1361062},
+        CkptPin{"LbChatInt8", "LbChat", true, false, 0x438dca00u, 1361053},
+        CkptPin{"LbChatEvents", "LbChat", false, true, 0xca451dedu, 1362348}),
     [](const ::testing::TestParamInfo<CkptPin>& p) { return std::string{p.param.label}; });
 
 // --- fuzzing the decode path -------------------------------------------------

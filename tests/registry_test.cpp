@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "baselines/dyn_thresh.h"
 #include "baselines/registry.h"
@@ -136,7 +139,121 @@ TEST(RegistryTest, SchemasDocumentEveryOption) {
     for (const auto& spec : registry().option_schema(name)) {
       EXPECT_FALSE(spec.name.empty()) << name;
       EXPECT_FALSE(spec.description.empty()) << name << "." << spec.name;
+      EXPECT_TRUE(spec.range.contains(spec.default_value)) << name << "." << spec.name;
     }
+  }
+}
+
+TEST(RegistryTest, SchemasArePinned) {
+  // Name, default, description and order of every tunable, rendered as
+  // lbchat_sim_cli --list-strategies prints them.
+  std::string listing;
+  char line[256];
+  for (const auto& name : registry().list()) {
+    listing += name + "\n";
+    for (const auto& opt : registry().option_schema(name)) {
+      std::snprintf(line, sizeof line, "  --strategy-opt %s=%g  %s\n", opt.name.c_str(),
+                    opt.default_value, opt.description.c_str());
+      listing += line;
+    }
+  }
+  EXPECT_EQ(listing,
+            "ProxSkip\n"
+            "  --strategy-opt comm_probability=0.2  probability a round synchronizes\n"
+            "  --strategy-opt variate_scale=0  control-variate strength (0 = off)\n"
+            "RSU-L\n"
+            "DFL-DDS\n"
+            "  --strategy-opt alpha_min=0.1  mixing-weight search range lower bound\n"
+            "  --strategy-opt alpha_max=0.6  mixing-weight search range upper bound\n"
+            "  --strategy-opt alpha_steps=11  line-search resolution\n"
+            "DP\n"
+            "LbChat\n"
+            "  --strategy-opt eval_cap=64  in-chat coreset evaluation cap\n"
+            "SCO\n"
+            "LbChat(equal-comp)\n"
+            "LbChat(avg-agg)\n"
+            "DynThresh\n"
+            "  --strategy-opt divergence_bound=0.015  RMS divergence from reference that "
+            "triggers a chat\n"
+            "  --strategy-opt pair_weight=0.5  blend weight on the delivered peer model\n"
+            "SimGossip\n"
+            "  --strategy-opt temperature=0.1  softness of the similarity-to-weight map\n");
+}
+
+/// make() and fingerprint_options() both accept or both reject.
+bool accepts(const char* strategy, const char* key, double value) {
+  StrategyOptions o;
+  o.set(key, value);
+  bool made = true;
+  bool keyed = true;
+  try {
+    (void)registry().make(strategy, o);
+  } catch (const std::invalid_argument&) {
+    made = false;
+  }
+  try {
+    (void)registry().fingerprint_options(strategy, o);
+  } catch (const std::invalid_argument&) {
+    keyed = false;
+  }
+  EXPECT_EQ(made, keyed) << strategy << " " << key << "=" << value;
+  return made;
+}
+
+TEST(RegistryTest, IntegerTunablesMustBeWholeAndInRange) {
+  // eval_cap: 0 means uncapped (subsample_coreset).
+  EXPECT_TRUE(accepts("LbChat", "eval_cap", 0));
+  EXPECT_TRUE(accepts("LbChat", "eval_cap", 8));
+  EXPECT_FALSE(accepts("LbChat", "eval_cap", -1));
+  EXPECT_FALSE(accepts("LbChat", "eval_cap", 8.5));
+  EXPECT_FALSE(accepts("LbChat", "eval_cap", 1e300));
+  EXPECT_TRUE(accepts("DFL-DDS", "alpha_steps", 1));
+  EXPECT_FALSE(accepts("DFL-DDS", "alpha_steps", 0));
+  EXPECT_FALSE(accepts("DFL-DDS", "alpha_steps", 1.5));
+  EXPECT_FALSE(accepts("DFL-DDS", "alpha_steps", 1e300));
+  EXPECT_FALSE(accepts("DFL-DDS", "alpha_steps", 2147483648.0));  // INT_MAX + 1
+}
+
+TEST(RegistryTest, ProbabilitiesAndBlendWeightsLieInTheUnitInterval) {
+  for (const auto& [strategy, key] :
+       {std::pair{"ProxSkip", "comm_probability"}, std::pair{"DFL-DDS", "alpha_min"},
+        std::pair{"DFL-DDS", "alpha_max"}, std::pair{"DynThresh", "pair_weight"}}) {
+    EXPECT_TRUE(accepts(strategy, key, 0.0)) << key;
+    EXPECT_TRUE(accepts(strategy, key, 1.0)) << key;
+    EXPECT_FALSE(accepts(strategy, key, -0.1)) << key;
+    EXPECT_FALSE(accepts(strategy, key, 5.0)) << key;
+  }
+}
+
+TEST(RegistryTest, TemperatureMustBePositive) {
+  EXPECT_TRUE(accepts("SimGossip", "temperature", 1e-9));
+  EXPECT_FALSE(accepts("SimGossip", "temperature", 0.0));
+  EXPECT_FALSE(accepts("SimGossip", "temperature", -1.0));
+}
+
+TEST(RegistryTest, StrengthsAndBoundsMustBeNonNegative) {
+  EXPECT_TRUE(accepts("ProxSkip", "variate_scale", 0.0));
+  EXPECT_FALSE(accepts("ProxSkip", "variate_scale", -0.5));
+  EXPECT_TRUE(accepts("DynThresh", "divergence_bound", 0.0));
+  EXPECT_FALSE(accepts("DynThresh", "divergence_bound", -1e-3));
+}
+
+TEST(RegistryTest, NonFiniteValuesAreRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(accepts("DynThresh", "divergence_bound", inf));
+  EXPECT_FALSE(accepts("SimGossip", "temperature", std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(RegistryTest, RangeErrorsNameTheRange) {
+  StrategyOptions o;
+  o.set("eval_cap", -1);
+  try {
+    (void)registry().make("LbChat", o);
+    FAIL() << "eval_cap=-1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "strategy 'LbChat' option 'eval_cap' must be an integer in "
+                 "[0, 9007199254740992], got -1");
   }
 }
 

@@ -16,8 +16,10 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/file_io.h"
 #include "svc/job.h"
@@ -314,6 +316,86 @@ TEST(JobSpecTest, SetTextReachesObjectMembers) {
   EXPECT_EQ(err, "\"strategy_options.divergence_bound\" must be a number");
   EXPECT_FALSE(builder.set_text("faults.no_such_key", "1", err));
   EXPECT_EQ(err, "unknown faults key \"no_such_key\"");
+}
+
+TEST(JobSpecTest, StrategyOptionRangesFailTheSpec) {
+  JobSpec spec;
+  std::string err;
+  for (const char* opts : {R"("LbChat","strategy_options":{"eval_cap":-1})",
+                           R"("DFL-DDS","strategy_options":{"alpha_steps":1.5})",
+                           R"("SimGossip","strategy_options":{"temperature":0})",
+                           R"("ProxSkip","strategy_options":{"comm_probability":5})"}) {
+    EXPECT_FALSE(parse_job_spec(std::string{R"({"strategy":)"} + opts + "}", spec, err)) << opts;
+    EXPECT_NE(err.find("must be"), std::string::npos) << err;
+  }
+}
+
+TEST(JobSpecTest, CliMarkedKeysAreTheSpecFlags) {
+  std::vector<std::string> keys;
+  for (const CliKey& k : cli_keys()) {
+    keys.emplace_back(k.key);
+    EXPECT_FALSE(k.flag.value.empty()) << k.key;
+    EXPECT_FALSE(k.flag.help.empty()) << k.key;
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"strategy", "approach", "vehicles", "num_vehicles",
+                                            "duration", "collect_duration", "coreset", "seed",
+                                            "threads", "byzantine_frac", "straggler_frac"}));
+}
+
+TEST(JobSpecTest, SpecFlagsAndJsonKeysFingerprintAlike) {
+  // lbchat_sim_cli's --a-b V is set_text("a_b", "V"); the service reads
+  // {"a_b": V}. Both must land on the same job.
+  const std::map<std::string, std::pair<std::string, std::string>> sample = {
+      {"strategy", {"DP", R"("DP")"}},
+      {"approach", {"DynThresh", R"("DynThresh")"}},
+      {"vehicles", {"6", "6"}},
+      {"num_vehicles", {"12", "12"}},
+      {"duration", {"60", "60"}},
+      {"collect_duration", {"30", "30"}},
+      {"coreset", {"20", "20"}},
+      {"seed", {"9", "9"}},
+      {"threads", {"3", "3"}},
+      {"byzantine_frac", {"0.25", "0.25"}},
+      {"straggler_frac", {"0.5", "0.5"}},
+  };
+  const std::map<std::string, std::pair<std::string, std::string>> base = {
+      {"strategy", {"LbChat", R"("LbChat")"}},
+      {"vehicles", {"4", "4"}},
+      {"duration", {"40", "40"}},
+  };
+  JobSpec plain;
+  std::string err;
+  ASSERT_TRUE(parse_job_spec(R"({"strategy":"LbChat","vehicles":4,"duration":40})", plain, err))
+      << err;
+  std::set<std::uint64_t> via_flags;
+  std::set<std::uint64_t> via_json;
+  for (const CliKey& k : cli_keys()) {
+    const std::string key{k.key};
+    ASSERT_EQ(sample.count(key), 1u) << key;
+    auto members = base;
+    if (key == "approach") members.erase("strategy");  // one name per spec
+    members[key] = sample.at(key);
+
+    JobSpec flag_spec;
+    JobSpecBuilder builder{flag_spec};
+    std::string json = "{";
+    for (const auto& [name, value] : members) {
+      ASSERT_TRUE(builder.set_text(name, value.first, err)) << name << ": " << err;
+      json += (json.size() > 1 ? ",\"" : "\"") + name + "\":" + value.second;
+    }
+    json += "}";
+    ASSERT_TRUE(builder.finish(err)) << key << ": " << err;
+    JobSpec json_spec;
+    ASSERT_TRUE(parse_job_spec(json, json_spec, err)) << json << ": " << err;
+
+    const std::uint64_t fp = job_fingerprint(flag_spec);
+    EXPECT_EQ(fp, job_fingerprint(json_spec)) << key;
+    // Every key but the bit-inert thread count shapes the run.
+    EXPECT_EQ(fp == job_fingerprint(plain), key == "threads") << key;
+    via_flags.insert(fp);
+    via_json.insert(job_fingerprint(json_spec));
+  }
+  EXPECT_EQ(via_flags, via_json);
 }
 
 TEST(JobSpecTest, FingerprintSplitsOnNonDefaultOptionsOnly) {

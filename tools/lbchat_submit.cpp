@@ -7,8 +7,10 @@
 //   lbchat_submit --socket PATH jobs|stats|drain|shutdown
 //
 // Prints the daemon's JSON reply line verbatim; exits 0 only when the reply
-// says ok:true (so shell scripts can gate on it).
+// says ok:true (so shell scripts can gate on it). A bad command line, an ID
+// that is not a decimal number included, exits 2 before connecting.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,16 @@ void usage() {
                "  stats                       service counters\n"
                "  drain                       persist queued jobs, finish running ones\n"
                "  shutdown                    stop the daemon (it persists state)\n");
+}
+
+/// The job ID argument as a JSON number, or "" when it is not 1 to 15
+/// decimal digits (15 digits stay exact in the daemon's JSON doubles).
+std::string job_id(const std::string& arg) {
+  if (arg.empty() || arg.size() > 15 ||
+      !std::all_of(arg.begin(), arg.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+    return "";
+  }
+  return std::to_string(std::stoull(arg));
 }
 
 int run_request(const std::string& socket_path, const std::string& request) {
@@ -120,7 +132,12 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    const std::string id = argv[i++];
+    const std::string id = job_id(argv[i]);
+    if (id.empty()) {
+      std::fprintf(stderr, "job ID must be a decimal number, got '%s'\n", argv[i]);
+      return 2;
+    }
+    ++i;
     if (cmd == "wait") return wait_until_terminal(socket_path, id);
     std::string req = "{\"cmd\":\"" + cmd + "\",\"id\":" + id;
     if (cmd == "preempt" && i < argc && std::strcmp(argv[i], "--hold") == 0) {
