@@ -12,7 +12,6 @@
 #include "common/fingerprint.h"
 #include "common/rng.h"
 #include "nn/kernel_dispatch.h"
-#include "engine/report.h"
 #include "obs/export.h"
 
 namespace lbchat::bench {
@@ -89,7 +88,7 @@ void export_run_observability(const engine::ScenarioConfig& cfg, std::string_vie
   save(std::string{stem} + ".events.jsonl", obs::events_jsonl(events, sim.events().dropped()));
   save(std::string{stem} + ".metrics.json", obs::metrics_json(sim.metrics_snapshot()));
   save(std::string{stem} + ".report.json",
-       obs::run_report_json(engine::build_run_report(approach_str, cfg, m)));
+       obs::run_report_json(approach_str, cfg.seed, cfg.duration_s, m));
   std::fprintf(stderr, "[bench] observability exports: %s/%s.{trace.json,events.jsonl,...}\n",
                dir.string().c_str(), stem);
 }

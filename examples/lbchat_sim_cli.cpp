@@ -17,7 +17,6 @@
 #include "common/file_io.h"
 #include "engine/checkpoint.h"
 #include "engine/fleet.h"
-#include "engine/report.h"
 #include "eval/online.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
@@ -286,10 +285,10 @@ int main(int argc, char** argv) {
       export_failed(metrics_out);
     }
     if (!report_out.empty()) {
-      const obs::RunReport report = engine::build_run_report(spec.approach_name, cfg, m);
-      const std::string body = ends_with(report_out, ".csv")
-                                   ? obs::run_report_csv(report)
-                                   : obs::run_report_json(report);
+      const std::string body =
+          ends_with(report_out, ".csv")
+              ? obs::run_report_csv(cfg.duration_s, m)
+              : obs::run_report_json(spec.approach_name, cfg.seed, cfg.duration_s, m);
       if (!write_file(report_out, body)) export_failed(report_out);
     }
   }

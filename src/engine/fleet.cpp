@@ -23,8 +23,8 @@ net::WirelessLossModel zero_loss() {
   return net::WirelessLossModel{{0.0, 1e9}, {0.0, 0.0}};
 }
 
-/// Slow-tick period for pair-map pruning (satellite of the checkpoint PR):
-/// coarse on purpose — pruning only reclaims memory, never changes behaviour.
+/// Period of the pair-map sweep (prune_pair_maps): coarse on purpose, the
+/// maps only need to stay bounded over long runs.
 constexpr double kPairMapPruneIntervalS = 60.0;
 
 }  // namespace
@@ -188,23 +188,25 @@ const std::vector<int>& FleetSim::neighbors_in_range(int v) const {
   return neighbor_scratch_;
 }
 
-bool FleetSim::cooldown_passed(int a, int b) const {
-  const auto it = last_chat_.find(pair_key(a, b));
-  if (it == last_chat_.end()) return true;
+double FleetSim::pair_cooldown(std::uint64_t key) const {
   double cooldown = cfg_.pair_cooldown_s;
   if (cfg_.faults.chat_backoff) {
-    const auto bo = pair_backoff_.find(pair_key(a, b));
+    const auto bo = pair_backoff_.find(key);
     if (bo != pair_backoff_.end() && bo->second > 0) {
       const int exp = std::min(bo->second, cfg_.faults.backoff_max_exp);
       cooldown *= std::pow(cfg_.faults.backoff_base, exp);
     }
   }
-  return time_ - it->second >= cooldown;
+  return cooldown;
+}
+
+bool FleetSim::cooldown_passed(int a, int b) const {
+  const auto it = last_chat_.find(pair_key(a, b));
+  return it == last_chat_.end() || time_ - it->second >= pair_cooldown(it->first);
 }
 
 void FleetSim::note_pair_failure(int a, int b) {
   if (!cfg_.faults.chat_backoff) return;
-  ++backoff_inserts_;
   const int consecutive = ++pair_backoff_[pair_key(a, b)];
   ++stats_.backoff_retries;
   emit(obs::EventKind::kBackoffExtend, a, b, consecutive);
@@ -271,7 +273,6 @@ PairSession& FleetSim::start_session(int a, int b) {
   busy_[static_cast<std::size_t>(a)] = s.get();
   busy_[static_cast<std::size_t>(b)] = s.get();
   last_chat_[pair_key(a, b)] = time_;
-  ++chat_inserts_;
   ++stats_.sessions_started;
   // Session-ordinal RNG stream: reproducible from (seed, start count), and
   // private to this session so transfer ticks can run on concurrent lanes.
@@ -377,18 +378,9 @@ void FleetSim::tick_sessions(double dt) {
     if (s.closed_ && s.queue_.empty()) continue;
     const Plan& plan = plans[i];
     if (plan.abort) {
-      ++stats_.sessions_aborted;
       // A deadline/timeout abort while a burst blacks the link out is
       // attributed to the blackout: the transfer could not make progress.
-      const bool blackout = plan.extra >= 1.0 && !s.queue_.empty();
-      if (blackout) ++stats_.sessions_lost_to_blackout;
-      ++vehicle_stats(s.a_).chats_aborted;
-      ++vehicle_stats(s.b_).chats_aborted;
-      emit(obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
-      s.queue_.clear();
-      s.closed_ = true;
-      s.aborted_ = true;
-      strategy_->on_session_aborted(*this, s);
+      abort_session(s, plan.extra >= 1.0 && !s.queue_.empty());
       continue;
     }
     // Drain any zero-byte stages, then advance the head transfer once.
@@ -446,7 +438,6 @@ void FleetSim::reap_sessions() {
       if (busy_[static_cast<std::size_t>(s.b_)] == &s) {
         busy_[static_cast<std::size_t>(s.b_)] = nullptr;
         last_chat_[pair_key(s.a_, s.b_)] = time_;
-        ++chat_inserts_;
       }
       if (!s.aborted_) {
         const double duration = time_ - s.started_at_;
@@ -468,17 +459,16 @@ void FleetSim::reap_sessions() {
   }
 }
 
-void FleetSim::abort_sessions_of(int v) {
-  PairSession* s = busy_[static_cast<std::size_t>(v)];
-  if (s == nullptr || (s->closed_ && s->queue_.empty())) return;
+void FleetSim::abort_session(PairSession& s, bool blackout) {
   ++stats_.sessions_aborted;
-  ++vehicle_stats(s->a_).chats_aborted;
-  ++vehicle_stats(s->b_).chats_aborted;
-  emit(obs::EventKind::kChatAbort, s->a_, s->b_, 0.0);
-  s->queue_.clear();
-  s->closed_ = true;
-  s->aborted_ = true;
-  strategy_->on_session_aborted(*this, *s);
+  if (blackout) ++stats_.sessions_lost_to_blackout;
+  ++vehicle_stats(s.a_).chats_aborted;
+  ++vehicle_stats(s.b_).chats_aborted;
+  emit(obs::EventKind::kChatAbort, s.a_, s.b_, blackout ? 1.0 : 0.0);
+  s.queue_.clear();
+  s.closed_ = true;
+  s.aborted_ = true;
+  strategy_->on_session_aborted(*this, s);
 }
 
 double FleetSim::default_local_train(int v) {
@@ -564,21 +554,12 @@ obs::Snapshot FleetSim::metrics_snapshot() const {
          {chat_duration_buckets_.begin(), chat_duration_buckets_.end()}});
   }
   if (gauges_published_) {
-    const auto gauge = [&snap](const char* name, double value) {
-      snap.metrics.push_back({name, obs::MetricKind::kGauge, 0, value, {}, {}});
+    const auto gauge = [&snap](std::string name, double value) {
+      snap.metrics.push_back({std::move(name), obs::MetricKind::kGauge, 0, value, {}, {}});
     };
-    gauge("transfer.bytes_delivered", static_cast<double>(stats_.bytes_delivered));
-    gauge("transfer.model_sends_started", stats_.model_sends_started);
-    gauge("transfer.model_sends_completed", stats_.model_sends_completed);
-    gauge("transfer.coreset_sends_started", stats_.coreset_sends_started);
-    gauge("transfer.coreset_sends_completed", stats_.coreset_sends_completed);
-    gauge("transfer.sessions_started", stats_.sessions_started);
-    gauge("transfer.sessions_aborted", stats_.sessions_aborted);
-    gauge("transfer.frames_rejected", stats_.frames_rejected);
-    gauge("transfer.model_frames_rejected", stats_.model_frames_rejected);
-    gauge("transfer.sessions_lost_to_blackout", stats_.sessions_lost_to_blackout);
-    gauge("transfer.backoff_retries", stats_.backoff_retries);
-    gauge("transfer.offline_vehicle_seconds", stats_.offline_vehicle_seconds);
+    named_counters(stats_, [&gauge](std::string_view name, const auto& value) {
+      gauge("transfer." + std::string{name}, static_cast<double>(value));
+    });
     gauge("transfer.model_receiving_rate", stats_.model_receiving_rate());
     gauge("transfer.effective_model_receiving_rate", stats_.effective_model_receiving_rate());
     // Gated on configuration (not just nonzero values) so runs without an
@@ -620,7 +601,10 @@ void FleetSim::run_until(double t_end) {
     // Churn: a vehicle dropping out mid-session aborts it (the peer sees
     // on_session_aborted, as if the link died); its own training and
     // chatting pause until it rejoins, state intact.
-    for (const int v : faults_.went_offline()) abort_sessions_of(v);
+    for (const int v : faults_.went_offline()) {
+      PairSession* s = busy_[static_cast<std::size_t>(v)];
+      if (s != nullptr && !(s->closed_ && s->queue_.empty())) abort_session(*s, false);
+    }
     if (faults_.offline_count() > 0) {
       stats_.offline_vehicle_seconds += cfg_.tick_s * faults_.offline_count();
       for (int v = 0; v < num_vehicles(); ++v) {
@@ -651,19 +635,14 @@ void FleetSim::run_until(double t_end) {
         return hetero_.active() ? train_gate_[static_cast<std::size_t>(v)] == 0
                                 : faults_.offline(v);
       };
-      if (strategy_->parallel_local_train()) {
-        for_each_vehicle([this, &gated](std::int64_t v) {
-          if (gated(static_cast<int>(v))) return;
-          LBCHAT_OBS_SPAN("engine.local_train_lane");
-          strategy_->local_train(*this, static_cast<int>(v));
-        });
-      } else {
-        for (int v = 0; v < num_vehicles(); ++v) {
-          if (gated(v)) continue;
-          LBCHAT_OBS_SPAN("engine.local_train_lane");
-          strategy_->local_train(*this, v);
-        }
-      }
+      const auto train = [this, &gated](std::int64_t v) {
+        if (gated(static_cast<int>(v))) return;
+        LBCHAT_OBS_SPAN("engine.local_train_lane");
+        strategy_->local_train(*this, static_cast<int>(v));
+      };
+      // A null pool is the in-order sequential loop.
+      parallel_for(strategy_->parallel_local_train() ? pool_.get() : nullptr, 0,
+                   static_cast<std::int64_t>(num_vehicles()), train);
       next_train_ += cfg_.train_interval_s;
     }
     strategy_->on_tick(*this);
@@ -702,68 +681,17 @@ RunMetrics FleetSim::run() {
 }
 
 void FleetSim::prune_pair_maps() {
-  // Scan budget per slow tick: a multiple of the inserts since the last
-  // prune, floored so that at default fleet sizes it exceeds both map sizes
-  // and the sweep degenerates to the original full two-pass sweep (same
-  // entries removed — so historical runs and goldens are unaffected). At
-  // metro scale the budget bounds the per-tick work while still retiring
-  // entries 4x faster than they arrive, so map sizes plateau.
-  const std::size_t budget =
-      std::max<std::size_t>(256, 4 * (chat_inserts_ + backoff_inserts_));
-  chat_inserts_ = 0;
-  backoff_inserts_ = 0;
   // Same predicate as cooldown_passed(): once it holds, the entry is
   // indistinguishable from an absent one, so dropping it never changes
-  // behaviour — which is also why the sweep order/cursor is free to differ
-  // across restores (the cursors are deliberately not checkpointed).
-  const auto expired = [this](std::uint64_t key, double last) {
-    double cooldown = cfg_.pair_cooldown_s;
-    if (cfg_.faults.chat_backoff) {
-      const auto bo = pair_backoff_.find(key);
-      if (bo != pair_backoff_.end() && bo->second > 0) {
-        const int exp = std::min(bo->second, cfg_.faults.backoff_max_exp);
-        cooldown *= std::pow(cfg_.faults.backoff_base, exp);
-      }
-    }
-    return time_ - last >= cooldown;
-  };
-  // Bucket-cursor sweep: std::unordered_map never rehashes on erase, so
-  // bucket indices stay stable while we collect-then-erase per bucket, and
-  // the cursor survives across calls as a plain index.
-  std::vector<std::uint64_t> doomed;
-  std::size_t scanned = 0;
-  if (!last_chat_.empty()) {
-    const std::size_t nb = last_chat_.bucket_count();
-    std::size_t b = prune_chat_bucket_ % nb;
-    for (std::size_t step = 0; step < nb && scanned < budget; ++step) {
-      doomed.clear();
-      for (auto it = last_chat_.begin(b); it != last_chat_.end(b); ++it) {
-        ++scanned;
-        if (expired(it->first, it->second)) doomed.push_back(it->first);
-      }
-      for (const std::uint64_t k : doomed) last_chat_.erase(k);
-      b = (b + 1) % nb;
-    }
-    prune_chat_bucket_ = b;
-  }
+  // behaviour.
+  std::erase_if(last_chat_, [this](const auto& entry) {
+    return time_ - entry.second >= pair_cooldown(entry.first);
+  });
   // Backoff counts for pairs with no surviving cooldown entry have expired:
   // the pair has been quiet for its full (extended) cooldown, so the retry
   // budget resets instead of penalizing the next contact forever.
-  if (!pair_backoff_.empty()) {
-    const std::size_t nb = pair_backoff_.bucket_count();
-    std::size_t b = prune_backoff_bucket_ % nb;
-    scanned = 0;
-    for (std::size_t step = 0; step < nb && scanned < budget; ++step) {
-      doomed.clear();
-      for (auto it = pair_backoff_.begin(b); it != pair_backoff_.end(b); ++it) {
-        ++scanned;
-        if (last_chat_.find(it->first) == last_chat_.end()) doomed.push_back(it->first);
-      }
-      for (const std::uint64_t k : doomed) pair_backoff_.erase(k);
-      b = (b + 1) % nb;
-    }
-    prune_backoff_bucket_ = b;
-  }
+  std::erase_if(pair_backoff_,
+                [this](const auto& entry) { return !last_chat_.contains(entry.first); });
 }
 
 }  // namespace lbchat::engine

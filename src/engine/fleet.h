@@ -335,14 +335,18 @@ class FleetSim {
   void eval_and_record(RunMetrics& metrics, double t);
   void tick_sessions(double dt);
   void reap_sessions();
-  /// Abort every session a churned-out vehicle participates in.
-  void abort_sessions_of(int v);
-  /// Drop last_chat_/pair_backoff_ entries whose cooldown (with any backoff
-  /// multiplier) has fully elapsed — they can no longer affect
-  /// cooldown_passed(), so pruning never changes behaviour, only memory.
-  /// Incremental at scale: each slow tick scans a bounded budget of entries
-  /// (resuming bucket-wise from a cursor) sized to cover the whole map at
-  /// default fleet sizes and to outpace the insert rate at metro scale.
+  /// Abort a live session: the fleet and per-vehicle counters, the
+  /// kChatAbort event, then on_session_aborted. `blackout` books the abort
+  /// under sessions_lost_to_blackout as well.
+  void abort_session(PairSession& s, bool blackout);
+  /// The chat cooldown of the pair with key `key`: the configured cooldown,
+  /// extended by its backoff multiplier under chat_backoff.
+  [[nodiscard]] double pair_cooldown(std::uint64_t key) const;
+  /// Full sweep of both pair maps: drop last_chat_ entries whose cooldown
+  /// (with any backoff multiplier) has fully elapsed — they can no longer
+  /// affect cooldown_passed() — then the backoff counts of pairs left with
+  /// no cooldown entry. A function of checkpointed state only, so a resumed
+  /// run prunes exactly the entries the straight run prunes.
   void prune_pair_maps();
   /// Refresh the per-tick vehicle position cache (pair_distance/in_range
   /// read it instead of recomputing from world state per call) and rebuild
@@ -373,14 +377,6 @@ class FleetSim {
   std::unordered_map<std::uint64_t, double> last_chat_;  // pair key -> time
   /// pair key -> consecutive reported failures (chat_backoff bookkeeping).
   std::unordered_map<std::uint64_t, int> pair_backoff_;
-  // Incremental-prune state: bucket cursors + inserts since the last prune
-  // (the scan budget is a multiple of the insert rate). Memory-only — never
-  // serialized; a restored run re-prunes from scratch, which can only delay
-  // reclamation, never change behaviour (DESIGN.md §11).
-  std::size_t prune_chat_bucket_ = 0;
-  std::size_t prune_backoff_bucket_ = 0;
-  std::size_t chat_inserts_ = 0;
-  std::size_t backoff_inserts_ = 0;
   /// Per-tick vehicle position cache; vpos_[v] == world_.vehicle(v).pos
   /// between world steps (positions only move inside World::step).
   std::vector<Vec2> vpos_;

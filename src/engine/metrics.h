@@ -74,22 +74,31 @@ struct TransferStats {
   }
 };
 
+/// The base TransferStats counters in wire order, each with its export
+/// name: f(name, member). fields() runs it for the checkpoint's kStats
+/// section and the bench cache; the metric snapshots export every entry as
+/// transfer.<name> and run.<name>. A counter added here reaches them all.
+template <FieldsOf<TransferStats> S, class F>
+void named_counters(S& t, F&& f) {
+  f("model_sends_started", t.model_sends_started);
+  f("model_sends_completed", t.model_sends_completed);
+  f("coreset_sends_started", t.coreset_sends_started);
+  f("coreset_sends_completed", t.coreset_sends_completed);
+  f("sessions_started", t.sessions_started);
+  f("sessions_aborted", t.sessions_aborted);
+  f("bytes_delivered", t.bytes_delivered);
+  f("frames_rejected", t.frames_rejected);
+  f("model_frames_rejected", t.model_frames_rejected);
+  f("sessions_lost_to_blackout", t.sessions_lost_to_blackout);
+  f("backoff_retries", t.backoff_retries);
+  f("offline_vehicle_seconds", t.offline_vehicle_seconds);
+}
+
 /// Field list of the base TransferStats counters (common/bytes.h): the
-/// checkpoint's kStats section and the bench cache both start with it.
+/// names are for export only, so the wire carries just the values.
 template <class Io, FieldsOf<TransferStats> S>
 void fields(Io& io, S& t) {
-  io(t.model_sends_started);
-  io(t.model_sends_completed);
-  io(t.coreset_sends_started);
-  io(t.coreset_sends_completed);
-  io(t.sessions_started);
-  io(t.sessions_aborted);
-  io(t.bytes_delivered);
-  io(t.frames_rejected);
-  io(t.model_frames_rejected);
-  io(t.sessions_lost_to_blackout);
-  io(t.backoff_retries);
-  io(t.offline_vehicle_seconds);
+  named_counters(t, [&io](const char*, auto& member) { io(member); });
 }
 
 /// The adversary/heterogeneity counters: a checkpoint writes them in its

@@ -8,6 +8,7 @@
 #include <set>
 #include <utility>
 
+#include "engine/metrics.h"
 #include "svc/json.h"
 
 namespace lbchat::obs {
@@ -215,10 +216,12 @@ std::string validate_chrome_trace(std::string_view json) {
 namespace {
 
 /// The run report's per-vehicle columns in output order: the JSON objects,
-/// the CSV header and the CSV rows all come from this one list.
+/// the CSV header and the CSV rows all come from this one list. `loss` is
+/// the vehicle's held-out loss series; both losses read 0 while it is empty.
 template <class F>
-void report_columns(const VehicleReport& v, F&& column) {
-  column("id", v.id);
+void report_columns(std::size_t id, const engine::VehicleTransferStats& v,
+                    const TimeSeries& loss, double duration_s, F&& column) {
+  column("id", static_cast<int>(id));
   column("bytes_sent", v.bytes_sent);
   column("bytes_received", v.bytes_received);
   column("chats_started", v.chats_started);
@@ -227,10 +230,16 @@ void report_columns(const VehicleReport& v, F&& column) {
   column("model_recv_started", v.model_recv_started);
   column("model_recv_completed", v.model_recv_completed);
   column("frames_rejected", v.frames_rejected);
-  column("online_seconds", v.online_seconds);
-  column("effective_model_receiving_rate", v.effective_model_receiving_rate);
-  column("first_loss", v.first_loss);
-  column("final_loss", v.final_loss);
+  column("online_seconds", duration_s - v.offline_seconds);
+  column("effective_model_receiving_rate", v.effective_model_receiving_rate());
+  column("first_loss", loss.values.empty() ? 0.0 : loss.values.front());
+  column("final_loss", loss.values.empty() ? 0.0 : loss.values.back());
+}
+
+/// Vehicle `id`'s held-out loss series (empty when the run evaluated none).
+const TimeSeries& vehicle_loss(const engine::RunMetrics& m, std::size_t id) {
+  static const TimeSeries kNone;
+  return id < m.per_vehicle_loss.size() ? m.per_vehicle_loss[id] : kNone;
 }
 
 std::string report_cell(double v) { return format_double(v); }
@@ -238,20 +247,22 @@ std::string report_cell(std::integral auto v) { return std::to_string(v); }
 
 }  // namespace
 
-std::string run_report_json(const RunReport& report) {
+std::string run_report_json(std::string_view approach, std::uint64_t seed, double duration_s,
+                            const engine::RunMetrics& m) {
   std::string out = "{\"approach\":\"";
-  out += svc::json_escape(report.approach);
+  out += svc::json_escape(approach);
   out += "\",\"seed\":";
-  out += std::to_string(report.seed);
+  out += std::to_string(seed);
   out += ",\"duration_s\":";
-  out += format_double(report.duration_s);
+  out += format_double(duration_s);
   out += ",\"final_mean_loss\":";
-  out += format_double(report.final_mean_loss);
+  out += format_double(m.loss_curve.values.empty() ? 0.0 : m.loss_curve.values.back());
   out += ",\"vehicles\":[";
-  for (std::size_t i = 0; i < report.vehicles.size(); ++i) {
+  for (std::size_t i = 0; i < m.per_vehicle.size(); ++i) {
     out += i == 0 ? "\n  " : ",\n  ";
     char sep = '{';
-    report_columns(report.vehicles[i], [&](std::string_view name, auto value) {
+    report_columns(i, m.per_vehicle[i], vehicle_loss(m, i), duration_s,
+                   [&](std::string_view name, auto value) {
       out.push_back(std::exchange(sep, ','));
       out += '"';
       out += name;
@@ -264,15 +275,16 @@ std::string run_report_json(const RunReport& report) {
   return out;
 }
 
-std::string run_report_csv(const RunReport& report) {
+std::string run_report_csv(double duration_s, const engine::RunMetrics& m) {
   std::string out;
-  report_columns(VehicleReport{}, [&out](std::string_view name, auto) {
+  report_columns(0, {}, {}, 0.0, [&out](std::string_view name, auto) {
     out += name;
     out.push_back(',');
   });
   out.back() = '\n';
-  for (const VehicleReport& v : report.vehicles) {
-    report_columns(v, [&out](std::string_view, auto value) {
+  for (std::size_t i = 0; i < m.per_vehicle.size(); ++i) {
+    report_columns(i, m.per_vehicle[i], vehicle_loss(m, i), duration_s,
+                   [&out](std::string_view, auto value) {
       out += report_cell(value);
       out.push_back(',');
     });

@@ -25,6 +25,10 @@
 
 #include "obs/trace.h"
 
+namespace lbchat::engine {
+struct RunMetrics;
+}
+
 namespace lbchat::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -65,35 +69,13 @@ struct Snapshot {
 /// Returns "" when valid, else a one-line description of the first problem.
 [[nodiscard]] std::string validate_chrome_trace(std::string_view json);
 
-/// Per-vehicle accounting row for the run report.
-struct VehicleReport {
-  int id = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t chats_started = 0;
-  std::uint64_t chats_completed = 0;
-  std::uint64_t chats_aborted = 0;
-  std::uint64_t model_recv_started = 0;
-  std::uint64_t model_recv_completed = 0;
-  std::uint64_t frames_rejected = 0;
-  double online_seconds = 0.0;
-  /// Fraction of model receptions that started and were verified complete.
-  double effective_model_receiving_rate = 0.0;
-  double first_loss = 0.0;
-  double final_loss = 0.0;
-};
-
-struct RunReport {
-  std::string approach;
-  std::uint64_t seed = 0;
-  double duration_s = 0.0;
-  double final_mean_loss = 0.0;
-  std::vector<VehicleReport> vehicles;
-};
-
-[[nodiscard]] std::string run_report_json(const RunReport& report);
+/// The run report: a header (approach, seed, duration, final mean loss)
+/// and one row per vehicle, read straight from the run's per-vehicle
+/// accounting (engine::VehicleTransferStats) and per-vehicle loss series.
+[[nodiscard]] std::string run_report_json(std::string_view approach, std::uint64_t seed,
+                                          double duration_s, const engine::RunMetrics& m);
 /// Header row + one row per vehicle.
-[[nodiscard]] std::string run_report_csv(const RunReport& report);
+[[nodiscard]] std::string run_report_csv(double duration_s, const engine::RunMetrics& m);
 
 /// Shortest-round-trip, locale-independent double formatting shared by every
 /// exporter (std::to_chars), so deterministic values export deterministically.

@@ -62,10 +62,19 @@ struct Apply {
     if (!number(out)) return false;
     return out > 0.0 || fail("\"" + key + "\" must be > 0");
   }
-  /// A share of the fleet, in [0, 1].
+  /// A share or a probability, in [0, 1].
   bool fraction(double& out) const {
     if (!number(out)) return false;
     return (out >= 0.0 && out <= 1.0) || fail("\"" + key + "\" must be in [0, 1]");
+  }
+  /// A number, or an integer, no smaller than `lo`.
+  bool at_least(double& out, int lo) const {
+    if (!number(out)) return false;
+    return out >= lo || fail("\"" + key + "\" must be >= " + std::to_string(lo));
+  }
+  bool at_least(int& out, int lo) const {
+    if (!integer(out)) return false;
+    return out >= lo || fail("\"" + key + "\" must be >= " + std::to_string(lo));
   }
   /// A count read as `x` (already type-checked): a whole number in
   /// [1, 2^53], never truncated.
@@ -115,14 +124,14 @@ constexpr KeyEntry kKeys[] = {
     {"vehicles", [](const Apply& a) { return a.integer(a.spec.cfg.num_vehicles); },
      {"N", "fleet size on a fixed map"}},
     // Metro scaling applies in JobSpecBuilder::finish, after every key.
-    {"num_vehicles", [](const Apply& a) { return a.integer(a.metro_vehicles); },
+    {"num_vehicles", [](const Apply& a) { return a.at_least(a.metro_vehicles, 2); },
      {"N", "metro scaling: N vehicles, town tiled to keep their density"}},
     {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); },
      {"S", "simulated seconds of collaborative training"}},
     {"collect_duration",
      [](const Apply& a) { return a.positive(a.spec.cfg.collect_duration_s); },
      {"S", "length of the data-collection phase"}},
-    {"collect_fps", [](const Apply& a) { return a.number(a.spec.cfg.collect_fps); }},
+    {"collect_fps", [](const Apply& a) { return a.positive(a.spec.cfg.collect_fps); }},
     {"coreset",
      [](const Apply& a) {
        int n = 0;
@@ -143,18 +152,15 @@ constexpr KeyEntry kKeys[] = {
     {"threads", [](const Apply& a) { return a.integer(a.spec.cfg.num_threads); },
      {"N", "worker lanes, 0 = all cores (bit-identical for any N)"}},
     {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
-    {"eval_interval", [](const Apply& a) { return a.number(a.spec.cfg.eval_interval_s); }},
-    {"train_interval", [](const Apply& a) { return a.number(a.spec.cfg.train_interval_s); }},
-    {"batch_size",
-     [](const Apply& a) {
-       // 0 would train nothing, and a negative size wraps to a huge size_t.
-       if (!a.integer(a.spec.cfg.batch_size)) return false;
-       return a.spec.cfg.batch_size >= 1 || a.fail("\"batch_size\" must be >= 1");
-     }},
-    {"learning_rate", [](const Apply& a) { return a.number(a.spec.cfg.learning_rate); }},
-    {"time_budget", [](const Apply& a) { return a.number(a.spec.cfg.time_budget_s); }},
-    {"pair_cooldown", [](const Apply& a) { return a.number(a.spec.cfg.pair_cooldown_s); }},
-    {"session_timeout", [](const Apply& a) { return a.number(a.spec.cfg.session_timeout_s); }},
+    {"eval_interval", [](const Apply& a) { return a.positive(a.spec.cfg.eval_interval_s); }},
+    {"train_interval", [](const Apply& a) { return a.positive(a.spec.cfg.train_interval_s); }},
+    // 0 would train nothing, and a negative size wraps to a huge size_t.
+    {"batch_size", [](const Apply& a) { return a.at_least(a.spec.cfg.batch_size, 1); }},
+    {"learning_rate", [](const Apply& a) { return a.positive(a.spec.cfg.learning_rate); }},
+    {"time_budget", [](const Apply& a) { return a.positive(a.spec.cfg.time_budget_s); }},
+    {"pair_cooldown", [](const Apply& a) { return a.at_least(a.spec.cfg.pair_cooldown_s, 0); }},
+    {"session_timeout",
+     [](const Apply& a) { return a.positive(a.spec.cfg.session_timeout_s); }},
     {"byzantine_frac",
      [](const Apply& a) { return a.fraction(a.spec.cfg.adversary.byzantine_frac); },
      {"F", "F*N Byzantine vehicles: poisoned payloads in CRC-valid frames"}},
@@ -172,10 +178,12 @@ constexpr KeyEntry kKeys[] = {
      },
      {"F", "F*N compute stragglers and F*N slow radios, plus dataset skew"}},
     {"background_cars",
-     [](const Apply& a) { return a.integer(a.spec.cfg.world.num_background_cars); }},
-    {"pedestrians", [](const Apply& a) { return a.integer(a.spec.cfg.world.num_pedestrians); }},
-    {"eval_frames", [](const Apply& a) { return a.integer(a.spec.cfg.eval_frames_per_vehicle); }},
-    {"radio_range", [](const Apply& a) { return a.number(a.spec.cfg.radio.max_range_m); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.world.num_background_cars, 0); }},
+    {"pedestrians",
+     [](const Apply& a) { return a.at_least(a.spec.cfg.world.num_pedestrians, 0); }},
+    {"eval_frames",
+     [](const Apply& a) { return a.at_least(a.spec.cfg.eval_frames_per_vehicle, 0); }},
+    {"radio_range", [](const Apply& a) { return a.positive(a.spec.cfg.radio.max_range_m); }},
     {"model_bytes",
      [](const Apply& a) {
        double x = 0.0;
@@ -197,27 +205,27 @@ constexpr KeyEntry kKeys[] = {
        return true;
      }},
     {"faults.burst_rate_per_min",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_rate_per_min); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_rate_per_min, 0); }},
     {"faults.burst_duration_s",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_duration_s); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_duration_s, 0); }},
     {"faults.burst_radius_m",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_radius_m); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_radius_m, 0); }},
     {"faults.burst_extra_loss",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.burst_extra_loss); }},
+     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.burst_extra_loss); }},
     {"faults.churn_rate_per_min",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.churn_rate_per_min); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.churn_rate_per_min, 0); }},
     {"faults.churn_offline_mean_s",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.churn_offline_mean_s); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.churn_offline_mean_s, 0); }},
     {"faults.corrupt_prob_near",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.corrupt_prob_near); }},
+     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.corrupt_prob_near); }},
     {"faults.corrupt_prob_far",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.corrupt_prob_far); }},
+     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.corrupt_prob_far); }},
     {"faults.chat_backoff",
      [](const Apply& a) { return a.boolean(a.spec.cfg.faults.chat_backoff); }},
     {"faults.backoff_base",
-     [](const Apply& a) { return a.number(a.spec.cfg.faults.backoff_base); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.backoff_base, 1); }},
     {"faults.backoff_max_exp",
-     [](const Apply& a) { return a.integer(a.spec.cfg.faults.backoff_max_exp); }},
+     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.backoff_max_exp, 0); }},
 };
 
 const KeyEntry* find_key(std::string_view key) {

@@ -21,7 +21,10 @@ ProtocolReply error_reply(const std::string& what) {
 
 bool get_id(const JsonValue& root, std::uint64_t& id, ProtocolReply& err) {
   const JsonValue* v = root.get("id");
+  // Above 2^53 a JSON number names no single integer (and 1e300 would be an
+  // undefined cast to std::uint64_t).
   if (v == nullptr || !v->is_number() || v->as_number() < 1.0 ||
+      v->as_number() > 9007199254740992.0 /* 2^53 */ ||
       v->as_number() != std::floor(v->as_number())) {
     err = error_reply("\"id\" must be a positive integer");
     return false;

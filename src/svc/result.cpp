@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
 #include "common/file_io.h"
-#include "engine/report.h"
 #include "obs/export.h"
 #include "svc/json.h"
 
@@ -29,31 +29,22 @@ void add_gauge(obs::Snapshot& snap, std::string name, double value) {
 }
 
 /// The run-summary snapshot: headline RunMetrics totals under a "run."
-/// prefix, rendered through the same exporter as live registry snapshots.
+/// prefix, rendered through the same exporter as FleetSim::metrics_snapshot.
+/// Every named_counters entry is a counter, or a gauge when real-valued.
 obs::Snapshot summary_snapshot(const engine::RunMetrics& m) {
   obs::Snapshot snap;
   const engine::TransferStats& t = m.transfers;
-  add_counter(snap, "run.backoff_retries", static_cast<std::uint64_t>(t.backoff_retries));
-  add_counter(snap, "run.bytes_delivered", t.bytes_delivered);
+  engine::named_counters(t, [&snap](std::string_view name, const auto& value) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(value)>>) {
+      add_counter(snap, "run." + std::string{name}, static_cast<std::uint64_t>(value));
+    } else {
+      add_gauge(snap, "run." + std::string{name}, value);
+    }
+  });
   add_counter(snap, "run.byzantine_payloads_sent",
               static_cast<std::uint64_t>(t.byzantine_payloads_sent));
-  add_counter(snap, "run.coreset_sends_completed",
-              static_cast<std::uint64_t>(t.coreset_sends_completed));
-  add_counter(snap, "run.coreset_sends_started",
-              static_cast<std::uint64_t>(t.coreset_sends_started));
-  add_counter(snap, "run.frames_rejected", static_cast<std::uint64_t>(t.frames_rejected));
   add_counter(snap, "run.frames_rejected_invalid",
               static_cast<std::uint64_t>(t.frames_rejected_invalid));
-  add_counter(snap, "run.model_frames_rejected",
-              static_cast<std::uint64_t>(t.model_frames_rejected));
-  add_counter(snap, "run.model_sends_completed",
-              static_cast<std::uint64_t>(t.model_sends_completed));
-  add_counter(snap, "run.model_sends_started",
-              static_cast<std::uint64_t>(t.model_sends_started));
-  add_counter(snap, "run.sessions_aborted", static_cast<std::uint64_t>(t.sessions_aborted));
-  add_counter(snap, "run.sessions_lost_to_blackout",
-              static_cast<std::uint64_t>(t.sessions_lost_to_blackout));
-  add_counter(snap, "run.sessions_started", static_cast<std::uint64_t>(t.sessions_started));
   add_counter(snap, "run.straggler_train_skips",
               static_cast<std::uint64_t>(t.straggler_train_skips));
   add_counter(snap, "run.train_steps", static_cast<std::uint64_t>(m.train_steps));
@@ -62,7 +53,6 @@ obs::Snapshot summary_snapshot(const engine::RunMetrics& m) {
   add_gauge(snap, "run.final_mean_loss",
             m.loss_curve.values.empty() ? 0.0 : m.loss_curve.values.back());
   add_gauge(snap, "run.model_receiving_rate", t.model_receiving_rate());
-  add_gauge(snap, "run.offline_vehicle_seconds", t.offline_vehicle_seconds);
   std::sort(snap.metrics.begin(), snap.metrics.end(),
             [](const obs::MetricValue& a, const obs::MetricValue& b) { return a.name < b.name; });
   return snap;
@@ -89,7 +79,7 @@ JobPayload build_payload(const JobSpec& spec, const engine::RunMetrics& metrics,
   JobPayload p;
   p.metrics_json = obs::metrics_json(summary_snapshot(metrics));
   p.report_json =
-      obs::run_report_json(engine::build_run_report(spec.approach_name, spec.cfg, metrics));
+      obs::run_report_json(spec.approach_name, spec.cfg.seed, spec.cfg.duration_s, metrics);
   p.events_jsonl = std::move(events_jsonl);
 
   char buf[128];

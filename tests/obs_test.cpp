@@ -17,9 +17,9 @@
 
 #include "baselines/registry.h"
 #include "engine/fleet.h"
-#include "engine/report.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "svc/json.h"
 
 namespace lbchat {
 namespace {
@@ -149,21 +149,26 @@ TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   EXPECT_NE(obs::validate_chrome_trace("[1,2,3]"), "");
   EXPECT_NE(obs::validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"i\"}]}"), "");
 
-  const obs::RunReport report = engine::build_run_report("LbChat", cfg, m);
-  ASSERT_EQ(report.vehicles.size(), static_cast<std::size_t>(cfg.num_vehicles));
-  EXPECT_EQ(report.approach, "LbChat");
+  std::string error;
+  const auto report =
+      svc::json_parse(obs::run_report_json("LbChat", cfg.seed, cfg.duration_s, m), error);
+  ASSERT_NE(report, nullptr) << error;
+  const svc::JsonValue* vehicles = report->get("vehicles");
+  ASSERT_NE(vehicles, nullptr);
+  ASSERT_EQ(vehicles->items().size(), static_cast<std::size_t>(cfg.num_vehicles));
+  EXPECT_EQ(report->get("approach")->as_string(), "LbChat");
   double bytes = 0.0;
-  for (const obs::VehicleReport& v : report.vehicles) {
-    EXPECT_LE(v.online_seconds, cfg.duration_s + 1e-9);
-    bytes += static_cast<double>(v.bytes_received);
+  for (const auto& v : vehicles->items()) {
+    EXPECT_LE(v->get("online_seconds")->as_number(), cfg.duration_s + 1e-9);
+    bytes += v->get("bytes_received")->as_number();
   }
   EXPECT_GT(bytes, 0.0);  // per-vehicle accounting saw the transfers
 
   // CSV: one header plus one row per vehicle.
-  const std::string csv = obs::run_report_csv(report);
+  const std::string csv = obs::run_report_csv(cfg.duration_s, m);
   const auto lines = static_cast<std::size_t>(
       std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, report.vehicles.size() + 1);
+  EXPECT_EQ(lines, vehicles->items().size() + 1);
 }
 
 TEST(ChromeTraceValidatorTest, DeepNestingAndDuplicateKeysAreErrors) {

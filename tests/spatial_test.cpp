@@ -2,8 +2,8 @@
 // grid and neighbor index (exactness against the brute-force scan, including
 // cell boundaries and degenerate geometry, and during a run), thread-count
 // bit-identity of metro-scale runs (snapshot mobility + parallel sessions +
-// faults), metro checkpoint resume, and the pair-map plateau at 1,024
-// vehicles under incremental pruning.
+// faults), metro checkpoint resume across pair-map sweeps, and the pair-map
+// plateau at 1,024 vehicles.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -288,10 +288,72 @@ TEST(MetroScaleTest, CheckpointResumeBitIdentical) {
             std::vector<std::uint8_t>(resumed_end.bytes().begin(), resumed_end.bytes().end()));
 }
 
+/// Chats every idle vehicle with its first idle in-range peer whose
+/// cooldown has passed, and reports every chat as a failed exchange: with
+/// chat_backoff on, only the pair-map sweep ever resets a retry count.
+class FailingChatStrategy final : public Strategy {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "failing-chat"; }
+  void local_train(FleetSim& sim, int v) override {
+    (void)sim;
+    (void)v;
+  }
+  void on_tick(FleetSim& sim) override {
+    for (int a = 0; a < sim.num_vehicles(); ++a) {
+      if (!sim.is_idle(a)) continue;
+      for (const int b : sim.neighbors_in_range(a)) {
+        if (!sim.is_idle(b) || !sim.cooldown_passed(a, b)) continue;
+        sim.start_session(a, b);  // no stages: idle on the next session tick
+        break;
+      }
+    }
+  }
+  void on_session_idle(FleetSim& sim, PairSession& s) override {
+    sim.note_pair_failure(s.vehicle_a(), s.vehicle_b());
+    s.close();
+  }
+};
+
+TEST(MetroScaleTest, BackoffPrunesResumeBitIdentical) {
+  // The pair-map sweep must be a function of checkpointed state (no scan
+  // cursor or insert count): resumed 2 s before a sweep, across five sweeps
+  // of maps holding more than 256 entries while the sweep resets retry
+  // counts, the run lands on the straight run's bytes.
+  ScenarioConfig cfg = metro_config(55, 32, /*faults=*/true);
+  cfg.duration_s = 300.0;
+  cfg.pair_cooldown_s = 5.0;
+  cfg.radio.max_range_m = 1e9;  // every pair can chat
+
+  FleetSim full{cfg, std::make_unique<FailingChatStrategy>()};
+  full.prepare();
+  full.run_until(58.0);
+  ByteWriter mid;
+  full.save_checkpoint(mid);
+  int large_prunes = 0;
+  for (double prune_at = 60.0; prune_at <= cfg.duration_s; prune_at += 60.0) {
+    full.run_until(prune_at - 1.0);  // just before the sweep at prune_at
+    const auto [last_chat, backoff] = full.pair_map_sizes();
+    if (std::max(last_chat, backoff) > 256) ++large_prunes;
+  }
+  full.run_until(cfg.duration_s);
+  EXPECT_GE(large_prunes, 3);
+
+  FleetSim resumed{cfg, std::make_unique<FailingChatStrategy>()};
+  ByteReader r{mid.bytes()};
+  ASSERT_EQ(resumed.restore(r), engine::CkptStatus::kOk);
+  resumed.run_until(cfg.duration_s);
+
+  ByteWriter full_end;
+  full.save_checkpoint(full_end);
+  ByteWriter resumed_end;
+  resumed.save_checkpoint(resumed_end);
+  ASSERT_EQ(std::vector<std::uint8_t>(full_end.bytes().begin(), full_end.bytes().end()),
+            std::vector<std::uint8_t>(resumed_end.bytes().begin(), resumed_end.bytes().end()));
+}
+
 TEST(MetroScaleTest, PairMapsPlateauAtKiloFleet) {
-  // The incremental prune must keep the pair maps bounded by the
-  // recently-active working set even when 1,024 vehicles chat continuously —
-  // bounded per-tick scan work, yet reclamation outpaces inserts.
+  // The sweep must keep the pair maps bounded by the recently-active
+  // working set even when 1,024 vehicles chat continuously.
   ScenarioConfig cfg = metro_config(44, 1024, /*faults=*/false);
   cfg.duration_s = 600.0;
   cfg.pair_cooldown_s = 10.0;

@@ -21,11 +21,15 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "common/file_io.h"
+#include "engine/fleet.h"
+#include "obs/export.h"
 #include "svc/job.h"
 #include "svc/json.h"
 #include "svc/protocol.h"
 #include "svc/queue.h"
+#include "svc/result.h"
 #include "svc/result_cache.h"
 #include "svc/server.h"
 #include "svc/socket.h"
@@ -242,18 +246,39 @@ TEST(JobSpecTest, NumbersMustBeFiniteAndCountsWhole) {
 }
 
 TEST(JobSpecTest, HorizonsFractionsAndBatchSizeAreRangeChecked) {
-  // A zero collection phase, a fleet share outside [0, 1] and a batch below
-  // one are spec errors, not an abort at run time or a run that silently
-  // trains nothing.
+  // Every number key carries its range: an interval, rate or horizon that
+  // must be positive, a count or radius that must not be negative, a share
+  // or probability in [0, 1], a batch or backoff base of at least 1 and a
+  // metro fleet of at least 2. Out of range is a spec error, not an abort
+  // at run time or a silently different run.
   const auto parse = [](const std::string& extra, JobSpec& spec, std::string& err) {
     return parse_job_spec(R"({"vehicles":4,"duration":40,)" + extra + "}", spec, err);
   };
+  const auto faults = [](const std::string& key, const std::string& value) {
+    return R"("faults":{")" + key + "\":" + value + "}";
+  };
   JobSpec spec;
   std::string err;
-  for (const char* bad : {"0", "-5"}) {
+  for (const char* key : {"collect_duration", "collect_fps", "eval_interval", "train_interval",
+                          "learning_rate", "time_budget", "session_timeout", "radio_range"}) {
+    for (const char* bad : {"0", "-5"}) {
+      err.clear();
+      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be > 0") << key << bad;
+    }
+  }
+  for (const char* key : {"pair_cooldown", "background_cars", "pedestrians", "eval_frames"}) {
     err.clear();
-    EXPECT_FALSE(parse(R"("collect_duration":)" + std::string{bad}, spec, err)) << bad;
-    EXPECT_EQ(err, "\"collect_duration\" must be > 0") << bad;
+    EXPECT_FALSE(parse("\"" + std::string{key} + "\":-1", spec, err)) << key;
+    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be >= 0") << key;
+    EXPECT_TRUE(parse("\"" + std::string{key} + "\":0", spec, err)) << key << err;
+  }
+  for (const char* key : {"burst_rate_per_min", "burst_duration_s", "burst_radius_m",
+                          "churn_rate_per_min", "churn_offline_mean_s", "backoff_max_exp"}) {
+    err.clear();
+    EXPECT_FALSE(parse(faults(key, "-1"), spec, err)) << key;
+    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be >= 0") << key;
+    EXPECT_TRUE(parse(faults(key, "0"), spec, err)) << key << err;
   }
   for (const char* key : {"byzantine_frac", "straggler_frac"}) {
     for (const char* bad : {"1.5", "-0.1", "1.0000001"}) {
@@ -265,11 +290,32 @@ TEST(JobSpecTest, HorizonsFractionsAndBatchSizeAreRangeChecked) {
       EXPECT_TRUE(parse("\"" + std::string{key} + "\":" + good, spec, err)) << key << err;
     }
   }
+  for (const char* key : {"burst_extra_loss", "corrupt_prob_near", "corrupt_prob_far"}) {
+    for (const char* bad : {"-3", "5", "1.0000001"}) {
+      err.clear();
+      EXPECT_FALSE(parse(faults(key, bad), spec, err)) << key << bad;
+      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be in [0, 1]") << key << bad;
+    }
+    EXPECT_TRUE(parse(faults(key, "1"), spec, err)) << key << err;
+  }
   for (const char* bad : {"0", "-1", "-2147483648"}) {
     err.clear();
     EXPECT_FALSE(parse(R"("batch_size":)" + std::string{bad}, spec, err)) << bad;
     EXPECT_EQ(err, "\"batch_size\" must be >= 1") << bad;
   }
+  for (const char* bad : {"0.5", "0", "-2"}) {
+    err.clear();
+    EXPECT_FALSE(parse(faults("backoff_base", bad), spec, err)) << bad;
+    EXPECT_EQ(err, "\"backoff_base\" must be >= 1") << bad;
+  }
+  EXPECT_TRUE(parse(faults("backoff_base", "1"), spec, err)) << err;
+  for (const char* bad : {"1", "0", "-5"}) {
+    err.clear();
+    EXPECT_FALSE(parse(R"("num_vehicles":)" + std::string{bad}, spec, err)) << bad;
+    EXPECT_EQ(err, "\"num_vehicles\" must be >= 2") << bad;
+  }
+  ASSERT_TRUE(parse(R"("num_vehicles":2)", spec, err)) << err;
+  EXPECT_EQ(spec.cfg.num_vehicles, 2);
   ASSERT_TRUE(parse(R"("collect_duration":0.5,"batch_size":1)", spec, err)) << err;
   EXPECT_DOUBLE_EQ(spec.cfg.collect_duration_s, 0.5);
   EXPECT_EQ(spec.cfg.batch_size, 1);
@@ -908,6 +954,87 @@ TEST(FleetServiceTest, DrainPersistsQueuedJobsAndRefusesNewOnes) {
   std::filesystem::remove_all(root);
 }
 
+// --- Export names ----------------------------------------------------------
+
+/// "name:kind" for every metric of a metrics_json document, in order.
+std::vector<std::string> metric_names(const std::string& json) {
+  std::string err;
+  const auto root = json_parse(json, err);
+  EXPECT_NE(root, nullptr) << err;
+  std::vector<std::string> out;
+  if (root == nullptr) return out;
+  for (const auto& m : root->get("metrics")->items()) {
+    out.push_back(m->get("name")->as_string() + ":" + m->get("kind")->as_string());
+  }
+  return out;
+}
+
+TEST(ExportNamesTest, SnapshotNamesKindsAndReportColumnsArePinned) {
+  // Every exported metric name and kind, and the report's columns, with
+  // events, an adversary and heterogeneity on: a rename or a dropped
+  // counter in any of the three outputs fails here.
+  JobSpec spec;
+  std::string err;
+  ASSERT_TRUE(parse_job_spec(tiny_spec(), spec, err)) << err;
+  engine::FleetSim sim{spec.cfg, baselines::registry().make(spec.approach_name, spec.options)};
+  sim.enable_events();
+  const engine::RunMetrics m = sim.run();
+
+  const std::vector<std::string> transfer = {
+      "adversary.attacker_weight_share:gauge",
+      "adversary.byzantine_payloads_sent:gauge",
+      "adversary.frames_rejected_invalid:gauge",
+      "chat.duration_s:histogram",
+      "hetero.straggler_train_skips:gauge",
+      "train.steps:counter",
+      "transfer.backoff_retries:gauge",
+      "transfer.bytes_delivered:gauge",
+      "transfer.coreset_sends_completed:gauge",
+      "transfer.coreset_sends_started:gauge",
+      "transfer.effective_model_receiving_rate:gauge",
+      "transfer.frames_rejected:gauge",
+      "transfer.model_frames_rejected:gauge",
+      "transfer.model_receiving_rate:gauge",
+      "transfer.model_sends_completed:gauge",
+      "transfer.model_sends_started:gauge",
+      "transfer.offline_vehicle_seconds:gauge",
+      "transfer.sessions_aborted:gauge",
+      "transfer.sessions_lost_to_blackout:gauge",
+      "transfer.sessions_started:gauge",
+  };
+  EXPECT_EQ(metric_names(obs::metrics_json(sim.metrics_snapshot())), transfer);
+
+  const std::vector<std::string> run = {
+      "run.attacker_weight_share:gauge",
+      "run.backoff_retries:counter",
+      "run.bytes_delivered:counter",
+      "run.byzantine_payloads_sent:counter",
+      "run.coreset_sends_completed:counter",
+      "run.coreset_sends_started:counter",
+      "run.effective_model_receiving_rate:gauge",
+      "run.final_mean_loss:gauge",
+      "run.frames_rejected:counter",
+      "run.frames_rejected_invalid:counter",
+      "run.model_frames_rejected:counter",
+      "run.model_receiving_rate:gauge",
+      "run.model_sends_completed:counter",
+      "run.model_sends_started:counter",
+      "run.offline_vehicle_seconds:gauge",
+      "run.sessions_aborted:counter",
+      "run.sessions_lost_to_blackout:counter",
+      "run.sessions_started:counter",
+      "run.straggler_train_skips:counter",
+      "run.train_steps:counter",
+  };
+  EXPECT_EQ(metric_names(build_payload(spec, m, "").metrics_json), run);
+
+  const std::string csv = obs::run_report_csv(spec.cfg.duration_s, m);
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "id,bytes_sent,bytes_received,chats_started,chats_completed,chats_aborted,"
+            "model_recv_started,model_recv_completed,frames_rejected,online_seconds,"
+            "effective_model_receiving_rate,first_loss,final_loss");
+}
+
 // --- Protocol + socket -----------------------------------------------------
 
 TEST(ProtocolTest, RejectsMalformedRequests) {
@@ -921,6 +1048,17 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   EXPECT_NE(handle_request(service, R"({"cmd":"status"})").line.find("positive integer"),
             std::string::npos);
   EXPECT_NE(handle_request(service, R"({"cmd":"status","id":42})").line.find("unknown job"),
+            std::string::npos);
+  // Past 2^53 a JSON number names no single integer, and 1e300 would be an
+  // undefined cast: both are malformed IDs, not unknown jobs.
+  for (const char* id : {"1e300", "18446744073709551616", "1e16", "1e400"}) {
+    EXPECT_NE(handle_request(service, std::string{R"({"cmd":"status","id":)"} + id + "}")
+                  .line.find("positive integer"),
+              std::string::npos)
+        << id;
+  }
+  EXPECT_NE(handle_request(service, R"({"cmd":"status","id":9007199254740992})")
+                .line.find("unknown job"),
             std::string::npos);
   EXPECT_NE(handle_request(service, R"({"cmd":"submit","spec":{"vehicles":1}})")
                 .line.find("\"ok\":false"),
