@@ -1,7 +1,6 @@
 #include "baselines/dfl_dds.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/bytes.h"
 
@@ -90,26 +89,20 @@ void DflDdsStrategy::aggregate(FleetSim& sim, int receiver, int sender,
   sim.note_aggregate(receiver, sender, best_alpha);
 }
 
-void DflDdsStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
-  (void)sim;
-  echo_tunables(Save{w}, opts_);
-  w.write_u32(static_cast<std::uint32_t>(compositions_.size()));
-  for (const auto& row : compositions_) w.write_f64_vec(row);
-  w.write_f64(next_round_s_);
+template <class Io, class Self, class Sim>
+void DflDdsStrategy::state(Io&& io, Self& self, Sim& sim) {
+  echo_tunables(io, self.opts_);
+  const auto n = static_cast<std::size_t>(sim.num_vehicles());
+  io.exact_count(n, "DFL-DDS::load_state: vehicle count");
+  if constexpr (Io::kLoad) self.compositions_.assign(n, std::vector<double>(n));
+  for (auto& row : self.compositions_) io(std::span{row});
+  io(self.next_round_s_);
 }
 
-void DflDdsStrategy::load_state(FleetSim& sim, ByteReader& r) {
-  echo_tunables(Load{r}, opts_);
-  const auto n = r.read_u32();
-  if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
-    throw std::runtime_error{"DFL-DDS::load_state: vehicle count mismatch"};
-  }
-  compositions_.assign(n, {});
-  for (auto& row : compositions_) {
-    row = r.read_f64_vec();
-    if (row.size() != n) throw std::runtime_error{"DFL-DDS::load_state: row length mismatch"};
-  }
-  next_round_s_ = r.read_f64();
+void DflDdsStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
+  state(Save{w}, *this, sim);
 }
+
+void DflDdsStrategy::load_state(FleetSim& sim, ByteReader& r) { state(Load{r}, *this, sim); }
 
 }  // namespace lbchat::baselines

@@ -59,6 +59,9 @@ class DflDdsStrategy final : public GossipBaseStrategy {
   [[nodiscard]] std::vector<double> composition_of(engine::FleetSim& sim, int v) override;
 
  private:
+  /// save_state's and load_state's one field list (Self and Sim const under Save).
+  template <class Io, class Self, class Sim>
+  static void state(Io&& io, Self& self, Sim& sim);
   DflDdsOptions opts_;
   std::vector<std::vector<double>> compositions_;
   double next_round_s_ = 0.0;

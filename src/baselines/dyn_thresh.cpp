@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 #include "common/bytes.h"
 
@@ -84,36 +83,26 @@ void DynThreshStrategy::aggregate(FleetSim& sim, int receiver, int sender,
   sim.note_aggregate(receiver, sender, opts_.pair_weight);
 }
 
-void DynThreshStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
-  (void)sim;
-  echo_tunables(Save{w}, opts_);
-  w.write_u32(static_cast<std::uint32_t>(refs_.size()));
-  for (const auto& ref : refs_) w.write_f32_vec(ref);
-  w.write_f64_vec(div_);
-  w.write_u32(static_cast<std::uint32_t>(dirty_.size()));
-  for (const char d : dirty_) w.write_u8(static_cast<std::uint8_t>(d));
+template <class Io, class Self, class Sim>
+void DynThreshStrategy::state(Io&& io, Self& self, Sim& sim) {
+  echo_tunables(io, self.opts_);
+  const auto n = static_cast<std::size_t>(sim.num_vehicles());
+  io.exact_count(n, "DynThresh::load_state: vehicle count");
+  if constexpr (Io::kLoad) {
+    self.refs_.assign(n, std::vector<float>(sim.node(0).model.param_count()));
+    self.div_.assign(n, 0.0);
+    self.dirty_.assign(n, 0);
+  }
+  for (auto& ref : self.refs_) io(std::span{ref});
+  io(std::span{self.div_});
+  io.exact_count(n, "DynThresh::load_state: dirty size");
+  for (auto& d : self.dirty_) io(d);
 }
 
-void DynThreshStrategy::load_state(FleetSim& sim, ByteReader& r) {
-  echo_tunables(Load{r}, opts_);
-  const auto n = r.read_u32();
-  if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
-    throw std::runtime_error{"DynThresh::load_state: vehicle count mismatch"};
-  }
-  const std::size_t dim = sim.node(0).model.param_count();
-  refs_.assign(n, {});
-  for (auto& ref : refs_) {
-    ref = r.read_f32_vec();
-    if (ref.size() != dim) {
-      throw std::runtime_error{"DynThresh::load_state: reference size mismatch"};
-    }
-  }
-  div_ = r.read_f64_vec();
-  if (div_.size() != n) throw std::runtime_error{"DynThresh::load_state: divergence size mismatch"};
-  const auto nd = r.read_u32();
-  if (nd != n) throw std::runtime_error{"DynThresh::load_state: dirty size mismatch"};
-  dirty_.assign(nd, 0);
-  for (auto& d : dirty_) d = static_cast<char>(r.read_u8());
+void DynThreshStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
+  state(Save{w}, *this, sim);
 }
+
+void DynThreshStrategy::load_state(FleetSim& sim, ByteReader& r) { state(Load{r}, *this, sim); }
 
 }  // namespace lbchat::baselines

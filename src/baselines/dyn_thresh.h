@@ -73,12 +73,15 @@ class DynThreshStrategy final : public GossipBaseStrategy {
                  const std::vector<double>& sender_comp) override;
 
  private:
+  /// save_state's and load_state's one field list (Self and Sim const under Save).
+  template <class Io, class Self, class Sim>
+  static void state(Io&& io, Self& self, Sim& sim);
   DynThreshOptions opts_;
   std::vector<std::vector<float>> refs_;  ///< last-synchronized parameters
   std::vector<double> div_;               ///< cached RMS divergence
   /// Set by local_train (vehicle-v slot only — safe on concurrent lanes),
   /// cleared when on_tick refreshes the divergence cache sequentially.
-  std::vector<char> dirty_;
+  std::vector<std::uint8_t> dirty_;
 };
 
 }  // namespace lbchat::baselines

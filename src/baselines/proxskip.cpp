@@ -1,7 +1,6 @@
 #include "baselines/proxskip.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/bytes.h"
 
@@ -83,27 +82,24 @@ void ProxSkipStrategy::synchronize(FleetSim& sim) {
   }
 }
 
-void ProxSkipStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
-  (void)sim;
-  echo_tunables(Save{w}, opts_);
-  w.write_u32(static_cast<std::uint32_t>(variates_.size()));
-  for (const auto& h : variates_) w.write_f32_vec(h);
-  w.write_i32(trained_since_round_.load());
+template <class Io, class Self, class Sim>
+void ProxSkipStrategy::state(Io&& io, Self& self, Sim& sim) {
+  echo_tunables(io, self.opts_);
+  io.exact_count(sim.num_vehicles(), "ProxSkip::load_state: vehicle count");
+  if constexpr (Io::kLoad) {
+    self.variates_.assign(static_cast<std::size_t>(sim.num_vehicles()),
+                          std::vector<float>(sim.node(0).model.param_count()));
+  }
+  for (auto& h : self.variates_) io(std::span{h});
+  int trained = self.trained_since_round_.load();
+  io(trained);
+  if constexpr (Io::kLoad) self.trained_since_round_.store(trained);
 }
 
-void ProxSkipStrategy::load_state(FleetSim& sim, ByteReader& r) {
-  echo_tunables(Load{r}, opts_);
-  const auto n = r.read_u32();
-  if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
-    throw std::runtime_error{"ProxSkip::load_state: vehicle count mismatch"};
-  }
-  const std::size_t params = sim.node(0).model.param_count();
-  variates_.assign(n, {});
-  for (auto& h : variates_) {
-    h = r.read_f32_vec();
-    if (h.size() != params) throw std::runtime_error{"ProxSkip::load_state: variate size mismatch"};
-  }
-  trained_since_round_.store(r.read_i32());
+void ProxSkipStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
+  state(Save{w}, *this, sim);
 }
+
+void ProxSkipStrategy::load_state(FleetSim& sim, ByteReader& r) { state(Load{r}, *this, sim); }
 
 }  // namespace lbchat::baselines

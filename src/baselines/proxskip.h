@@ -53,6 +53,9 @@ class ProxSkipStrategy final : public engine::Strategy {
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
 
  private:
+  /// save_state's and load_state's one field list (Self and Sim const under Save).
+  template <class Io, class Self, class Sim>
+  static void state(Io&& io, Self& self, Sim& sim);
   void synchronize(engine::FleetSim& sim);
 
   ProxSkipOptions opts_;

@@ -91,43 +91,29 @@ void RsuStrategy::on_tick(FleetSim& sim) {
   }
 }
 
-void RsuStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
-  (void)sim;
-  w.write_f64(opts_.range_m);
-  w.write_u32(static_cast<std::uint32_t>(positions_.size()));
-  for (const Vec2& p : positions_) {
-    w.write_f64(p.x);
-    w.write_f64(p.y);
+template <class Io, class Self, class Sim>
+void RsuStrategy::state(Io&& io, Self& self, Sim& sim) {
+  io(self.opts_.range_m);
+  auto nr = static_cast<std::uint32_t>(self.positions_.size());
+  io(nr);
+  if constexpr (Io::kLoad) {
+    if (nr > 4096) throw std::runtime_error{"RSU-L::load_state: rsu count out of range"};
+    const std::size_t params = sim.num_vehicles() > 0 ? sim.node(0).model.param_count() : 0;
+    self.positions_.assign(nr, Vec2{});
+    self.rsu_models_.assign(nr, std::vector<float>(params));
+    self.last_visit_.assign(static_cast<std::size_t>(sim.num_vehicles()),
+                            std::vector<double>(nr));
   }
-  for (const auto& m : rsu_models_) w.write_f32_vec(m);
-  w.write_u32(static_cast<std::uint32_t>(last_visit_.size()));
-  for (const auto& row : last_visit_) w.write_f64_vec(row);
+  for (auto& p : self.positions_) io(p);
+  for (auto& m : self.rsu_models_) io(std::span{m});
+  io.exact_count(sim.num_vehicles(), "RSU-L::load_state: vehicle count");
+  for (auto& row : self.last_visit_) io(std::span{row});
 }
 
-void RsuStrategy::load_state(FleetSim& sim, ByteReader& r) {
-  opts_.range_m = r.read_f64();
-  const auto nr = r.read_u32();
-  if (nr > 4096) throw std::runtime_error{"RSU-L::load_state: rsu count out of range"};
-  positions_.assign(nr, Vec2{});
-  for (Vec2& p : positions_) {
-    p.x = r.read_f64();
-    p.y = r.read_f64();
-  }
-  const std::size_t params = sim.num_vehicles() > 0 ? sim.node(0).model.param_count() : 0;
-  rsu_models_.assign(nr, {});
-  for (auto& m : rsu_models_) {
-    m = r.read_f32_vec();
-    if (m.size() != params) throw std::runtime_error{"RSU-L::load_state: model size mismatch"};
-  }
-  const auto nv = r.read_u32();
-  if (nv != static_cast<std::uint32_t>(sim.num_vehicles())) {
-    throw std::runtime_error{"RSU-L::load_state: vehicle count mismatch"};
-  }
-  last_visit_.assign(nv, {});
-  for (auto& row : last_visit_) {
-    row = r.read_f64_vec();
-    if (row.size() != nr) throw std::runtime_error{"RSU-L::load_state: visit row mismatch"};
-  }
+void RsuStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
+  state(Save{w}, *this, sim);
 }
+
+void RsuStrategy::load_state(FleetSim& sim, ByteReader& r) { state(Load{r}, *this, sim); }
 
 }  // namespace lbchat::baselines

@@ -39,6 +39,9 @@ class RsuStrategy final : public engine::Strategy {
   void load_state(engine::FleetSim& sim, ByteReader& r) override;
 
  private:
+  /// save_state's and load_state's one field list (Self and Sim const under Save).
+  template <class Io, class Self, class Sim>
+  static void state(Io&& io, Self& self, Sim& sim);
   RsuOptions opts_;
   std::vector<Vec2> positions_;
   std::vector<std::vector<float>> rsu_models_;

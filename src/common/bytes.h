@@ -53,11 +53,6 @@ class ByteWriter {
     write_raw(v.data(), v.size() * sizeof(double));
   }
 
-  void write_u32_vec(std::span<const std::uint32_t> v) {
-    write_u32(static_cast<std::uint32_t>(v.size()));
-    write_raw(v.data(), v.size() * sizeof(std::uint32_t));
-  }
-
   void write_bytes(std::span<const std::uint8_t> v) {
     write_u32(static_cast<std::uint32_t>(v.size()));
     write_raw(v.data(), v.size());
@@ -98,11 +93,19 @@ class ByteReader {
 
   std::vector<float> read_f32_vec() { return read_pod_vec<float>(); }
   std::vector<double> read_f64_vec() { return read_pod_vec<double>(); }
-  std::vector<std::uint32_t> read_u32_vec() { return read_pod_vec<std::uint32_t>(); }
 
   std::vector<std::uint8_t> read_bytes() {
     const auto v = read_view();
     return {v.begin(), v.end()};
+  }
+
+  /// A u32-counted run of T read into `out` (no copy through a temporary);
+  /// throws std::runtime_error when the count is not out.size().
+  template <typename T>
+  void read_exact(std::span<T> out) {
+    const auto n = read_count<T>();
+    if (n != out.size()) throw std::runtime_error{"Load: vector length mismatch"};
+    read_raw(out.data(), n);
   }
 
   /// A u32-length-prefixed byte run as a view into the input (no copy).
@@ -131,18 +134,30 @@ class ByteReader {
 
   template <typename T>
   std::vector<T> read_pod_vec() {
+    std::vector<T> v(read_count<T>());
+    read_raw(v.data(), v.size());
+    return v;
+  }
+
+  /// A u32 element count whose elements fit in the unread bytes.
+  template <typename T>
+  std::uint32_t read_count() {
     const auto n = read_u32();
     // Divide instead of multiplying so `n * sizeof(T)` cannot overflow
     // std::size_t before the bound check (32-bit size_t would wrap).
     if (n > (data_.size() - pos_) / sizeof(T)) {
       throw std::out_of_range{"ByteReader: underflow"};
     }
-    std::vector<T> v(n);
+    return n;
+  }
+
+  /// Copies `n` elements the caller has bound-checked.
+  template <typename T>
+  void read_raw(T* out, std::size_t n) {
     // Guard: memcpy with a null destination is UB even for zero bytes, and
     // an empty vector's data() may be null.
-    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n != 0) std::memcpy(out, data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
-    return v;
   }
 
   void check(std::size_t n) const {
@@ -175,11 +190,12 @@ void fields(Io& io, S& v) {
 }
 
 /// Save side of a field list. The overloads are the type-to-wire mapping:
-/// int -> i32, std::uint32_t -> u32, std::uint64_t and long -> u64, double
-/// -> f64, bool and std::uint8_t -> u8; strings and float, double and byte
-/// vectors carry a u32 length prefix. A class type goes through its save()
-/// member if it has one, else through its fields() (Vec2 and int vectors
-/// above, any other by argument-dependent lookup).
+/// int -> i32, std::uint32_t -> u32, std::uint64_t and long -> u64, float
+/// -> f32, double -> f64, bool and std::uint8_t -> u8; strings and float,
+/// double and byte vectors carry a u32 length prefix, as do float and double
+/// spans, which Load fills only at their exact length. A class type goes
+/// through its save() member if it has one, else through its fields() (Vec2
+/// and int vectors above, any other by argument-dependent lookup).
 class Save {
  public:
   static constexpr bool kLoad = false;
@@ -189,11 +205,13 @@ class Save {
   void operator()(const std::uint32_t& v) { w_.write_u32(v); }
   void operator()(const std::uint64_t& v) { w_.write_u64(v); }
   void operator()(const long& v) { w_.write_u64(static_cast<std::uint64_t>(v)); }
+  void operator()(const float& v) { w_.write_f32(v); }
   void operator()(const double& v) { w_.write_f64(v); }
   void operator()(const bool& v) { w_.write_u8(v ? 1 : 0); }
   void operator()(const std::uint8_t& v) { w_.write_u8(v); }
   void operator()(const std::string& v) { w_.write_string(v); }
   void operator()(std::span<const float> v) { w_.write_f32_vec(v); }
+  void operator()(std::span<const double> v) { w_.write_f64_vec(v); }
   void operator()(const std::vector<float>& v) { w_.write_f32_vec(v); }
   void operator()(const std::vector<double>& v) { w_.write_f64_vec(v); }
   void operator()(const std::vector<std::uint8_t>& v) { w_.write_bytes(v); }
@@ -230,7 +248,8 @@ class Save {
     f(io);
     w_.write_bytes(inner.bytes());
   }
-  /// The underlying writer, for codecs with their own write_* functions.
+  /// The underlying writer, for hooks that take a ByteWriter (optimizer and
+  /// strategy state).
   [[nodiscard]] ByteWriter& writer() { return w_; }
 
  private:
@@ -249,16 +268,14 @@ class Load {
   void operator()(std::uint32_t& v) { v = r_.read_u32(); }
   void operator()(std::uint64_t& v) { v = r_.read_u64(); }
   void operator()(long& v) { v = static_cast<long>(r_.read_u64()); }
+  void operator()(float& v) { v = r_.read_f32(); }
   void operator()(double& v) { v = r_.read_f64(); }
   void operator()(bool& v) { v = r_.read_u8() != 0; }
   void operator()(std::uint8_t& v) { v = r_.read_u8(); }
   void operator()(std::string& v) { v = r_.read_string(); }
   /// Reads into a fixed-size span; the stored length must match.
-  void operator()(std::span<float> v) {
-    const auto stored = r_.read_f32_vec();
-    if (stored.size() != v.size()) throw std::runtime_error{"Load: vector length mismatch"};
-    std::copy(stored.begin(), stored.end(), v.begin());
-  }
+  void operator()(std::span<float> v) { r_.read_exact(v); }
+  void operator()(std::span<double> v) { r_.read_exact(v); }
   void operator()(std::vector<float>& v) { v = r_.read_f32_vec(); }
   void operator()(std::vector<double>& v) { v = r_.read_f64_vec(); }
   void operator()(std::vector<std::uint8_t>& v) { v = r_.read_bytes(); }

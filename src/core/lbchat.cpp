@@ -201,6 +201,10 @@ void LbChatStrategy::on_transfer_complete(FleetSim& sim, PairSession& s, const S
                  static_cast<double>(received.size()));
       } else if (tag.kind == StageTag::kModel) {
         const nn::SparseModel sparse = nn::read_sparse_model(r);
+        // A model of another size is rejected before densify() allocates it.
+        if (sparse.dim != sim.node(receiver).model.param_count()) {
+          throw std::runtime_error{"model dimension mismatch"};
+        }
         // Aggregate against the *sender's* coreset (the freshest estimate of
         // the sender's data distribution), merged into the receiver's own.
         aggregate_received(sim, receiver, tag.from, sparse,
@@ -364,7 +368,6 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
                                         const coreset::Coreset& peer_coreset) {
   auto& node = sim.node(receiver);
   const std::vector<float> peer_params = sparse.densify();
-  if (peer_params.size() != node.model.param_count()) return;
 
   double w_self = 0.5;
   double w_peer = 0.5;
@@ -410,53 +413,45 @@ void LbChatStrategy::aggregate_received(FleetSim& sim, int receiver, int sender,
   sim.note_aggregate(receiver, sender, w_peer);
 }
 
-void LbChatStrategy::save_state(const engine::FleetSim& sim, ByteWriter& w) const {
-  (void)sim;
-  echo_tunables(Save{w}, opts_);
-  w.write_u32(static_cast<std::uint32_t>(vehicles_.size()));
-  for (const VehicleState& st : vehicles_) {
-    coreset::write_coreset(w, st.cs);
-    w.write_f64(st.last_rebuild_s);
+template <class Io, class Self, class Sim>
+void LbChatStrategy::state(Io&& io, Self& self, Sim& sim) {
+  echo_tunables(io, self.opts_);
+  io.exact_count(sim.num_vehicles(), "LbChat::load_state: vehicle count");
+  if constexpr (Io::kLoad) self.vehicles_.assign(static_cast<std::size_t>(sim.num_vehicles()), {});
+  for (auto& st : self.vehicles_) {
+    coreset::fields(io, st.cs, sim.config().policy.bev, kUncappedLocalWeight);
+    io(st.last_rebuild_s);
   }
 }
 
-void LbChatStrategy::load_state(engine::FleetSim& sim, ByteReader& r) {
-  echo_tunables(Load{r}, opts_);
-  const auto n = r.read_u32();
-  if (n != static_cast<std::uint32_t>(sim.num_vehicles())) {
-    throw std::runtime_error{"LbChat::load_state: vehicle count mismatch"};
-  }
-  vehicles_.clear();
-  vehicles_.resize(n);
-  for (VehicleState& st : vehicles_) {
-    st.cs = coreset::read_coreset(r, sim.config().policy.bev, kUncappedLocalWeight);
-    st.last_rebuild_s = r.read_f64();
-  }
+template <class Io, class Session, class Sim>
+void LbChatStrategy::session_state(Io&& io, Session& s, Sim& sim) {
+  bool has_chat = s.data != nullptr;
+  io(has_chat);
+  if (!has_chat) return;
+  if constexpr (Io::kLoad) s.data = std::make_shared<ChatData>();
+  std::conditional_t<Io::kLoad, ChatData, const ChatData>& chat =
+      *static_cast<ChatData*>(s.data.get());
+  coreset::fields(io, chat.coreset_a, sim.config().policy.bev, kUncappedLocalWeight);
+  coreset::fields(io, chat.coreset_b, sim.config().policy.bev, kUncappedLocalWeight);
+  io(chat.a_received_coreset);
+  io(chat.b_received_coreset);
+  io(chat.contact_estimate_s);
 }
 
-void LbChatStrategy::save_session_state(const engine::FleetSim& sim,
-                                        const engine::PairSession& s, ByteWriter& w) const {
-  (void)sim;
-  const auto* chat = static_cast<const ChatData*>(s.data.get());
-  w.write_u8(chat != nullptr ? 1 : 0);
-  if (chat == nullptr) return;
-  coreset::write_coreset(w, chat->coreset_a);
-  coreset::write_coreset(w, chat->coreset_b);
-  w.write_u8(chat->a_received_coreset ? 1 : 0);
-  w.write_u8(chat->b_received_coreset ? 1 : 0);
-  w.write_f64(chat->contact_estimate_s);
+void LbChatStrategy::save_state(const FleetSim& sim, ByteWriter& w) const {
+  state(Save{w}, *this, sim);
 }
 
-void LbChatStrategy::load_session_state(engine::FleetSim& sim, engine::PairSession& s,
-                                        ByteReader& r) {
-  if (r.read_u8() == 0) return;
-  auto chat = std::make_shared<ChatData>();
-  chat->coreset_a = coreset::read_coreset(r, sim.config().policy.bev, kUncappedLocalWeight);
-  chat->coreset_b = coreset::read_coreset(r, sim.config().policy.bev, kUncappedLocalWeight);
-  chat->a_received_coreset = r.read_u8() != 0;
-  chat->b_received_coreset = r.read_u8() != 0;
-  chat->contact_estimate_s = r.read_f64();
-  s.data = std::move(chat);
+void LbChatStrategy::load_state(FleetSim& sim, ByteReader& r) { state(Load{r}, *this, sim); }
+
+void LbChatStrategy::save_session_state(const FleetSim& sim, const PairSession& s,
+                                        ByteWriter& w) const {
+  session_state(Save{w}, s, sim);
+}
+
+void LbChatStrategy::load_session_state(FleetSim& sim, PairSession& s, ByteReader& r) {
+  session_state(Load{r}, s, sim);
 }
 
 }  // namespace lbchat::core

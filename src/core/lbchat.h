@@ -77,6 +77,12 @@ class LbChatStrategy final : public engine::Strategy {
   };
   struct ChatData;
 
+  /// The checkpoint hooks' field lists (Self, Session and Sim const under
+  /// Save): the coreset stores, and one session's chat scratch.
+  template <class Io, class Self, class Sim>
+  static void state(Io&& io, Self& self, Sim& sim);
+  template <class Io, class Session, class Sim>
+  static void session_state(Io&& io, Session& s, Sim& sim);
   void maybe_rebuild_coreset(engine::FleetSim& sim, int v, bool force);
   void begin_model_phase(engine::FleetSim& sim, engine::PairSession& s);
   void aggregate_received(engine::FleetSim& sim, int receiver, int sender,

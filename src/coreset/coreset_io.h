@@ -17,47 +17,45 @@ namespace lbchat::coreset {
 /// weight-sensitive aggregator can be fed.
 inline constexpr double kMaxWireCoresetWeight = 1e9;
 
-inline void write_coreset(ByteWriter& w, const Coreset& c) {
-  w.write_u8(static_cast<std::uint8_t>(c.spec.channels));
-  w.write_u8(static_cast<std::uint8_t>(c.spec.height));
-  w.write_u8(static_cast<std::uint8_t>(c.spec.width));
-  w.write_f64(c.spec.cell_m);
-  w.write_u32(static_cast<std::uint32_t>(c.samples.size()));
-  for (const data::Sample& s : c.samples) data::write_sample(w, s);
-  w.write_f64_vec(c.wc);
+/// A coreset on the wire: its BevSpec, the samples, then w_C. A load checks
+/// the spec against the fleet-wide `expected` and every w_C against
+/// `max_weight`: peer input keeps the wire cap; a vehicle's own checkpointed
+/// coresets pass +inf, since merges let honest mass grow past it. It throws
+/// std::out_of_range (truncated), std::runtime_error (spec mismatch, weight
+/// vector not parallel to samples, malformed sample), or WireValueError
+/// (non-finite, negative, or above `max_weight` w_C entries).
+template <class Io, FieldsOf<Coreset> C>
+void fields(Io& io, C& c, const data::BevSpec& expected,
+            double max_weight = kMaxWireCoresetWeight) {
+  io(c.spec);
+  if constexpr (Io::kLoad) {
+    if (!(c.spec == expected)) throw std::runtime_error{"read_coreset: BevSpec mismatch"};
+  }
+  io.resize(c.samples, data::kSampleBytes);
+  for (auto& s : c.samples) data::fields(io, s, c.spec);
+  io(c.wc);
+  if constexpr (Io::kLoad) {
+    if (c.wc.size() != c.samples.size()) {
+      throw std::runtime_error{"read_coreset: weight vector length mismatch"};
+    }
+    for (const double wc : c.wc) {
+      if (!std::isfinite(wc) || wc < 0.0 || wc > max_weight) {
+        throw WireValueError{"read_coreset: w_C out of range"};
+      }
+    }
+  }
 }
 
-/// Reads and validates a coreset against the fleet-wide `expected` BevSpec.
-/// Throws std::out_of_range (truncated), std::runtime_error (spec mismatch,
-/// weight vector not parallel to samples, malformed frame), or WireValueError
-/// (non-finite, negative, or above `max_weight` w_C entries). Peer input keeps
-/// the wire cap; a vehicle's own checkpointed coresets pass +inf, since merges
-/// let honest mass grow past it.
+inline void write_coreset(ByteWriter& w, const Coreset& c) {
+  Save io{w};
+  fields(io, c, c.spec);
+}
+
 inline Coreset read_coreset(ByteReader& r, const data::BevSpec& expected,
                             double max_weight = kMaxWireCoresetWeight) {
   Coreset c;
-  c.spec.channels = r.read_u8();
-  c.spec.height = r.read_u8();
-  c.spec.width = r.read_u8();
-  c.spec.cell_m = r.read_f64();
-  if (!(c.spec == expected)) {
-    throw std::runtime_error{"read_coreset: BevSpec mismatch"};
-  }
-  const std::uint32_t n = r.read_u32();
-  // Each serialized sample occupies > 1 byte, so a count past the remaining
-  // bytes is corrupt — reject before reserving storage for it.
-  if (n > r.remaining()) throw std::out_of_range{"read_coreset: sample count underflow"};
-  c.samples.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) c.samples.push_back(data::read_sample(r, c.spec));
-  c.wc = r.read_f64_vec();
-  if (c.wc.size() != c.samples.size()) {
-    throw std::runtime_error{"read_coreset: weight vector length mismatch"};
-  }
-  for (const double wc : c.wc) {
-    if (!std::isfinite(wc) || wc < 0.0 || wc > max_weight) {
-      throw WireValueError{"read_coreset: w_C out of range"};
-    }
-  }
+  Load io{r};
+  fields(io, c, expected, max_weight);
   return c;
 }
 

@@ -1,10 +1,11 @@
 // Wire serialization of training frames (data::Sample).
 //
 // Lossless round trip: BEV packed to bits, command byte, float waypoints,
-// double weight, plus provenance. Readers validate structure (command range,
-// BEV size against the agreed BevSpec) and throw rather than return garbage —
-// frames arrive over the radio inside a CRC envelope (common/frame.h), but a
-// validating deserializer is the second line of defence.
+// double weight, plus provenance. The loader validates structure (command
+// range, BEV size against the agreed BevSpec) and throws rather than return
+// garbage — frames arrive over the radio inside a CRC envelope
+// (common/frame.h), but a validating deserializer is the second line of
+// defence.
 #pragma once
 
 #include <cmath>
@@ -22,6 +23,10 @@ namespace lbchat::data {
 /// non-finite and astronomically scaled values a hostile sender could use to
 /// dominate any weighted average.
 inline constexpr double kMaxWireSampleWeight = 1e6;
+
+/// Least wire size of one sample (command, BEV length, waypoints, weight,
+/// id, source): the bound of a sample count's Load::resize.
+inline constexpr std::size_t kSampleBytes = 1 + 4 + 2 * kNumWaypoints * 4 + 8 + 8 + 4;
 
 /// Pack a binary occupancy raster to bits, LSB-first within each byte.
 inline std::vector<std::uint8_t> pack_bev(const BevGrid& bev) {
@@ -44,36 +49,39 @@ inline BevGrid unpack_bev(std::span<const std::uint8_t> packed, const BevSpec& s
   return bev;
 }
 
-inline void write_sample(ByteWriter& w, const Sample& s) {
-  w.write_u8(static_cast<std::uint8_t>(s.command));
-  const auto packed = pack_bev(s.bev);
-  w.write_bytes(packed);
-  for (const float v : s.waypoints) w.write_f32(v);
-  w.write_f64(s.weight);
-  w.write_u64(s.id);
-  w.write_u32(s.source_vehicle);
+/// A BevSpec on the wire (a coreset's header): channels, height and width
+/// as u8, then cell_m.
+template <class Io, FieldsOf<BevSpec> S>
+void fields(Io& io, S& spec) {
+  std::uint8_t dims[] = {static_cast<std::uint8_t>(spec.channels),
+                         static_cast<std::uint8_t>(spec.height),
+                         static_cast<std::uint8_t>(spec.width)};
+  for (auto& d : dims) io(d);
+  io(spec.cell_m);
+  if constexpr (Io::kLoad) spec = BevSpec{dims[0], dims[1], dims[2], spec.cell_m};
 }
 
-/// Reads and validates one frame against the fleet-wide `spec`. Throws
-/// std::out_of_range (truncated), std::runtime_error (command out of range,
-/// BEV size mismatch), or WireValueError (non-finite / out-of-range weight) —
-/// never constructs a structurally invalid Sample.
-inline Sample read_sample(ByteReader& r, const BevSpec& spec) {
-  Sample s;
-  const std::uint8_t cmd = r.read_u8();
-  if (cmd >= static_cast<std::uint8_t>(kNumCommands)) {
-    throw std::runtime_error{"read_sample: command out of range"};
+/// One sample on the wire, loaded against the fleet-wide BevSpec `spec`. A
+/// load throws std::out_of_range (truncated), std::runtime_error (command
+/// out of range, BEV size mismatch), or WireValueError (non-finite /
+/// out-of-range weight); one that returns has validated every field.
+template <class Io, FieldsOf<Sample> S>
+void fields(Io& io, S& s, const BevSpec& spec) {
+  io.enum_u8(s.command, static_cast<Command>(kNumCommands - 1), "sample: command");
+  if constexpr (Io::kLoad) {
+    s.bev = unpack_bev(io.reader().read_view(), spec);
+  } else {
+    io(pack_bev(s.bev));
   }
-  s.command = static_cast<Command>(cmd);
-  s.bev = unpack_bev(r.read_bytes(), spec);
-  for (float& v : s.waypoints) v = r.read_f32();
-  s.weight = r.read_f64();
-  if (!std::isfinite(s.weight) || s.weight < 0.0 || s.weight > kMaxWireSampleWeight) {
-    throw WireValueError{"read_sample: weight out of range"};
+  for (auto& v : s.waypoints) io(v);
+  io(s.weight);
+  if constexpr (Io::kLoad) {
+    if (!std::isfinite(s.weight) || s.weight < 0.0 || s.weight > kMaxWireSampleWeight) {
+      throw WireValueError{"sample: weight out of range"};
+    }
   }
-  s.id = r.read_u64();
-  s.source_vehicle = r.read_u32();
-  return s;
+  io(s.id);
+  io(s.source_vehicle);
 }
 
 }  // namespace lbchat::data

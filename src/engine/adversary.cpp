@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "common/bytes.h"
 #include "common/frame.h"
 #include "coreset/coreset_io.h"
+#include "net/assist_io.h"
 #include "nn/model_io.h"
 
 namespace lbchat::engine {
@@ -83,25 +82,18 @@ bool AdversaryModel::transform_payload(int kind, std::vector<std::uint8_t>& fram
     }
     if (kind == kKindAssist && cfg_.lie_assist &&
         dec.type == frame::FrameType::kAssist) {
-      // Raw field rewrite (the layout of net/assist_io.h: 7 f64, then a
-      // u32-counted i32 node sequence): negate the velocity, reverse the
-      // route (a fabricated trajectory that is still a valid node sequence
-      // on the shared map), and overstate the bandwidth so the attacker
-      // wins priority-score comparisons.
+      // Negate the velocity, reverse the route (a fabricated trajectory
+      // that is still a valid node sequence on the shared map), and
+      // overstate the bandwidth so the attacker wins priority-score
+      // comparisons.
       ByteReader r{dec.payload};
-      double fields[7];
-      for (double& f : fields) f = r.read_f64();
-      fields[2] = -fields[2];  // velocity.x
-      fields[3] = -fields[3];  // velocity.y
-      fields[6] *= cfg_.assist_bandwidth_lie;
-      const std::uint32_t n = r.read_u32();
-      std::vector<std::int32_t> seq(n);
-      for (auto& node : seq) node = r.read_i32();
-      std::reverse(seq.begin(), seq.end());
+      net::WireAssist a;
+      Load{r}(a);
+      a.velocity = Vec2{-a.velocity.x, -a.velocity.y};
+      a.bandwidth_bps *= cfg_.assist_bandwidth_lie;
+      std::reverse(a.route.begin(), a.route.end());
       ByteWriter w;
-      for (const double f : fields) w.write_f64(f);
-      w.write_u32(n);
-      for (const std::int32_t node : seq) w.write_i32(node);
+      Save{w}(a);
       framed = frame::encode(frame::FrameType::kAssist, w.bytes());
       return true;
     }
@@ -113,10 +105,6 @@ bool AdversaryModel::transform_payload(int kind, std::vector<std::uint8_t>& fram
   }
   return false;
 }
-
-void AdversaryModel::save(ByteWriter& w) const { noise_rng_.save(w); }
-
-void AdversaryModel::load(ByteReader& r) { noise_rng_.load(r); }
 
 HeteroModel::HeteroModel(const HeteroConfig& cfg, std::uint64_t seed, int num_vehicles)
     : cfg_(cfg),
@@ -167,21 +155,6 @@ bool HeteroModel::should_train(int v) {
     return true;
   }
   return false;
-}
-
-void HeteroModel::save(ByteWriter& w) const { w.write_f64_vec(credit_); }
-
-void HeteroModel::load(ByteReader& r) {
-  auto credit = r.read_f64_vec();
-  if (credit.size() != credit_.size()) {
-    throw std::runtime_error{"hetero: credit vector size mismatch"};
-  }
-  for (const double c : credit) {
-    if (!(c >= 0.0 && c < 2.0)) {
-      throw std::runtime_error{"hetero: credit out of range"};
-    }
-  }
-  credit_ = std::move(credit);
 }
 
 }  // namespace lbchat::engine

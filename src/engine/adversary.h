@@ -36,8 +36,10 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "data/frame.h"
 
@@ -123,11 +125,11 @@ class AdversaryModel {
   bool transform_payload(int kind, std::vector<std::uint8_t>& framed,
                          const data::BevSpec& bev);
 
-  /// Serialize/restore the mutable state (the Gaussian noise stream) into a
-  /// model constructed with the same (cfg, seed, num_vehicles). Membership
-  /// is derived, never serialized. load() throws on malformed input.
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
+  /// The mutable state (the Gaussian noise stream), loaded into a model
+  /// constructed with the same (cfg, seed, num_vehicles). Membership is
+  /// derived, never serialized.
+  template <class Io, FieldsOf<AdversaryModel> S>
+  friend void fields(Io& io, S& a) { io(a.noise_rng_); }
 
  private:
   AdversaryConfig cfg_;
@@ -164,9 +166,16 @@ class HeteroModel {
   /// touches only vehicle-v state, no RNG).
   bool should_train(int v);
 
-  /// Serialize/restore the credit accumulators (scales are derived).
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
+  /// The credit accumulators (scales are derived).
+  template <class Io, FieldsOf<HeteroModel> S>
+  friend void fields(Io& io, S& h) {
+    io(std::span{h.credit_});
+    if constexpr (Io::kLoad) {
+      for (const double c : h.credit_) {
+        if (!(c >= 0.0 && c < 2.0)) throw std::runtime_error{"hetero: credit out of range"};
+      }
+    }
+  }
 
  private:
   HeteroConfig cfg_;

@@ -160,11 +160,9 @@ void write_config(ByteWriter& w, const ScenarioConfig& c) {
 /// Marker byte of the adversary/heterogeneity tails of kCore, kStats and
 /// kMetrics: present exactly when the config fingerprints those layers.
 constexpr std::uint8_t kTailMarker = 0x5E;
-/// Least wire sizes of one element, the bounds of Load::resize: a sample
-/// (command, BEV length, waypoints, weight, id, source), a queued stage, a
-/// session (its scalars, a 49-byte Rng, queue count, scratch length), an
-/// event and a metric.
-constexpr std::size_t kSampleBytes = 1 + 4 + 2 * data::kNumWaypoints * 4 + 8 + 8 + 4;
+/// Least wire sizes of one element, the bounds of Load::resize: a queued
+/// stage, a session (its scalars, a 49-byte Rng, queue count, scratch
+/// length), an event and a metric (a sample's is data::kSampleBytes).
 constexpr std::size_t kStageBytes = 1 + 4 + 4 + 8 + 4;
 constexpr std::size_t kSessionBytes = 4 + 4 + 8 + 1 + 1 + 4 + 8 + 49 + 4 + 4;
 constexpr std::size_t kEventBytes = 8 + 1 + 4 + 4 + 8;
@@ -418,14 +416,8 @@ struct CheckpointFields {
 
   template <class Io, class List>
   static void samples(Io& io, List& list, const data::BevSpec& bev) {
-    io.resize(list, kSampleBytes);
-    for (auto& s : list) {
-      if constexpr (Io::kLoad) {
-        s = data::read_sample(io.reader(), bev);
-      } else {
-        data::write_sample(io.writer(), s);
-      }
-    }
+    io.resize(list, data::kSampleBytes);
+    for (auto& s : list) data::fields(io, s, bev);
   }
 
   /// In-flight pair sessions with their queued transfers.

@@ -19,30 +19,51 @@ namespace lbchat::net {
 // Magnitude bounds for deserialized assist fields. Generous — a metro-scale
 // world is O(1e4) m and V2V bandwidth O(1e8) bps — but finite, so a hostile
 // frame cannot park absurd coordinates or bandwidth claims in the contact
-// estimator. All enforced in read_assist via WireValueError.
+// estimator. All enforced by WireAssist's load via WireValueError.
 inline constexpr double kMaxWireAssistCoordM = 1e7;
 inline constexpr double kMaxWireAssistSpeedMps = 1e4;
 inline constexpr double kMaxWireAssistRouteS = 1e9;
 inline constexpr double kMaxWireAssistBandwidthBps = 1e12;
 
-inline void write_assist(ByteWriter& w, const AssistInfo& info) {
-  w.write_f64(info.pos.x);
-  w.write_f64(info.pos.y);
-  w.write_f64(info.velocity.x);
-  w.write_f64(info.velocity.y);
-  w.write_f64(info.speed);
-  w.write_f64(info.route_s);
-  w.write_f64(info.bandwidth_bps);
-  std::uint32_t n = 0;
-  if (info.route != nullptr && !info.route->empty()) {
-    n = static_cast<std::uint32_t>(info.route->node_sequence().size());
-  }
-  w.write_u32(n);
-  if (n > 0) {
-    for (const int node : info.route->node_sequence()) {
-      w.write_i32(node);
+/// Assist info as it travels: the route is its road-graph node sequence
+/// (empty when none is shared). A load rejects non-finite or out-of-bound
+/// values with WireValueError; read_assist checks the node ids.
+struct WireAssist {
+  Vec2 pos;
+  Vec2 velocity;
+  double speed = 0.0;
+  double route_s = 0.0;
+  double bandwidth_bps = 0.0;
+  std::vector<int> route;
+};
+
+template <class Io, FieldsOf<WireAssist> S>
+void fields(Io& io, S& a) {
+  io(a.pos);
+  io(a.velocity);
+  io(a.speed);
+  io(a.route_s);
+  io(a.bandwidth_bps);
+  if constexpr (Io::kLoad) {
+    const auto bounded = [](double v, double cap) {
+      return std::isfinite(v) && std::fabs(v) <= cap;
+    };
+    if (!bounded(a.pos.x, kMaxWireAssistCoordM) || !bounded(a.pos.y, kMaxWireAssistCoordM) ||
+        !bounded(a.velocity.x, kMaxWireAssistSpeedMps) ||
+        !bounded(a.velocity.y, kMaxWireAssistSpeedMps) ||
+        !bounded(a.speed, kMaxWireAssistSpeedMps) || !bounded(a.route_s, kMaxWireAssistRouteS) ||
+        !std::isfinite(a.bandwidth_bps) || a.bandwidth_bps < 0.0 ||
+        a.bandwidth_bps > kMaxWireAssistBandwidthBps) {
+      throw WireValueError{"read_assist: field out of range"};
     }
   }
+  io(a.route);
+}
+
+inline void write_assist(ByteWriter& w, const AssistInfo& info) {
+  WireAssist a{info.pos, info.velocity, info.speed, info.route_s, info.bandwidth_bps, {}};
+  if (info.route != nullptr && !info.route->empty()) a.route = info.route->node_sequence();
+  Save{w}(a);
 }
 
 /// AssistInfo plus the storage backing its route pointer. `info.route` is
@@ -66,46 +87,17 @@ struct DeserializedAssist {
 /// fields), or std::runtime_error (route node ids outside the map) — corrupt
 /// values would otherwise poison every downstream contact estimate.
 inline DeserializedAssist read_assist(ByteReader& r, const sim::TownMap& map) {
+  WireAssist a;
+  Load{r}(a);
+  const auto num_nodes = static_cast<int>(map.nodes().size());
+  for (const int node : a.route) {
+    if (node < 0 || node >= num_nodes) {
+      throw std::runtime_error{"read_assist: route node id out of range"};
+    }
+  }
   DeserializedAssist out;
-  AssistInfo& info = out.info;
-  info.pos.x = r.read_f64();
-  info.pos.y = r.read_f64();
-  info.velocity.x = r.read_f64();
-  info.velocity.y = r.read_f64();
-  info.speed = r.read_f64();
-  info.route_s = r.read_f64();
-  info.bandwidth_bps = r.read_f64();
-  const auto bounded = [](double v, double cap) {
-    return std::isfinite(v) && std::fabs(v) <= cap;
-  };
-  if (!bounded(info.pos.x, kMaxWireAssistCoordM) ||
-      !bounded(info.pos.y, kMaxWireAssistCoordM) ||
-      !bounded(info.velocity.x, kMaxWireAssistSpeedMps) ||
-      !bounded(info.velocity.y, kMaxWireAssistSpeedMps) ||
-      !bounded(info.speed, kMaxWireAssistSpeedMps) ||
-      !bounded(info.route_s, kMaxWireAssistRouteS) ||
-      !std::isfinite(info.bandwidth_bps) || info.bandwidth_bps < 0.0 ||
-      info.bandwidth_bps > kMaxWireAssistBandwidthBps) {
-    throw WireValueError{"read_assist: field out of range"};
-  }
-  const std::uint32_t n = r.read_u32();
-  if (n > 0) {
-    // Each node id is 4 bytes; reject a corrupt count before reserving.
-    if (n > r.remaining() / 4) {
-      throw std::out_of_range{"read_assist: route length underflow"};
-    }
-    std::vector<int> seq;
-    seq.reserve(n);
-    const auto num_nodes = static_cast<int>(map.nodes().size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int32_t node = r.read_i32();
-      if (node < 0 || node >= num_nodes) {
-        throw std::runtime_error{"read_assist: route node id out of range"};
-      }
-      seq.push_back(node);
-    }
-    out.route = sim::Route{std::move(seq), map};
-  }
+  out.info = AssistInfo{a.pos, a.velocity, a.speed, a.route_s, nullptr, a.bandwidth_bps};
+  if (!a.route.empty()) out.route = sim::Route{std::move(a.route), map};
   return out;
 }
 

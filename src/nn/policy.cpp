@@ -164,14 +164,17 @@ void DrivingPolicy::forward(std::span<const data::Sample* const> batch, Workspac
   // as the backward's stand-in for the raster.
   const std::size_t per_sample = static_cast<std::size_t>(conv1_.col_rows()) * conv1_.out_plane();
   ws.col1.resize(n * per_sample);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& cells = batch[i]->bev.cells;
-    if (cells.size() != static_cast<std::size_t>(cfg_.bev.numel())) {
-      throw std::invalid_argument{"DrivingPolicy: BEV size mismatch"};
+  {
+    LBCHAT_OBS_SPAN("nn.conv2d_fwd");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& cells = batch[i]->bev.cells;
+      if (cells.size() != static_cast<std::size_t>(cfg_.bev.numel())) {
+        throw std::invalid_argument{"DrivingPolicy: BEV size mismatch"};
+      }
+      float* col = ws.col1.data() + i * per_sample;
+      conv1_.unfold(cells.data(), col, conv1_.out_plane());
+      conv1_.gemm_forward(store_, col, conv1_.out_plane(), ws.a1.data() + i * conv1_.out_numel());
     }
-    float* col = ws.col1.data() + i * per_sample;
-    conv1_.unfold(cells.data(), col, conv1_.out_plane());
-    conv1_.gemm_forward(store_, col, conv1_.out_plane(), ws.a1.data() + i * conv1_.out_numel());
   }
   relu_forward(ws.a1);
   conv2_.forward(store_, ws.a1, ws.a2, B, ws.col2);

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace lbchat::svc {
@@ -50,25 +51,30 @@ SocketServer::~SocketServer() {
 }
 
 bool SocketServer::listen(const std::string& path, std::string& error) {
+  // Bound under a sibling name and renamed onto `path` once it listens, so
+  // a client that waits for `path` to appear can connect at once. The
+  // rename also replaces a stale socket from a previous daemon.
+  const std::string staging = path + ".tmp";
   sockaddr_un addr{};
-  if (!fill_sockaddr(path, addr, error)) return false;
+  // Both names must fit sun_path; the staging one is bound.
+  if (!fill_sockaddr(path, addr, error) || !fill_sockaddr(staging, addr, error)) return false;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     error = std::string{"socket: "} + std::strerror(errno);
     return false;
   }
-  ::unlink(path.c_str());  // stale socket from a previous daemon
+  ::unlink(staging.c_str());
+  const auto fail = [&](const char* what) {
+    error = std::string{what} + std::strerror(errno);
+    ::close(fd);
+    ::unlink(staging.c_str());
+    return false;
+  };
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
-    error = std::string{"bind: "} + std::strerror(errno);
-    ::close(fd);
-    return false;
+    return fail("bind: ");
   }
-  if (::listen(fd, 16) < 0) {
-    error = std::string{"listen: "} + std::strerror(errno);
-    ::close(fd);
-    ::unlink(path.c_str());
-    return false;
-  }
+  if (::listen(fd, 16) < 0) return fail("listen: ");
+  if (::rename(staging.c_str(), path.c_str()) < 0) return fail("rename: ");
   listen_fd_ = fd;
   path_ = path;
   return true;

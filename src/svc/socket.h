@@ -33,7 +33,8 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Bind + listen on `path` (an existing socket file is unlinked first).
+  /// Bind + listen on `path`, which appears only once it accepts connections
+  /// (an existing socket file there is replaced).
   /// False with `error` set on failure.
   bool listen(const std::string& path, std::string& error);
 

@@ -272,10 +272,10 @@ TEST(Hetero, CreditRoundTrip) {
     for (int v = 0; v < 3; ++v) (void)a.should_train(v);
   }
   ByteWriter w;
-  a.save(w);
+  Save{w}(a);
   HeteroModel b{cfg, 5, 3};
   ByteReader r{w.bytes()};
-  b.load(r);
+  Load{r}(b);
   EXPECT_TRUE(r.exhausted());
   for (int i = 0; i < 50; ++i) {
     for (int v = 0; v < 3; ++v) {

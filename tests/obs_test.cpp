@@ -16,7 +16,10 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "common/rng.h"
 #include "engine/fleet.h"
+#include "nn/optim.h"
+#include "nn/policy.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "svc/json.h"
@@ -130,6 +133,31 @@ TEST_F(ObsEngineTest, EnablingObservabilityIsBitInert) {
               std::bit_cast<std::uint64_t>(m_on.loss_curve.values[i]))
         << "loss curve diverged at sample " << i;
   }
+}
+
+TEST_F(ObsEngineTest, TrainingStepSpansBothConvForwards) {
+  nn::DrivingPolicy policy;
+  nn::Adam opt{1e-3};
+  Rng rng{3};
+  std::vector<data::Sample> samples(4);
+  for (auto& s : samples) {
+    s.bev = data::BevGrid{policy.config().bev};
+    for (auto& cell : s.bev.cells) cell = rng.chance(0.3) ? 1 : 0;
+  }
+  std::vector<const data::Sample*> batch;
+  for (const auto& s : samples) batch.push_back(&s);
+  const auto conv_forwards = [] {
+    const auto all = obs::spans().spans();
+    return std::count_if(all.begin(), all.end(), [](const obs::Span& s) {
+      return std::string_view{s.name} == "nn.conv2d_fwd";
+    });
+  };
+  (void)policy.train_batch(batch, opt);
+  EXPECT_EQ(conv_forwards(), 0) << "no span while spans are off";
+  obs::set_spans_enabled(true);
+  (void)policy.train_batch(batch, opt);
+  (void)policy.train_batch(batch, opt);
+  EXPECT_EQ(conv_forwards(), 4) << "conv1 and conv2, per train_batch";
 }
 
 TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "baselines/dfl_dds.h"
+#include "baselines/dp.h"
+#include "baselines/gossip_base.h"
 #include "baselines/proxskip.h"
 #include "baselines/rsul.h"
+#include "common/frame.h"
 #include "core/lbchat.h"
 #include "engine/fleet.h"
+#include "nn/model_io.h"
 
 namespace lbchat {
 namespace {
@@ -129,6 +133,91 @@ TEST(ProtocolTest, WirelessTogglePreservesDataCollection) {
   for (std::size_t i = 0; i < a.node(0).validation.size(); ++i) {
     EXPECT_EQ(a.node(0).validation[i].id, b.node(0).validation[i].id);
     EXPECT_EQ(a.node(0).validation[i].bev.cells, b.node(0).validation[i].bev.cells);
+  }
+}
+
+/// Runs `inner` unchanged, except for one extra CRC-valid model frame in the
+/// strategy's own payload layout whose sparse model claims one parameter
+/// more than the fleet's models have. A gossip strategy gets it on a session
+/// of its own (started on the first tick with an idle pair in range, so the
+/// frame lands before the pair drifts apart); LbChat, whose receivers need
+/// the chat's scratch, on the first chat that goes idle.
+class OversizedModelSender final : public engine::Strategy {
+ public:
+  OversizedModelSender(std::unique_ptr<engine::Strategy> inner, bool gossip)
+      : inner_(std::move(inner)), gossip_(gossip) {}
+
+  [[nodiscard]] std::string_view name() const override { return inner_->name(); }
+  void setup(engine::FleetSim& sim) override { inner_->setup(sim); }
+  void local_train(engine::FleetSim& sim, int v) override { inner_->local_train(sim, v); }
+  void on_tick(engine::FleetSim& sim) override {
+    for (int a = 0; gossip_ && rejected_before_ < 0 && a < sim.num_vehicles(); ++a) {
+      for (const int b : sim.neighbors_in_range(a)) {
+        if (sim.is_idle(a) && sim.is_idle(b)) {
+          send(sim, sim.start_session(a, b));
+          break;
+        }
+      }
+    }
+    inner_->on_tick(sim);
+  }
+  void on_transfer_complete(engine::FleetSim& sim, engine::PairSession& s,
+                            const engine::StageTag& tag) override {
+    inner_->on_transfer_complete(sim, s, tag);
+  }
+  void on_session_aborted(engine::FleetSim& sim, engine::PairSession& s) override {
+    inner_->on_session_aborted(sim, s);
+  }
+  void on_session_idle(engine::FleetSim& sim, engine::PairSession& s) override {
+    if (gossip_ || rejected_before_ >= 0) return inner_->on_session_idle(sim, s);
+    send(sim, s);
+  }
+
+  /// frames_rejected when the frame was queued (-1 before then).
+  [[nodiscard]] long rejected_before() const { return rejected_before_; }
+
+ private:
+  void send(engine::FleetSim& sim, engine::PairSession& s) {
+    rejected_before_ = sim.stats().frames_rejected;
+    nn::SparseModel m;
+    m.dim = static_cast<std::uint32_t>(sim.node(0).model.param_count() + 1);
+    m.indices = {0};
+    m.values = {1.0f};
+    std::vector<std::uint8_t> framed;
+    if (gossip_) {
+      framed = baselines::encode_exchange({m, {}});
+    } else {
+      ByteWriter w;
+      nn::write_sparse_model(w, m);
+      framed = frame::encode(frame::FrameType::kModel, w.bytes());
+    }
+    s.deadline_s = sim.time() + 10.0;
+    sim.queue_transfer(s, s.vehicle_a(), 64, {engine::StageTag::kModel, s.vehicle_a(), 0},
+                       std::move(framed));
+  }
+
+  std::unique_ptr<engine::Strategy> inner_;
+  bool gossip_;
+  long rejected_before_ = -1;
+};
+
+TEST(ProtocolTest, WrongSizeModelIsRejectedBeforeDensify) {
+  for (const bool lbchat : {false, true}) {
+    auto cfg = proto_scenario();
+    cfg.wireless_loss = false;
+    std::unique_ptr<engine::Strategy> inner;
+    if (lbchat) {
+      inner = std::make_unique<core::LbChatStrategy>();
+    } else {
+      inner = std::make_unique<baselines::DpStrategy>();
+    }
+    auto sender = std::make_unique<OversizedModelSender>(std::move(inner), !lbchat);
+    const OversizedModelSender& probe = *sender;
+    engine::FleetSim sim{cfg, std::move(sender)};
+    const auto m = sim.run();
+    ASSERT_EQ(probe.rejected_before(), 0) << (lbchat ? "LbChat" : "DP");
+    EXPECT_EQ(m.transfers.frames_rejected, 1) << (lbchat ? "LbChat" : "DP");
+    EXPECT_EQ(m.transfers.model_frames_rejected, 1) << (lbchat ? "LbChat" : "DP");
   }
 }
 

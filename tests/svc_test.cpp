@@ -1150,6 +1150,28 @@ TEST(SocketTest, RequestRoundTripAndShutdown) {
   std::filesystem::remove_all(root);
 }
 
+// The socket is bound under a staging sibling and renamed onto its path only
+// once it listens, so a path that exists accepts connections; both names
+// must fit sun_path.
+TEST(SocketTest, PathAppearsOnlyOnceListening) {
+  const auto root = fresh_dir("socket_stage");
+  const std::string sock = (root / "svc.sock").string();
+  SocketServer server;
+  std::string error;
+  ASSERT_TRUE(server.listen(sock, error)) << error;
+  EXPECT_TRUE(std::filesystem::is_socket(sock));
+  EXPECT_FALSE(std::filesystem::exists(sock + ".tmp"));
+
+  // A path that fits sun_path while its staging sibling does not.
+  const std::string dir = root.string() + "/";
+  const std::string tight = dir + std::string(sizeof(sockaddr_un{}.sun_path) - 3 - dir.size(), 's');
+  SocketServer other;
+  EXPECT_FALSE(other.listen(tight, error));
+  EXPECT_EQ(error, "socket path too long");
+  EXPECT_FALSE(std::filesystem::exists(tight));
+  std::filesystem::remove_all(root);
+}
+
 // A client that disconnects before reading its reply must be a closed
 // connection, not a SIGPIPE: the default disposition would kill the daemon
 // mid-flight, losing every accepted-but-unfinished job.
