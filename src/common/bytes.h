@@ -67,8 +67,15 @@ class ByteWriter {
 
  private:
   void write_raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    // Reserve (doubling), size, then memcpy: a range insert, or a resize
+    // that may reallocate, draws false -Wrestrict, -Wstringop-overflow and
+    // -Warray-bounds warnings from GCC 12 once inlined. memcpy from a null
+    // source (an empty span's data()) is UB even for zero bytes.
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    if (buf_.capacity() - at < n) buf_.reserve(std::max(2 * buf_.capacity(), at + n));
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   std::vector<std::uint8_t> buf_;

@@ -6,6 +6,7 @@
 // learning model ([19]) trains on, at miniature scale.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -47,21 +48,68 @@ struct BevSpec {
 
 inline constexpr BevSpec kDefaultBevSpec{};
 
-/// Binary occupancy raster, row-major [channel][row][col]; one byte per cell
-/// in memory (the wire format packs to bits, see data::packed_bev_bytes).
+/// Bytes of one bit-packed BEV raster of `spec`.
+[[nodiscard]] constexpr std::size_t bev_bytes(const BevSpec& spec) {
+  return static_cast<std::size_t>((spec.numel() + 7) / 8);
+}
+
+/// Binary occupancy raster, row-major [channel][row][col], bit-packed: cell
+/// i is bit i%8 (LSB-first) of byte i/8, and the bits past numel() in the
+/// last byte are zero. These are the bytes the wire carries (sample_io.h).
 struct BevGrid {
-  std::vector<std::uint8_t> cells;  // 0 or 1, size = spec.numel()
+  std::vector<std::uint8_t> bits;  // size = bev_bytes(spec)
 
   BevGrid() = default;
-  explicit BevGrid(const BevSpec& spec) : cells(static_cast<std::size_t>(spec.numel()), 0) {}
+  explicit BevGrid(const BevSpec& spec) : bits(bev_bytes(spec), 0) {}
 
+  /// Cell i of the raster, 0 or 1.
+  [[nodiscard]] std::uint8_t at(std::size_t i) const { return (bits[i / 8] >> (i % 8)) & 1u; }
+  void set(std::size_t i, std::uint8_t v = 1) {
+    const unsigned mask = 1u << (i % 8);
+    bits[i / 8] = static_cast<std::uint8_t>(v != 0 ? bits[i / 8] | mask : bits[i / 8] & ~mask);
+  }
   [[nodiscard]] std::uint8_t at(const BevSpec& spec, int c, int r, int col) const {
-    return cells[static_cast<std::size_t>((c * spec.height + r) * spec.width + col)];
+    return at(index(spec, c, r, col));
   }
   void set(const BevSpec& spec, int c, int r, int col, std::uint8_t v = 1) {
-    cells[static_cast<std::size_t>((c * spec.height + r) * spec.width + col)] = v;
+    set(index(spec, c, r, col), v);
+  }
+
+ private:
+  static std::size_t index(const BevSpec& spec, int c, int r, int col) {
+    return static_cast<std::size_t>((c * spec.height + r) * spec.width + col);
   }
 };
+
+/// The values Off and On of the eight cells of every packed byte, LSB first.
+template <auto Off, auto On>
+inline constexpr auto kByteCells = [] {
+  std::array<std::array<decltype(Off), 8>, 256> t{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < 8; ++k) t[b][k] = (b >> k) & 1u ? On : Off;
+  }
+  return t;
+}();
+
+/// Cells [first, first + n) of a bit-packed raster (BevGrid::bits) into
+/// `out`, a clear cell as Off and a set one as On. From a byte-aligned
+/// `first`, each whole byte copies its eight values out of one table; the
+/// rest go cell by cell through the same table. Table reads, not a branch
+/// (occupancy is data a predictor cannot learn) and not an int-to-float
+/// convert (a serial dependency per cell).
+template <auto Off, auto On>
+void expand_bits(const std::uint8_t* bits, std::size_t first, std::size_t n,
+                 decltype(Off)* out) {
+  const auto& table = kByteCells<Off, On>;
+  std::size_t c = 0;
+  if (first % 8 == 0) {
+    for (; c + 8 <= n; c += 8) std::copy_n(table[bits[(first + c) / 8]].data(), 8, out + c);
+  }
+  for (; c < n; ++c) {
+    const std::size_t i = first + c;
+    out[c] = table[(bits[i / 8] >> (i % 8)) & 1u][0];
+  }
+}
 
 /// Number of future waypoints the model predicts.
 inline constexpr int kNumWaypoints = 4;
@@ -86,7 +134,7 @@ struct Sample {
 /// bits + command byte + float waypoints + weight. The network layer rescales
 /// this to paper-scale sizes via net::WireSizeModel.
 [[nodiscard]] constexpr std::size_t packed_sample_bytes(const BevSpec& spec) {
-  return static_cast<std::size_t>((spec.numel() + 7) / 8) + 1 + 2 * kNumWaypoints * 4 + 8;
+  return bev_bytes(spec) + 1 + 2 * kNumWaypoints * 4 + 8;
 }
 
 }  // namespace lbchat::data

@@ -1,11 +1,11 @@
 // Wire serialization of training frames (data::Sample).
 //
-// Lossless round trip: BEV packed to bits, command byte, float waypoints,
-// double weight, plus provenance. The loader validates structure (command
-// range, BEV size against the agreed BevSpec) and throws rather than return
-// garbage — frames arrive over the radio inside a CRC envelope
-// (common/frame.h), but a validating deserializer is the second line of
-// defence.
+// Lossless round trip: command byte, the BEV's bits exactly as
+// data::BevGrid holds them, float waypoints, double weight, plus provenance.
+// The loader validates structure (command range, BEV size against the agreed
+// BevSpec) and throws rather than return garbage — frames arrive over the
+// radio inside a CRC envelope (common/frame.h), but a validating
+// deserializer is the second line of defence.
 #pragma once
 
 #include <cmath>
@@ -28,27 +28,6 @@ inline constexpr double kMaxWireSampleWeight = 1e6;
 /// id, source): the bound of a sample count's Load::resize.
 inline constexpr std::size_t kSampleBytes = 1 + 4 + 2 * kNumWaypoints * 4 + 8 + 8 + 4;
 
-/// Pack a binary occupancy raster to bits, LSB-first within each byte.
-inline std::vector<std::uint8_t> pack_bev(const BevGrid& bev) {
-  std::vector<std::uint8_t> out((bev.cells.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bev.cells.size(); ++i) {
-    if (bev.cells[i] != 0) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  }
-  return out;
-}
-
-inline BevGrid unpack_bev(std::span<const std::uint8_t> packed, const BevSpec& spec) {
-  const auto numel = static_cast<std::size_t>(spec.numel());
-  if (packed.size() != (numel + 7) / 8) {
-    throw std::runtime_error{"unpack_bev: packed size does not match BevSpec"};
-  }
-  BevGrid bev{spec};
-  for (std::size_t i = 0; i < numel; ++i) {
-    bev.cells[i] = (packed[i / 8] >> (i % 8)) & 1u;
-  }
-  return bev;
-}
-
 /// A BevSpec on the wire (a coreset's header): channels, height and width
 /// as u8, then cell_m.
 template <class Io, FieldsOf<BevSpec> S>
@@ -69,9 +48,18 @@ template <class Io, FieldsOf<Sample> S>
 void fields(Io& io, S& s, const BevSpec& spec) {
   io.enum_u8(s.command, static_cast<Command>(kNumCommands - 1), "sample: command");
   if constexpr (Io::kLoad) {
-    s.bev = unpack_bev(io.reader().read_view(), spec);
+    const auto bits = io.reader().read_view();
+    if (bits.size() != bev_bytes(spec)) {
+      throw std::runtime_error{"sample: BEV size does not match BevSpec"};
+    }
+    s.bev.bits.assign(bits.begin(), bits.end());
+    // Bits past the last cell are not cells: clear them, so equal rasters
+    // hold equal bytes and re-save canonically.
+    if (const int tail = spec.numel() % 8; tail != 0) {
+      s.bev.bits.back() &= static_cast<std::uint8_t>((1u << tail) - 1);
+    }
   } else {
-    io(pack_bev(s.bev));
+    io(s.bev.bits);
   }
   for (auto& v : s.waypoints) io(v);
   io(s.weight);

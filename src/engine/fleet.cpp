@@ -109,16 +109,6 @@ void FleetSim::collect_phase() {
     const std::size_t eval_n =
         std::min<std::size_t>(static_cast<std::size_t>(cfg_.eval_frames_per_vehicle), n);
     const std::size_t eval_stride = std::max<std::size_t>(n / std::max<std::size_t>(eval_n, 1), 1);
-    std::vector<char> taken(n, 0);
-    for (std::size_t k = 0; k < eval_n; ++k) {
-      const std::size_t idx = std::min(k * eval_stride, n - 1);
-      if (taken[idx] != 0) continue;
-      taken[idx] = 1;
-      eval_set_.push_back(frames_v[idx]);
-    }
-    auto& node = *nodes_[static_cast<std::size_t>(v)];
-    const auto valid_every = static_cast<std::size_t>(
-        cfg_.validation_fraction > 0.0 ? std::llround(1.0 / cfg_.validation_fraction) : 0);
     // Original sample weights w(d): inverse per-command frequency, so rare
     // commands (turns) are not drowned out by lane-following frames. This is
     // the command-balance goal of the paper's sigma(x) penalty (Eq. (6))
@@ -127,9 +117,21 @@ void FleetSim::collect_phase() {
     // commands.
     std::array<std::size_t, data::kNumCommands> counts{};
     for (const auto& s : frames_v) ++counts[static_cast<std::size_t>(s.command)];
+    // Each frame moves to exactly one split: eval set, validation or dataset.
+    std::vector<char> taken(n, 0);
+    for (std::size_t k = 0; k < eval_n; ++k) {
+      const std::size_t idx = std::min(k * eval_stride, n - 1);
+      if (taken[idx] != 0) continue;
+      taken[idx] = 1;
+      eval_set_.push_back(std::move(frames_v[idx]));
+    }
+    auto& node = *nodes_[static_cast<std::size_t>(v)];
+    const auto valid_every = static_cast<std::size_t>(
+        cfg_.validation_fraction > 0.0 ? std::llround(1.0 / cfg_.validation_fraction) : 0);
+    std::vector<data::Sample> train;
     for (std::size_t i = 0; i < n; ++i) {
       if (taken[i] != 0) continue;
-      data::Sample s = frames_v[i];
+      data::Sample s = std::move(frames_v[i]);
       const auto c = counts[static_cast<std::size_t>(s.command)];
       if (c > 0) {
         // Multiplied onto the braking upweight collect_sample already set.
@@ -140,27 +142,24 @@ void FleetSim::collect_phase() {
       if (valid_every > 0 && i % valid_every == valid_every - 1) {
         node.validation.push_back(std::move(s));
       } else {
-        node.dataset.add(std::move(s));
+        train.push_back(std::move(s));
       }
     }
+    frames_v = {};
     // Heterogeneity: skewed dataset sizes. Stride-decimate the training set
     // down to the vehicle's keep fraction (Bresenham-style integer selection
-    // — deterministic, no per-sample RNG). Eval/validation splits untouched;
-    // keep >= 1 leaves the dataset byte-identical to the unskewed path.
+    // — deterministic, no per-sample RNG); with kept == total every frame
+    // passes. Eval/validation splits untouched; keep >= 1 leaves the dataset
+    // byte-identical to the unskewed path.
+    const std::size_t total = train.size();
+    std::size_t kept = total;
     const double keep = hetero_.dataset_keep(v);
-    if (keep < 1.0 && node.dataset.samples().size() > 1) {
-      const std::size_t total = node.dataset.samples().size();
-      const auto kept = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::llround(keep * static_cast<double>(total))));
-      if (kept < total) {
-        data::WeightedDataset trimmed{cfg_.policy.bev};
-        for (std::size_t j = 0; j < total; ++j) {
-          if ((j + 1) * kept / total > j * kept / total) {
-            trimmed.add(node.dataset.samples()[j]);
-          }
-        }
-        node.dataset = std::move(trimmed);
-      }
+    if (keep < 1.0 && total > 1) {
+      const auto k = static_cast<std::size_t>(std::llround(keep * static_cast<double>(total)));
+      kept = std::clamp<std::size_t>(k, 1, total);
+    }
+    for (std::size_t j = 0; j < total; ++j) {
+      if ((j + 1) * kept / total > j * kept / total) node.dataset.add(std::move(train[j]));
     }
     if (node.dataset.empty()) throw std::logic_error{"collect_phase: empty local dataset"};
   }

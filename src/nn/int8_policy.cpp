@@ -181,14 +181,14 @@ void ScoringBatch::assign(const Int8Policy& model, std::span<const data::Sample*
   const std::size_t kpad = static_cast<std::size_t>(qc.kpad);
   const auto ch = static_cast<std::size_t>(g.in_ch);
   codes_.assign(samples.size() * plane * kpad, 0);
+  std::vector<std::int8_t> planes(in_plane * ch);
   std::vector<std::int8_t> xq(in_plane * ch);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    // Channel-last codes of the sample first: one pass over the cells, after
-    // which every tap reads in_ch adjacent codes.
-    const std::uint8_t* cells = samples[i]->bev.cells.data();
-    const auto code = [&](std::size_t ic, std::size_t px) {
-      return static_cast<std::int8_t>((cells[ic * in_plane + px] != 0) * 127);
-    };
+    // The sample's codes channel-major, eight per BEV byte; then channel-last,
+    // after which every tap reads in_ch adjacent codes.
+    data::expand_bits<std::int8_t{0}, std::int8_t{127}>(samples[i]->bev.bits.data(), 0,
+                                                         planes.size(), planes.data());
+    const auto code = [&](std::size_t ic, std::size_t px) { return planes[ic * in_plane + px]; };
     if (ch == 4) {
       // Fixed-width body for the default spec: a constant interleave factor
       // is what lets the compiler turn this byte transpose into shuffles.

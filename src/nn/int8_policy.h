@@ -21,7 +21,7 @@
 // once per snapshot; each eval call then replaces float GEMMs with int8
 // ones. The engine constructs one Int8Policy per vehicle per eval sweep.
 // Scoring runs through an int8 ScoringBatch (nn/policy.h) chunk by chunk:
-// conv1's panel comes straight from the BEV cells, and each layer is one
+// conv1's panel comes straight from the BEV bits, and each layer is one
 // integer GEMM over the chunk with per-sample activation scales.
 //
 // Int8Policy is one of the two nn::ScoringModel types: score_samples,

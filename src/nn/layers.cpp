@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "data/frame.h"
 #include "nn/gemm.h"
 #include "obs/trace.h"
 
@@ -153,28 +154,25 @@ Conv2d::Conv2d(ParamStore& store, int in_channels, int out_channels, int in_heig
 
 namespace {
 
-/// The one unfold loop behind both Conv2d::unfold overloads; `read` maps a
-/// source element to its float value. Each input channel is first copied
-/// into a zero-bordered plane; every column row is then one gather through
-/// the padded offsets, with no bounds test and no strided row walk.
-template <class T, class Read>
-void unfold_planned(const Conv2d& cv, const T* x, std::size_t channel_stride, float* col,
-                    std::size_t col_stride, std::span<const std::int32_t> padded_taps,
-                    Read read) {
+/// The one unfold loop behind both Conv2d::unfold overloads;
+/// `fill_row(ic, r, dst)` writes input row r of channel ic as floats. Each
+/// input channel is first copied into a zero-bordered plane; every column row
+/// is then one gather through the padded offsets, with no bounds test and no
+/// strided row walk.
+template <class FillRow>
+void unfold_planned(const Conv2d& cv, float* col, std::size_t col_stride,
+                    std::span<const std::int32_t> padded_taps, FillRow fill_row) {
   const auto pad = static_cast<std::size_t>(cv.pad);
-  const auto in_w = static_cast<std::size_t>(cv.in_w);
-  const std::size_t padded_w = in_w + 2 * pad;
+  const std::size_t padded_w = static_cast<std::size_t>(cv.in_w) + 2 * pad;
   const std::size_t padded_plane = (static_cast<std::size_t>(cv.in_h) + 2 * pad) * padded_w;
   thread_local std::vector<float> padded;
   padded.assign(padded_plane, 0.0f);  // the border stays zero across channels
   const std::size_t plane = cv.out_plane();
   const std::size_t taps_n = padded_taps.size() / plane;
   float* dst = col;
-  for (int ic = 0; ic < cv.in_ch; ++ic) {
-    const T* xp = x + static_cast<std::size_t>(ic) * channel_stride;
+  for (std::size_t ic = 0; ic < static_cast<std::size_t>(cv.in_ch); ++ic) {
     for (std::size_t r = 0; r < static_cast<std::size_t>(cv.in_h); ++r) {
-      float* prow = padded.data() + (r + pad) * padded_w + pad;
-      for (std::size_t c = 0; c < in_w; ++c) prow[c] = read(xp[r * in_w + c]);
+      fill_row(ic, r, padded.data() + (r + pad) * padded_w + pad);
     }
     const float* src = padded.data();
     for (std::size_t t = 0; t < taps_n; ++t) {
@@ -189,16 +187,20 @@ void unfold_planned(const Conv2d& cv, const T* x, std::size_t channel_stride, fl
 
 void Conv2d::unfold(const float* x, std::size_t channel_stride, float* col,
                     std::size_t col_stride) const {
-  unfold_planned(*this, x, channel_stride, col, col_stride, padded_taps_,
-                 [](float v) { return v; });
+  const auto w = static_cast<std::size_t>(in_w);
+  unfold_planned(*this, col, col_stride, padded_taps_,
+                 [&](std::size_t ic, std::size_t r, float* dst) {
+                   std::copy_n(x + ic * channel_stride + r * w, w, dst);
+                 });
 }
 
-void Conv2d::unfold(const std::uint8_t* cells, float* col, std::size_t col_stride) const {
-  // A table read, not a branch (occupancy is data the predictor cannot
-  // learn) and not an int-to-float convert (a serial dependency per cell).
-  static constexpr float kCellValue[2] = {0.0f, 1.0f};
-  unfold_planned(*this, cells, in_plane(), col, col_stride, padded_taps_,
-                 [](std::uint8_t v) { return kCellValue[v != 0]; });
+void Conv2d::unfold(const std::uint8_t* bits, float* col, std::size_t col_stride) const {
+  const auto w = static_cast<std::size_t>(in_w);
+  const auto h = static_cast<std::size_t>(in_h);
+  unfold_planned(*this, col, col_stride, padded_taps_,
+                 [&](std::size_t ic, std::size_t r, float* dst) {
+                   data::expand_bits<0.0f, 1.0f>(bits, (ic * h + r) * w, w, dst);
+                 });
 }
 
 void Conv2d::col2im(const float* col, float* gx) const {

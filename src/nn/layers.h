@@ -131,9 +131,10 @@ struct Conv2d {
   /// x + ic*channel_stride, column row r is written at col + r*col_stride.
   void unfold(const float* x, std::size_t channel_stride, float* col,
               std::size_t col_stride) const;
-  /// The same unfold straight from a binary raster ([in_ch][in_h][in_w]
-  /// bytes): a nonzero cell reads 1.0f, a zero cell 0.0f.
-  void unfold(const std::uint8_t* cells, float* col, std::size_t col_stride) const;
+  /// The same unfold straight from a bit-packed binary raster
+  /// ([in_ch][in_h][in_w] cells, cell i at bit i%8 of byte i/8, as
+  /// data::BevGrid holds it): a set bit reads 1.0f, a clear one 0.0f.
+  void unfold(const std::uint8_t* bits, float* col, std::size_t col_stride) const;
 
   /// Reference direct-convolution implementations (slow; parity oracle).
   void naive_forward(const ParamStore& store, std::span<const float> x, std::span<float> y,

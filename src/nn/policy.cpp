@@ -114,13 +114,13 @@ void DrivingPolicy::set_params(std::span<const float> p) {
 
 void ScoringBatch::assign_labels(const PolicyConfig& cfg,
                                  std::span<const data::Sample* const> samples, int kpad) {
-  const auto numel = static_cast<std::size_t>(cfg.bev.numel());
+  const std::size_t bytes = data::bev_bytes(cfg.bev);
   cfg_ = cfg;
   kpad_ = kpad;
   cmds_.resize(samples.size());
   targets_.resize(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i]->bev.cells.size() != numel) {
+    if (samples[i]->bev.bits.size() != bytes) {
       throw std::invalid_argument{"ScoringBatch: BEV size mismatch"};
     }
     cmds_[i] = samples[i]->command;
@@ -146,7 +146,7 @@ void ScoringBatch::assign(const DrivingPolicy& model,
     const std::size_t first = i / kScoringChunk * kScoringChunk;
     const std::size_t c = std::min(kScoringChunk, samples.size() - first);
     float* base = cols_.data() + first / kScoringChunk * block;
-    cv.unfold(samples[i]->bev.cells.data(), base + (i - first) * plane, c * plane);
+    cv.unfold(samples[i]->bev.bits.data(), base + (i - first) * plane, c * plane);
   }
 }
 
@@ -160,19 +160,19 @@ void DrivingPolicy::forward(std::span<const data::Sample* const> batch, Workspac
   ws.h.assign(n * static_cast<std::size_t>(cfg_.fc_dim), 0.0f);
   ws.out.assign(n * static_cast<std::size_t>(out_dim), 0.0f);
 
-  // conv1 unfolds straight from the BEV cells; its columns stay in ws.col1
+  // conv1 unfolds straight from the BEV bits; its columns stay in ws.col1
   // as the backward's stand-in for the raster.
   const std::size_t per_sample = static_cast<std::size_t>(conv1_.col_rows()) * conv1_.out_plane();
   ws.col1.resize(n * per_sample);
   {
     LBCHAT_OBS_SPAN("nn.conv2d_fwd");
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& cells = batch[i]->bev.cells;
-      if (cells.size() != static_cast<std::size_t>(cfg_.bev.numel())) {
+      const auto& bits = batch[i]->bev.bits;
+      if (bits.size() != data::bev_bytes(cfg_.bev)) {
         throw std::invalid_argument{"DrivingPolicy: BEV size mismatch"};
       }
       float* col = ws.col1.data() + i * per_sample;
-      conv1_.unfold(cells.data(), col, conv1_.out_plane());
+      conv1_.unfold(bits.data(), col, conv1_.out_plane());
       conv1_.gemm_forward(store_, col, conv1_.out_plane(), ws.a1.data() + i * conv1_.out_numel());
     }
   }

@@ -49,7 +49,7 @@ using WaypointVector = std::array<float, 2 * data::kNumWaypoints>;
 inline constexpr std::size_t kScoringChunk = 16;
 
 /// Samples prepared once for forward-only scoring (DESIGN.md §7): their
-/// conv1 columns, unfolded straight from the binary BEV cells (no raster
+/// conv1 columns, unfolded straight from the bit-packed BEV (no raster
 /// pass), plus their commands and target waypoints. Built for one model
 /// flavour — float columns for DrivingPolicy, int8 codes for Int8Policy —
 /// and then shared by every model of that flavour and config scored on the

@@ -24,7 +24,9 @@ coreset::Coreset make_coreset(std::size_t n, double weight_each = 2.0) {
   for (std::size_t i = 0; i < n; ++i) {
     data::Sample s;
     s.bev = data::BevGrid{c.spec};
-    for (auto& cell : s.bev.cells) cell = rng.chance(0.2) ? 1 : 0;
+    for (int k = 0; k < c.spec.numel(); ++k) {
+      s.bev.set(static_cast<std::size_t>(k), rng.chance(0.2));
+    }
     s.command = static_cast<data::Command>(i % data::kNumCommands);
     s.id = i;
     c.samples.push_back(std::move(s));

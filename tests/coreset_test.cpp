@@ -322,7 +322,7 @@ TEST_F(CoresetFixture, PooledSweepsMatchSequentialBitForBit) {
   EXPECT_EQ(reduced_seq.wc, reduced_pool.wc);
   ASSERT_EQ(reduced_seq.size(), reduced_pool.size());
   for (std::size_t i = 0; i < reduced_seq.size(); ++i) {
-    EXPECT_EQ(reduced_seq.samples[i].bev.cells, reduced_pool.samples[i].bev.cells) << i;
+    EXPECT_EQ(reduced_seq.samples[i].bev.bits, reduced_pool.samples[i].bev.bits) << i;
   }
   EXPECT_EQ(rng_seq.next_u64(), rng_pool.next_u64());
 }
@@ -333,7 +333,7 @@ TEST_F(CoresetFixture, PooledSweepSkipsUnweightedSamplesAndPropagatesErrors) {
   std::vector<data::Sample> samples(dataset_->samples().begin(),
                                     dataset_->samples().begin() + 30);
   data::Sample broken = samples[0];
-  broken.bev.cells.pop_back();
+  broken.bev.bits.pop_back();
   samples[10] = broken;
   samples[25] = broken;
   std::vector<double> w(samples.size(), 1.0);

@@ -251,7 +251,9 @@ coreset::Coreset sample_coreset() {
   for (int i = 0; i < 3; ++i) {
     data::Sample s;
     s.bev = data::BevGrid{c.spec};
-    for (auto& cell : s.bev.cells) cell = rng.chance(0.3) ? 1 : 0;
+    for (int k = 0; k < c.spec.numel(); ++k) {
+      s.bev.set(static_cast<std::size_t>(k), rng.chance(0.3));
+    }
     s.command = static_cast<data::Command>(i % data::kNumCommands);
     for (float& wp : s.waypoints) wp = static_cast<float>(rng.uniform(-1.0, 1.0));
     s.weight = 1.0 + i;
@@ -274,7 +276,7 @@ TEST(DeserializerRobustnessTest, CoresetRoundtripAndCorruption) {
     ASSERT_EQ(c.samples.size(), original.samples.size());
     EXPECT_EQ(c.wc, original.wc);
     for (std::size_t i = 0; i < c.samples.size(); ++i) {
-      EXPECT_EQ(c.samples[i].bev.cells, original.samples[i].bev.cells);
+      EXPECT_EQ(c.samples[i].bev.bits, original.samples[i].bev.bits);
       EXPECT_EQ(c.samples[i].command, original.samples[i].command);
       EXPECT_EQ(c.samples[i].waypoints, original.samples[i].waypoints);
       EXPECT_EQ(c.samples[i].weight, original.samples[i].weight);

@@ -538,7 +538,9 @@ TEST(Int8EvalKnob, OnIsThreadCountBitIdentical) {
 data::Sample make_sample(Rng& rng, data::Command cmd) {
   data::Sample s;
   s.bev = data::BevGrid{data::kDefaultBevSpec};
-  for (auto& c : s.bev.cells) c = rng.chance(0.2) ? 1 : 0;
+  for (int k = 0; k < data::kDefaultBevSpec.numel(); ++k) {
+    s.bev.set(static_cast<std::size_t>(k), rng.chance(0.2));
+  }
   s.command = cmd;
   for (auto& w : s.waypoints) w = static_cast<float>(rng.uniform(-0.5, 0.5));
   s.id = rng.next_u64();

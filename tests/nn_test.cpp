@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -456,7 +457,7 @@ data::Sample make_sample(Rng& rng, data::Command cmd,
                          const data::BevSpec& spec = data::kDefaultBevSpec) {
   data::Sample s;
   s.bev = data::BevGrid{spec};
-  for (auto& c : s.bev.cells) c = rng.chance(0.2) ? 1 : 0;
+  for (int k = 0; k < spec.numel(); ++k) s.bev.set(static_cast<std::size_t>(k), rng.chance(0.2));
   s.command = cmd;
   for (auto& w : s.waypoints) w = static_cast<float>(rng.uniform(-0.5, 0.5));
   s.id = rng.next_u64();
@@ -602,29 +603,38 @@ std::vector<float> reference_im2col(const Conv2d& cv, const float* x) {
 }
 
 TEST(UnfoldPlanTest, MatchesReferenceLoops) {
-  // The policy's conv1 and conv2 geometries, plus a stride-1 one.
-  const int shapes[][7] = {{4, 8, 16, 16, 3, 2, 1}, {8, 16, 8, 8, 3, 2, 1}, {3, 4, 7, 6, 3, 1, 1}};
+  // The policy's conv1 and conv2 geometries on the default 4x16x16 BEV, conv1
+  // on a 4x8x8 BEV, and a stride-1 one whose 7x6 rows are not byte-aligned.
+  const int shapes[][7] = {{4, 8, 16, 16, 3, 2, 1},
+                           {8, 16, 8, 8, 3, 2, 1},
+                           {4, 8, 8, 8, 3, 2, 1},
+                           {3, 4, 7, 6, 3, 1, 1}};
   for (const auto& g : shapes) {
     ParamStore store;
     Rng init{401};
     const Conv2d cv{store, g[0], g[1], g[2], g[3], g[4], g[5], g[6], init};
-    Rng data{409};
-    const auto x = random_vec(cv.in_numel(), data);
+    Rng rng{409};
+    const auto x = random_vec(cv.in_numel(), rng);
     const auto want = reference_im2col(cv, x.data());
     std::vector<float> got(want.size(), -1.0f);
     cv.unfold(x.data(), cv.in_plane(), got.data(), cv.out_plane());
     EXPECT_EQ(got, want) << "float unfold, in_ch " << g[0] << " stride " << g[5];
 
-    // The binary-raster overload reads nonzero cells as 1.0f.
-    std::vector<std::uint8_t> cells(cv.in_numel());
+    // The bit-packed overload reads a set bit as 1.0f, bit for bit what the
+    // direct loops make of the same raster as floats.
+    data::BevGrid bev{data::BevSpec{g[0], g[2], g[3]}};
     std::vector<float> raster(cv.in_numel());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      cells[i] = data.chance(0.3) ? static_cast<std::uint8_t>(1 + data.uniform_index(3)) : 0;
-      raster[i] = cells[i] != 0 ? 1.0f : 0.0f;
+    for (std::size_t i = 0; i < raster.size(); ++i) {
+      const bool on = rng.chance(0.3);
+      bev.set(i, on);
+      raster[i] = on ? 1.0f : 0.0f;
     }
-    std::vector<float> from_cells(want.size(), -1.0f);
-    cv.unfold(cells.data(), from_cells.data(), cv.out_plane());
-    EXPECT_EQ(from_cells, reference_im2col(cv, raster.data())) << "cell unfold";
+    std::vector<float> from_bits(want.size(), -1.0f);
+    cv.unfold(bev.bits.data(), from_bits.data(), cv.out_plane());
+    const auto ref = reference_im2col(cv, raster.data());
+    ASSERT_EQ(from_bits.size(), ref.size());
+    EXPECT_EQ(std::memcmp(from_bits.data(), ref.data(), ref.size() * sizeof(float)), 0)
+        << "bit unfold, in_ch " << g[0] << " " << g[2] << "x" << g[3];
   }
 }
 
@@ -736,7 +746,7 @@ struct ReferencePolicy {
     x.assign(n * conv1.in_numel(), 0.0f);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t k = 0; k < conv1.in_numel(); ++k) {
-        x[i * conv1.in_numel() + k] = batch[i]->bev.cells[k] != 0 ? 1.0f : 0.0f;
+        x[i * conv1.in_numel() + k] = batch[i]->bev.at(k) != 0 ? 1.0f : 0.0f;
       }
     }
     a1.assign(n * conv1.out_numel(), 0.0f);

@@ -142,7 +142,9 @@ TEST_F(ObsEngineTest, TrainingStepSpansBothConvForwards) {
   std::vector<data::Sample> samples(4);
   for (auto& s : samples) {
     s.bev = data::BevGrid{policy.config().bev};
-    for (auto& cell : s.bev.cells) cell = rng.chance(0.3) ? 1 : 0;
+    for (int k = 0; k < policy.config().bev.numel(); ++k) {
+      s.bev.set(static_cast<std::size_t>(k), rng.chance(0.3));
+    }
   }
   std::vector<const data::Sample*> batch;
   for (const auto& s : samples) batch.push_back(&s);

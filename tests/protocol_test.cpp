@@ -132,7 +132,7 @@ TEST(ProtocolTest, WirelessTogglePreservesDataCollection) {
   ASSERT_EQ(a.node(0).validation.size(), b.node(0).validation.size());
   for (std::size_t i = 0; i < a.node(0).validation.size(); ++i) {
     EXPECT_EQ(a.node(0).validation[i].id, b.node(0).validation[i].id);
-    EXPECT_EQ(a.node(0).validation[i].bev.cells, b.node(0).validation[i].bev.cells);
+    EXPECT_EQ(a.node(0).validation[i].bev.bits, b.node(0).validation[i].bev.bits);
   }
 }
 

@@ -249,8 +249,7 @@ TEST(WorldTest, CollectSampleBasics) {
   const data::Sample s = world.collect_sample(1, 12345);
   EXPECT_EQ(s.id, 12345u);
   EXPECT_EQ(s.source_vehicle, 1u);
-  EXPECT_EQ(s.bev.cells.size(),
-            static_cast<std::size_t>(world.config().bev.numel()));
+  EXPECT_EQ(s.bev.bits.size(), data::bev_bytes(world.config().bev));
   EXPECT_GE(s.weight, 1.0);
   // Waypoint labels are finite and mostly ahead.
   for (const float w : s.waypoints) EXPECT_TRUE(std::isfinite(w));
@@ -261,7 +260,7 @@ TEST(WorldTest, CollectSampleDeterministicPerId) {
   for (int i = 0; i < 10; ++i) world.step(0.5);
   const data::Sample a = world.collect_sample(0, 42);
   const data::Sample b = world.collect_sample(0, 42);
-  EXPECT_EQ(a.bev.cells, b.bev.cells);
+  EXPECT_EQ(a.bev.bits, b.bev.bits);
   EXPECT_EQ(a.waypoints, b.waypoints);
 }
 
@@ -344,10 +343,8 @@ TEST(BevTest, RouteChannelTracesPathAhead) {
       render_bev(spec, map, r.position_at(0.0), r.heading_at(0.0), {}, {}, r, 0.0);
   int marked = 0;
   for (int i = 0; i < spec.height * spec.width; ++i) {
-    marked += g.cells[static_cast<std::size_t>(
-                  static_cast<int>(data::BevChannel::kRoute) * spec.height * spec.width + i)] != 0
-                  ? 1
-                  : 0;
+    marked += g.at(static_cast<std::size_t>(
+        static_cast<int>(data::BevChannel::kRoute) * spec.height * spec.width + i));
   }
   EXPECT_GE(marked, 5) << "route channel should trace the path ahead";
 }
@@ -360,8 +357,8 @@ TEST(BevTest, DistantAgentsNotRendered) {
   const auto spec = data::kDefaultBevSpec;
   const data::BevGrid g = render_bev(spec, map, ego, 0.0, cars, {}, Route{}, 0.0);
   for (int i = 0; i < spec.height * spec.width; ++i) {
-    EXPECT_EQ(g.cells[static_cast<std::size_t>(
-                  static_cast<int>(data::BevChannel::kVehicles) * spec.height * spec.width + i)],
+    EXPECT_EQ(g.at(static_cast<std::size_t>(
+                  static_cast<int>(data::BevChannel::kVehicles) * spec.height * spec.width + i)),
               0);
   }
 }

@@ -49,6 +49,13 @@ std::filesystem::path fresh_dir(const std::string& tag) {
   return dir;
 }
 
+/// `text` in double quotes: a JSON key or string. Built by append, not by
+/// `"\"" + std::string`, which GCC 12 misreads as an overlapping copy
+/// (-Wrestrict) once inlined.
+std::string in_quotes(std::string_view text) {
+  return std::string{"\""}.append(text).append("\"");
+}
+
 std::string slurp(const std::filesystem::path& path) {
   std::string text;
   EXPECT_TRUE(read_file(path, text)) << path;
@@ -149,7 +156,7 @@ TEST(JsonTest, RecordsSourceSpans) {
 TEST(JsonTest, EscapeRoundTrips) {
   const std::string raw = "a\"b\\c\nd\x01";
   std::string err;
-  const auto v = json_parse("\"" + json_escape(raw) + "\"", err);
+  const auto v = json_parse(in_quotes(json_escape(raw)), err);
   ASSERT_NE(v, nullptr) << err;
   EXPECT_EQ(v->as_string(), raw);
 }
@@ -219,8 +226,8 @@ TEST(JobSpecTest, NumbersMustBeFiniteAndCountsWhole) {
                           "learning_rate", "byzantine_frac", "preempt_at"}) {
     for (const char* inf : {"1e400", "-1e400"}) {
       err.clear();
-      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + inf, spec, err)) << key << inf;
-      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be finite") << key << inf;
+      EXPECT_FALSE(parse(in_quotes(key) + ":" + inf, spec, err)) << key << inf;
+      EXPECT_EQ(err, in_quotes(key) + " must be finite") << key << inf;
     }
   }
   EXPECT_FALSE(parse(R"("faults":{"burst_radius_m":1e400})", spec, err));
@@ -235,13 +242,13 @@ TEST(JobSpecTest, NumbersMustBeFiniteAndCountsWhole) {
   for (const char* key : {"model_bytes", "coreset_bytes_per_sample"}) {
     for (const char* bad : {"1.5", "0", "-3", "9007199254740994", "1e300"}) {
       err.clear();
-      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
-      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be an integer in [1, 2^53]")
+      EXPECT_FALSE(parse(in_quotes(key) + ":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, in_quotes(key) + " must be an integer in [1, 2^53]")
           << key << bad;
     }
     err.clear();
-    EXPECT_FALSE(parse("\"" + std::string{key} + "\":1e400", spec, err)) << key;
-    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be finite") << key;
+    EXPECT_FALSE(parse(in_quotes(key) + ":1e400", spec, err)) << key;
+    EXPECT_EQ(err, in_quotes(key) + " must be finite") << key;
   }
 }
 
@@ -263,38 +270,38 @@ TEST(JobSpecTest, HorizonsFractionsAndBatchSizeAreRangeChecked) {
                           "learning_rate", "time_budget", "session_timeout", "radio_range"}) {
     for (const char* bad : {"0", "-5"}) {
       err.clear();
-      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
-      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be > 0") << key << bad;
+      EXPECT_FALSE(parse(in_quotes(key) + ":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, in_quotes(key) + " must be > 0") << key << bad;
     }
   }
   for (const char* key : {"pair_cooldown", "background_cars", "pedestrians", "eval_frames"}) {
     err.clear();
-    EXPECT_FALSE(parse("\"" + std::string{key} + "\":-1", spec, err)) << key;
-    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be >= 0") << key;
-    EXPECT_TRUE(parse("\"" + std::string{key} + "\":0", spec, err)) << key << err;
+    EXPECT_FALSE(parse(in_quotes(key) + ":-1", spec, err)) << key;
+    EXPECT_EQ(err, in_quotes(key) + " must be >= 0") << key;
+    EXPECT_TRUE(parse(in_quotes(key) + ":0", spec, err)) << key << err;
   }
   for (const char* key : {"burst_rate_per_min", "burst_duration_s", "burst_radius_m",
                           "churn_rate_per_min", "churn_offline_mean_s", "backoff_max_exp"}) {
     err.clear();
     EXPECT_FALSE(parse(faults(key, "-1"), spec, err)) << key;
-    EXPECT_EQ(err, "\"" + std::string{key} + "\" must be >= 0") << key;
+    EXPECT_EQ(err, in_quotes(key) + " must be >= 0") << key;
     EXPECT_TRUE(parse(faults(key, "0"), spec, err)) << key << err;
   }
   for (const char* key : {"byzantine_frac", "straggler_frac"}) {
     for (const char* bad : {"1.5", "-0.1", "1.0000001"}) {
       err.clear();
-      EXPECT_FALSE(parse("\"" + std::string{key} + "\":" + bad, spec, err)) << key << bad;
-      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be in [0, 1]") << key << bad;
+      EXPECT_FALSE(parse(in_quotes(key) + ":" + bad, spec, err)) << key << bad;
+      EXPECT_EQ(err, in_quotes(key) + " must be in [0, 1]") << key << bad;
     }
     for (const char* good : {"0", "1", "0.5"}) {
-      EXPECT_TRUE(parse("\"" + std::string{key} + "\":" + good, spec, err)) << key << err;
+      EXPECT_TRUE(parse(in_quotes(key) + ":" + good, spec, err)) << key << err;
     }
   }
   for (const char* key : {"burst_extra_loss", "corrupt_prob_near", "corrupt_prob_far"}) {
     for (const char* bad : {"-3", "5", "1.0000001"}) {
       err.clear();
       EXPECT_FALSE(parse(faults(key, bad), spec, err)) << key << bad;
-      EXPECT_EQ(err, "\"" + std::string{key} + "\" must be in [0, 1]") << key << bad;
+      EXPECT_EQ(err, in_quotes(key) + " must be in [0, 1]") << key << bad;
     }
     EXPECT_TRUE(parse(faults(key, "1"), spec, err)) << key << err;
   }
