@@ -11,6 +11,7 @@
 #include "common/file_io.h"
 #include "common/fingerprint.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/kernel_dispatch.h"
 #include "obs/export.h"
 
@@ -156,8 +157,8 @@ engine::ScenarioConfig default_scenario(bool wireless_loss) {
   // hardware threads, override with LBCHAT_THREADS=n.
   cfg.num_threads = static_cast<int>(env_number(
       "LBCHAT_THREADS", 0.0,
-      [](double v) { return v >= 0.0 && v < 2147483648.0 && v == std::floor(v); },
-      "an integer >= 0"));
+      [](double v) { return v >= 0.0 && v <= ThreadPool::kMaxLanes && v == std::floor(v); },
+      "an integer in [0, 256]"));
   return cfg;
 }
 

@@ -29,7 +29,8 @@ inline constexpr std::array<std::string_view, 5> kPaperApproaches{"ProxSkip", "R
 /// The bench-scale scenario shared by all experiments (the paper's setup
 /// scaled to a single CPU core; see DESIGN.md for the mapping). The
 /// LBCHAT_BENCH_SCALE env var (default 1.0, must be > 0.01) scales the
-/// training horizon; LBCHAT_THREADS (an integer >= 0) sets the worker lanes.
+/// training horizon; LBCHAT_THREADS (an integer in [0, 256]) sets the
+/// worker lanes.
 [[nodiscard]] engine::ScenarioConfig default_scenario(bool wireless_loss);
 
 /// The online-evaluation configuration matched to default_scenario.

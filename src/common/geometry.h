@@ -44,16 +44,38 @@ struct Vec2 {
   }
 
   /// Rotate counter-clockwise by `angle` radians.
-  [[nodiscard]] Vec2 rotated(double angle) const {
-    const double c = std::cos(angle);
-    const double s = std::sin(angle);
-    return {c * x - s * y, s * x + c * y};
-  }
+  [[nodiscard]] Vec2 rotated(double angle) const;
 };
 
 inline constexpr Vec2 operator*(double s, const Vec2& v) { return v * s; }
 
+/// Counter-clockwise rotation by a fixed angle, its cos/sin computed once:
+/// a loop that turns many points by one heading pays one trig pair.
+struct Rotation {
+  double c;
+  double s;
+
+  explicit Rotation(double angle) : c(std::cos(angle)), s(std::sin(angle)) {}
+  [[nodiscard]] constexpr Vec2 operator()(const Vec2& v) const {
+    return {c * v.x - s * v.y, s * v.x + c * v.y};
+  }
+};
+
+inline Vec2 Vec2::rotated(double angle) const { return Rotation{angle}(*this); }
+
 inline double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
+
+/// distance(a, b) > r for r > 0, with the same answer bit for bit: the
+/// squared distance decides unless it lies within a relative 1e-9 of r²,
+/// far wider than the few ulps either value can be off, and only there
+/// does distance() itself (a hypot call) decide.
+inline bool farther_than(const Vec2& a, const Vec2& b, double r) {
+  const double d2 = (a - b).norm2();
+  const double r2 = r * r;
+  if (d2 > r2 * (1.0 + 1e-9)) return true;
+  if (d2 < r2 * (1.0 - 1e-9)) return false;
+  return distance(a, b) > r;
+}
 
 /// Normalize an angle into (-pi, pi].
 inline double wrap_angle(double a) {
@@ -63,14 +85,21 @@ inline double wrap_angle(double a) {
 }
 
 /// Express world point `p` in the frame of an observer at `origin` with heading
-/// `heading` (x forward, y left).
+/// `heading` (x forward, y left). The Rotation form takes Rotation{-heading},
+/// for loops over many points seen from one pose.
+inline Vec2 to_ego_frame(const Vec2& p, const Vec2& origin, const Rotation& minus_heading) {
+  return minus_heading(p - origin);
+}
 inline Vec2 to_ego_frame(const Vec2& p, const Vec2& origin, double heading) {
-  return (p - origin).rotated(-heading);
+  return to_ego_frame(p, origin, Rotation{-heading});
 }
 
-/// Inverse of to_ego_frame.
+/// Inverse of to_ego_frame; the Rotation form takes Rotation{heading}.
+inline Vec2 to_world_frame(const Vec2& p, const Vec2& origin, const Rotation& heading) {
+  return origin + heading(p);
+}
 inline Vec2 to_world_frame(const Vec2& p, const Vec2& origin, double heading) {
-  return origin + p.rotated(heading);
+  return to_world_frame(p, origin, Rotation{heading});
 }
 
 /// Distance from point `p` to the segment [a, b].

@@ -1,17 +1,50 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace lbchat {
+
+namespace {
+
+constexpr std::uint64_t pack_claim(std::uint32_t generation, int parts, int next) {
+  return (static_cast<std::uint64_t>(generation) << 32) |
+         (static_cast<std::uint64_t>(parts) << 16) | static_cast<std::uint64_t>(next);
+}
+constexpr int claim_parts(std::uint64_t word) { return static_cast<int>((word >> 16) & 0xFFFF); }
+constexpr int claim_next(std::uint64_t word) { return static_cast<int>(word & 0xFFFF); }
+
+/// Spin until `done()` holds or `spin_ns` of wall time pass; true when
+/// `done()` held. Each round yields the CPU: the kernel may run a worker on
+/// the caller's CPU (a new thread starts there, and a woken one may stay),
+/// and a spinner sharing a CPU must let the thread it waits for run, not
+/// burn its time slice. On a CPU of its own the yield returns at once.
+template <class Done>
+bool spin_until(Done&& done, std::int64_t spin_ns) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds{spin_ns};
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
 
 int ThreadPool::resolve_num_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? std::min(static_cast<int>(hw), kMaxLanes) : 1;
 }
 
 ThreadPool::ThreadPool(int num_threads) {
   const int lanes = resolve_num_threads(num_threads);
+  if (lanes > kMaxLanes) {
+    throw std::invalid_argument{"ThreadPool: at most " + std::to_string(kMaxLanes) + " lanes"};
+  }
   workers_.reserve(static_cast<std::size_t>(lanes - 1));
   for (int i = 1; i < lanes; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -19,17 +52,15 @@ ThreadPool::ThreadPool(int num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk{mutex_};
-    stop_ = true;
-  }
+  stop_.store(true);
+  // Taking the lock orders the store before any sleeper's predicate check.
+  { std::lock_guard<std::mutex> lk{mutex_}; }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
 void ThreadPool::run_chunk(int part) {
-  // Job fields are stable while pending_parts_ > 0, so reading them without
-  // the lock here is safe.
+  // The job fields are stable while this part is unfinished.
   const std::int64_t n = end_ - begin_;
   const std::int64_t lo = begin_ + n * part / parts_;
   const std::int64_t hi = begin_ + n * (part + 1) / parts_;
@@ -41,21 +72,41 @@ void ThreadPool::run_chunk(int part) {
   }
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lk{mutex_};
-  for (;;) {
-    work_cv_.wait(lk, [&] { return stop_ || (generation_ != seen && next_part_ < parts_); });
-    if (stop_) return;
-    seen = generation_;
-    while (next_part_ < parts_) {
-      const int part = next_part_++;
-      lk.unlock();
-      run_chunk(part);
-      lk.lock();
-      if (--pending_parts_ == 0) done_cv_.notify_all();
+std::uint64_t ThreadPool::run_parts(std::uint64_t word) {
+  while (claim_next(word) < claim_parts(word)) {
+    // A claim succeeds only on the word it read, generation included, so it
+    // takes a part of the job that word describes and no other. A failed
+    // compare-and-swap reloads `word`.
+    if (!claim_.compare_exchange_weak(word, word + 1, std::memory_order_acquire)) continue;
+    run_chunk(claim_next(word));
+    if (pending_parts_.fetch_sub(1) == 1 && caller_sleeping_.load()) {
+      { std::lock_guard<std::mutex> lk{mutex_}; }
+      done_cv_.notify_one();
     }
+    word = claim_.load(std::memory_order_acquire);
   }
+  return word;
+}
+
+bool ThreadPool::wait_for_job(std::uint64_t seen) {
+  const auto ready = [&] {
+    return stop_.load() || claim_.load(std::memory_order_relaxed) != seen;
+  };
+  if (!spin_until(ready, kSpinNs)) {
+    std::unique_lock<std::mutex> lk{mutex_};
+    // The caller reads the sleeper count after it publishes a job; this
+    // increment comes before the predicate reads the claim word, so one of
+    // the two sees the other and no wake-up is lost.
+    sleeping_workers_.fetch_add(1);
+    work_cv_.wait(lk, [&] { return stop_.load() || claim_.load() != seen; });
+    sleeping_workers_.fetch_sub(1);
+  }
+  return !stop_.load();
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = claim_.load(std::memory_order_acquire);
+  while (wait_for_job(seen)) seen = run_parts(claim_.load(std::memory_order_acquire));
 }
 
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
@@ -63,40 +114,34 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   const int parts = static_cast<int>(std::min<std::int64_t>(size(), n));
-  const auto run_inline = [&] {
+  if (workers_.empty() || parts <= 1 || busy_.exchange(true, std::memory_order_acquire)) {
     for (std::int64_t i = begin; i < end; ++i) fn(i);
-  };
-  if (workers_.empty() || parts <= 1) return run_inline();
-  {
+    return;
+  }
+  fn_ = &fn;
+  begin_ = begin;
+  end_ = end;
+  parts_ = parts;
+  pending_parts_.store(parts, std::memory_order_relaxed);
+  const std::uint64_t word = pack_claim(++generation_, parts, 0);
+  claim_.store(word);
+  if (sleeping_workers_.load() > 0) {
+    { std::lock_guard<std::mutex> lk{mutex_}; }
+    work_cv_.notify_all();
+  }
+  // The caller takes every part no worker has claimed yet, then joins.
+  run_parts(word);
+  const auto all_done = [&] { return pending_parts_.load() == 0; };
+  if (!spin_until(all_done, kSpinNs)) {
     std::unique_lock<std::mutex> lk{mutex_};
-    if (busy_) {
-      lk.unlock();
-      return run_inline();
-    }
-    busy_ = true;
-    fn_ = &fn;
-    begin_ = begin;
-    end_ = end;
-    parts_ = parts;
-    next_part_ = 1;  // the caller takes chunk 0
-    pending_parts_ = parts;
-    first_error_ = nullptr;
-    ++generation_;
+    caller_sleeping_.store(true);
+    done_cv_.wait(lk, all_done);
+    caller_sleeping_.store(false);
   }
-  work_cv_.notify_all();
-  run_chunk(0);
-  std::unique_lock<std::mutex> lk{mutex_};
-  --pending_parts_;
-  done_cv_.wait(lk, [&] { return pending_parts_ == 0; });
   fn_ = nullptr;
-  parts_ = 0;  // stragglers waking late see no work
-  busy_ = false;
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(err);
-  }
+  std::exception_ptr err = std::exchange(first_error_, nullptr);
+  busy_.store(false, std::memory_order_release);
+  if (err) std::rethrow_exception(err);
 }
 
 void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,

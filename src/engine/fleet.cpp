@@ -95,13 +95,22 @@ void FleetSim::collect_phase() {
   std::vector<std::vector<data::Sample>> collected(
       static_cast<std::size_t>(cfg_.num_vehicles));
   for (int f = 0; f < frames; ++f) {
-    world_.step(frame_dt);
-    for (int v = 0; v < cfg_.num_vehicles; ++v) {
+    {
+      LBCHAT_OBS_SPAN("engine.collect.world_step");
+      world_.step(frame_dt);
+    }
+    LBCHAT_OBS_SPAN("engine.collect.render");
+    // One vehicle's frame per lane task, into that vehicle's own vector.
+    // collect_sample only reads the world and seeds its RNG from the sample
+    // id, so every frame is the same on any lane.
+    for_each_vehicle([&](std::int64_t v) {
       const std::uint64_t id =
           (static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint32_t>(f);
-      collected[static_cast<std::size_t>(v)].push_back(world_.collect_sample(v, id));
-    }
+      collected[static_cast<std::size_t>(v)].push_back(
+          world_.collect_sample(static_cast<int>(v), id));
+    });
   }
+  LBCHAT_OBS_SPAN("engine.collect.split");
   for (int v = 0; v < cfg_.num_vehicles; ++v) {
     auto& frames_v = collected[static_cast<std::size_t>(v)];
     const std::size_t n = frames_v.size();
@@ -581,7 +590,10 @@ obs::Snapshot FleetSim::metrics_snapshot() const {
 void FleetSim::prepare() {
   if (prepared_) return;
   collect_phase();
-  strategy_->setup(*this);
+  {
+    LBCHAT_OBS_SPAN("strategy.setup");
+    strategy_->setup(*this);
+  }
   eval_and_record(metrics_, 0.0);
   next_train_ = cfg_.train_interval_s;
   next_eval_ = cfg_.eval_interval_s;

@@ -179,8 +179,9 @@ TrialResult OnlineEvaluator::run_trial(const nn::DrivingPolicy& model, DrivingTa
     double command_speed = desired_speed;
     {
       double gap = 1e18;
+      const Rotation minus_heading{-heading};
       const auto scan = [&](const Vec2& obstacle, double radius) {
-        const Vec2 e = to_ego_frame(obstacle, pos, heading);
+        const Vec2 e = to_ego_frame(obstacle, pos, minus_heading);
         if (e.x > 0.3 && e.x <= 18.0 && std::abs(e.y) <= 1.6 + radius) {
           gap = std::min(gap, e.x);
         }

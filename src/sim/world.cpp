@@ -73,8 +73,9 @@ Vec2 World::lane_position(const Route& route, double s) const {
 double World::allowed_speed_at(const Vec2& pos, double heading, double base_speed,
                                int exclude_vehicle, bool ignore_cars) const {
   double gap = std::numeric_limits<double>::infinity();
+  const Rotation minus_heading{-heading};
   const auto consider = [&](const Vec2& obstacle, double radius) {
-    const Vec2 e = to_ego_frame(obstacle, pos, heading);
+    const Vec2 e = to_ego_frame(obstacle, pos, minus_heading);
     if (e.x <= 0.5 || e.x > cfg_.obstacle_lookahead_m) return;
     if (std::abs(e.y) > cfg_.corridor_halfwidth_m + radius) return;
     gap = std::min(gap, e.x);
@@ -118,8 +119,9 @@ double World::allowed_speed_snapshot(const Vec2& pos, double heading, double bas
   // lies within hypot(lookahead, halfwidth + radius) of the ego, so a disc
   // query of that radius yields a candidate superset, and min over the
   // filtered superset equals min over a full scan — the grid is exact.
+  const Rotation minus_heading{-heading};
   const auto consider = [&](const Vec2& obstacle, double radius) {
-    const Vec2 e = to_ego_frame(obstacle, pos, heading);
+    const Vec2 e = to_ego_frame(obstacle, pos, minus_heading);
     if (e.x <= 0.5 || e.x > cfg_.obstacle_lookahead_m) return;
     if (std::abs(e.y) > cfg_.corridor_halfwidth_m + radius) return;
     gap = std::min(gap, e.x);
@@ -226,13 +228,10 @@ void World::step_peds(double dt) {
   }
 }
 
-std::vector<Vec2> World::car_positions(int exclude_vehicle) const {
+std::vector<Vec2> World::car_positions() const {
   std::vector<Vec2> out;
   out.reserve(vehicles_.size() + cars_.size());
-  for (int i = 0; i < num_vehicles(); ++i) {
-    if (i == exclude_vehicle) continue;
-    out.push_back(vehicles_[static_cast<std::size_t>(i)].pos);
-  }
+  for (const CarAgent& a : vehicles_) out.push_back(a.pos);
   for (const CarAgent& c : cars_) out.push_back(c.pos);
   return out;
 }
@@ -246,8 +245,15 @@ std::vector<Vec2> World::pedestrian_positions() const {
 
 data::BevGrid World::render_ego_bev(const Vec2& pos, double heading, const Route& route,
                                     double route_s, int exclude_vehicle) const {
-  return render_bev(cfg_.bev, map_, pos, heading, car_positions(exclude_vehicle),
-                    pedestrian_positions(), route, route_s, cfg_.car_radius_m);
+  BevRaster raster{cfg_.bev, map_, pos, heading};
+  for (int i = 0; i < num_vehicles(); ++i) {
+    if (i == exclude_vehicle) continue;
+    raster.add_car(vehicles_[static_cast<std::size_t>(i)].pos, cfg_.car_radius_m);
+  }
+  for (const CarAgent& c : cars_) raster.add_car(c.pos, cfg_.car_radius_m);
+  for (const PedAgent& p : peds_) raster.add_pedestrian(p.pos);
+  raster.add_route(route, route_s);
+  return std::move(raster).take();
 }
 
 data::Sample World::collect_sample(int v, std::uint64_t sample_id) const {
@@ -286,9 +292,10 @@ data::Sample World::collect_sample(int v, std::uint64_t sample_id) const {
   // Perturbed frames keep a minimum forward progression so the recovery
   // label is "steer back to the lane", never "freeze off-road".
   const double v_label = std::max(v_expert, perturbed ? 3.0 : 0.0);
+  const Rotation minus_heading{-pose_heading};
   for (int k = 0; k < data::kNumWaypoints; ++k) {
     const double ds = v_label * cfg_.waypoint_dt_s * static_cast<double>(k + 1);
-    const Vec2 wp = to_ego_frame(lane_position(a.route, a.s + ds), pose_pos, pose_heading);
+    const Vec2 wp = to_ego_frame(lane_position(a.route, a.s + ds), pose_pos, minus_heading);
     s.waypoints[static_cast<std::size_t>(2 * k)] =
         static_cast<float>(wp.x / data::kWaypointScale);
     s.waypoints[static_cast<std::size_t>(2 * k + 1)] =

@@ -102,9 +102,8 @@ class World {
     return vehicles_[static_cast<std::size_t>(i)];
   }
 
-  /// Positions of every car except peer vehicle `exclude_vehicle` (pass -1 to
-  /// include all). Includes background cars.
-  [[nodiscard]] std::vector<Vec2> car_positions(int exclude_vehicle = -1) const;
+  /// Positions of every car: peer vehicles, then background cars.
+  [[nodiscard]] std::vector<Vec2> car_positions() const;
   [[nodiscard]] std::vector<Vec2> pedestrian_positions() const;
 
   /// Collect a training frame from peer vehicle `v` with the expert's
@@ -113,8 +112,10 @@ class World {
   /// for recovery augmentation (see WorldConfig::perturb_prob).
   [[nodiscard]] data::Sample collect_sample(int v, std::uint64_t sample_id) const;
 
-  /// Render a BEV for an arbitrary pose (used by the online evaluator's test
-  /// autopilot, which is not part of the world's own agent set).
+  /// Render a BEV for an arbitrary pose: every car but peer vehicle
+  /// `exclude_vehicle` (-1: none), every pedestrian, and `route` ahead of
+  /// `route_s`. collect_sample renders through it, and so does the online
+  /// evaluator's test autopilot, which is not part of the world's agent set.
   [[nodiscard]] data::BevGrid render_ego_bev(const Vec2& pos, double heading, const Route& route,
                                              double route_s, int exclude_vehicle = -1) const;
 

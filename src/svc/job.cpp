@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/fingerprint.h"
+#include "common/thread_pool.h"
 #include "engine/checkpoint.h"
 #include "nn/kernel_dispatch.h"
 #include "svc/json.h"
@@ -75,6 +76,12 @@ struct Apply {
   bool at_least(int& out, int lo) const {
     if (!integer(out)) return false;
     return out >= lo || fail("\"" + key + "\" must be >= " + std::to_string(lo));
+  }
+  /// An integer in [lo, hi].
+  bool integer_in(int& out, int lo, int hi) const {
+    if (!integer(out)) return false;
+    return (out >= lo && out <= hi) || fail("\"" + key + "\" must be in [" + std::to_string(lo) +
+                                            ", " + std::to_string(hi) + "]");
   }
   /// A count read as `x` (already type-checked): a whole number in
   /// [1, 2^53], never truncated.
@@ -149,7 +156,10 @@ constexpr KeyEntry kKeys[] = {
        return true;
      },
      {"N", "scenario seed"}},
-    {"threads", [](const Apply& a) { return a.integer(a.spec.cfg.num_threads); },
+    // A lane is an OS thread: the bound keeps a spec from asking for more
+    // threads than any host runs usefully.
+    {"threads",
+     [](const Apply& a) { return a.integer_in(a.spec.cfg.num_threads, 0, ThreadPool::kMaxLanes); },
      {"N", "worker lanes, 0 = all cores (bit-identical for any N)"}},
     {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
     {"eval_interval", [](const Apply& a) { return a.positive(a.spec.cfg.eval_interval_s); }},
@@ -284,10 +294,6 @@ bool JobSpecBuilder::finish(std::string& error) {
   }
   if (cfg.duration_s <= 0.0) {
     error = "\"duration\" must be > 0";
-    return false;
-  }
-  if (cfg.num_threads < 0) {
-    error = "\"threads\" must be >= 0";
     return false;
   }
   return true;

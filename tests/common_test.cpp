@@ -2,8 +2,12 @@
 // statistics helpers, time series, and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -72,6 +76,23 @@ TEST(GeometryTest, EgoFrameForwardIsPositiveX) {
   // A point to the observer's left has ego y > 0.
   const Vec2 left = to_ego_frame({-3.0, 0.0}, {0.0, 0.0}, M_PI / 2.0);
   EXPECT_NEAR(left.y, 3.0, 1e-9);
+}
+
+TEST(GeometryTest, FartherThanMatchesDistance) {
+  // The squared-distance shortcut answers exactly as distance() > r, also for
+  // points within a few ulps of the circle.
+  Rng rng{41};
+  for (int i = 0; i < 200000; ++i) {
+    const Vec2 a{rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0)};
+    const double r = rng.uniform(0.5, 80.0);
+    const double angle = rng.uniform(-M_PI, M_PI);
+    // Half the points sit on the circle up to a few ulps, half anywhere near.
+    const double scale = i % 2 == 0 ? 1.0 + rng.uniform(-8.0, 8.0) * 1e-16
+                                    : rng.uniform(0.0, 2.0);
+    const Vec2 b = a + Vec2{std::cos(angle), std::sin(angle)} * (r * scale);
+    ASSERT_EQ(farther_than(a, b, r), distance(a, b) > r) << i;
+    ASSERT_EQ(farther_than(b, a, r), distance(b, a) > r) << i;
+  }
 }
 
 TEST(GeometryTest, PointSegmentDistance) {
@@ -425,6 +446,72 @@ TEST(ThreadPoolTest, RethrowsFirstException) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](std::int64_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
+}
+
+/// The index the calling lane ran last, in any job (-1: none yet).
+thread_local std::int64_t tl_last_index = -1;
+
+TEST(ThreadPoolTest, FixedChunkBoundaries) {
+  // Part p of P = min(lanes, n) parts is [begin + n·p/P, begin + n·(p+1)/P)
+  // whichever lane claims it: one lane runs the whole chunk, in ascending
+  // order, with no other index in between. Per-chunk thread_local scratch
+  // therefore sees the same indices at any timing.
+  for (const int lanes : {2, 3, 4}) {
+    ThreadPool pool{lanes};
+    for (const std::int64_t n : {2, 3, 5, 7, 16, 41, 100}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        const std::int64_t begin = 10;
+        std::vector<std::thread::id> lane(static_cast<std::size_t>(n));
+        std::vector<std::int64_t> before(static_cast<std::size_t>(n));
+        pool.parallel_for(begin, begin + n, [&](std::int64_t i) {
+          const auto k = static_cast<std::size_t>(i - begin);
+          lane[k] = std::this_thread::get_id();
+          before[k] = tl_last_index;
+          tl_last_index = i;
+        });
+        const std::int64_t parts = std::min<std::int64_t>(lanes, n);
+        for (std::int64_t p = 0; p < parts; ++p) {
+          const std::int64_t lo = n * p / parts;
+          const std::int64_t hi = n * (p + 1) / parts;
+          for (std::int64_t k = lo + 1; k < hi; ++k) {
+            const auto ku = static_cast<std::size_t>(k);
+            EXPECT_EQ(lane[ku], lane[static_cast<std::size_t>(lo)])
+                << lanes << " lanes, n " << n << ", index " << k;
+            EXPECT_EQ(before[ku], begin + k - 1) << lanes << " lanes, n " << n << ", index " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, BackToBackJobsOfChangingWidth) {
+  // Jobs of 2 and 3 parts alternate on 3 lanes with no pause between them:
+  // a worker still holding the previous job's claim word must never take a
+  // part of the next job, so every index of every job runs exactly once.
+  ThreadPool pool{3};
+  std::array<std::atomic<int>, 3> hits{};
+  for (int job = 0; job < 10000; ++job) {
+    const std::int64_t n = 2 + job % 2;
+    pool.parallel_for(0, n, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; });
+    for (std::int64_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].exchange(0), i < n ? 1 : 0)
+          << "job " << job << ", index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ThrowWhileWorkersAsleepThenDestroy) {
+  // The workers have spun out and sleep when the job arrives; every chunk
+  // throws, the first error reaches the caller, and the pool still shuts
+  // down cleanly with its workers asleep again.
+  auto pool = std::make_unique<ThreadPool>(3);
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  EXPECT_THROW(pool->parallel_for(0, 9,
+                                  [](std::int64_t) { throw std::runtime_error{"boom"}; }),
+               std::runtime_error);
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  pool.reset();
 }
 
 TEST(ThreadPoolTest, NestedCallRunsInline) {

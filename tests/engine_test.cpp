@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "common/bytes.h"
+#include "data/sample_io.h"
 #include "engine/fleet.h"
 
 namespace lbchat::engine {
@@ -162,6 +164,36 @@ TEST(FleetSimTest, BitDeterministicAcrossThreadCounts) {
     EXPECT_EQ(ms.final_params[v], mp.final_params[v]) << "vehicle " << v;
   }
   EXPECT_EQ(ms.transfers.bytes_delivered, mp.transfers.bytes_delivered);
+}
+
+TEST(FleetSimTest, CollectPhaseIdenticalAcrossLaneCounts) {
+  // The collection phase renders each frame's vehicles on the pool: every
+  // dataset, validation split and the shared eval set hold the same bytes
+  // at 1, 2 and 3 lanes (3 lanes split the 5 vehicles unevenly).
+  auto cfg = tiny_scenario();
+  cfg.num_vehicles = 5;
+  const auto collected = [&](int lanes) {
+    cfg.num_threads = lanes;
+    FleetSim sim{cfg, std::make_unique<LocalOnlyStrategy>()};
+    sim.prepare();
+    ByteWriter w;
+    Save io{w};
+    const auto put = [&](const data::Sample& s) { data::fields(io, s, cfg.policy.bev); };
+    for (int v = 0; v < sim.num_vehicles(); ++v) {
+      const VehicleNode& node = sim.node(v);
+      io.exact_count(node.dataset.size(), "dataset");
+      for (const data::Sample& s : node.dataset.samples()) put(s);
+      io.exact_count(node.validation.size(), "validation");
+      for (const data::Sample& s : node.validation) put(s);
+    }
+    io.exact_count(sim.eval_set().size(), "eval");
+    for (const data::Sample& s : sim.eval_set()) put(s);
+    return w.bytes();
+  };
+  const std::vector<std::uint8_t> one = collected(1);
+  EXPECT_GT(one.size(), 10000u);
+  EXPECT_EQ(collected(2), one);
+  EXPECT_EQ(collected(3), one);
 }
 
 TEST(FleetSimTest, MeanEvalLossMatchesRecordedCurve) {

@@ -162,6 +162,24 @@ TEST_F(ObsEngineTest, TrainingStepSpansBothConvForwards) {
   EXPECT_EQ(conv_forwards(), 4) << "conv1 and conv2, per train_batch";
 }
 
+TEST_F(ObsEngineTest, TracedPrepareRecordsTheSetUpSpans) {
+  // Set-up (collection, the strategy's first coreset builds, the t=0 eval)
+  // splits into named spans on a pooled run.
+  auto cfg = traced_scenario();
+  cfg.num_threads = 2;
+  obs::set_spans_enabled(true);
+  engine::FleetSim sim{cfg, baselines::registry().make("LbChat")};
+  sim.prepare();
+  const auto all = obs::spans().spans();
+  for (const char* name : {"engine.collect.world_step", "engine.collect.render",
+                           "engine.collect.split", "strategy.setup", "coreset.build",
+                           "engine.mean_eval_loss"}) {
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(),
+                            [&](const obs::Span& s) { return std::string_view{s.name} == name; }))
+        << name;
+  }
+}
+
 TEST_F(ObsEngineTest, ChromeTraceValidatesAndReportCoversFleet) {
   auto cfg = traced_scenario();
   obs::set_spans_enabled(true);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/fingerprint.h"
 #include "sim/bev.h"
 #include "sim/route.h"
 #include "sim/town.h"
@@ -281,6 +282,18 @@ TEST(WorldTest, WaypointLabelsTrackExpertSpeed) {
 
 // ---------------------------------------------------------------- bev
 
+/// The BEV of explicit agent lists: cars, then pedestrians, then the route.
+data::BevGrid render_bev(const data::BevSpec& spec, const TownMap& map, const Vec2& ego,
+                         double heading, const std::vector<Vec2>& cars,
+                         const std::vector<Vec2>& peds, const Route& route, double route_s,
+                         double car_radius_m = 2.0) {
+  BevRaster raster{spec, map, ego, heading};
+  for (const Vec2& c : cars) raster.add_car(c, car_radius_m);
+  for (const Vec2& p : peds) raster.add_pedestrian(p);
+  raster.add_route(route, route_s);
+  return std::move(raster).take();
+}
+
 TEST(BevTest, RoadChannelMarksEgoCell) {
   Rng rng{21};
   const TownMap map = TownMap::generate({}, rng);
@@ -347,6 +360,52 @@ TEST(BevTest, RouteChannelTracesPathAhead) {
         static_cast<int>(data::BevChannel::kRoute) * spec.height * spec.width + i));
   }
   EXPECT_GE(marked, 5) << "route channel should trace the path ahead";
+}
+
+TEST(BevTest, RenderDigestPinned) {
+  // One digest over renders at a sweep of poses and headings (road, car
+  // footprints clipped at the raster edge, pedestrians, route), over a
+  // world's own renders with each vehicle excluded in turn, and over
+  // collected samples and braking speeds. It pins the frame rotations and
+  // the marking rule bit for bit.
+  Rng rng{31};
+  const TownMap map = TownMap::generate({}, rng);
+  const Route route = plan_route(map, 0, 8);
+  ASSERT_FALSE(route.empty());
+  const auto spec = data::kDefaultBevSpec;
+  FnvHasher h;
+  const auto add_grid = [&](const data::BevGrid& g) {
+    for (const std::uint8_t b : g.bits) h.add(static_cast<int>(b));
+  };
+  for (int k = 0; k < 64; ++k) {
+    const double s = route.length() * k / 64.0;
+    const Vec2 ego = route.position_at(s) + Vec2{0.3 * (k % 5), -0.7 * (k % 3)};
+    const double heading = route.heading_at(s) + 0.37 * k;
+    std::vector<Vec2> cars;
+    std::vector<Vec2> peds;
+    for (int j = 0; j < 12; ++j) {
+      cars.push_back(route.position_at(s + 4.0 * j) + Vec2{1.1 * (j % 4), -2.3 * (j % 3)});
+      peds.push_back(ego + Vec2{std::cos(0.9 * j), std::sin(0.9 * j)} * (3.0 + 2.5 * j));
+    }
+    add_grid(render_bev(spec, map, ego, heading, cars, peds, route, s));
+    add_grid(render_bev(spec, map, ego, -heading, cars, {}, Route{}, 0.0, 3.2));
+  }
+  World world{WorldConfig{}, 6, 7};
+  for (int step = 0; step < 40; ++step) {
+    world.step(0.5);
+    for (int v = 0; v < world.num_vehicles(); ++v) {
+      const CarAgent& a = world.vehicle(v);
+      add_grid(world.render_ego_bev(a.pos, a.heading, a.route, a.s, v));
+      const data::Sample smp =
+          world.collect_sample(v, (static_cast<std::uint64_t>(v) << 32) | step);
+      add_grid(smp.bev);
+      for (const float w : smp.waypoints) h.add(static_cast<double>(w));
+      h.add(smp.weight);
+      h.add(world.allowed_speed_at(a.pos, a.heading, 12.0, v));
+      h.add(world.allowed_speed_at(a.pos, a.heading + 1.0, 12.0, -1, true));
+    }
+  }
+  EXPECT_EQ(h.digest(), 0x62a5e5e4bcdbab77ull);
 }
 
 TEST(BevTest, DistantAgentsNotRendered) {

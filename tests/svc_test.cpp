@@ -328,6 +328,30 @@ TEST(JobSpecTest, HorizonsFractionsAndBatchSizeAreRangeChecked) {
   EXPECT_EQ(spec.cfg.batch_size, 1);
 }
 
+TEST(JobSpecTest, ThreadsKeyIsBounded) {
+  // A lane is an OS thread, so "threads" has a fixed range: a spec asking
+  // for two billion lanes fails to parse (the JSON key and the CLI flag
+  // alike) and no sim is ever built from it.
+  JobSpec spec;
+  std::string err;
+  for (const char* bad : {"2000000000", "257", "-1"}) {
+    err.clear();
+    EXPECT_FALSE(parse_job_spec(R"({"vehicles":4,"threads":)" + std::string{bad} + "}", spec, err))
+        << bad;
+    EXPECT_EQ(err, "\"threads\" must be in [0, 256]") << bad;
+    JobSpecBuilder builder{spec};
+    err.clear();
+    EXPECT_FALSE(builder.set_text("threads", bad, err)) << bad;
+    EXPECT_EQ(err, "\"threads\" must be in [0, 256]") << bad;
+  }
+  for (const int good : {0, 1, 256}) {
+    ASSERT_TRUE(parse_job_spec(R"({"vehicles":4,"threads":)" + std::to_string(good) + "}", spec,
+                               err))
+        << good << err;
+    EXPECT_EQ(spec.cfg.num_threads, good);
+  }
+}
+
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
   // "strategy" is the registry-keyed spelling; "approach" stays accepted for
   // pre-registry specs. Options are validated against the registry schema.
