@@ -36,9 +36,10 @@ void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: lbchat_sim_cli [FLAG]...\n"
                "JobSpec keys (flag --a-b sets key a_b, with the fleet service's checks):\n");
-  for (const auto& k : lbchat::svc::cli_keys()) {
-    const std::string flag = flag_of(k.key) + " " + std::string{k.flag.value};
-    std::fprintf(out, "  %-20s %s\n", flag.c_str(), std::string{k.flag.help}.c_str());
+  for (const auto& k : lbchat::svc::job_keys()) {
+    if (k.cli.value.empty()) continue;
+    const std::string flag = flag_of(k.key) + " " + std::string{k.cli.value};
+    std::fprintf(out, "  %-20s %s\n", flag.c_str(), std::string{k.cli.help}.c_str());
   }
   std::fprintf(out,
                "  --strategy-opt KEY=VALUE  set a per-strategy tunable (repeatable;\n"
@@ -92,7 +93,6 @@ int main(int argc, char** argv) {
   cfg.num_vehicles = 8;
   cfg.duration_s = 900.0;
   svc::JobSpecBuilder builder{spec};
-  const std::vector<svc::CliKey> spec_flags = svc::cli_keys();
   std::string error;
   bool run_eval = false;
   std::string trace_out;
@@ -112,9 +112,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto spec_flag =
-        std::find_if(spec_flags.begin(), spec_flags.end(),
-                     [&](const svc::CliKey& k) { return flag_of(k.key) == argv[i]; });
+    const auto spec_flags = svc::job_keys();
+    const auto spec_flag = std::find_if(spec_flags.begin(), spec_flags.end(), [&](const auto& k) {
+      return !k.cli.value.empty() && flag_of(k.key) == argv[i];
+    });
     if (spec_flag != spec_flags.end()) {
       if (!builder.set_text(spec_flag->key, need_value(argv[i]), error)) {
         std::fprintf(stderr, "%s\n", error.c_str());

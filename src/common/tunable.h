@@ -72,19 +72,26 @@ struct MemberOf<T C::*> {
   using Value = T;
 };
 
-/// The tunable for member `Member`. An integral member reads as an integer
-/// range capped at the member type's maximum and at 2^53, the largest count
-/// a double still names exactly.
+/// 2^53, the largest count a double still names exactly.
+inline constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// `range` as an integral T reads it: an integer range capped at T's
+/// maximum and at kMaxExactInteger.
+template <class T>
+constexpr TunableRange integral_range(TunableRange range) {
+  range.integer = true;
+  range.hi = std::min(
+      {range.hi, static_cast<double>(std::numeric_limits<T>::max()), kMaxExactInteger});
+  return range;
+}
+
+/// The tunable for member `Member`; an integral member takes integral_range.
 template <auto Member>
 constexpr Tunable<typename MemberOf<decltype(Member)>::Owner> tunable(
     const char* name, TunableRange range, const char* description) {
   using Opts = typename MemberOf<decltype(Member)>::Owner;
   using T = typename MemberOf<decltype(Member)>::Value;
-  if constexpr (std::is_integral_v<T>) {
-    range.integer = true;
-    range.hi = std::min({range.hi, static_cast<double>(std::numeric_limits<T>::max()),
-                         9007199254740992.0});
-  }
+  if constexpr (std::is_integral_v<T>) range = integral_range<T>(range);
   return {name, [](const Opts& o) { return static_cast<double>(o.*Member); },
           [](Opts& o, double x) { o.*Member = static_cast<T>(x); }, range, description};
 }

@@ -44,6 +44,13 @@ struct PenaltyConfig {
   double lambda2 = 0.05;  ///< problem-dependent sigma(x): command-balance
 };
 
+/// PenaltyConfig's named member list (engine/scenario.h).
+template <FieldsOf<PenaltyConfig> S, class F>
+void config_members(S& p, F&& f) {
+  f("lambda1", p.lambda1);
+  f("lambda2", p.lambda2);
+}
+
 /// sigma(x) for the BEV driving model: the paper defines it as "the entropy of
 /// the losses observed with data samples of different driving commands" so the
 /// model addresses all commands without bias. Uniform per-command losses are

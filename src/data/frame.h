@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace lbchat::data {
 
 /// High-level navigation command from the route planner (as in CARLA's
@@ -45,6 +47,16 @@ struct BevSpec {
   [[nodiscard]] constexpr int numel() const { return channels * height * width; }
   friend constexpr bool operator==(const BevSpec&, const BevSpec&) = default;
 };
+
+/// BevSpec's named member list (engine/scenario.h), the form the config
+/// fingerprint hashes: three i32 and an f64. The wire form is data::fields.
+template <FieldsOf<BevSpec> S, class F>
+void config_members(S& b, F&& f) {
+  f("channels", b.channels);
+  f("height", b.height);
+  f("width", b.width);
+  f("cell_m", b.cell_m);
+}
 
 inline constexpr BevSpec kDefaultBevSpec{};
 

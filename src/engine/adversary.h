@@ -78,6 +78,19 @@ struct AdversaryConfig {
   [[nodiscard]] bool enabled() const { return byzantine_frac > 0.0; }
 };
 
+/// AdversaryConfig's named member list (engine/scenario.h).
+template <FieldsOf<AdversaryConfig> S, class F>
+void config_members(S& a, F&& f) {
+  f("byzantine_frac", a.byzantine_frac);
+  f("poison_models", a.poison_models);
+  f("poison_scale", a.poison_scale);
+  f("poison_noise", a.poison_noise);
+  f("inflate_coreset_weights", a.inflate_coreset_weights);
+  f("coreset_inflation", a.coreset_inflation);
+  f("lie_assist", a.lie_assist);
+  f("assist_bandwidth_lie", a.assist_bandwidth_lie);
+}
+
 /// Fleet-heterogeneity knobs. All off by default; part of ScenarioConfig.
 struct HeteroConfig {
   /// Fraction of vehicles that are compute stragglers (seeded permutation).
@@ -102,6 +115,17 @@ struct HeteroConfig {
     return straggler_frac > 0.0 || slow_radio_frac > 0.0 || dataset_skew > 0.0;
   }
 };
+
+/// HeteroConfig's named member list (engine/scenario.h).
+template <FieldsOf<HeteroConfig> S, class F>
+void config_members(S& h, F&& f) {
+  f("straggler_frac", h.straggler_frac);
+  f("straggler_rate", h.straggler_rate);
+  f("slow_radio_frac", h.slow_radio_frac);
+  f("slow_radio_scale", h.slow_radio_scale);
+  f("dataset_skew", h.dataset_skew);
+  f("dataset_keep_min", h.dataset_keep_min);
+}
 
 /// Derived Byzantine state. Owned by FleetSim; transform_payload runs on the
 /// single-threaded session path (queue_transfer), so the mutable noise

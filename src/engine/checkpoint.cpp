@@ -30,133 +30,6 @@ constexpr obs::EventKind kMaxEventKind = obs::EventKind::kStragglerSkip;
 /// kObs histogram shape limit: at most this many buckets, overflow included.
 constexpr std::uint32_t kMaxHistogramBuckets = 16;
 
-/// Serialize every config field that shapes simulation state, in declaration
-/// order. duration_s and num_threads are deliberately absent (checkpoint.h).
-/// The one field-by-field serializer of ScenarioConfig: the checkpoint key
-/// and the result-cache key (scenario_fingerprint) both hash these bytes.
-void write_config(ByteWriter& w, const ScenarioConfig& c) {
-  w.write_u64(c.seed);
-  w.write_i32(c.num_vehicles);
-  const sim::TownConfig& t = c.world.town;
-  w.write_f64(t.extent_m);
-  w.write_i32(t.urban_grid);
-  w.write_f64(t.urban_spacing_m);
-  w.write_f64(t.urban_origin_m);
-  w.write_f64(t.rural_margin_m);
-  w.write_i32(t.rural_ring_nodes);
-  w.write_f64(t.edge_drop_prob);
-  w.write_f64(t.road_half_width_m);
-  w.write_f64(t.raster_cell_m);
-  const auto write_bev = [&w](const data::BevSpec& b) {
-    w.write_i32(b.channels);
-    w.write_i32(b.height);
-    w.write_i32(b.width);
-    w.write_f64(b.cell_m);
-  };
-  const sim::WorldConfig& wc = c.world;
-  write_bev(wc.bev);
-  w.write_i32(wc.num_background_cars);
-  w.write_i32(wc.num_pedestrians);
-  w.write_f64(wc.car_radius_m);
-  w.write_f64(wc.ped_radius_m);
-  w.write_f64(wc.car_max_speed);
-  w.write_f64(wc.turn_speed);
-  w.write_f64(wc.accel);
-  w.write_f64(wc.brake_decel);
-  w.write_f64(wc.min_gap_m);
-  w.write_f64(wc.obstacle_lookahead_m);
-  w.write_f64(wc.corridor_halfwidth_m);
-  w.write_f64(wc.lane_offset_m);
-  w.write_f64(wc.deadlock_patience_s);
-  w.write_f64(wc.deadlock_ignore_s);
-  w.write_f64(wc.bend_lookahead_m);
-  w.write_f64(wc.bend_threshold_rad);
-  w.write_f64(wc.perturb_prob);
-  w.write_f64(wc.perturb_lateral_max_m);
-  w.write_f64(wc.perturb_heading_max_rad);
-  w.write_f64(wc.ped_speed);
-  w.write_f64(wc.ped_target_radius_m);
-  w.write_f64(wc.waypoint_dt_s);
-  w.write_f64(wc.urban_dweller_fraction);
-  w.write_f64(c.radio.bandwidth_bps);
-  w.write_i32(c.radio.packet_bytes);
-  w.write_i32(c.radio.max_retransmissions);
-  w.write_f64(c.radio.max_range_m);
-  w.write_u64(c.wire.model_bytes);
-  w.write_u64(c.wire.coreset_bytes_per_sample);
-  w.write_u64(c.wire.assist_info_bytes);
-  w.write_u8(c.wireless_loss ? 1 : 0);
-  w.write_f64(c.collect_duration_s);
-  w.write_f64(c.collect_fps);
-  w.write_f64(c.validation_fraction);
-  w.write_i32(c.eval_frames_per_vehicle);
-  w.write_f64(c.tick_s);
-  w.write_f64(c.train_interval_s);
-  w.write_i32(c.batch_size);
-  w.write_f64(c.learning_rate);
-  w.write_f64(c.eval_interval_s);
-  w.write_f64(c.time_budget_s);
-  w.write_u64(c.coreset_size);
-  w.write_f64(c.pair_cooldown_s);
-  w.write_f64(c.lambda_c);
-  w.write_f64(c.session_timeout_s);
-  w.write_f64(c.coreset_rebuild_interval_s);
-  write_bev(c.policy.bev);
-  w.write_i32(c.policy.conv1_channels);
-  w.write_i32(c.policy.conv2_channels);
-  w.write_i32(c.policy.fc_dim);
-  w.write_i32(c.policy.branch_hidden);
-  w.write_f64(c.penalty.lambda1);
-  w.write_f64(c.penalty.lambda2);
-  const FaultConfig& f = c.faults;
-  w.write_f64(f.burst_rate_per_min);
-  w.write_f64(f.burst_duration_s);
-  w.write_f64(f.burst_radius_m);
-  w.write_f64(f.burst_extra_loss);
-  w.write_f64(f.churn_rate_per_min);
-  w.write_f64(f.churn_offline_mean_s);
-  w.write_f64(f.corrupt_prob_near);
-  w.write_f64(f.corrupt_prob_far);
-  w.write_u8(f.chat_backoff ? 1 : 0);
-  w.write_f64(f.backoff_base);
-  w.write_i32(f.backoff_max_exp);
-  // Adversary/heterogeneity block (a conditional tail): written only when
-  // one of the layers is configured, so all-off runs keep the
-  // pre-existing fingerprint and checkpoint bytes. The fingerprint is hashed,
-  // never parsed, so appending fields here is always safe.
-  if (c.adversary.enabled() || c.hetero.enabled()) {
-    w.write_u8(0xAD);
-    const AdversaryConfig& a = c.adversary;
-    w.write_f64(a.byzantine_frac);
-    w.write_u8(a.poison_models ? 1 : 0);
-    w.write_f64(a.poison_scale);
-    w.write_f64(a.poison_noise);
-    w.write_u8(a.inflate_coreset_weights ? 1 : 0);
-    w.write_f64(a.coreset_inflation);
-    w.write_u8(a.lie_assist ? 1 : 0);
-    w.write_f64(a.assist_bandwidth_lie);
-    const HeteroConfig& h = c.hetero;
-    w.write_f64(h.straggler_frac);
-    w.write_f64(h.straggler_rate);
-    w.write_f64(h.slow_radio_frac);
-    w.write_f64(h.slow_radio_scale);
-    w.write_f64(h.dataset_skew);
-    w.write_f64(h.dataset_keep_min);
-  }
-  // Int8-eval block (same conditional-tail pattern, marker 0x18): written
-  // only when the quantized eval path is on, so default-config checkpoints
-  // keep their pre-existing bytes. A resume must replay the same eval
-  // numerics, hence the knob fingerprints whenever it is live. The two 1s
-  // are the former value-scoring and eval-loss switches, both always on
-  // now; they stay so enabled-config fingerprints and checkpoints keep
-  // their bytes.
-  if (c.int8_eval.enabled) {
-    w.write_u8(0x18);
-    w.write_u8(1);
-    w.write_u8(1);
-  }
-}
-
 /// Marker byte of the adversary/heterogeneity tails of kCore, kStats and
 /// kMetrics: present exactly when the config fingerprints those layers.
 constexpr std::uint8_t kTailMarker = 0x5E;
@@ -227,7 +100,16 @@ std::string_view to_string(CkptStatus s) {
 
 std::uint64_t config_fingerprint(const ScenarioConfig& cfg) {
   ByteWriter w;
-  write_config(w, cfg);
+  Save io{w};
+  std::string_view open_tail;
+  for_each_member(cfg, [&](std::string_view, const auto& member, const Hashing& h) {
+    if (!h.on) return;
+    if (h.tail != open_tail) {
+      for (const char b : h.tail) io(static_cast<std::uint8_t>(b));
+      open_tail = h.tail;
+    }
+    io(member);
+  });
   return fnv1a(w.bytes());
 }
 
@@ -360,7 +242,7 @@ struct CheckpointFields {
     io(sim.strategy_rng_);
     pair_map(io, sim.last_chat_);
     pair_map(io, sim.pair_backoff_);
-    if (sim.cfg_.adversary.enabled() || sim.cfg_.hetero.enabled()) {
+    if (sim.cfg_.robustness_on()) {
       io.exact(kTailMarker, "checkpoint: adversary core tail");
       io(sim.adversary_);
       io(sim.hetero_);
@@ -483,7 +365,7 @@ struct CheckpointFields {
     io(sim.stats_);
     io.exact_count(sim.vstats_.size(), "checkpoint: vehicle stats count");
     for (auto& v : sim.vstats_) io(v);
-    if (sim.cfg_.adversary.enabled() || sim.cfg_.hetero.enabled()) {
+    if (sim.cfg_.robustness_on()) {
       io.exact(kTailMarker, "checkpoint: adversary stats tail");
       adversary_fields(io, sim.stats_);
     }

@@ -68,7 +68,8 @@ enum class CkptStatus : std::uint8_t {
 [[nodiscard]] std::string_view to_string(CkptStatus s);
 
 /// FNV-1a fingerprint of every ScenarioConfig field that shapes simulation
-/// state. duration_s and num_threads are deliberately EXCLUDED: a resumed run
+/// state: ScenarioConfig's member list (engine/scenario.h) run under Save.
+/// duration_s and num_threads are deliberately EXCLUDED: a resumed run
 /// may extend the horizon or change the lane count without breaking
 /// bit-exactness (the engine is deterministic across thread counts).
 [[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& cfg);
@@ -82,7 +83,7 @@ inline constexpr std::uint32_t kScenarioFingerprintVersion = 5;
 
 /// Result-cache key of a run: the approach name, the version salt, duration_s
 /// (a cache entry answers one exact horizon) and config_fingerprint — so the
-/// cache key and the checkpoint key read the same serializer and cannot
+/// cache key and the checkpoint key read the same member list and cannot
 /// disagree on which fields shape a run. Non-default strategy options
 /// (baselines::StrategyRegistry::fingerprint_options) enter via a marked
 /// tail; with none, a strategy hashes as if it had no options at all.

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -81,6 +82,22 @@ struct FaultConfig {
            corrupt_prob_far > 0.0;
   }
 };
+
+/// FaultConfig's named member list (engine/scenario.h).
+template <FieldsOf<FaultConfig> S, class F>
+void config_members(S& c, F&& f) {
+  f("burst_rate_per_min", c.burst_rate_per_min);
+  f("burst_duration_s", c.burst_duration_s);
+  f("burst_radius_m", c.burst_radius_m);
+  f("burst_extra_loss", c.burst_extra_loss);
+  f("churn_rate_per_min", c.churn_rate_per_min);
+  f("churn_offline_mean_s", c.churn_offline_mean_s);
+  f("corrupt_prob_near", c.corrupt_prob_near);
+  f("corrupt_prob_far", c.corrupt_prob_far);
+  f("chat_backoff", c.chat_backoff);
+  f("backoff_base", c.backoff_base);
+  f("backoff_max_exp", c.backoff_max_exp);
+}
 
 /// Drives the three fault classes. Owned by FleetSim; advance() is called
 /// once per engine tick from the single-threaded simulation loop.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/bytes.h"
@@ -495,13 +496,24 @@ std::vector<double> FleetSim::vehicle_eval_losses() const {
   // Per-vehicle losses land in index-addressed slots; every reduction over
   // them runs sequentially afterwards, so it is bit-identical at any lane
   // count.
+  // A model bytewise equal to vehicle 0's scores what vehicle 0's does, so
+  // it copies that loss: at t=0 every vehicle holds the same initialization.
+  const std::span<const float> first = nodes_.front()->model.params();
+  const auto same_as_first = [&](std::size_t v) {
+    return v > 0 &&
+           std::memcmp(nodes_[v]->model.params().data(), first.data(), first.size_bytes()) == 0;
+  };
   std::vector<double> losses(nodes_.size(), 0.0);
   for_each_vehicle([&](std::int64_t v) {
+    if (same_as_first(static_cast<std::size_t>(v))) return;
     const nn::DrivingPolicy& model = nodes_[static_cast<std::size_t>(v)]->model;
     losses[static_cast<std::size_t>(v)] = cfg_.int8_eval.enabled
                                               ? nn::Int8Policy{model}.weighted_loss(eval_set_)
                                               : model.weighted_loss(eval_set_);
   });
+  for (std::size_t v = 1; v < nodes_.size(); ++v) {
+    if (same_as_first(v)) losses[v] = losses[0];
+  }
   return losses;
 }
 

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "coreset/coreset.h"
 #include "engine/adversary.h"
@@ -31,6 +34,16 @@ struct Int8EvalConfig {
 
   friend constexpr bool operator==(const Int8EvalConfig&, const Int8EvalConfig&) = default;
 };
+
+/// How config_fingerprint (engine/checkpoint.h) hashes a member of
+/// ScenarioConfig's list, nested members included.
+struct Hashing {
+  bool on = true;
+  /// Non-empty for a conditional tail: the bytes hashed once before its
+  /// first member.
+  std::string_view tail{};
+};
+inline constexpr Hashing kNotHashed{.on = false};
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -101,7 +114,69 @@ struct ScenarioConfig {
 
   /// Int8 evaluation path (above). Off by default; bit-inert when off.
   Int8EvalConfig int8_eval{};
+
+  /// True when the adversary or heterogeneity layer is configured: the
+  /// config fingerprint and the checkpoint's kCore and kStats sections then
+  /// carry their tails.
+  [[nodiscard]] bool robustness_on() const { return adversary.enabled() || hetero.enabled(); }
 };
+
+/// ScenarioConfig's named member list: every member once, in config
+/// fingerprint order, nested structs through the lists next to their
+/// declarations (DESIGN.md §10). duration_s and num_threads stay outside the
+/// config key (checkpoint.h). The robustness layers and int8 eval are
+/// conditional tails, hashed behind a marker only when on; the int8 marker's
+/// second byte is the former value-scoring switch, merged into `enabled`.
+template <FieldsOf<ScenarioConfig> S, class F>
+void config_members(S& c, F&& f) {
+  f("seed", c.seed);
+  f("num_vehicles", c.num_vehicles);
+  f("num_threads", c.num_threads, kNotHashed);
+  f("world", c.world);
+  f("radio", c.radio);
+  f("wire", c.wire);
+  f("wireless_loss", c.wireless_loss);
+  f("collect_duration_s", c.collect_duration_s);
+  f("collect_fps", c.collect_fps);
+  f("validation_fraction", c.validation_fraction);
+  f("eval_frames_per_vehicle", c.eval_frames_per_vehicle);
+  f("duration_s", c.duration_s, kNotHashed);
+  f("tick_s", c.tick_s);
+  f("train_interval_s", c.train_interval_s);
+  f("batch_size", c.batch_size);
+  f("learning_rate", c.learning_rate);
+  f("eval_interval_s", c.eval_interval_s);
+  f("time_budget_s", c.time_budget_s);
+  f("coreset_size", c.coreset_size);
+  f("pair_cooldown_s", c.pair_cooldown_s);
+  f("lambda_c", c.lambda_c);
+  f("session_timeout_s", c.session_timeout_s);
+  f("coreset_rebuild_interval_s", c.coreset_rebuild_interval_s);
+  f("policy", c.policy);
+  f("penalty", c.penalty);
+  f("faults", c.faults);
+  const Hashing robustness{.on = c.robustness_on(), .tail = "\xAD"};
+  f("adversary", c.adversary, robustness);
+  f("hetero", c.hetero, robustness);
+  f("int8_eval.enabled", c.int8_eval.enabled,
+    Hashing{.on = c.int8_eval.enabled, .tail = "\x18\x01"});
+}
+
+/// Calls f(path, member, hashing) for every leaf of `s`'s member list, in
+/// list order: a nested member by its dotted path ("world.town.extent_m")
+/// and with the hashing of the top-level member it sits in.
+template <class S, class F>
+void for_each_member(S& s, F&& f, const std::string& prefix = {}, Hashing hashing = {}) {
+  config_members(s, [&](const char* name, auto& m, const auto&... own) {
+    Hashing h = hashing;
+    ((h = own), ...);
+    if constexpr (std::is_arithmetic_v<std::remove_reference_t<decltype(m)>>) {
+      f(std::string_view{prefix + name}, m, h);
+    } else {
+      for_each_member(m, f, prefix + name + ".", h);
+    }
+  });
+}
 
 /// One-line metro fleet: grow the scenario to `num_vehicles` while holding
 /// density constant. The town is tiled by sqrt(count ratio) — map extent,

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 
 namespace lbchat::net {
@@ -30,6 +31,15 @@ struct RadioConfig {
     return bandwidth_bps / (8.0 * static_cast<double>(packet_bytes));
   }
 };
+
+/// RadioConfig's named member list (engine/scenario.h).
+template <FieldsOf<RadioConfig> S, class F>
+void config_members(S& r, F&& f) {
+  f("bandwidth_bps", r.bandwidth_bps);
+  f("packet_bytes", r.packet_bytes);
+  f("max_retransmissions", r.max_retransmissions);
+  f("max_range_m", r.max_range_m);
+}
 
 /// Distance-based per-packet loss probability via a lookup table with linear
 /// interpolation (paper: "a distance-loss lookup table based on [13]").
@@ -77,6 +87,14 @@ struct WireSizeModel {
     return static_cast<std::size_t>(std::ceil(psi * static_cast<double>(model_bytes)));
   }
 };
+
+/// WireSizeModel's named member list (engine/scenario.h).
+template <FieldsOf<WireSizeModel> S, class F>
+void config_members(S& w, F&& f) {
+  f("model_bytes", w.model_bytes);
+  f("coreset_bytes_per_sample", w.coreset_bytes_per_sample);
+  f("assist_info_bytes", w.assist_info_bytes);
+}
 
 /// One in-flight point-to-point transfer. Progress is fluid per tick:
 /// the expected goodput at the current distance is bandwidth * (1 - p) with

@@ -41,6 +41,16 @@ struct PolicyConfig {
   friend constexpr bool operator==(const PolicyConfig&, const PolicyConfig&) = default;
 };
 
+/// PolicyConfig's named member list (engine/scenario.h).
+template <FieldsOf<PolicyConfig> S, class F>
+void config_members(S& p, F&& f) {
+  f("bev", p.bev);
+  f("conv1_channels", p.conv1_channels);
+  f("conv2_channels", p.conv2_channels);
+  f("fc_dim", p.fc_dim);
+  f("branch_hidden", p.branch_hidden);
+}
+
 /// Per-sample model output: normalized ego-frame waypoints, interleaved x,y.
 using WaypointVector = std::array<float, 2 * data::kNumWaypoints>;
 

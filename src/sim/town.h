@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 
@@ -28,6 +29,20 @@ struct TownConfig {
   double road_half_width_m = 4.0;
   double raster_cell_m = 2.0;  ///< road-bitmap resolution
 };
+
+/// TownConfig's named member list (engine/scenario.h).
+template <FieldsOf<TownConfig> S, class F>
+void config_members(S& t, F&& f) {
+  f("extent_m", t.extent_m);
+  f("urban_grid", t.urban_grid);
+  f("urban_spacing_m", t.urban_spacing_m);
+  f("urban_origin_m", t.urban_origin_m);
+  f("rural_margin_m", t.rural_margin_m);
+  f("rural_ring_nodes", t.rural_ring_nodes);
+  f("edge_drop_prob", t.edge_drop_prob);
+  f("road_half_width_m", t.road_half_width_m);
+  f("raster_cell_m", t.raster_cell_m);
+}
 
 struct RoadNode {
   Vec2 pos;

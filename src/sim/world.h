@@ -63,6 +63,36 @@ struct WorldConfig {
   double urban_dweller_fraction = 0.5;
 };
 
+/// WorldConfig's named member list (engine/scenario.h).
+template <FieldsOf<WorldConfig> S, class F>
+void config_members(S& w, F&& f) {
+  f("town", w.town);
+  f("bev", w.bev);
+  f("num_background_cars", w.num_background_cars);
+  f("num_pedestrians", w.num_pedestrians);
+  f("car_radius_m", w.car_radius_m);
+  f("ped_radius_m", w.ped_radius_m);
+  f("car_max_speed", w.car_max_speed);
+  f("turn_speed", w.turn_speed);
+  f("accel", w.accel);
+  f("brake_decel", w.brake_decel);
+  f("min_gap_m", w.min_gap_m);
+  f("obstacle_lookahead_m", w.obstacle_lookahead_m);
+  f("corridor_halfwidth_m", w.corridor_halfwidth_m);
+  f("lane_offset_m", w.lane_offset_m);
+  f("deadlock_patience_s", w.deadlock_patience_s);
+  f("deadlock_ignore_s", w.deadlock_ignore_s);
+  f("bend_lookahead_m", w.bend_lookahead_m);
+  f("bend_threshold_rad", w.bend_threshold_rad);
+  f("perturb_prob", w.perturb_prob);
+  f("perturb_lateral_max_m", w.perturb_lateral_max_m);
+  f("perturb_heading_max_rad", w.perturb_heading_max_rad);
+  f("ped_speed", w.ped_speed);
+  f("ped_target_radius_m", w.ped_target_radius_m);
+  f("waypoint_dt_s", w.waypoint_dt_s);
+  f("urban_dweller_fraction", w.urban_dweller_fraction);
+}
+
 /// A car glued to a road route (peer vehicle or background traffic).
 struct CarAgent {
   Vec2 pos;

@@ -1,7 +1,9 @@
 #include "svc/job.h"
 
+#include <climits>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/fingerprint.h"
 #include "common/thread_pool.h"
@@ -10,15 +12,11 @@
 #include "svc/json.h"
 
 namespace lbchat::svc {
-namespace {
 
-/// JSON numbers are doubles: above 2^53 they no longer name one integer.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-// One key being applied: its value, where it lands, and the typed reads the
+// One key being applied: its value, where it lands, and the typed read the
 // setters share. `key` names the key in error messages — a nested "faults"
 // member by its bare name.
-struct Apply {
+struct KeyApply {
   std::string key;
   const JsonValue& v;
   std::string& error;
@@ -29,239 +27,174 @@ struct Apply {
     error = what;
     return false;
   }
-  bool number(double& out) const {
-    if (!v.is_number()) return fail("\"" + key + "\" must be a number");
-    // A literal beyond DBL_MAX parses to inf: no key takes an infinity.
-    if (!std::isfinite(v.as_number())) return fail("\"" + key + "\" must be finite");
-    out = v.as_number();
-    return true;
-  }
-  bool integer(int& out) const {
-    double d = 0.0;
-    if (!number(d)) return false;
-    if (d != std::floor(d) || d < -2147483648.0 || d > 2147483647.0) {
-      return fail("\"" + key + "\" must be an integer");
-    }
-    out = static_cast<int>(d);
-    return true;
-  }
-  bool boolean(bool& out) const {
-    if (!v.is_bool()) return fail("\"" + key + "\" must be a boolean");
-    out = v.as_bool();
-    return true;
-  }
-  bool text(std::string& out) const {
-    if (!v.is_string()) return fail("\"" + key + "\" must be a string");
-    out = v.as_string();
-    return true;
-  }
   bool object() const {
     return v.is_object() || fail("\"" + key + "\" must be an object");
   }
-  /// A number strictly above zero (a horizon: zero would end at once).
-  bool positive(double& out) const {
-    if (!number(out)) return false;
-    return out > 0.0 || fail("\"" + key + "\" must be > 0");
-  }
-  /// A share or a probability, in [0, 1].
-  bool fraction(double& out) const {
-    if (!number(out)) return false;
-    return (out >= 0.0 && out <= 1.0) || fail("\"" + key + "\" must be in [0, 1]");
-  }
-  /// A number, or an integer, no smaller than `lo`.
-  bool at_least(double& out, int lo) const {
-    if (!number(out)) return false;
-    return out >= lo || fail("\"" + key + "\" must be >= " + std::to_string(lo));
-  }
-  bool at_least(int& out, int lo) const {
-    if (!integer(out)) return false;
-    return out >= lo || fail("\"" + key + "\" must be >= " + std::to_string(lo));
-  }
-  /// An integer in [lo, hi].
-  bool integer_in(int& out, int lo, int hi) const {
-    if (!integer(out)) return false;
-    return (out >= lo && out <= hi) || fail("\"" + key + "\" must be in [" + std::to_string(lo) +
-                                            ", " + std::to_string(hi) + "]");
-  }
-  /// A count read as `x` (already type-checked): a whole number in
-  /// [1, 2^53], never truncated.
-  bool count(double x, std::size_t& out) const {
-    if (!(x >= 1.0 && x <= kMaxExactInteger) || x != std::floor(x)) {
-      return fail("\"" + key + "\" must be an integer in [1, 2^53]");
+  /// Sets `out` from the value, with the JSON type its C++ type asks for and
+  /// within `range`. An int takes a whole number that fits 32 bits; a 64-bit
+  /// count takes a whole number of `range` no larger than 2^53, never
+  /// truncated. A literal beyond DBL_MAX parses to inf: no key takes one.
+  template <class T>
+  bool assign(T& out, TunableRange range = {}) const {
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (!v.is_string()) return fail("\"" + key + "\" must be a string");
+      out = v.as_string();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (!v.is_bool()) return fail("\"" + key + "\" must be a boolean");
+      out = v.as_bool();
+    } else {
+      if (!v.is_number()) return fail("\"" + key + "\" must be a number");
+      const double x = v.as_number();
+      if (!std::isfinite(x)) return fail("\"" + key + "\" must be finite");
+      if constexpr (std::is_same_v<T, int>) {
+        if (x != std::floor(x) || x < INT_MIN || x > INT_MAX) {
+          return fail("\"" + key + "\" must be an integer");
+        }
+      } else if constexpr (std::is_integral_v<T>) {
+        static_assert(std::is_same_v<T, std::uint64_t>);
+        range = integral_range<T>(range);
+      }
+      if (!range.contains(x)) {
+        // TunableRange::describe, naming the 2^53 cap of a 64-bit count.
+        const std::string text =
+            range.hi == kMaxExactInteger
+                ? "an integer in [" + std::to_string(static_cast<long long>(range.lo)) + ", 2^53]"
+                : range.describe();
+        return fail("\"" + key + "\" must be " + text);
+      }
+      out = static_cast<T>(x);
     }
-    out = static_cast<std::size_t>(x);
     return true;
   }
 };
 
-struct KeyEntry {
-  std::string_view key;
-  bool (*set)(const Apply&);
-  /// Set on the keys lbchat_sim_cli also takes as flags: --a-b is key a_b.
-  CliFlag cli{};
-};
+namespace {
 
-const KeyEntry* find_key(std::string_view key);
+const JobKey* find_key(std::string_view key);
 
-// Every JobSpec key, once: each setter does its key's type and range checks,
-// and a CLI-marked key carries its flag's usage line.
-// "faults" members are looked up here under a "faults." prefix, which no
+bool apply(const JobKey& k, const KeyApply& a) {
+  if (k.set != nullptr) return k.set(a);
+  bool found = false;
+  bool ok = false;
+  engine::for_each_member(a.spec.cfg, [&](std::string_view path, auto& m, const auto&) {
+    if (path != k.member) return;
+    found = true;
+    ok = a.assign(m, k.range);
+  });
+  if (!found) throw std::logic_error{"job key table: no member " + std::string{k.member}};
+  return ok;
+}
+
+// Every JobSpec key, once: a member row with its range, or a key with its
+// own setter. "faults" members are rows under a "faults." prefix, which no
 // top-level key can reach.
-constexpr KeyEntry kKeys[] = {
-    // "approach" is the pre-registry spelling; both name the registry key.
-    {"strategy", [](const Apply& a) { return a.text(a.spec.approach_name); },
-     {"NAME", "registry name (--list-strategies lists them)"}},
-    {"approach", [](const Apply& a) { return a.text(a.spec.approach_name); },
-     {"NAME", "legacy alias of --strategy"}},
-    {"strategy_options",
-     [](const Apply& a) {
-       if (!a.object()) return false;
-       for (const auto& [key, value] : a.v.members()) {
-         const Apply opt{"strategy_options." + key, *value, a.error, a.spec, a.metro_vehicles};
-         double x = 0.0;
-         if (!opt.number(x)) return false;
-         a.spec.options.set(key, x);
-       }
-       return true;
-     }},
-    {"name", [](const Apply& a) { return a.text(a.spec.name); }},
-    {"priority", [](const Apply& a) { return a.integer(a.spec.priority); }},
-    {"events", [](const Apply& a) { return a.boolean(a.spec.events); }},
-    {"preempt_at", [](const Apply& a) { return a.number(a.spec.preempt_at); }},
-    {"vehicles", [](const Apply& a) { return a.integer(a.spec.cfg.num_vehicles); },
-     {"N", "fleet size on a fixed map"}},
+constexpr JobKey kKeys[] = {
+    {.key = "strategy",
+     .cli = {"NAME", "registry name (--list-strategies lists them)"},
+     .set = [](const KeyApply& a) { return a.assign(a.spec.approach_name); }},
+    {.key = "strategy_options",
+     .set =
+         [](const KeyApply& a) {
+           if (!a.object()) return false;
+           for (const auto& [key, value] : a.v.members()) {
+             const KeyApply opt{"strategy_options." + key, *value, a.error, a.spec,
+                                a.metro_vehicles};
+             double x = 0.0;
+             if (!opt.assign(x)) return false;
+             a.spec.options.set(key, x);
+           }
+           return true;
+         }},
+    {.key = "name", .set = [](const KeyApply& a) { return a.assign(a.spec.name); }},
+    {.key = "priority", .set = [](const KeyApply& a) { return a.assign(a.spec.priority); }},
+    {.key = "events", .set = [](const KeyApply& a) { return a.assign(a.spec.events); }},
+    {.key = "preempt_at", .set = [](const KeyApply& a) { return a.assign(a.spec.preempt_at); }},
+    {"vehicles", "num_vehicles", {}, {"N", "fleet size on a fixed map"}},
     // Metro scaling applies in JobSpecBuilder::finish, after every key.
-    {"num_vehicles", [](const Apply& a) { return a.at_least(a.metro_vehicles, 2); },
-     {"N", "metro scaling: N vehicles, town tiled to keep their density"}},
-    {"duration", [](const Apply& a) { return a.number(a.spec.cfg.duration_s); },
-     {"S", "simulated seconds of collaborative training"}},
-    {"collect_duration",
-     [](const Apply& a) { return a.positive(a.spec.cfg.collect_duration_s); },
+    {.key = "num_vehicles",
+     .cli = {"N", "metro scaling: N vehicles, town tiled to keep their density"},
+     .set = [](const KeyApply& a) { return a.assign(a.metro_vehicles, at_least(2)); }},
+    {"duration", "duration_s", {}, {"S", "simulated seconds of collaborative training"}},
+    {"collect_duration", "collect_duration_s", above(0),
      {"S", "length of the data-collection phase"}},
-    {"collect_fps", [](const Apply& a) { return a.positive(a.spec.cfg.collect_fps); }},
-    {"coreset",
-     [](const Apply& a) {
-       int n = 0;
-       return a.integer(n) && a.count(n, a.spec.cfg.coreset_size);
-     },
-     {"N", "coreset size per vehicle"}},
-    {"seed",
-     [](const Apply& a) {
-       double x = 0.0;
-       if (!a.number(x)) return false;
-       if (!(x >= 0.0 && x <= kMaxExactInteger) || x != std::floor(x)) {
-         return a.fail("\"seed\" must be an integer in [0, 2^53]");
-       }
-       a.spec.cfg.seed = static_cast<std::uint64_t>(x);
-       return true;
-     },
-     {"N", "scenario seed"}},
+    {"collect_fps", "collect_fps", above(0)},
+    {"coreset", "coreset_size", within(1, INT_MAX), {"N", "coreset size per vehicle"}},
+    {"seed", "seed", at_least(0), {"N", "scenario seed"}},
     // A lane is an OS thread: the bound keeps a spec from asking for more
     // threads than any host runs usefully.
-    {"threads",
-     [](const Apply& a) { return a.integer_in(a.spec.cfg.num_threads, 0, ThreadPool::kMaxLanes); },
+    {"threads", "num_threads", within(0, ThreadPool::kMaxLanes),
      {"N", "worker lanes, 0 = all cores (bit-identical for any N)"}},
-    {"wireless_loss", [](const Apply& a) { return a.boolean(a.spec.cfg.wireless_loss); }},
-    {"eval_interval", [](const Apply& a) { return a.positive(a.spec.cfg.eval_interval_s); }},
-    {"train_interval", [](const Apply& a) { return a.positive(a.spec.cfg.train_interval_s); }},
+    {"wireless_loss", "wireless_loss"},
+    {"eval_interval", "eval_interval_s", above(0)},
+    {"train_interval", "train_interval_s", above(0)},
     // 0 would train nothing, and a negative size wraps to a huge size_t.
-    {"batch_size", [](const Apply& a) { return a.at_least(a.spec.cfg.batch_size, 1); }},
-    {"learning_rate", [](const Apply& a) { return a.positive(a.spec.cfg.learning_rate); }},
-    {"time_budget", [](const Apply& a) { return a.positive(a.spec.cfg.time_budget_s); }},
-    {"pair_cooldown", [](const Apply& a) { return a.at_least(a.spec.cfg.pair_cooldown_s, 0); }},
-    {"session_timeout",
-     [](const Apply& a) { return a.positive(a.spec.cfg.session_timeout_s); }},
-    {"byzantine_frac",
-     [](const Apply& a) { return a.fraction(a.spec.cfg.adversary.byzantine_frac); },
+    {"batch_size", "batch_size", at_least(1)},
+    {"learning_rate", "learning_rate", above(0)},
+    {"time_budget", "time_budget_s", above(0)},
+    {"pair_cooldown", "pair_cooldown_s", at_least(0)},
+    {"session_timeout", "session_timeout_s", above(0)},
+    {"byzantine_frac", "adversary.byzantine_frac", within(0, 1),
      {"F", "F*N Byzantine vehicles: poisoned payloads in CRC-valid frames"}},
-    {"straggler_frac",
-     [](const Apply& a) {
-       // One knob drives the whole heterogeneity profile: the same fraction
-       // of compute stragglers and slow radios, plus moderate dataset skew.
-       double frac = 0.0;
-       if (!a.fraction(frac)) return false;
-       engine::HeteroConfig& h = a.spec.cfg.hetero;
-       h.straggler_frac = frac;
-       h.slow_radio_frac = frac;
-       h.dataset_skew = frac > 0.0 ? 0.5 : 0.0;
-       return true;
-     },
-     {"F", "F*N compute stragglers and F*N slow radios, plus dataset skew"}},
-    {"background_cars",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.world.num_background_cars, 0); }},
-    {"pedestrians",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.world.num_pedestrians, 0); }},
-    {"eval_frames",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.eval_frames_per_vehicle, 0); }},
-    {"radio_range", [](const Apply& a) { return a.positive(a.spec.cfg.radio.max_range_m); }},
-    {"model_bytes",
-     [](const Apply& a) {
-       double x = 0.0;
-       return a.number(x) && a.count(x, a.spec.cfg.wire.model_bytes);
-     }},
-    {"coreset_bytes_per_sample",
-     [](const Apply& a) {
-       double x = 0.0;
-       return a.number(x) && a.count(x, a.spec.cfg.wire.coreset_bytes_per_sample);
-     }},
-    {"faults",
-     [](const Apply& a) {
-       if (!a.object()) return false;
-       for (const auto& [key, value] : a.v.members()) {
-         const KeyEntry* e = find_key("faults." + key);
-         if (e == nullptr) return a.fail("unknown faults key \"" + key + "\"");
-         if (!e->set(Apply{key, *value, a.error, a.spec, a.metro_vehicles})) return false;
-       }
-       return true;
-     }},
-    {"faults.burst_rate_per_min",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_rate_per_min, 0); }},
-    {"faults.burst_duration_s",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_duration_s, 0); }},
-    {"faults.burst_radius_m",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.burst_radius_m, 0); }},
-    {"faults.burst_extra_loss",
-     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.burst_extra_loss); }},
-    {"faults.churn_rate_per_min",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.churn_rate_per_min, 0); }},
-    {"faults.churn_offline_mean_s",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.churn_offline_mean_s, 0); }},
-    {"faults.corrupt_prob_near",
-     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.corrupt_prob_near); }},
-    {"faults.corrupt_prob_far",
-     [](const Apply& a) { return a.fraction(a.spec.cfg.faults.corrupt_prob_far); }},
-    {"faults.chat_backoff",
-     [](const Apply& a) { return a.boolean(a.spec.cfg.faults.chat_backoff); }},
-    {"faults.backoff_base",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.backoff_base, 1); }},
-    {"faults.backoff_max_exp",
-     [](const Apply& a) { return a.at_least(a.spec.cfg.faults.backoff_max_exp, 0); }},
+    // One knob drives the whole heterogeneity profile: the same fraction of
+    // compute stragglers and slow radios, plus moderate dataset skew.
+    {.key = "straggler_frac",
+     .cli = {"F", "F*N compute stragglers and F*N slow radios, plus dataset skew"},
+     .set =
+         [](const KeyApply& a) {
+           engine::HeteroConfig& h = a.spec.cfg.hetero;
+           if (!a.assign(h.straggler_frac, within(0, 1))) return false;
+           h.slow_radio_frac = h.straggler_frac;
+           h.dataset_skew = h.straggler_frac > 0.0 ? 0.5 : 0.0;
+           return true;
+         }},
+    {"background_cars", "world.num_background_cars", at_least(0)},
+    {"pedestrians", "world.num_pedestrians", at_least(0)},
+    {"eval_frames", "eval_frames_per_vehicle", at_least(0)},
+    {"radio_range", "radio.max_range_m", above(0)},
+    {"model_bytes", "wire.model_bytes", at_least(1)},
+    {"coreset_bytes_per_sample", "wire.coreset_bytes_per_sample", at_least(1)},
+    {.key = "faults",
+     .set =
+         [](const KeyApply& a) {
+           if (!a.object()) return false;
+           for (const auto& [key, value] : a.v.members()) {
+             const JobKey* k = find_key("faults." + key);
+             if (k == nullptr) return a.fail("unknown faults key \"" + key + "\"");
+             if (!apply(*k, {key, *value, a.error, a.spec, a.metro_vehicles})) return false;
+           }
+           return true;
+         }},
+    {"faults.burst_rate_per_min", "faults.burst_rate_per_min", at_least(0)},
+    {"faults.burst_duration_s", "faults.burst_duration_s", at_least(0)},
+    {"faults.burst_radius_m", "faults.burst_radius_m", at_least(0)},
+    {"faults.burst_extra_loss", "faults.burst_extra_loss", within(0, 1)},
+    {"faults.churn_rate_per_min", "faults.churn_rate_per_min", at_least(0)},
+    {"faults.churn_offline_mean_s", "faults.churn_offline_mean_s", at_least(0)},
+    {"faults.corrupt_prob_near", "faults.corrupt_prob_near", within(0, 1)},
+    {"faults.corrupt_prob_far", "faults.corrupt_prob_far", within(0, 1)},
+    {"faults.chat_backoff", "faults.chat_backoff"},
+    {"faults.backoff_base", "faults.backoff_base", at_least(1)},
+    {"faults.backoff_max_exp", "faults.backoff_max_exp", at_least(0)},
 };
 
-const KeyEntry* find_key(std::string_view key) {
-  for (const KeyEntry& e : kKeys) {
-    if (e.key == key) return &e;
+const JobKey* find_key(std::string_view key) {
+  for (const JobKey& k : kKeys) {
+    if (k.key == key) return &k;
   }
   return nullptr;
 }
 
 }  // namespace
 
-std::vector<CliKey> cli_keys() {
-  std::vector<CliKey> out;
-  for (const KeyEntry& e : kKeys) {
-    if (!e.cli.value.empty()) out.push_back({e.key, e.cli});
-  }
-  return out;
-}
+std::span<const JobKey> job_keys() { return kKeys; }
 
 bool JobSpecBuilder::set(std::string_view key, const JsonValue& value, std::string& error) {
-  const KeyEntry* e = key.find('.') == std::string_view::npos ? find_key(key) : nullptr;
-  if (e == nullptr) {
+  const JobKey* k = key.find('.') == std::string_view::npos ? find_key(key) : nullptr;
+  if (k == nullptr) {
     error = "unknown key \"" + std::string{key} + "\"";
     return false;
   }
-  return e->set(Apply{std::string{key}, value, error, spec_, metro_vehicles_});
+  return apply(*k, {std::string{key}, value, error, spec_, metro_vehicles_});
 }
 
 bool JobSpecBuilder::set_text(std::string_view key, std::string_view text, std::string& error) {

@@ -7,20 +7,21 @@
 //    "priority":1,"events":true,
 //    "faults":{"burst_rate_per_min":0.5,"chat_backoff":true}}
 //
-// "approach" is accepted as a legacy alias of "strategy" (pre-registry specs
-// persist in state directories and CI). Unknown keys, unknown strategy
-// names, and option keys absent from the strategy's registry schema are hard
-// parse errors (a typo'd knob must not silently run the default).
+// Unknown keys, unknown strategy names, and option keys absent from the
+// strategy's registry schema are hard parse errors (a typo'd knob must not
+// silently run the default).
 // parse_job_spec keeps the original spec text so a persisted job round-trips
 // byte-identically through the state directory.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "baselines/registry.h"
+#include "common/tunable.h"
 #include "engine/scenario.h"
 
 namespace lbchat::svc {
@@ -62,7 +63,7 @@ class JobSpecBuilder {
   /// an object key ("strategy_options.divergence_bound").
   [[nodiscard]] bool set_text(std::string_view key, std::string_view text, std::string& error);
   /// The order-independent rules: metro scaling ("num_vehicles") last, then
-  /// the cross-key checks (vehicles >= 2, duration > 0, threads >= 0).
+  /// the cross-key checks (vehicles >= 2, duration > 0).
   [[nodiscard]] bool finish(std::string& error);
 
  private:
@@ -75,12 +76,20 @@ struct CliFlag {
   std::string_view value;  ///< placeholder for the flag's value, "N"
   std::string_view help;   ///< one line
 };
-struct CliKey {
-  std::string_view key;  ///< flag --a-b sets key a_b
-  CliFlag flag;
+struct KeyApply;  // job.cpp
+/// One row of the JobSpec key table (job.cpp). A key that sets one member of
+/// engine::ScenarioConfig's list names it by dotted path, with its range;
+/// key "faults.m" is member m of the "faults" object. Any other key has a
+/// setter of its own. A CLI-marked key a_b is lbchat_sim_cli's flag --a-b.
+struct JobKey {
+  std::string_view key;
+  std::string_view member{};
+  TunableRange range{};
+  CliFlag cli{};
+  bool (*set)(const KeyApply&) = nullptr;
 };
-/// The CLI-marked keys, in key-table order.
-[[nodiscard]] std::vector<CliKey> cli_keys();
+/// Every JobSpec key, in table order.
+[[nodiscard]] std::span<const JobKey> job_keys();
 
 /// Parse a job-spec JSON object. Returns false and fills `error` on malformed
 /// JSON, unknown keys, wrong types, or out-of-range values; `out` is

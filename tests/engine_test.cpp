@@ -8,6 +8,7 @@
 #include "common/bytes.h"
 #include "data/sample_io.h"
 #include "engine/fleet.h"
+#include "nn/int8_policy.h"
 
 namespace lbchat::engine {
 namespace {
@@ -218,6 +219,47 @@ TEST(FleetSimTest, MeanEvalLossMatchesRecordedCurve) {
       EXPECT_EQ(m.loss_curve.values.front(), initial);
       EXPECT_EQ(m.loss_curve.values.back(), trained);
       EXPECT_NE(initial, trained);
+    }
+  }
+}
+
+TEST(FleetSimTest, PerVehicleEvalLossIsEachModelsOwn) {
+  // The eval sweep scores one model for all vehicles still bytewise equal to
+  // vehicle 0's (every vehicle at t = 0) and copies its loss. Each recorded
+  // per-vehicle loss must still be that vehicle's own model's, at t = 0,
+  // after local training has made the models diverge, and with one model
+  // copied back to vehicle 0's; float or int8, at 1 and 3 lanes.
+  for (const bool int8 : {false, true}) {
+    for (const int lanes : {1, 3}) {
+      SCOPED_TRACE(testing::Message() << "int8=" << int8 << " lanes=" << lanes);
+      auto cfg = tiny_scenario();
+      cfg.int8_eval.enabled = int8;
+      cfg.num_threads = lanes;
+      FleetSim sim{cfg, std::make_unique<LocalOnlyStrategy>()};
+      const auto own_losses = [&] {
+        std::vector<double> out;
+        for (int v = 0; v < sim.num_vehicles(); ++v) {
+          const nn::DrivingPolicy& model = sim.node(v).model;
+          out.push_back(int8 ? nn::Int8Policy{model}.weighted_loss(sim.eval_set())
+                             : model.weighted_loss(sim.eval_set()));
+        }
+        return out;
+      };
+      sim.prepare();  // records t = 0
+      const std::vector<double> initial = own_losses();
+      EXPECT_EQ(std::set<double>(initial.begin(), initial.end()).size(), 1u);
+      sim.run_until(45.0);
+      const auto first = sim.node(0).model.params();
+      std::copy(first.begin(), first.end(), sim.node(2).model.params().begin());
+      const std::vector<double> trained = own_losses();
+      EXPECT_GT(std::set<double>(trained.begin(), trained.end()).size(), 2u);
+      // finalize() records t = 60 with the models as they stand now.
+      const RunMetrics m = sim.finalize();
+      ASSERT_EQ(m.per_vehicle_loss.size(), initial.size());
+      for (std::size_t v = 0; v < initial.size(); ++v) {
+        EXPECT_EQ(m.per_vehicle_loss[v].values.front(), initial[v]) << v;
+        EXPECT_EQ(m.per_vehicle_loss[v].values.back(), trained[v]) << v;
+      }
     }
   }
 }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/fingerprint.h"
@@ -87,73 +89,64 @@ TEST(ScenarioFingerprintTest, SensitiveToBehaviourShapingFields) {
   EXPECT_NE(scenario_fingerprint(base, "DP"), fp);
 }
 
-// One single-field change of a ScenarioConfig, for the drift check below.
-using Cfg = engine::ScenarioConfig;
-struct Perturbation {
-  const char* field;
-  void (*apply)(Cfg&);
-};
+// A changed value of one config leaf: a flipped bool, or a number moved off
+// its value.
+template <class T>
+void perturb(T& x) {
+  if constexpr (std::is_same_v<T, bool>) {
+    x = !x;
+  } else if constexpr (std::is_integral_v<T>) {
+    x += 1;
+  } else {
+    x = x * 1.5 + 0.25;
+  }
+}
+
+// Whether config_fingerprint hashes the leaf at `path` of `cfg`.
+bool hashed(const engine::ScenarioConfig& cfg, std::string_view path) {
+  bool on = false;
+  engine::for_each_member(cfg, [&](std::string_view p, const auto&, const engine::Hashing& h) {
+    if (p == path) on = h.on;
+  });
+  return on;
+}
 
 TEST(ScenarioFingerprintTest, MovesExactlyWithConfigFingerprint) {
-  // The result-cache key and the checkpoint key must agree on which fields
-  // shape a run: over one or more fields of every group, the scenario
-  // fingerprint changes if and only if the config fingerprint does.
-  const Perturbation live[] = {
-      {"seed", [](Cfg& c) { c.seed = 7; }},
-      {"num_vehicles", [](Cfg& c) { c.num_vehicles = 9; }},
-      {"coreset_size", [](Cfg& c) { c.coreset_size = 40; }},
-      {"learning_rate", [](Cfg& c) { c.learning_rate = 3e-3; }},
-      {"wireless_loss", [](Cfg& c) { c.wireless_loss = false; }},
-      {"world.num_background_cars", [](Cfg& c) { c.world.num_background_cars += 1; }},
-      {"world.car_max_speed", [](Cfg& c) { c.world.car_max_speed *= 1.5; }},
-      {"world.perturb_prob", [](Cfg& c) { c.world.perturb_prob = 0.5; }},
-      {"world.town.extent_m", [](Cfg& c) { c.world.town.extent_m += 100.0; }},
-      {"world.town.urban_grid", [](Cfg& c) { c.world.town.urban_grid += 1; }},
-      {"world.town.edge_drop_prob", [](Cfg& c) { c.world.town.edge_drop_prob = 0.3; }},
-      {"world.bev.cell_m", [](Cfg& c) { c.world.bev.cell_m *= 2.0; }},
-      {"policy.bev.height", [](Cfg& c) { c.policy.bev.height += 8; }},
-      {"radio.bandwidth_bps", [](Cfg& c) { c.radio.bandwidth_bps *= 2.0; }},
-      {"radio.max_range_m", [](Cfg& c) { c.radio.max_range_m += 10.0; }},
-      {"wire.model_bytes", [](Cfg& c) { c.wire.model_bytes += 1; }},
-      {"policy.fc_dim", [](Cfg& c) { c.policy.fc_dim += 1; }},
-      {"penalty.lambda1", [](Cfg& c) { c.penalty.lambda1 += 0.5; }},
-      {"faults.burst_rate_per_min", [](Cfg& c) { c.faults.burst_rate_per_min = 1.0; }},
-      {"faults.chat_backoff", [](Cfg& c) { c.faults.chat_backoff = !c.faults.chat_backoff; }},
-      {"adversary.byzantine_frac", [](Cfg& c) { c.adversary.byzantine_frac = 0.25; }},
-      {"hetero.straggler_frac", [](Cfg& c) { c.hetero.straggler_frac = 0.5; }},
-      {"int8_eval.enabled", [](Cfg& c) { c.int8_eval.enabled = true; }},
-  };
-  // Knobs of a disabled group are inert, so neither key may see them; the
-  // wall-clock knob is inert by the determinism contract.
-  const Perturbation inert[] = {
-      {"num_threads", [](Cfg& c) { c.num_threads = 8; }},
-      {"adversary.poison_scale", [](Cfg& c) { c.adversary.poison_scale = 99.0; }},
-      {"hetero.straggler_rate", [](Cfg& c) { c.hetero.straggler_rate = 0.9; }},
-      {"hetero.dataset_keep_min", [](Cfg& c) { c.hetero.dataset_keep_min = 0.9; }},
-  };
-
-  const engine::ScenarioConfig base;
-  const std::uint64_t config_fp = engine::config_fingerprint(base);
-  const std::uint64_t scenario_fp = scenario_fingerprint(base, "LbChat");
-  for (const Perturbation& p : live) {
-    engine::ScenarioConfig c = base;
-    p.apply(c);
-    EXPECT_NE(engine::config_fingerprint(c), config_fp) << p.field;
-    EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp) << p.field;
+  // The result-cache key and the checkpoint key must agree on which members
+  // shape a run. Every leaf of ScenarioConfig's member list, changed alone,
+  // moves both keys when it is hashed before or after the change: a member
+  // of a conditional tail that stays off moves neither, and so does the
+  // wall-clock knob num_threads. duration_s is the one member in the cache
+  // key only: a resumed run may extend the horizon, but a cached result
+  // answers one exact horizon. Run from the defaults (tails off) and with
+  // every tail on.
+  engine::ScenarioConfig tails_on;
+  tails_on.adversary.byzantine_frac = 0.25;
+  tails_on.hetero.straggler_frac = 0.5;
+  tails_on.int8_eval.enabled = true;
+  for (const engine::ScenarioConfig& base : {engine::ScenarioConfig{}, tails_on}) {
+    const std::uint64_t config_fp = engine::config_fingerprint(base);
+    const std::uint64_t scenario_fp = scenario_fingerprint(base, "LbChat");
+    std::vector<std::string> paths;
+    engine::for_each_member(base, [&](std::string_view p, const auto&, const engine::Hashing&) {
+      paths.emplace_back(p);
+    });
+    EXPECT_EQ(paths.size(), 99u);
+    int moved = 0;
+    for (const std::string& path : paths) {
+      engine::ScenarioConfig c = base;
+      engine::for_each_member(c, [&](std::string_view p, auto& m, const engine::Hashing&) {
+        if (p == path) perturb(m);
+      });
+      const bool moves = hashed(base, path) || hashed(c, path);
+      moved += moves ? 1 : 0;
+      EXPECT_EQ(engine::config_fingerprint(c) != config_fp, moves) << path;
+      EXPECT_EQ(scenario_fingerprint(c, "LbChat") != scenario_fp, moves || path == "duration_s")
+          << path;
+    }
+    // Off, the tails' 15 members hide all but the 5 that switch a tail on.
+    EXPECT_EQ(moved, base.robustness_on() ? 97 : 97 - 15 + 5);
   }
-  for (const Perturbation& p : inert) {
-    engine::ScenarioConfig c = base;
-    p.apply(c);
-    EXPECT_EQ(engine::config_fingerprint(c), config_fp) << p.field;
-    EXPECT_EQ(scenario_fingerprint(c, "LbChat"), scenario_fp) << p.field;
-  }
-
-  // The one field in the cache key only: a resumed run may extend the
-  // horizon, but a cached result answers one exact horizon.
-  engine::ScenarioConfig c = base;
-  c.duration_s += 1.0;
-  EXPECT_EQ(engine::config_fingerprint(c), config_fp);
-  EXPECT_NE(scenario_fingerprint(c, "LbChat"), scenario_fp);
 }
 
 TEST(ScenarioFingerprintTest, InsensitiveToWallClockKnobs) {

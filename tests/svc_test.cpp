@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,7 +67,7 @@ std::string slurp(const std::filesystem::path& path) {
 // horizon, faults + Byzantine peers + stragglers all live, so the determinism
 // assertions cover the full engine surface.
 std::string tiny_spec(int seed = 7, const std::string& extra_members = "") {
-  std::string spec = R"({"approach":"LbChat","name":"tiny","vehicles":4,)"
+  std::string spec = R"({"strategy":"LbChat","name":"tiny","vehicles":4,)"
                      R"("duration":40,"collect_duration":20,"collect_fps":1,)"
                      R"("eval_frames":2,"background_cars":4,"pedestrians":6,)"
                      R"("eval_interval":10,"train_interval":2,"batch_size":4,)"
@@ -188,7 +189,10 @@ TEST(JobSpecTest, RejectsUnknownAndInvalid) {
   EXPECT_FALSE(parse_job_spec(R"({"vehicles":"four"})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"({"vehicles":1})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"({"duration":0})", spec, err));
-  EXPECT_FALSE(parse_job_spec(R"({"approach":"NoSuch"})", spec, err));
+  EXPECT_FALSE(parse_job_spec(R"({"strategy":"NoSuch"})", spec, err));
+  // The pre-registry "approach" spelling is gone: a spec naming it fails.
+  EXPECT_FALSE(parse_job_spec(R"({"approach":"LbChat","vehicles":4,"duration":40})", spec, err));
+  EXPECT_EQ(err, "unknown key \"approach\"");
   EXPECT_FALSE(parse_job_spec(R"({"faults":{"burst_rate":1}})", spec, err));
   EXPECT_FALSE(parse_job_spec(R"([1,2])", spec, err));
   EXPECT_FALSE(parse_job_spec("not json", spec, err));
@@ -353,8 +357,8 @@ TEST(JobSpecTest, ThreadsKeyIsBounded) {
 }
 
 TEST(JobSpecTest, StrategyKeyAndOptionsParse) {
-  // "strategy" is the registry-keyed spelling; "approach" stays accepted for
-  // pre-registry specs. Options are validated against the registry schema.
+  // "strategy" names the registry key. Options are validated against the
+  // registry schema.
   JobSpec spec;
   std::string err;
   ASSERT_TRUE(parse_job_spec(
@@ -409,14 +413,65 @@ TEST(JobSpecTest, StrategyOptionRangesFailTheSpec) {
 
 TEST(JobSpecTest, CliMarkedKeysAreTheSpecFlags) {
   std::vector<std::string> keys;
-  for (const CliKey& k : cli_keys()) {
+  for (const JobKey& k : job_keys()) {
+    if (k.cli.value.empty()) continue;
     keys.emplace_back(k.key);
-    EXPECT_FALSE(k.flag.value.empty()) << k.key;
-    EXPECT_FALSE(k.flag.help.empty()) << k.key;
+    EXPECT_FALSE(k.cli.help.empty()) << k.key;
   }
-  EXPECT_EQ(keys, (std::vector<std::string>{"strategy", "approach", "vehicles", "num_vehicles",
+  EXPECT_EQ(keys, (std::vector<std::string>{"strategy", "vehicles", "num_vehicles",
                                             "duration", "collect_duration", "coreset", "seed",
                                             "threads", "byzantine_frac", "straggler_frac"}));
+}
+
+/// Every leaf of `cfg`'s member list by dotted path, as a double.
+std::map<std::string, double> config_leaves(const engine::ScenarioConfig& cfg) {
+  std::map<std::string, double> out;
+  engine::for_each_member(cfg, [&](std::string_view path, const auto& m, const auto&) {
+    out[std::string{path}] = static_cast<double>(m);
+  });
+  return out;
+}
+
+TEST(JobSpecTest, EachMemberKeySetsExactlyItsMember) {
+  // A single-member key row names one member of ScenarioConfig's list: set
+  // to an in-range value off the default, that member changes and no other.
+  const engine::ScenarioConfig base = JobSpec{}.cfg;
+  const std::map<std::string, double> defaults = config_leaves(base);
+  std::set<std::string> flags;
+  engine::for_each_member(base, [&](std::string_view path, const auto& m, const auto&) {
+    if (std::is_same_v<std::remove_cvref_t<decltype(m)>, bool>) flags.emplace(path);
+  });
+  int rows = 0;
+  for (const JobKey& row : job_keys()) {
+    if (row.set != nullptr) continue;
+    ++rows;
+    SCOPED_TRACE(std::string{row.key});
+    const std::string path{row.member};
+    ASSERT_EQ(defaults.count(path), 1u) << path;
+    // The row points at the member its key names: each word of the key
+    // ("radio_range") is in the path ("radio.max_range_m").
+    std::stringstream words{std::string{row.key}};
+    for (std::string word; std::getline(words, word, '_');) {
+      EXPECT_NE(path.find(word), std::string::npos) << word << " vs " << path;
+    }
+    const double old = defaults.at(path);
+    double x = old + 1.0;
+    if (!row.range.contains(x)) x = old / 2.0;
+    ASSERT_TRUE(row.range.contains(x) && x != old);
+    std::string text = std::to_string(x);
+    if (flags.count(path) != 0) {
+      x = old == 0.0 ? 1.0 : 0.0;
+      text = old == 0.0 ? "true" : "false";
+    }
+    JobSpec spec;
+    JobSpecBuilder builder{spec};
+    std::string err;
+    ASSERT_TRUE(builder.set_text(row.key, text, err)) << text << ": " << err;
+    std::map<std::string, double> expected = defaults;
+    expected[path] = x;
+    EXPECT_EQ(config_leaves(spec.cfg), expected);
+  }
+  EXPECT_EQ(rows, 33);
 }
 
 TEST(JobSpecTest, SpecFlagsAndJsonKeysFingerprintAlike) {
@@ -424,7 +479,6 @@ TEST(JobSpecTest, SpecFlagsAndJsonKeysFingerprintAlike) {
   // {"a_b": V}. Both must land on the same job.
   const std::map<std::string, std::pair<std::string, std::string>> sample = {
       {"strategy", {"DP", R"("DP")"}},
-      {"approach", {"DynThresh", R"("DynThresh")"}},
       {"vehicles", {"6", "6"}},
       {"num_vehicles", {"12", "12"}},
       {"duration", {"60", "60"}},
@@ -446,11 +500,11 @@ TEST(JobSpecTest, SpecFlagsAndJsonKeysFingerprintAlike) {
       << err;
   std::set<std::uint64_t> via_flags;
   std::set<std::uint64_t> via_json;
-  for (const CliKey& k : cli_keys()) {
+  for (const JobKey& k : job_keys()) {
+    if (k.cli.value.empty()) continue;
     const std::string key{k.key};
     ASSERT_EQ(sample.count(key), 1u) << key;
     auto members = base;
-    if (key == "approach") members.erase("strategy");  // one name per spec
     members[key] = sample.at(key);
 
     JobSpec flag_spec;
